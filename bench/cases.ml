@@ -39,10 +39,9 @@ let table2 =
     { name = "sin"; build = (fun () -> Gen.Arith.sin ~bits:12 ~iters:10); doubles = 0 };
     { name = "ac97_ctrl"; build = (fun () -> Gen.Control.regfile ~regs:4 ~width:4); doubles = 3 };
     { name = "vga_lcd"; build = (fun () -> Gen.Control.display ~hbits:12 ~vbits:11); doubles = 1 };
-    (* Datapath cases added with the word-level sweeping engine: ripple
-       carry (word detection covers nearly the whole miter), restoring
-       division (no word structure survives resyn2 — pure fallback), and a
-       Wallace tree (carry-save columns, partial word coverage). *)
+    (* Datapath cases: a ripple-carry adder, a multi-operand adder tree,
+       restoring division and a Wallace-tree multiplier (carry-save
+       columns). *)
     { name = "adder"; build = (fun () -> Gen.Arith.adder ~bits:64); doubles = 0 };
     { name = "addtree"; build = (fun () -> Gen.Arith.addtree ~operands:4 ~bits:24); doubles = 0 };
     { name = "divider"; build = (fun () -> Gen.Divider.divide ~bits:10); doubles = 0 };

@@ -90,7 +90,3 @@ let run_sat_baseline ~pool miter =
 
 let run_portfolio ?(mode = `Sequential) ~pool miter =
   time (fun () -> Simsweep.Portfolio.check ~mode ~pool (Aig.Network.copy miter))
-
-(* Word-level sweeping, standalone (it never mutates its input). *)
-let run_wordsweep ?(config = Simsweep.Config.scaled) ~pool miter =
-  time (fun () -> Word.Sweep.check ~config ~pool miter)

@@ -47,6 +47,10 @@ let hist_json h =
     (Hashtbl.fold (fun k v acc -> (k, Simsweep.Telemetry.Int v) :: acc) h []
     |> List.sort compare)
 
+let float_opt = function
+  | None -> Simsweep.Telemetry.Null
+  | Some x -> Simsweep.Telemetry.Float x
+
 (* Compact per-row portfolio snapshot: verdict, winner, mode, per-engine
    wall-clock — the schema-v3 data the race is judged on. *)
 let portfolio_json (r : Simsweep.Portfolio.result) t =
@@ -74,19 +78,19 @@ let table2 () =
     "Table II - runtime comparison (ABC-analog = SAT sweeping, Cfm-analog = portfolio)";
   let pool = Lazy.force pool in
   Par.Pool.reset_stats pool;
-  pr "%-11s %7s %6s %8s | %8s %8s %8s %8s | %8s %7s %8s %9s | %8s %8s\n" "case"
-    "PIs" "POs" "ANDs" "SAT(s)" "Pf(s)" "Race(s)" "Word(s)" "GPU(s)" "Red%"
-    "SATf(s)" "Total(s)" "vs SAT" "vs Pf";
+  pr "%-11s %7s %6s %8s | %8s %8s %8s | %8s %7s %8s %9s | %8s %8s\n" "case"
+    "PIs" "POs" "ANDs" "SAT(s)" "Pf(s)" "Race(s)" "GPU(s)" "Red%" "SATf(s)"
+    "Total(s)" "vs SAT" "vs Pf";
   let calibration = Harness.calibrate () in
   let sp_sat = ref [] and sp_pf = ref [] and sp_race = ref [] in
   let seq_hist = Hashtbl.create 4 and race_hist = Hashtbl.create 4 in
-  (* Seed both histograms with every race participant so the schema names
-     each racer (wordsweep included) even when it never wins. *)
+  (* Seed both histograms with every portfolio engine so the schema names
+     each one even when it never wins. *)
   List.iter
     (fun n ->
       Hashtbl.replace seq_hist n 0;
       Hashtbl.replace race_hist n 0)
-    ([ "sim"; "bdd"; "sat" ] @ Simsweep.Portfolio.registered_extras ());
+    [ "sim"; "bdd"; "sat" ];
   let rows = ref [] and srows = ref [] in
   (* Per-stage progress on stderr: a full table2 run takes tens of minutes
      on small machines and each case's row only prints once all four
@@ -115,18 +119,24 @@ let table2 () =
         progress case "portfolio-race" (fun () ->
             Harness.run_portfolio ~mode:`Race ~pool m)
       in
-      let (ws_outcome, ws_stats), ws_time =
-        progress case "wordsweep" (fun () -> Harness.run_wordsweep ~pool m)
+      (* A race that degraded for lack of cores re-timed the sequential
+         cascade: it is no race sample. *)
+      let race_time =
+        match pfr.Simsweep.Portfolio.mode_used with
+        | `Race -> Some pfr_time
+        | `Sequential -> None
       in
-      ignore ws_outcome;
       let ours = progress case "ours" (fun () -> Harness.run_ours ~pool m) in
       let su_sat = sat_time /. ours.Harness.total in
       let su_pf = pf_time /. ours.Harness.total in
       sp_sat := su_sat :: !sp_sat;
       sp_pf := su_pf :: !sp_pf;
-      sp_race := (pf_time /. pfr_time) :: !sp_race;
       bump seq_hist (winner_name pf);
-      bump race_hist (winner_name pfr);
+      Option.iter
+        (fun t ->
+          sp_race := (pf_time /. t) :: !sp_race;
+          bump race_hist (winner_name pfr))
+        race_time;
       ignore sat_outcome;
       (let open Simsweep.Telemetry in
        rows :=
@@ -141,14 +151,9 @@ let table2 () =
              ("portfolio_s", Float pf_time);
              ("portfolio", portfolio_json pf pf_time);
              ("portfolio_race", portfolio_json pfr pfr_time);
-             ("wordsweep_s", Float ws_time);
-             ("wordsweep", Word.Sweep.to_json ws_stats);
              ("gpu_s", Float ours.Harness.gpu_time);
              ("reduction_percent", Float ours.Harness.reduced_percent);
-             ( "sat_fallback_s",
-               match ours.Harness.sat_time with
-               | None -> Null
-               | Some t -> Float t );
+             ("sat_fallback_s", float_opt ours.Harness.sat_time);
              ("total_s", Float ours.Harness.total);
              ("speedup_vs_sat", Float su_sat);
              ("speedup_vs_portfolio", Float su_pf);
@@ -167,31 +172,35 @@ let table2 () =
              ("outcome", String (outcome_string ours.Harness.outcome));
              ("sat_s", Float sat_time);
              ("portfolio_s", Float pf_time);
-             ("race_s", Float pfr_time);
-             ("wordsweep_s", Float ws_time);
+             ("race_s", float_opt race_time);
              ("gpu_s", Float ours.Harness.gpu_time);
-             ( "sat_fallback_s",
-               match ours.Harness.sat_time with
-               | None -> Null
-               | Some t -> Float t );
+             ("sat_fallback_s", float_opt ours.Harness.sat_time);
              ("total_s", Float ours.Harness.total);
              ("speedup_vs_sat", Float su_sat);
            ]
          :: !srows);
+      let cell default = function
+        | None -> default
+        | Some t -> Printf.sprintf "%.3f" t
+      in
       pr
-        "%-11s %7d %6d %8d | %8.3f %8.3f %8.3f %8.3f | %8.3f %7.1f %8s %9.3f | %7.2fx %7.2fx\n%!"
+        "%-11s %7d %6d %8d | %8.3f %8.3f %8s | %8.3f %7.1f %8s %9.3f | %7.2fx %7.2fx\n%!"
         case.Cases.name (Aig.Network.num_pis m) (Aig.Network.num_pos m)
-        (Aig.Network.num_ands m) sat_time pf_time pfr_time ws_time
+        (Aig.Network.num_ands m) sat_time pf_time (cell "seq" race_time)
         ours.Harness.gpu_time ours.Harness.reduced_percent
-        (match ours.Harness.sat_time with
-        | None -> "-"
-        | Some t -> Printf.sprintf "%.3f" t)
+        (cell "-" ours.Harness.sat_time)
         ours.Harness.total su_sat su_pf)
     (selected_cases ());
-  pr "%-11s %80s | %7.2fx %7.2fx\n" "geomean" "" (Harness.geomean !sp_sat)
+  pr "%-11s %71s | %7.2fx %7.2fx\n" "geomean" "" (Harness.geomean !sp_sat)
     (Harness.geomean !sp_pf);
-  pr "portfolio race vs sequential: %.2fx geomean\n%!"
-    (Harness.geomean !sp_race);
+  (* [Harness.geomean []] is nan, which JSON cannot carry: with no raced
+     row the race geomean is null. *)
+  let race_geomean =
+    if !sp_race = [] then None else Some (Harness.geomean !sp_race)
+  in
+  (match race_geomean with
+  | Some g -> pr "portfolio race vs sequential: %.2fx geomean\n%!" g
+  | None -> pr "portfolio race vs sequential: no row raced\n%!");
   (* Machine-readable snapshot: the perf trajectory future PRs compare
      against. *)
   let open Simsweep.Telemetry in
@@ -204,7 +213,7 @@ let table2 () =
          ("cases", List (List.rev !rows));
          ("geomean_speedup_vs_sat", Float (Harness.geomean !sp_sat));
          ("geomean_speedup_vs_portfolio", Float (Harness.geomean !sp_pf));
-         ("geomean_race_vs_sequential", Float (Harness.geomean !sp_race));
+         ("geomean_race_vs_sequential", float_opt race_geomean);
          ( "winner_histogram",
            Obj
              [
@@ -223,7 +232,7 @@ let table2 () =
          ("cases", List (List.rev !srows));
          ("geomean_speedup_vs_sat", Float (Harness.geomean !sp_sat));
          ("geomean_speedup_vs_portfolio", Float (Harness.geomean !sp_pf));
-         ("geomean_race_vs_sequential", Float (Harness.geomean !sp_race));
+         ("geomean_race_vs_sequential", float_opt race_geomean);
          ( "winner_histogram",
            Obj
              [
@@ -812,60 +821,10 @@ let postmap () =
         ours.Harness.total)
     [ "multiplier"; "square"; "voter"; "ac97_ctrl"; "vga_lcd" ]
 
-(* ------------------------------------------------------------- datapath *)
-
-(* Word-level sweeping vs the bit-level engines on datapath miters: the
-   resyn2 pairs of the arithmetic table2 cases plus an array-vs-Wallace
-   cross miter (different multiplier architectures — no shared adder
-   structure to strash away). *)
-let datapath () =
-  heading "Datapath - word-level sweeping vs sim / SAT / BDD";
-  let pool = Lazy.force pool in
-  let cross =
-    lazy
-      (Aig.Miter.build
-         (Gen.Arith.multiplier ~bits:8)
-         (Gen.Wallace.multiplier ~bits:8))
-  in
-  let cases =
-    [
-      ("adder", lazy (Cases.prepare (Cases.find "adder")).Cases.miter);
-      ("addtree", lazy (Cases.prepare (Cases.find "addtree")).Cases.miter);
-      ("multiplier", lazy (Cases.prepare (Cases.find "multiplier")).Cases.miter);
-      ("wallace", lazy (Cases.prepare (Cases.find "wallace")).Cases.miter);
-      ("mult-x-wal", cross);
-      ("divider", lazy (Cases.prepare (Cases.find "divider")).Cases.miter);
-      ("sqrt", lazy (Cases.prepare (Cases.find "sqrt")).Cases.miter);
-    ]
-  in
-  pr "%-11s %8s | %9s %8s %8s %8s | %6s %6s %6s %7s\n" "case" "ANDs" "Word(s)"
-    "Sim(s)" "SAT(s)" "BDD(s)" "cov%" "words" "bits" "fb%";
-  List.iter
-    (fun (name, m) ->
-      let m = Lazy.force m in
-      let (_, ws), ws_time = Harness.run_wordsweep ~pool m in
-      let ours = Harness.run_ours ~pool m in
-      let _, sat_time = Harness.run_sat_baseline ~pool m in
-      let bdd_r, bdd_time =
-        Harness.time (fun () -> Bdd.check (Aig.Network.copy m))
-      in
-      let bdd_cell =
-        match bdd_r with
-        | `Equivalent | `Inequivalent _ -> Printf.sprintf "%.3f" bdd_time
-        | `Node_limit | `Timeout -> "abort"
-      in
-      pr "%-11s %8d | %9.3f %8.3f %8.3f %8s | %6.1f %6d %6d %6.0f%%\n%!" name
-        (Aig.Network.num_ands m) ws_time ours.Harness.total sat_time bdd_cell
-        ws.Word.Sweep.coverage_percent ws.Word.Sweep.words_proved
-        ws.Word.Sweep.bits_merged
-        (100. *. ws.Word.Sweep.fallback_ratio))
-    cases
-
 (* --------------------------------------------------------------- ingest *)
 
 (* BENCH_AIG_DIR=dir: check every AIGER miter in [dir] (the checked-in
-   examples/aiger fixtures by default) with the combined flow and the
-   word-level engine. *)
+   examples/aiger fixtures by default) with the combined flow. *)
 let ingest () =
   heading "AIGER ingest - checked-in miters (BENCH_AIG_DIR)";
   let dir =
@@ -889,16 +848,14 @@ let ingest () =
     exit 2
   end;
   let pool = Lazy.force pool in
-  pr "%-28s %7s %8s | %9s %9s | %s\n" "file" "PIs" "ANDs" "Word(s)" "Total(s)"
-    "outcome";
+  pr "%-28s %7s %8s | %9s | %s\n" "file" "PIs" "ANDs" "Total(s)" "outcome";
   List.iter
     (fun f ->
       let m = Aig.Aiger_io.read_file (Filename.concat dir f) in
-      let (ws_outcome, _), ws_time = Harness.run_wordsweep ~pool m in
       let ours = Harness.run_ours ~pool m in
-      pr "%-28s %7d %8d | %9.3f %9.3f | %s\n%!" f (Aig.Network.num_pis m)
-        (Aig.Network.num_ands m) ws_time ours.Harness.total
-        (Harness.outcome_tag ws_outcome))
+      pr "%-28s %7d %8d | %9.3f | %s\n%!" f (Aig.Network.num_pis m)
+        (Aig.Network.num_ands m) ours.Harness.total
+        (Harness.outcome_tag ours.Harness.outcome))
     files
 
 (* ------------------------------------------------------- Bechamel kernels *)
@@ -1025,7 +982,6 @@ let experiments =
     ("ablation-ectransfer", ablation_ec_transfer);
     ("ablation-flow", ablation_flow_tweaks);
     ("postmap", postmap);
-    ("datapath", datapath);
     ("ingest", ingest);
     ("micro", micro);
   ]
@@ -1033,7 +989,6 @@ let experiments =
 let () =
   (* The shard experiment re-execs this binary as its worker processes. *)
   Shard.Worker.maybe_become_worker ();
-  Word.Sweep.register ();
   let args = List.tl (Array.to_list Sys.argv) in
   let chosen = if args = [] then List.map fst experiments else args in
   List.iter

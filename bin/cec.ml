@@ -36,7 +36,6 @@ let engine_tag = function
   | `Bdd -> "bdd"
   | `Partitioned -> "partitioned"
   | `Portfolio -> "portfolio"
-  | `Wordsweep -> "wordsweep"
 
 (* Client mode: ship the miter to a running daemon (simsweep-serve) and
    let it check — repeated checks of the same cones hit the daemon's
@@ -247,20 +246,6 @@ let run_check engine file1 file2 suite scale post_double num_domains race
             if verbose then Printf.printf "partition: %d groups\n" ngroups;
             telemetry := [ ("partition_groups", Simsweep.Telemetry.Int ngroups) ];
             outcome
-        | `Wordsweep ->
-            let outcome, st =
-              Word.Sweep.check ~config:Simsweep.Config.scaled ~pool miter
-            in
-            if verbose then
-              Printf.printf
-                "wordsweep: %.1f%% covered, %d chains, %d words proved, %d \
-                 bits merged, fallback %s (%.0f%% of miter)\n"
-                st.Word.Sweep.coverage_percent st.Word.Sweep.chains
-                st.Word.Sweep.words_proved st.Word.Sweep.bits_merged
-                (if st.Word.Sweep.fallback then "used" else "not needed")
-                (100. *. st.Word.Sweep.fallback_ratio);
-            telemetry := [ ("wordsweep", Word.Sweep.to_json st) ];
-            outcome
         | `Portfolio ->
             let mode = if race then `Race else `Sequential in
             let r = Simsweep.Portfolio.check ~mode ~pool miter in
@@ -354,15 +339,13 @@ let engine =
       [
         ("sim", `Sim); ("sat", `Sat); ("bdd", `Bdd); ("portfolio", `Portfolio);
         ("combined", `Combined); ("partitioned", `Partitioned);
-        ("wordsweep", `Wordsweep);
       ]
   in
   Arg.(value & opt enum_conv `Combined & info [ "e"; "engine" ] ~docv:"ENGINE"
          ~doc:"Checking engine: sim (simulation-based), sat (SAT sweeping), \
                bdd, portfolio, combined (sim + SAT fallback, the paper's \
-               Table II flow), partitioned (combined flow per \
-               support-disjoint output group), or wordsweep (word-level \
-               hybrid sweeping with bit-level fallback).")
+               Table II flow), or partitioned (combined flow per \
+               support-disjoint output group).")
 
 let file1 =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -395,11 +378,10 @@ let num_domains =
 let race =
   Arg.(value & flag & info [ "race" ]
          ~doc:"Race the portfolio engines concurrently (with --engine \
-               portfolio): BDD, SAT sweeping and word-level sweeping each \
-               get a dedicated domain next to the pool-parallel simulation \
-               engine; the first conclusive verdict cancels the losers.  \
-               Degrades to the sequential portfolio when the machine lacks \
-               cores.")
+               portfolio): BDD and SAT sweeping each get a dedicated \
+               domain next to the pool-parallel simulation engine; the \
+               first conclusive verdict cancels the losers.  Degrades to \
+               the sequential portfolio when the machine lacks cores.")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print engine details.")
 
@@ -465,6 +447,4 @@ let cmd =
 let () =
   (* Re-exec'ed children of `--shard` coordinators become workers here. *)
   Shard.Worker.maybe_become_worker ();
-  (* Fourth portfolio racer (race mode only). *)
-  Word.Sweep.register ();
   exit (Cmd.eval' cmd)

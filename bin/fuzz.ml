@@ -11,9 +11,6 @@
 
 let run seed cases minutes aig_dir out_dir self_test num_domains bdd_node_limit
     shrink_budget certify_every quiet shard_transport =
-  (* The oracle's portfolio/race members should exercise the full racer
-     set, wordsweep included. *)
-  Word.Sweep.register ();
   let pool = Par.Pool.create ?num_domains () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let log line = if not quiet then print_endline line in

@@ -2,7 +2,6 @@ type engine =
   | Bdd_engine
   | Sim_engine
   | Sat_engine
-  | Extra_engine of string  (** a registered extra racer, by name *)
 
 type mode = [ `Sequential | `Race ]
 
@@ -17,47 +16,22 @@ type result = {
   engine_stats : Stats.t option;
   sat_stats : Sat.Sweep.stats option;
   racers : string list;
-  extra_stats : (string * (string * float) list) list;
 }
 
 let engine_name = function
   | Bdd_engine -> "bdd"
   | Sim_engine -> "sim"
   | Sat_engine -> "sat"
-  | Extra_engine name -> name
 
 let mode_name = function `Sequential -> "sequential" | `Race -> "race"
 
-(* --- registered extra engines -------------------------------------------- *)
-
-type extra = {
-  extra_name : string;
-  extra_run :
-    cancel:Cancel.t -> pool:Par.Pool.t -> Aig.Network.t ->
-    Engine.outcome * (string * float) list;
-}
-
-(* Registration happens at program start-up (entry points call their
-   engines' [register] before any check), so a plain ref is fine; the
-   race itself only reads the list. *)
-let extras : extra list ref = ref []
-
-let register_extra x =
-  extras :=
-    List.filter (fun e -> e.extra_name <> x.extra_name) !extras @ [ x ]
-
-let registered_extras () = List.map (fun e -> e.extra_name) !extras
-let clear_extras () = extras := []
-
-(* The race spawns one dedicated domain per racer beyond the first; the
-   core portfolio runs exactly two extra racers (BDD and SAT sweep) next
-   to the pool-parallel simulation engine.  Registered extras each add
-   one more domain on top of this constant. *)
+(* The race spawns one dedicated domain per racer beyond the first: the
+   BDD engine and the SAT sweeper, next to the pool-parallel simulation
+   engine. *)
 let race_domains = 2
 
 let recommended_pool_domains () =
-  max 1
-    (Domain.recommended_domain_count () - race_domains - List.length !extras)
+  max 1 (Domain.recommended_domain_count () - race_domains)
 
 (* --- generic racing combinator ------------------------------------------- *)
 
@@ -144,22 +118,17 @@ type payload = {
   p_stats : Stats.t option;
   p_sat : Sat.Sweep.stats option;
   p_bdd_timeout : bool;
-  p_counters : (string * float) list;  (* extra racers only *)
 }
 
-let bdd_payload = function
-  | `Equivalent ->
-      { p_outcome = Engine.Proved; p_engine = Bdd_engine; p_stats = None;
-        p_sat = None; p_bdd_timeout = false; p_counters = [] }
-  | `Inequivalent (cex, po) ->
-      { p_outcome = Engine.Disproved (cex, po); p_engine = Bdd_engine;
-        p_stats = None; p_sat = None; p_bdd_timeout = false; p_counters = [] }
-  | `Node_limit ->
-      { p_outcome = Engine.Undecided; p_engine = Bdd_engine; p_stats = None;
-        p_sat = None; p_bdd_timeout = false; p_counters = [] }
-  | `Timeout ->
-      { p_outcome = Engine.Undecided; p_engine = Bdd_engine; p_stats = None;
-        p_sat = None; p_bdd_timeout = true; p_counters = [] }
+let bdd_payload r =
+  let p_outcome =
+    match r with
+    | `Equivalent -> Engine.Proved
+    | `Inequivalent (cex, po) -> Engine.Disproved (cex, po)
+    | `Node_limit | `Timeout -> Engine.Undecided
+  in
+  { p_outcome; p_engine = Bdd_engine; p_stats = None; p_sat = None;
+    p_bdd_timeout = r = `Timeout }
 
 let sat_payload (outcome, stats) =
   let o =
@@ -169,16 +138,11 @@ let sat_payload (outcome, stats) =
     | Sat.Sweep.Undecided -> Engine.Undecided
   in
   { p_outcome = o; p_engine = Sat_engine; p_stats = None; p_sat = Some stats;
-    p_bdd_timeout = false; p_counters = [] }
+    p_bdd_timeout = false }
 
 let sim_payload (r : Engine.run_result) =
   { p_outcome = r.Engine.outcome; p_engine = Sim_engine;
-    p_stats = Some r.Engine.stats; p_sat = None; p_bdd_timeout = false;
-    p_counters = [] }
-
-let extra_payload x (outcome, counters) =
-  { p_outcome = outcome; p_engine = Extra_engine x.extra_name; p_stats = None;
-    p_sat = None; p_bdd_timeout = false; p_counters = counters }
+    p_stats = Some r.Engine.stats; p_sat = None; p_bdd_timeout = false }
 
 (* --- sequential portfolio -------------------------------------------------- *)
 
@@ -205,7 +169,6 @@ let check_sequential ?cancel ~config ~sat_config ~bdd_node_limit
       engine_stats;
       sat_stats;
       racers = List.map (fun (e, _) -> engine_name e) per;
-      extra_stats = [];
     }
   in
   (* Engine 1: BDD with node and step budgets — cheap on control logic,
@@ -243,12 +206,11 @@ let check_sequential ?cancel ~config ~sat_config ~bdd_node_limit
 
 (* --- racing portfolio ------------------------------------------------------ *)
 
-(* The race runs when the racer domains (two core racers plus any
-   registered extras) fit next to the pool's workers inside the machine's
-   recommended domain count; otherwise it degrades to the sequential
-   portfolio rather than oversubscribe cores. *)
+(* The race runs when the racer domains fit next to the pool's workers
+   inside the machine's recommended domain count; otherwise it degrades to
+   the sequential portfolio rather than oversubscribe cores. *)
 let race_fits ~pool =
-  Par.Pool.num_workers pool + race_domains + List.length !extras
+  Par.Pool.num_workers pool + race_domains
   <= Domain.recommended_domain_count ()
 
 (* Run a racer's body on a private 1-domain pool: parallel loops execute
@@ -279,12 +241,6 @@ let check_race ?cancel ~config ~sat_config ~bdd_node_limit ~bdd_step_limit
             sat_payload (Sat.Sweep.check ~config:sat_config ~cancel ~pool miter))
       );
     ]
-    @ List.map
-        (fun x ->
-          ( Extra_engine x.extra_name,
-            with_inline_pool (fun ~cancel ~pool ->
-                extra_payload x (x.extra_run ~cancel ~pool miter)) ))
-        !extras
   in
   let racers =
     List.map
@@ -334,13 +290,6 @@ let check_race ?cancel ~config ~sat_config ~bdd_node_limit ~bdd_step_limit
     sat_stats =
       (match find_payload Sat_engine with Some p -> p.p_sat | None -> None);
     racers = List.map (fun (e, _) -> engine_name e) members;
-    extra_stats =
-      List.filter_map
-        (fun x ->
-          match find_payload (Extra_engine x.extra_name) with
-          | Some p -> Some (x.extra_name, p.p_counters)
-          | None -> None)
-        !extras;
   }
 
 let check ?(config = Config.default) ?(sat_config = Sat.Sweep.default_config)

@@ -23,8 +23,6 @@ type engine =
   | Bdd_engine
   | Sim_engine
   | Sat_engine
-  | Extra_engine of string
-      (** a racer registered with {!register_extra}, by name *)
 
 type mode = [ `Sequential | `Race ]
 
@@ -52,44 +50,15 @@ type result = {
   racers : string list;
       (** engines that participated: every race member in race mode, the
           engines the cascade reached in sequential mode *)
-  extra_stats : (string * (string * float) list) list;
-      (** per extra racer that ran to completion: its flat counters *)
 }
 
-(** {2 Registered extra racers}
-
-    Libraries can contribute additional race members (e.g. the
-    word-level sweeping engine) without this module depending on them.
-    Extras race only in [`Race] mode, each on its own dedicated domain
-    with a private 1-domain pool; the sequential cascade is unchanged. *)
-
-type extra = {
-  extra_name : string;  (** reported as [Extra_engine extra_name] *)
-  extra_run :
-    cancel:Cancel.t ->
-    pool:Par.Pool.t ->
-    Aig.Network.t ->
-    Engine.outcome * (string * float) list;
-      (** verdict plus flat telemetry counters; must poll [cancel]
-          cooperatively and must not mutate the miter *)
-}
-
-(** Register (or replace, by name) an extra racer.  Call at program
-    start-up, before any concurrent {!check}. *)
-val register_extra : extra -> unit
-
-val registered_extras : unit -> string list
-
-(** Forget every registered extra (tests). *)
-val clear_extras : unit -> unit
-
-(** Dedicated domains a race spawns beyond the calling one for the core
-    racers (BDD and SAT); registered extras add one domain each on top. *)
+(** Dedicated domains a race spawns beyond the calling one: one each for
+    the BDD engine and the SAT sweeper. *)
 val race_domains : int
 
 (** Pool size that leaves room for the racer domains:
-    [max 1 (recommended_domain_count - race_domains - #extras)].  Size
-    the worker pool with this when racing is intended. *)
+    [max 1 (recommended_domain_count - race_domains)].  Size the worker
+    pool with this when racing is intended. *)
 val recommended_pool_domains : unit -> int
 
 (** {2 Generic racing combinator}

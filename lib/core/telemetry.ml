@@ -488,10 +488,4 @@ let of_portfolio (r : Portfolio.result) =
         | None -> Null );
       ( "sat_stats",
         match r.Portfolio.sat_stats with Some s -> of_sat s | None -> Null );
-      ( "extra_stats",
-        Obj
-          (List.map
-             (fun (name, counters) ->
-               (name, Obj (List.map (fun (k, v) -> (k, Float v)) counters)))
-             r.Portfolio.extra_stats) );
     ]

@@ -2,7 +2,6 @@ type t = int array
 
 let trivial n = [| n |]
 let merge ~cap a b = Aig.Support.union_capped ~cap a b
-let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 let size = Array.length
 

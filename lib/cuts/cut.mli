@@ -10,7 +10,6 @@ val trivial : int -> t
     [cap]. *)
 val merge : cap:int -> t -> t -> t option
 
-val equal : t -> t -> bool
 val compare : t -> t -> int
 val size : t -> int
 

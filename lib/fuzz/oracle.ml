@@ -53,16 +53,6 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
           of_engine_outcome c.Simsweep.Engine.final);
     };
     {
-      (* Word-level hybrid sweeping: every merge it applies was detected
-         structurally, so a detection bug that survived its exhaustive
-         re-proving shows up here as a disagreement. *)
-      name = "wordsweep";
-      run =
-        (fun ~pool m ->
-          of_engine_outcome
-            (fst (Word.Sweep.check ~config:Simsweep.Config.scaled ~pool m)));
-    };
-    {
       name = "satsweep";
       run = (fun ~pool m -> of_sat_outcome (fst (Sat.Sweep.check ~pool m)));
     };

@@ -298,130 +298,6 @@ let badrecon_stage log ~pool ~seed =
   in
   attempt 0
 
-(* The word liar: trusts word detection blindly.  It tail-aligns the two
-   longest detected ripple-carry chains, merges their sum and carry
-   literals position by position WITHOUT proving anything, and declares EQ
-   as soon as the merge collapses every PO to a constant — of either
-   polarity.  That last shortcut is the planted bug: a PO that collapses
-   to constant TRUE is a disproof, not a proof.  On a miter of two
-   structurally aligned adders with one negated output it answers
-   [V_equivalent] for a genuinely inequivalent pair — the word-level
-   analogue of [liar], and exactly the mis-detection class whose absence
-   {!Word.Sweep}'s exhaustive re-proving guarantees. *)
-let wordliar =
-  {
-    Oracle.name = "wordliar";
-    run =
-      (fun ~pool:_ m ->
-        let module N = Aig.Network in
-        let module L = Aig.Lit in
-        let g = N.copy m in
-        let d = Word.Detect.run g in
-        let chains =
-          List.sort
-            (fun (a : Word.Detect.chain) b ->
-              compare (Array.length b.cells) (Array.length a.cells))
-            d.Word.Detect.chains
-        in
-        match chains with
-        | ca :: cb :: _ ->
-            let la = Array.length ca.Word.Detect.cells
-            and lb = Array.length cb.Word.Detect.cells in
-            let n = min la lb in
-            let repl = Array.make (N.num_nodes g) None in
-            let merge x y =
-              let nx = L.node x and ny = L.node y in
-              if nx <> ny then begin
-                let compl = L.is_compl x <> L.is_compl y in
-                let lo, hi = if nx < ny then (nx, ny) else (ny, nx) in
-                if N.is_and g hi && repl.(hi) = None then
-                  repl.(hi) <- Some (L.make lo compl)
-              end
-            in
-            for k = 0 to n - 1 do
-              let cell_a = ca.Word.Detect.cells.(la - n + k)
-              and cell_b = cb.Word.Detect.cells.(lb - n + k) in
-              merge cell_a.Word.Detect.sum cell_b.Word.Detect.sum;
-              merge cell_a.Word.Detect.carry cell_b.Word.Detect.carry
-            done;
-            let r = Aig.Reduce.apply g ~repl in
-            let g' = r.Aig.Reduce.network in
-            let all_const = ref true in
-            for po = 0 to N.num_pos g' - 1 do
-              if not (N.is_const (L.node (N.po g' po))) then all_const := false
-            done;
-            if !all_const then Oracle.V_equivalent
-            else Oracle.V_unknown "merge left non-constant POs"
-        | _ -> Oracle.V_unknown "no chains")
-  }
-
-(* Fixture for the word-liar stage: two 4-bit ripple adders whose carries
-   use different but equivalent forms (majority vs. carry-propagate), so
-   the halves do not strash together and detection sees two parallel
-   chains; one negated sum output makes the pair inequivalent. *)
-let wordliar_pair () =
-  let module N = Aig.Network in
-  let build form =
-    let g = N.create () in
-    let a = Array.init 4 (fun _ -> N.add_pi g) in
-    let b = Array.init 4 (fun _ -> N.add_pi g) in
-    let c = ref Aig.Lit.const_false in
-    for i = 0 to 3 do
-      N.add_po g (N.add_xor g (N.add_xor g a.(i) b.(i)) !c);
-      c :=
-        (match form with
-        | `Maj ->
-            N.add_or g
-              (N.add_and g a.(i) b.(i))
-              (N.add_or g (N.add_and g a.(i) !c) (N.add_and g b.(i) !c))
-        | `Prop ->
-            N.add_or g
-              (N.add_and g a.(i) b.(i))
-              (N.add_and g !c (N.add_xor g a.(i) b.(i))))
-    done;
-    (* No carry-out PO: the miter's own output-comparator XORs would
-       otherwise match as half-adder cells at the chain tails and join the
-       chains, and the liar would blindly merge comparator "carries" —
-       killing the PO collapse it needs in order to lie. *)
-    g
-  in
-  (build `Maj, build `Prop)
-
-(* Word-liar stage: a mis-detected word boundary that leads an engine to a
-   wrong Proved must be flagged.  The liar above really runs word
-   detection and really merges what detection reports — only the proof
-   step is skipped — so this checks the oracle catches the exact failure
-   mode word-level sweeping could introduce. *)
-let wordliar_stage log ~pool =
-  let left, right = wordliar_pair () in
-  let right = Mutate.apply right (Mutate.Negate_po 2) in
-  let miter = Aig.Miter.build left right in
-  match Brute.check_miter miter with
-  | `Equivalent -> Error "self-test: the word-liar miter is unexpectedly equivalent"
-  | `Inequivalent _ -> (
-      match wordliar.Oracle.run ~pool miter with
-      | Oracle.V_equivalent ->
-          let o = Oracle.run ~engines:[ wordliar ] ~expected:`Inequivalent ~pool miter in
-          let flagged =
-            List.exists
-              (function
-                | Oracle.Wrong_verdict { engine = "wordliar"; _ } -> true
-                | _ -> false)
-              o.Oracle.failures
-          in
-          if flagged then begin
-            log "self-test: word-liar mis-detection flagged as wrong-verdict";
-            Ok ()
-          end
-          else
-            Error "self-test: the word-liar's false Proved was NOT flagged"
-      | v ->
-          Error
-            (Printf.sprintf
-               "self-test: the word liar failed to lie (verdict %s) — word \
-                detection no longer sees the aligned adder chains"
-               (Oracle.verdict_token v)))
-
 (* Race-cancellation stage of the self-test: a deliberately hanging engine
    (it returns only once the shared token fires) races a fast conclusive
    one; the race must return promptly with the fast winner and a recorded
@@ -672,18 +548,15 @@ let self_test ?(log = null_log) ~pool ~out_dir ~seed () =
             match badrecon_stage log ~pool ~seed with
             | Error e -> Error e
             | Ok () -> (
-                match wordliar_stage log ~pool with
+                match shardkill_stage log ~seed with
                 | Error e -> Error e
                 | Ok () -> (
-                    match shardkill_stage log ~seed with
+                    match shmfault_stage log ~seed with
                     | Error e -> Error e
-                    | Ok () -> (
-                        match shmfault_stage log ~seed with
-                        | Error e -> Error e
-                        | Ok () ->
-                            log
-                              (Printf.sprintf "self-test: OK (repro %s)"
-                                 repro.Report.path);
-                            Ok repro))))
+                    | Ok () ->
+                        log
+                          (Printf.sprintf "self-test: OK (repro %s)"
+                             repro.Report.path);
+                        Ok repro)))
     end
   end

@@ -74,10 +74,8 @@ val run_dir :
     AND nodes, the written AIGER repro still reproduces the disagreement
     when read back, a portfolio race cancels a deliberately hanging
     engine once the fast racer concludes, a SAT stub with broken
-    counter-example reconstruction is flagged by CEX replay, a
-    word-level engine that trusts a mis-detected word boundary (merging
-    detected chains without proof) is flagged for its wrong Proved, and
-    the shard coordinator survives a worker SIGKILLed mid-shard (crash
+    counter-example reconstruction is flagged by CEX replay, the shard
+    coordinator survives a worker SIGKILLed mid-shard (crash
     registered, shard rescheduled, correct verdict), and a shard worker
     fed corrupted/truncated shared-memory descriptors answers each with
     a framed [Shard_failed] and still serves a valid dispatch on the

@@ -34,9 +34,6 @@ let base ?(scale = 1) name =
   | "sin" -> d 1 (Arith.sin ~bits:8 ~iters:8)
   | "ac97_ctrl" -> d 2 (Control.regfile ~regs:8 ~width:8)
   | "vga_lcd" -> d 2 (Control.display ~hbits:8 ~vbits:7)
-  (* Not part of the Table II [names] set: a plain ripple adder kept as
-     a buildable case for word-level smoke tests. *)
-  | "adder" -> d 1 (Arith.adder ~bits:32)
   | _ -> invalid_arg ("Suite.build: unknown case " ^ name)
 
 let build ?scale name =

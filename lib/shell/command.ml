@@ -27,8 +27,8 @@ let help_text =
       "load NAME            recall a stored network";
       "miter NAME           current := miter(current, NAME)";
       "cec [ENGINE]         sim sat satdirect bdd portfolio combined \
-       partitioned wordsweep; plus registered engines (e.g. shard.N: \
-       N-process sharded sweeping)";
+       partitioned; plus registered engines (e.g. shard.N: N-process \
+       sharded sweeping)";
       "map [K]              map to K-input LUTs and resynthesise (default 6)";
       "fraig                merge functionally equivalent internal nodes";
       "certify              combined check with certificate validation";
@@ -83,8 +83,8 @@ let cache_suffix st ~hits ~misses =
 (* Extra checking engines registered by libraries the shell cannot link
    directly (dependency direction) — e.g. the multi-process shard
    coordinator, whose library depends on the serve protocol which in turn
-   depends on this shell.  Same opt-in pattern as the portfolio's
-   [Word.Sweep.register]. *)
+   depends on this shell.  Entry points opt in by calling
+   [register_engine] at start-up. *)
 let external_engines :
     ( string,
       ?cancel:Par.Cancel.t ->
@@ -169,17 +169,6 @@ let run_cec ?cancel st g engine =
         Simsweep.Partition.check ~config:Simsweep.Config.scaled ?cancel ~pool g
       in
       Ok (Printf.sprintf "%s (%d groups)" (outcome_string outcome) n)
-  | "wordsweep" ->
-      let outcome, ws =
-        Word.Sweep.check ~config:Simsweep.Config.scaled ?pcache ?cancel ~pool g
-      in
-      Ok
-        (Printf.sprintf
-           "%s (%.1f%% word coverage, %d words proved, %d bits merged)%s"
-           (outcome_string outcome) ws.Word.Sweep.coverage_percent
-           ws.Word.Sweep.words_proved ws.Word.Sweep.bits_merged
-           (cache_suffix st ~hits:ws.Word.Sweep.cache_hits
-              ~misses:ws.Word.Sweep.cache_misses))
   | other -> (
       (* "name" or "name.ARG" selects a registered engine, ARG passed
          through (e.g. "shard.4" = shard coordinator with 4 workers). *)

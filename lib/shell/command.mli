@@ -20,7 +20,7 @@
     store NAME             save the current network under NAME
     load NAME              make a stored network current
     miter NAME             replace current with miter(current, NAME)
-    cec [sim|sat|bdd|portfolio|combined|partitioned|wordsweep]
+    cec [sim|sat|bdd|portfolio|combined|partitioned]
                            check the current miter (default combined)
     certify                check with certificate generation + validation
     sim N                  print N random simulation vectors
@@ -56,8 +56,7 @@ val exec : ?cancel:Par.Cancel.t -> state -> string -> (string, string) result
     coordinator depends on the serve protocol, which depends on this
     shell).  The engine is selected as [cec name] or [cec name.ARG]; the
     part after the first dot reaches [run] as [arg].  Registering an
-    existing name replaces it.  Entry points opt in explicitly (same
-    pattern as [Word.Sweep.register]). *)
+    existing name replaces it.  Entry points opt in explicitly. *)
 val register_engine :
   string ->
   (?cancel:Par.Cancel.t ->
@@ -67,9 +66,9 @@ val register_engine :
   unit
 
 (** [run_cec ?cancel state miter engine] checks [miter] with the named
-    [cec] engine (sim, sat, bdd, portfolio, combined, partitioned,
-    wordsweep, or anything from {!register_engine}) using
-    the state's pool and equivalence cache, without touching the state's
+    [cec] engine (sim, sat, bdd, portfolio, combined, partitioned, or
+    anything from {!register_engine}) using the state's pool and
+    equivalence cache, without touching the state's
     current network or store.  The daemon's direct-CEC entry point. *)
 val run_cec :
   ?cancel:Par.Cancel.t ->

@@ -150,6 +150,34 @@ let test_file_write_read_write_identical () =
       (".aig", "binary file identity", Gen.Control.voter ~n:9);
     ]
 
+(* The checked-in example miters get a verdict, not just cross-engine
+   agreement: the default flow (simulation engine, SAT on the remainder)
+   proves the three optimised pairs, and disproves the divider whose
+   output 1 is negated with a counter-example that replays.  The fixtures
+   are this test's dune [deps]. *)
+let test_fixture_verdicts () =
+  Util.with_pool @@ fun pool ->
+  List.iter
+    (fun (file, expected) ->
+      let m = Aig.Aiger_io.read_file (Filename.concat "../examples/aiger" file) in
+      let c =
+        Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled
+          ~pool m
+      in
+      match (c.Simsweep.Engine.final, expected) with
+      | Simsweep.Engine.Proved, `Proved -> ()
+      | Simsweep.Engine.Disproved (cex, po), `Disproved_at want ->
+          Alcotest.(check int) (file ^ ": failing output") want po;
+          Alcotest.(check bool) (file ^ ": cex replays") true
+            (Sim.Cex.check m cex po)
+      | _ -> Alcotest.failf "%s: wrong verdict" file)
+    [
+      ("add8_vs_resyn2.aag", `Proved);
+      ("barrel8_vs_resyn2.aag", `Proved);
+      ("mul4_array_vs_wallace.aag", `Proved);
+      ("div4_negpo.aag", `Disproved_at 1);
+    ]
+
 let () =
   Alcotest.run "aiger"
     [
@@ -165,6 +193,7 @@ let () =
           Alcotest.test_case "binary file ext" `Quick test_binary_file_extension;
           Alcotest.test_case "binary errors" `Quick test_binary_errors;
           Alcotest.test_case "file identity" `Quick test_file_write_read_write_identical;
+          Alcotest.test_case "fixture verdicts" `Quick test_fixture_verdicts;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

@@ -256,10 +256,18 @@ let test_race_crash_propagates () =
 let no_oversubscription pool (r : Simsweep.Portfolio.result) =
   (* The invariant behind graceful degrade: a race only actually runs when
      pool workers plus the two racer domains fit the machine. *)
-  if r.Simsweep.Portfolio.mode_used = `Race then
+  if r.Simsweep.Portfolio.mode_used = `Race then begin
     Alcotest.(check bool) "no oversubscription" true
       (Par.Pool.num_workers pool + Simsweep.Portfolio.race_domains
-      <= Domain.recommended_domain_count ())
+      <= Domain.recommended_domain_count ());
+    let members = [ "sim"; "bdd"; "sat" ] in
+    Alcotest.(check (list string)) "race members" members
+      r.Simsweep.Portfolio.racers;
+    Alcotest.(check bool) "engine times name only race members" true
+      (List.for_all
+         (fun (e, _) -> List.mem (Simsweep.Portfolio.engine_name e) members)
+         r.Simsweep.Portfolio.per_engine_time)
+  end
   else
     Alcotest.(check bool) "sequential has no cancel latency" true
       (r.Simsweep.Portfolio.cancel_latency = None)

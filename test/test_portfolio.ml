@@ -59,9 +59,6 @@ let check_stats_invariants r =
   | Some Sat_engine ->
       Alcotest.(check bool) "sat: engine stats present" true (r.engine_stats <> None);
       Alcotest.(check bool) "sat: sat stats present" true (r.sat_stats <> None)
-  | Some (Extra_engine name) ->
-      Alcotest.(check bool) "extra: stats recorded" true
-        (List.mem_assoc name r.extra_stats)
   | None ->
       Alcotest.(check bool) "undecided: engine stats present" true
         (r.engine_stats <> None)
