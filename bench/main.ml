@@ -475,129 +475,6 @@ let shard_bench () =
   write_file summary_file (Obj (kvs @ [ ("shard", block) ]));
   pr "merged shard block into %s\n%!" summary_file
 
-(* ------------------------------------------------------------- Data plane *)
-
-(* Shard data-plane A/B: the same enlarged miter checked under the inline
-   and shm transports from cold workers, then twice against one
-   persistent pool so the second run starts warm.  Reports bytes moved,
-   frames, and wall clock per configuration.  DATAPLANE_WORKERS and
-   DATAPLANE_DOUBLE override the defaults (2 workers, x2^6).  Merged into
-   BENCH_summary.json as a ["dataplane"] block. *)
-let dataplane_bench () =
-  heading "Data plane - inline vs shm transport, cold vs warm workers";
-  let getenv_int key default =
-    match Option.bind (Sys.getenv_opt key) int_of_string_opt with
-    | Some v when v > 0 -> v
-    | _ -> default
-  in
-  let workers = getenv_int "DATAPLANE_WORKERS" 2 in
-  let doubles = getenv_int "DATAPLANE_DOUBLE" 6 in
-  let p = Cases.prepare (Cases.find "ac97_ctrl") in
-  let m = Gen.Double.times doubles p.Cases.miter in
-  pr "case ac97_ctrl x2^%d: %d PIs, %d POs, %d ANDs, %d workers\n%!" doubles
-    (Aig.Network.num_pis m) (Aig.Network.num_pos m) (Aig.Network.num_ands m)
-    workers;
-  let run ?pool transport =
-    let config =
-      { Shard.Check.default_config with Shard.Check.workers; transport }
-    in
-    Harness.time (fun () -> Shard.Check.check ~config ?pool m)
-  in
-  let (o_inline, st_inline), t_inline = run `Inline in
-  let (o_shm, st_shm), t_shm = run `Shm in
-  let wpool = Shard.Pool.create () in
-  let ((o_cold, st_cold), t_cold), ((o_warm, st_warm), t_warm) =
-    Fun.protect
-      ~finally:(fun () -> Shard.Pool.shutdown wpool)
-      (fun () ->
-        let cold = run ~pool:wpool `Shm in
-        let warm = run ~pool:wpool `Shm in
-        (cold, warm))
-  in
-  let tag o =
-    match o with
-    | Simsweep.Engine.Proved -> "equivalent"
-    | Simsweep.Engine.Disproved _ -> "inequivalent"
-    | Simsweep.Engine.Undecided -> "undecided"
-  in
-  let mb b = float_of_int b /. 1e6 in
-  pr "%-16s %12s %9s %10s %8s %8s %6s %6s\n" "" "outcome" "time" "tx MB"
-    "frames" "shm-hit" "warm" "cold";
-  let row name (o, (st : Shard.Stats.t)) t =
-    pr "%-16s %12s %8.3fs %10.3f %8d %8d %6d %6d\n" name (tag o) t
-      (mb st.Shard.Stats.bytes_tx) st.Shard.Stats.frames_tx
-      st.Shard.Stats.shm_hits st.Shard.Stats.warm_starts
-      st.Shard.Stats.cold_starts
-  in
-  row "inline cold" (o_inline, st_inline) t_inline;
-  row "shm cold" (o_shm, st_shm) t_shm;
-  row "shm pool cold" (o_cold, st_cold) t_cold;
-  row "shm pool warm" (o_warm, st_warm) t_warm;
-  let bytes_ratio =
-    float_of_int st_inline.Shard.Stats.bytes_tx
-    /. float_of_int (max 1 st_shm.Shard.Stats.bytes_tx)
-  in
-  pr "payload bytes moved: %.3f MB inline vs %.3f MB shm (%.0fx less)\n"
-    (mb st_inline.Shard.Stats.bytes_tx)
-    (mb st_shm.Shard.Stats.bytes_tx)
-    bytes_ratio;
-  pr "warm start: %.3fs cold vs %.3fs warm (%.2fx)\n%!" t_cold t_warm
-    (t_cold /. t_warm);
-  let tags = List.map tag [ o_inline; o_shm; o_cold; o_warm ] in
-  if List.exists (fun t -> t <> List.hd tags) tags then begin
-    Printf.eprintf "dataplane: verdict mismatch across configurations (%s)\n"
-      (String.concat " " tags);
-    exit 1
-  end;
-  if st_warm.Shard.Stats.warm_starts < 1 then begin
-    Printf.eprintf "dataplane: second pool run reused no warm worker\n";
-    exit 1
-  end;
-  let open Simsweep.Telemetry in
-  let row_json (st : Shard.Stats.t) t =
-    Obj
-      [
-        ("time_s", Float t);
-        ("bytes_tx", Int st.Shard.Stats.bytes_tx);
-        ("bytes_rx", Int st.Shard.Stats.bytes_rx);
-        ("frames_tx", Int st.Shard.Stats.frames_tx);
-        ("batched_flushes", Int st.Shard.Stats.batched_flushes);
-        ("shm_hits", Int st.Shard.Stats.shm_hits);
-        ("warm_starts", Int st.Shard.Stats.warm_starts);
-        ("cold_starts", Int st.Shard.Stats.cold_starts);
-      ]
-  in
-  let block =
-    Obj
-      [
-        ("case", String (Printf.sprintf "ac97_ctrl(x%d)" (1 lsl doubles)));
-        ("ands", Int (Aig.Network.num_ands m));
-        ("workers", Int workers);
-        ("outcome", String (tag o_shm));
-        ("inline", row_json st_inline t_inline);
-        ("shm", row_json st_shm t_shm);
-        ("pool_cold", row_json st_cold t_cold);
-        ("pool_warm", row_json st_warm t_warm);
-        ("bytes_ratio", Float bytes_ratio);
-        ("warm_speedup", Float (t_cold /. t_warm));
-      ]
-  in
-  let existing =
-    if Sys.file_exists summary_file then begin
-      let ic = open_in summary_file in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match parse text with Ok (Obj kvs) -> kvs | _ -> []
-    end
-    else []
-  in
-  let kvs = List.filter (fun (k, _) -> k <> "dataplane") existing in
-  write_file summary_file (Obj (kvs @ [ ("dataplane", block) ]));
-  pr "merged dataplane block into %s\n%!" summary_file
-
 (* ----------------------------------------------------------------- Fig. 6 *)
 
 let fig6 () =
@@ -973,7 +850,6 @@ let experiments =
     ("table2", table2);
     ("check-summary", check_summary);
     ("shard", shard_bench);
-    ("dataplane", dataplane_bench);
     ("fig6", fig6);
     ("fig7", fig7);
     ("ablation-passes", ablation_passes);

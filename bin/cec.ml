@@ -93,17 +93,12 @@ let run_remote addr engine_str name miter stats_json =
 (* Sharded mode: partition the miter, fork [shard_n] worker processes and
    coordinate them (work-stealing, cube-and-conquer on stalls).  The
    coordinator itself needs no domain pool. *)
-let run_shard shard_n transport name miter num_domains verbose stats_json =
+let run_shard shard_n name miter num_domains verbose stats_json =
   let worker_domains =
     match num_domains with Some j -> max 1 (j / max 1 shard_n) | None -> 1
   in
   let config =
-    {
-      Shard.Check.default_config with
-      workers = shard_n;
-      worker_domains;
-      transport;
-    }
+    { Shard.Check.default_config with workers = shard_n; worker_domains }
   in
   let t0 = Unix.gettimeofday () in
   Printf.printf "miter %s: %s\n%!" name
@@ -121,15 +116,11 @@ let run_shard shard_n transport name miter num_domains verbose stats_json =
       st.Shard.Stats.workers_crashed;
   if verbose then
     Printf.printf
-      "data plane: %s transport, %d B tx / %d B rx in %d+%d frames (%d \
-       batched flushes), %d shm hits / %d fallbacks, %d segments created / \
-       %d unlinked, %d warm + %d cold starts\n"
-      st.Shard.Stats.transport st.Shard.Stats.bytes_tx st.Shard.Stats.bytes_rx
-      st.Shard.Stats.frames_tx st.Shard.Stats.frames_rx
-      st.Shard.Stats.batched_flushes st.Shard.Stats.shm_hits
-      st.Shard.Stats.shm_fallbacks st.Shard.Stats.segments_created
-      st.Shard.Stats.segments_unlinked st.Shard.Stats.warm_starts
-      st.Shard.Stats.cold_starts;
+      "data plane: %d B tx / %d B rx in %d+%d frames (%d batched flushes), \
+       %d warm + %d cold starts\n"
+      st.Shard.Stats.bytes_tx st.Shard.Stats.bytes_rx st.Shard.Stats.frames_tx
+      st.Shard.Stats.frames_rx st.Shard.Stats.batched_flushes
+      st.Shard.Stats.warm_starts st.Shard.Stats.cold_starts;
   Printf.printf "%s  (%.3fs)\n" (describe_outcome outcome) elapsed;
   (match stats_json with
   | Some file ->
@@ -163,8 +154,7 @@ let run_shard shard_n transport name miter num_domains verbose stats_json =
   | Simsweep.Engine.Undecided -> 3
 
 let run_check engine file1 file2 suite scale post_double num_domains race
-    verbose certify stats_json server no_simplify shard_n shard_transport
-    max_frame_mb =
+    verbose certify stats_json server no_simplify shard_n max_frame_mb =
   Serve.Protocol.set_max_frame (max_frame_mb * 1024 * 1024);
   match read_inputs file1 file2 suite scale post_double with
   | Error msg ->
@@ -180,8 +170,7 @@ let run_check engine file1 file2 suite scale post_double num_domains race
       in
       run_remote (Option.get server) engine_str name miter stats_json
   | Ok (name, miter) when shard_n > 0 ->
-      run_shard shard_n shard_transport name miter num_domains verbose
-        stats_json
+      run_shard shard_n name miter num_domains verbose stats_json
   | Ok (name, miter) ->
       if verbose then begin
         Logs.set_reporter (Logs.format_reporter ());
@@ -420,15 +409,6 @@ let shard_n =
                Overrides --engine; 0 disables.  With --server, the shard \
                request is served by the daemon's warm worker pool.")
 
-let shard_transport =
-  let enum_conv = Arg.enum [ ("shm", `Shm); ("inline", `Inline) ] in
-  Arg.(value & opt enum_conv `Shm & info [ "shard-transport" ] ~docv:"MODE"
-         ~doc:"How --shard ships AIGER payloads to workers: shm \
-               (shared-memory segments, descriptors on the wire) or inline \
-               (payload bytes in the frame).  Verdicts are identical either \
-               way; inline exists for A/B measurement and as the fallback \
-               when no shm directory is usable.")
-
 let max_frame_mb =
   Arg.(value & opt int 256 & info [ "max-frame-mb" ] ~docv:"MB"
          ~doc:"Protocol frame cap (header + binary payload) in megabytes \
@@ -442,7 +422,7 @@ let cmd =
     Term.(
       const run_check $ engine $ file1 $ file2 $ suite $ scale $ post_double
       $ num_domains $ race $ verbose $ certify $ stats_json $ server
-      $ no_simplify $ shard_n $ shard_transport $ max_frame_mb)
+      $ no_simplify $ shard_n $ max_frame_mb)
 
 let () =
   (* Re-exec'ed children of `--shard` coordinators become workers here. *)

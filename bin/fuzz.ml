@@ -10,7 +10,7 @@
    4 self-test machinery failure. *)
 
 let run seed cases minutes aig_dir out_dir self_test num_domains bdd_node_limit
-    shrink_budget certify_every quiet shard_transport =
+    shrink_budget certify_every quiet =
   let pool = Par.Pool.create ?num_domains () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let log line = if not quiet then print_endline line in
@@ -23,7 +23,6 @@ let run seed cases minutes aig_dir out_dir self_test num_domains bdd_node_limit
       bdd_node_limit;
       shrink_budget;
       certify_every;
-      shard_transport;
     }
   in
   let self_test_failed = ref false in
@@ -111,22 +110,13 @@ let certify_every =
 let quiet =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-case log lines.")
 
-let shard_transport =
-  let enum_conv = Arg.enum [ ("shm", `Shm); ("inline", `Inline) ] in
-  Arg.(value & opt enum_conv `Shm & info [ "shard-transport" ] ~docv:"MODE"
-         ~doc:"Payload transport of the shard oracle engine: shm \
-               (shared-memory segments) or inline (bytes in the frame).  \
-               Fuzzing under both modes proves the transports agree on \
-               every verdict.")
-
 let cmd =
   let doc = "differential fuzzing of the CEC engines" in
   Cmd.v
     (Cmd.info "simsweep-fuzz" ~doc)
     Term.(
       const run $ seed $ cases $ minutes $ aig_dir $ out_dir $ self_test
-      $ num_domains $ bdd_node_limit $ shrink_budget $ certify_every $ quiet
-      $ shard_transport)
+      $ num_domains $ bdd_node_limit $ shrink_budget $ certify_every $ quiet)
 
 let () =
   (* The oracle's shard engine re-execs this binary to make its workers. *)

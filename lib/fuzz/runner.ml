@@ -6,8 +6,6 @@ type config = {
   sat_conflict_limit : int;
   certify_every : int;  (** certificate-replay every Nth case; 0 disables *)
   shrink_budget : int;
-  shard_transport : Shard.Check.transport;
-      (** payload transport of the shard oracle engine *)
 }
 
 let default_config =
@@ -19,7 +17,6 @@ let default_config =
     sat_conflict_limit = 10_000;
     certify_every = 10;
     shrink_budget = 400;
-    shard_transport = `Shm;
   }
 
 type summary = {
@@ -47,7 +44,7 @@ let shrink_failure ~engines ~pool ~budget ~miter failures =
    NOTE: any binary embedding this engine must call
    [Shard.Worker.maybe_become_worker] first thing in [main] — the
    coordinator re-execs the host executable to make workers. *)
-let shard_engine transport =
+let shard_engine =
   {
     Oracle.name = "shard";
     run =
@@ -59,7 +56,6 @@ let shard_engine transport =
             max_shard_ands = 64;
             stall_conflicts = 4_000;
             deadline_s = Some 120.;
-            transport;
           }
         in
         match Shard.Check.check ~config m with
@@ -72,7 +68,7 @@ let shard_engine transport =
 let engines_of config extra_engines =
   Oracle.default_engines ~bdd_node_limit:config.bdd_node_limit
     ~sat_conflict_limit:config.sat_conflict_limit ()
-  @ [ shard_engine config.shard_transport ]
+  @ [ shard_engine ]
   @ extra_engines
 
 (* Shrink a failed miter and persist the repro — shared by the seeded
@@ -386,11 +382,11 @@ let shardkill_stage log ~seed =
     | Simsweep.Engine.Undecided ->
         Error "self-test: shard lost the killed worker's shard (undecided)"
 
-(* Shm-fault stage of the self-test: a worker fed corrupted and truncated
-   shared-memory descriptors must answer with a framed [Shard_failed] —
-   never crash or wedge — and still serve a correct dispatch on the same
-   connection afterwards. *)
-let shmfault_stage log ~seed =
+(* Bad-payload stage of the self-test: a worker fed a truncated binary
+   AIGER image and bytes that are no AIGER at all must answer each with a
+   framed [Shard_failed] — never crash or wedge — and still serve a
+   correct dispatch on the same connection afterwards. *)
+let badpayload_stage log ~seed =
   let module Pr = Serve.Protocol in
   let rng =
     Sim.Rng.create
@@ -399,81 +395,75 @@ let shmfault_stage log ~seed =
   let left =
     Gen.Control.random_logic ~pis:10 ~nodes:200 ~pos:6 ~seed:(Sim.Rng.next64 rng)
   in
-  let miter = Aig.Miter.build left (Opt.Resyn.light left) in
-  let seg = Shard.Shm.create (Aig.Aiger_io.to_binary_string miter) in
-  Fun.protect ~finally:(fun () -> ignore (Shard.Shm.force_unlink seg))
-  @@ fun () ->
+  let image =
+    Aig.Aiger_io.to_binary_string (Aig.Miter.build left (Opt.Resyn.light left))
+  in
   let w = Shard.Pool.spawn ~exe:Sys.executable_name ~domains:1 in
   Fun.protect ~finally:(fun () -> Shard.Pool.kill w) @@ fun () ->
   let ic = Shard.Pool.ic w and oc = Shard.Pool.oc w in
-  let send task =
-    let hdr, payload = Pr.shard_task_to_frame task in
-    Pr.write_frame ~payload oc hdr
-  in
   let recv what =
     match Pr.read_frame ic with
     | Error e ->
-        Error (Printf.sprintf "self-test: shm fault (%s): frame error: %s" what e)
+        Error (Printf.sprintf "self-test: bad payload (%s): frame error: %s" what e)
     | Ok inc -> (
         match Pr.shard_reply_of_frame inc with
         | Error e ->
             Error
-              (Printf.sprintf "self-test: shm fault (%s): bad reply: %s" what e)
+              (Printf.sprintf "self-test: bad payload (%s): bad reply: %s" what e)
         | Ok r -> Ok r)
   in
-  let check_task ~aiger = Pr.Shard_check
-      {
-        run = 0;
-        shard = 0;
-        aiger;
-        stall_conflicts = 10_000;
-        split_vars = 12;
-        direct_sat = false;
-        deadline_in = Some 60.;
-      }
+  let dispatch aiger =
+    let hdr, payload =
+      Pr.shard_task_to_frame
+        (Pr.Shard_check
+           {
+             run = 0;
+             shard = 0;
+             aiger;
+             stall_conflicts = 10_000;
+             split_vars = 12;
+             direct_sat = false;
+             deadline_in = Some 60.;
+           })
+    in
+    Pr.write_frame ~payload oc hdr
   in
   let ( let* ) = Result.bind in
   let* () =
     match recv "startup" with
     | Ok Pr.Shard_ready -> Ok ()
-    | Ok _ -> Error "self-test: shm fault: worker did not announce ready"
+    | Ok _ -> Error "self-test: bad payload: worker did not announce ready"
     | Error e -> Error e
   in
-  let expect_failed what ~seg ~off ~len =
-    send (check_task ~aiger:(Pr.Shm_ref { seg; off; len }));
+  let expect_failed what aiger =
+    dispatch aiger;
     match recv what with
     | Ok (Pr.Shard_failed { msg; _ }) ->
-        log (Printf.sprintf "self-test: shm fault (%s) -> framed failure: %s" what msg);
+        log (Printf.sprintf "self-test: bad payload (%s) -> framed failure: %s" what msg);
         Ok ()
     | Ok _ ->
         Error
           (Printf.sprintf
-             "self-test: shm fault (%s): worker answered with a verdict \
+             "self-test: bad payload (%s): worker answered with a verdict \
               instead of Shard_failed"
              what)
     | Error e -> Error e
   in
-  (* Truncated: range runs past the end of the real segment. *)
   let* () =
-    expect_failed "truncated descriptor" ~seg:(Shard.Shm.name seg) ~off:0
-      ~len:(Shard.Shm.length seg + 4096)
+    expect_failed "truncated image"
+      (String.sub image 0 (String.length image / 2))
   in
-  (* Corrupted: a name that is not one of ours (path traversal attempt). *)
-  let* () = expect_failed "corrupt name" ~seg:"../../etc/passwd" ~off:0 ~len:64 in
+  let* () = expect_failed "not an AIGER" "\x00\xffno header here\n" in
   (* The same connection must still be serviceable. *)
-  send
-    (check_task
-       ~aiger:
-         (Pr.Shm_ref
-            { seg = Shard.Shm.name seg; off = 0; len = Shard.Shm.length seg }));
-  match recv "valid descriptor" with
+  dispatch image;
+  match recv "valid image" with
   | Ok (Pr.Shard_verdict { verdict = Pr.Sv_proved; _ }) ->
-      log "self-test: shm fault stage OK (worker survived and then proved)";
+      log "self-test: bad payload stage OK (worker survived and then proved)";
       Ok ()
   | Ok _ ->
       Error
-        "self-test: shm fault: worker failed the valid dispatch after \
-         surviving the corrupt ones"
+        "self-test: bad payload: worker failed the valid dispatch after \
+         surviving the bad ones"
   | Error e -> Error e
 
 let self_test ?(log = null_log) ~pool ~out_dir ~seed () =
@@ -551,7 +541,7 @@ let self_test ?(log = null_log) ~pool ~out_dir ~seed () =
                 match shardkill_stage log ~seed with
                 | Error e -> Error e
                 | Ok () -> (
-                    match shmfault_stage log ~seed with
+                    match badpayload_stage log ~seed with
                     | Error e -> Error e
                     | Ok () ->
                         log

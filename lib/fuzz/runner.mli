@@ -13,10 +13,6 @@ type config = {
   sat_conflict_limit : int;
   certify_every : int;  (** certificate-replay every Nth case; 0 disables *)
   shrink_budget : int;  (** oracle evaluations per shrink *)
-  shard_transport : Shard.Check.transport;
-      (** payload transport of the shard oracle engine: [`Shm] (the
-          default data plane) or [`Inline] (bytes in the frame) — fuzzing
-          under both proves verdict parity of the transports *)
 }
 
 val default_config : config
@@ -77,9 +73,9 @@ val run_dir :
     counter-example reconstruction is flagged by CEX replay, the shard
     coordinator survives a worker SIGKILLed mid-shard (crash
     registered, shard rescheduled, correct verdict), and a shard worker
-    fed corrupted/truncated shared-memory descriptors answers each with
-    a framed [Shard_failed] and still serves a valid dispatch on the
-    same connection.  [Error] describes the first broken link. *)
+    fed a truncated AIGER image and non-AIGER bytes answers each with a
+    framed [Shard_failed] and still serves a valid dispatch on the same
+    connection.  [Error] describes the first broken link. *)
 val self_test :
   ?log:(string -> unit) ->
   pool:Par.Pool.t ->

@@ -114,22 +114,18 @@ let response_of_json j =
 
    Coordinator <-> worker messages for multi-process sharded sweeping
    (lib/shard).  Same framing and JSON flavour as the daemon protocol.
-   AIGER payloads travel either as the binary trailer ([Inline]) or as a
-   shared-memory segment descriptor ([Shm_ref]) that the worker resolves
-   against [Shard.Shm]; counter-examples are '0'/'1' strings in the
-   trailer; learnt-clause blocks are little-endian int32 runs in the
-   trailer.  Literals and variables are the SAT solver's integer
-   encoding — stable across processes because [Sat.Cnf.load] maps
-   network node [n] to variable [n] and both sides decode the same AIGER
-   bytes. *)
-
-type blob = Inline of string | Shm_ref of { seg : string; off : int; len : int }
+   AIGER payloads travel as the binary trailer; counter-examples are
+   '0'/'1' strings in the trailer; learnt-clause blocks are little-endian
+   int32 runs in the trailer.  Literals and variables are the SAT
+   solver's integer encoding — stable across processes because
+   [Sat.Cnf.load] maps network node [n] to variable [n] and both sides
+   decode the same AIGER bytes. *)
 
 type shard_task =
   | Shard_check of {
       run : int;
       shard : int;
-      aiger : blob;
+      aiger : string;
       stall_conflicts : int;
       split_vars : int;
       direct_sat : bool;
@@ -139,7 +135,7 @@ type shard_task =
       run : int;
       shard : int;
       cube : int;
-      aiger : blob option;  (* cube formula; omitted when already loaded *)
+      aiger : string option;  (* cube formula; omitted when already loaded *)
       assume : int list;  (* solver literals fixing this cube *)
       freeze : int list;  (* vars the worker must keep assumable *)
       conflict_limit : int;
@@ -253,35 +249,10 @@ let deadline_field = function
 
 let deadline_of j = float_member "deadline_in" j
 
-(* A blob is either header fields (shm descriptor) or the trailer. *)
-let blob_to_frame = function
-  | Inline s -> ([], s)
-  | Shm_ref { seg; off; len } ->
-      ( [
-          ( "aiger_shm",
-            Obj [ ("seg", String seg); ("off", Int off); ("len", Int len) ] );
-        ],
-        "" )
-
-let shm_ref_of_json j =
-  match
-    (string_member "seg" j, int_member "off" j, int_member "len" j)
-  with
-  | Some seg, Some off, Some len -> Ok (Shm_ref { seg; off; len })
-  | _ -> Error "aiger_shm: malformed descriptor"
-
-(* [None]: no AIGER in this frame at all (cube formula already loaded). *)
-let blob_of_frame { hdr; payload } =
-  match member "aiger_shm" hdr with
-  | Some d -> (
-      match shm_ref_of_json d with Ok b -> Ok (Some b) | Error e -> Error e)
-  | None -> if payload = "" then Ok None else Ok (Some (Inline payload))
-
 let shard_task_to_frame = function
   | Shard_check
       { run; shard; aiger; stall_conflicts; split_vars; direct_sat; deadline_in }
     ->
-      let blob_fields, payload = blob_to_frame aiger in
       ( Obj
           ([
              ("type", String "shard-check");
@@ -291,15 +262,11 @@ let shard_task_to_frame = function
              ("split_vars", Int split_vars);
              ("direct_sat", Bool direct_sat);
            ]
-          @ blob_fields
           @ deadline_field deadline_in),
-        payload )
+        aiger )
   | Shard_cube
       { run; shard; cube; aiger; assume; freeze; conflict_limit; deadline_in }
     ->
-      let blob_fields, payload =
-        match aiger with None -> ([], "") | Some b -> blob_to_frame b
-      in
       ( Obj
           ([
              ("type", String "shard-cube");
@@ -310,9 +277,8 @@ let shard_task_to_frame = function
              ("freeze", ints_to_json freeze);
              ("conflict_limit", Int conflict_limit);
            ]
-          @ blob_fields
           @ deadline_field deadline_in),
-        payload )
+        Option.value ~default:"" aiger )
   | Shard_clauses { run; shard; clauses } ->
       ( Obj
           [
@@ -324,18 +290,20 @@ let shard_task_to_frame = function
   | Shard_ping -> (Obj [ ("type", String "shard-ping") ], "")
   | Shard_quit -> (Obj [ ("type", String "shard-quit") ], "")
 
-let shard_task_of_frame ({ hdr = j; payload } as inc) =
+(* An empty trailer on a cube means "no AIGER in this frame": the worker
+   already holds the cube formula. *)
+let shard_task_of_frame { hdr = j; payload } =
   match str_field "type" j with
   | Error e -> Error e
   | Ok "shard-check" -> (
-      match (int_member "shard" j, blob_of_frame inc) with
-      | Some shard, Ok (Some aiger) ->
+      match int_member "shard" j with
+      | Some shard when payload <> "" ->
           Ok
             (Shard_check
                {
                  run = Option.value ~default:0 (int_member "run" j);
                  shard;
-                 aiger;
+                 aiger = payload;
                  stall_conflicts =
                    Option.value ~default:max_int (int_member "stall_conflicts" j);
                  split_vars = Option.value ~default:0 (int_member "split_vars" j);
@@ -343,24 +311,22 @@ let shard_task_of_frame ({ hdr = j; payload } as inc) =
                    Option.value ~default:false (bool_member "direct_sat" j);
                  deadline_in = deadline_of j;
                })
-      | None, _ -> Error "shard-check: missing shard id"
-      | _, Ok None -> Error "shard-check: missing aiger"
-      | _, Error e -> Error e)
+      | Some _ -> Error "shard-check: missing aiger"
+      | None -> Error "shard-check: missing shard id")
   | Ok "shard-cube" -> (
       match
         ( int_member "shard" j,
           int_member "cube" j,
-          Option.bind (member "assume" j) ints_of_json,
-          blob_of_frame inc )
+          Option.bind (member "assume" j) ints_of_json )
       with
-      | Some shard, Some cube, Some assume, Ok aiger ->
+      | Some shard, Some cube, Some assume ->
           Ok
             (Shard_cube
                {
                  run = Option.value ~default:0 (int_member "run" j);
                  shard;
                  cube;
-                 aiger;
+                 aiger = (if payload = "" then None else Some payload);
                  assume;
                  freeze =
                    Option.value ~default:[]
@@ -369,7 +335,6 @@ let shard_task_of_frame ({ hdr = j; payload } as inc) =
                    Option.value ~default:max_int (int_member "conflict_limit" j);
                  deadline_in = deadline_of j;
                })
-      | _, _, _, Error e -> Error e
       | _ -> Error "shard-cube: malformed fields")
   | Ok "shard-clauses" -> (
       match (int_member "shard" j, clauses_of_payload payload) with

@@ -60,26 +60,19 @@ val response_of_json : json -> (response, string) result
 (** {1 Shard frames}
 
     Coordinator ↔ worker messages for multi-process sharded sweeping
-    ({!Shard.Check}), over the same framing.  AIGER payloads travel
-    either inline in the binary trailer or as a shared-memory segment
-    descriptor resolved against {!Shard.Shm}; counter-examples are
+    ({!Shard.Check}), over the same framing.  AIGER payloads travel as
+    the binary trailer; counter-examples are
     ['0']/['1'] strings in the trailer; learnt clauses are little-endian
     int32 blocks in the trailer.  Literals and variables use the SAT
     solver's integer encoding, which is stable across processes because
     {!Sat.Cnf.load} maps network node [n] to variable [n] and both
     sides decode the same AIGER bytes. *)
 
-(** How a bulk AIGER payload travels: [Inline] in the frame's binary
-    trailer (remote-safe, the fuzzable reference implementation), or as
-    a [Shm_ref] descriptor naming a byte range of a {!Shard.Shm}
-    segment already resident on this machine. *)
-type blob = Inline of string | Shm_ref of { seg : string; off : int; len : int }
-
 type shard_task =
   | Shard_check of {
       run : int;  (** coordinator run id; isolates warm-pool reuse *)
       shard : int;
-      aiger : blob;
+      aiger : string;  (** binary AIGER of the shard's sub-miter *)
       stall_conflicts : int;  (** SAT budget before declaring a stall *)
       split_vars : int;  (** how many split candidates to report *)
       direct_sat : bool;  (** skip the sweeping engine (tests) *)
@@ -89,7 +82,7 @@ type shard_task =
       run : int;
       shard : int;
       cube : int;
-      aiger : blob option;
+      aiger : string option;
           (** cube formula (the stalled shard's reduced miter); omitted
               when this worker already holds it *)
       assume : int list;  (** solver literals fixing this cube *)
@@ -144,9 +137,9 @@ type shard_reply =
       wall_s : float;
     }
   | Shard_failed of { shard : int; cube : int option; msg : string }
-      (** framed error: the task's payload could not be used (unmappable
-          or truncated shm descriptor, corrupt AIGER bytes).  The worker
-          stays alive; the coordinator re-dispatches inline. *)
+      (** framed error: the task's AIGER bytes did not parse.  The
+          worker stays alive; the coordinator settles the shard
+          undecided. *)
 
 val cex_to_bits : bool array -> string
 val bits_to_cex : string -> bool array

@@ -1,8 +1,6 @@
 module Pr = Serve.Protocol
 module E = Simsweep.Engine
 
-type transport = [ `Shm | `Inline ]
-
 type config = {
   workers : int;
   worker_domains : int;
@@ -15,7 +13,6 @@ type config = {
   direct_sat : bool;
   deadline_s : float option;
   worker_exe : string option;
-  transport : transport;
   test_kill_worker : int option;
 }
 
@@ -32,7 +29,6 @@ let default_config =
     direct_sat = false;
     deadline_s = None;
     worker_exe = None;
-    transport = `Shm;
     test_kill_worker = None;
   }
 
@@ -55,9 +51,6 @@ let next_run_id () = Atomic.fetch_and_add run_counter 1
 type srun = {
   sr : Plan.shard;
   mutable sr_aiger : string option;  (* cached wire form of [sr.sub] *)
-  mutable sr_seg : Shm.seg option;  (* shm-resident form of [sr_aiger] *)
-  mutable cube_seg : Shm.seg option;  (* shm-resident form of [cube_aiger] *)
-  mutable sr_force_inline : bool;  (* a worker failed on this shard's shm *)
   mutable sr_done : string option;  (* verdict tag once settled *)
   mutable sr_t0 : float;  (* first assignment time *)
   (* cube-and-conquer state, populated on stall *)
@@ -81,7 +74,6 @@ type worker = {
   mutable w_alive : bool;
   mutable w_ready : bool;
   mutable w_task : task option;
-  mutable w_seg : Shm.seg option;  (* segment the outstanding task references *)
   mutable w_cube_shard : int;  (* shard whose cube formula it holds, -1 *)
   mutable w_clauses_sent : int;  (* pool clauses already shipped for it *)
 }
@@ -108,7 +100,6 @@ let kill_and_reap w =
 let check ?(config = default_config) ?cancel ?pool g =
   let t_start = Unix.gettimeofday () in
   let stats = Stats.create ~workers:(max 1 config.workers) in
-  stats.transport <- (match config.transport with `Shm -> "shm" | `Inline -> "inline");
   let io = Simsweep.Telemetry.io_create () in
   let finish outcome =
     stats.wall_s <- Unix.gettimeofday () -. t_start;
@@ -145,9 +136,6 @@ let check ?(config = default_config) ?cancel ?pool g =
             {
               sr = sh;
               sr_aiger = None;
-              sr_seg = None;
-              cube_seg = None;
-              sr_force_inline = false;
               sr_done = None;
               sr_t0 = 0.;
               cube_aiger = "";
@@ -173,25 +161,6 @@ let check ?(config = default_config) ?cancel ?pool g =
         | [] -> Queue.take_opt checkq
       in
       let requeue_front t = cubeq := t :: !cubeq in
-      (* Every segment this run creates, for the kill-path sweep. *)
-      let created_segs = ref [] in
-      let create_seg data =
-        let seg = Shm.create data in
-        created_segs := seg :: !created_segs;
-        stats.segments_created <- stats.segments_created + 1;
-        seg
-      in
-      let drop_ref seg =
-        if Shm.decr_ref seg then
-          stats.segments_unlinked <- stats.segments_unlinked + 1
-      in
-      let release_seg w =
-        match w.w_seg with
-        | Some seg ->
-            w.w_seg <- None;
-            drop_ref seg
-        | None -> ()
-      in
       let exe = worker_exe config in
       let domains = max 1 config.worker_domains in
       let cold_spawn () =
@@ -224,7 +193,6 @@ let check ?(config = default_config) ?cancel ?pool g =
                  w_alive = true;
                  w_ready = warm;  (* cold workers announce Shard_ready *)
                  w_task = None;
-                 w_seg = None;
                  w_cube_shard = -1;
                  w_clauses_sent = 0;
                })
@@ -240,17 +208,12 @@ let check ?(config = default_config) ?cancel ?pool g =
           w.w_alive <- true;
           w.w_ready <- false;
           w.w_task <- None;
-          w.w_seg <- None;
           w.w_cube_shard <- -1;
           w.w_clauses_sent <- 0
         end
       in
       let settle sr ~worker ~via ~wall_s verdict_tag =
         sr.sr_done <- Some verdict_tag;
-        (* This shard's payloads are dead weight now: drop the owner
-           references (outstanding dispatches still hold theirs). *)
-        (match sr.sr_seg with Some seg -> sr.sr_seg <- None; drop_ref seg | None -> ());
-        (match sr.cube_seg with Some seg -> sr.cube_seg <- None; drop_ref seg | None -> ());
         stats.entries <-
           {
             Stats.e_shard = sr.sr.Plan.id;
@@ -287,7 +250,6 @@ let check ?(config = default_config) ?cancel ?pool g =
           w.w_alive <- false;
           w.w_ready <- false;
           Pool.kill w.w_conn;
-          release_seg w;
           stats.workers_crashed <- stats.workers_crashed + 1;
           (match w.w_task with
           | Some t ->
@@ -297,39 +259,6 @@ let check ?(config = default_config) ?cancel ?pool g =
           respawn w
         end
       in
-      (* Wrap a shard-sized payload for dispatch: a shm descriptor when
-         the transport allows it (creating or reusing the resident
-         segment), inline bytes otherwise. *)
-      let blob_of ~sr ~data ~get_seg ~set_seg =
-        match config.transport with
-        | `Inline -> Pr.Inline data
-        | `Shm when sr.sr_force_inline -> Pr.Inline data
-        | `Shm ->
-            let seg =
-              match get_seg () with
-              | Some seg ->
-                  stats.shm_hits <- stats.shm_hits + 1;
-                  seg
-              | None ->
-                  let seg = create_seg data in
-                  set_seg (Some seg);
-                  seg
-            in
-            Pr.Shm_ref { seg = Shm.name seg; off = 0; len = Shm.length seg }
-      in
-      let ref_seg w = function
-        | Pr.Shm_ref { seg = name; _ } ->
-            (* Find the live segment behind the descriptor we just built. *)
-            let seg =
-              List.find_opt (fun s -> Shm.name s = name) !created_segs
-            in
-            (match seg with
-            | Some seg ->
-                Shm.incr_ref seg;
-                w.w_seg <- Some seg
-            | None -> ())
-        | Pr.Inline _ -> ()
-      in
       let send_task w t =
         let deadline_in = remaining () in
         let clause_batch = ref None in
@@ -337,7 +266,7 @@ let check ?(config = default_config) ?cancel ?pool g =
           match t with
           | Check sr ->
               if sr.sr_t0 = 0. then sr.sr_t0 <- Unix.gettimeofday ();
-              let data =
+              let aiger =
                 match sr.sr_aiger with
                 | Some a -> a
                 | None ->
@@ -345,12 +274,6 @@ let check ?(config = default_config) ?cancel ?pool g =
                     sr.sr_aiger <- Some a;
                     a
               in
-              let aiger =
-                blob_of ~sr ~data
-                  ~get_seg:(fun () -> sr.sr_seg)
-                  ~set_seg:(fun s -> sr.sr_seg <- s)
-              in
-              ref_seg w aiger;
               Pr.Shard_check
                 {
                   run;
@@ -367,13 +290,7 @@ let check ?(config = default_config) ?cancel ?pool g =
                 else begin
                   w.w_cube_shard <- sr.sr.Plan.id;
                   w.w_clauses_sent <- 0;
-                  let b =
-                    blob_of ~sr ~data:sr.cube_aiger
-                      ~get_seg:(fun () -> sr.cube_seg)
-                      ~set_seg:(fun s -> sr.cube_seg <- s)
-                  in
-                  ref_seg w b;
-                  Some b
+                  Some sr.cube_aiger
                 end
               in
               let fresh = sr.pool_count - w.w_clauses_sent in
@@ -460,9 +377,6 @@ let check ?(config = default_config) ?cancel ?pool g =
       let on_stalled sr vars reduced =
         sr.cube_aiger <- reduced;
         sr.freeze <- vars;
-        (* The shard-level AIGER is spent — cubes reference the reduced
-           miter, which gets its own segment on first cube dispatch. *)
-        (match sr.sr_seg with Some seg -> sr.sr_seg <- None; drop_ref seg | None -> ());
         let rec bits n = if n <= 1 then 0 else 1 + bits ((n + 1) / 2) in
         let k =
           min (List.length vars) (min 6 (max 1 (bits (2 * alive_count ()))))
@@ -510,17 +424,17 @@ let check ?(config = default_config) ?cancel ?pool g =
             w.w_ready <- true;
             w.w_task <- t
         | Some t, Pr.Shard_failed { msg; _ } ->
-            (* The worker could not use the payload (stale or corrupt
-               shm descriptor).  Fall back to inline bytes for this
-               shard and re-dispatch; the worker itself is fine. *)
+            (* The worker could not parse the payload.  Re-sending the
+               same bytes would fail the same way, so the shard settles
+               undecided; the worker itself is fine. *)
             Printf.eprintf "shard: worker %d rejected a payload (%s)\n%!"
               w.w_id msg;
-            stats.shm_fallbacks <- stats.shm_fallbacks + 1;
-            (match t with
-            | Check sr -> sr.sr_force_inline <- true
-            | Cube { c_sr; _ } -> c_sr.sr_force_inline <- true);
             w.w_cube_shard <- -1;
-            requeue_front t
+            let sr = match t with Check sr -> sr | Cube { c_sr; _ } -> c_sr in
+            if sr.sr_done = None then
+              settle sr ~worker:w.w_id ~via:"failed"
+                ~wall_s:(Unix.gettimeofday () -. sr.sr_t0)
+                "undecided"
         | Some (Check sr), Pr.Shard_verdict { shard; verdict; wall_s; conflicts }
           when shard = sr.sr.Plan.id -> (
             stats.conflicts <- stats.conflicts + conflicts;
@@ -582,9 +496,6 @@ let check ?(config = default_config) ?cancel ?pool g =
             | Ok reply ->
                 let t = w.w_task in
                 w.w_task <- None;
-                (match reply with
-                | Pr.Shard_ready | Pr.Shard_pong -> ()
-                | _ -> release_seg w);
                 handle_reply w t reply)
       in
       let outcome_of_sruns () =
@@ -594,20 +505,14 @@ let check ?(config = default_config) ?cancel ?pool g =
       in
       let finally () =
         (* Idle, healthy workers go back to the pool warm; anything
-           mid-task or dead is killed.  Then sweep every segment this
-           run created — the kill path must leak nothing. *)
+           mid-task or dead is killed. *)
         Array.iter
           (fun w ->
             match pool with
             | Some p when w.w_alive && w.w_ready && w.w_task = None ->
                 Pool.release p w.w_conn
             | _ -> kill_and_reap w)
-          workers;
-        List.iter
-          (fun seg ->
-            if Shm.force_unlink seg then
-              stats.segments_unlinked <- stats.segments_unlinked + 1)
-          !created_segs
+          workers
       in
       let result =
         Fun.protect ~finally (fun () ->

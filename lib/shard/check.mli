@@ -20,18 +20,13 @@
     and enforced coordinator-side; on expiry (or an external [cancel])
     every worker is killed and reaped and the check returns [Undecided].
 
-    {b Data plane.}  With the default [`Shm] transport, each shard's
-    AIGER is written once into a {!Shm} segment and dispatch frames
-    carry descriptors; cube re-dispatches reference the already-resident
-    reduced miter.  Segments are refcounted (owner + one per outstanding
-    dispatch) and force-unlinked when the check ends, on every exit
-    path.  A worker that cannot resolve a descriptor answers
-    [Shard_failed] and the shard falls back to inline bytes — verdicts
-    are identical across transports.  With [?pool], workers are leased
-    from a {!Pool} (warm when available) and healthy idle workers are
-    returned at the end instead of being killed. *)
-
-type transport = [ `Shm | `Inline ]
+    {b Data plane.}  Each shard's binary AIGER travels once per
+    dispatch as the frame's trailer; a cube carries the reduced miter
+    only to a worker that does not hold it yet.  A worker that cannot
+    parse a payload answers [Shard_failed], and that shard settles
+    undecided (via ["failed"]) rather than being re-sent.  With [?pool],
+    workers are leased from a {!Pool} (warm when available) and healthy
+    idle workers are returned at the end instead of being killed. *)
 
 type config = {
   workers : int;  (** worker processes to spawn *)
@@ -47,8 +42,6 @@ type config = {
   worker_exe : string option;
       (** worker executable; defaults to [SIMSWEEP_SHARD_WORKER] or
           [Sys.executable_name] *)
-  transport : transport;
-      (** how AIGER payloads reach local workers (default [`Shm]) *)
   test_kill_worker : int option;
       (** fault injection: SIGKILL this worker slot right after its first
           task assignment *)
@@ -58,9 +51,10 @@ val default_config : config
 
 (** [check ?config ?cancel ?pool g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic
-    for any worker count, transport, and pool temperature; [Undecided]
-    is only returned on cancellation, deadline expiry, exhausted
-    respawns, or a genuinely stalled cube tree. *)
+    for any worker count and pool temperature; [Undecided] is only
+    returned on cancellation, deadline expiry, exhausted respawns, a
+    payload a worker could not parse, or a genuinely stalled cube
+    tree. *)
 val check :
   ?config:config ->
   ?cancel:Par.Cancel.t ->

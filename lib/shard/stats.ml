@@ -26,16 +26,11 @@ type t = {
   mutable workers_crashed : int;
   mutable respawns : int;
   (* data plane *)
-  mutable transport : string;
   mutable bytes_tx : int;
   mutable bytes_rx : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
   mutable batched_flushes : int;
-  mutable shm_hits : int;
-  mutable shm_fallbacks : int;
-  mutable segments_created : int;
-  mutable segments_unlinked : int;
   mutable warm_starts : int;
   mutable cold_starts : int;
   mutable pool_discards : int;
@@ -61,16 +56,11 @@ let create ~workers =
     workers_spawned = 0;
     workers_crashed = 0;
     respawns = 0;
-    transport = "inline";
     bytes_tx = 0;
     bytes_rx = 0;
     frames_tx = 0;
     frames_rx = 0;
     batched_flushes = 0;
-    shm_hits = 0;
-    shm_fallbacks = 0;
-    segments_created = 0;
-    segments_unlinked = 0;
     warm_starts = 0;
     cold_starts = 0;
     pool_discards = 0;
@@ -123,16 +113,11 @@ let to_json t =
       ("workers_spawned", J.Int t.workers_spawned);
       ("workers_crashed", J.Int t.workers_crashed);
       ("respawns", J.Int t.respawns);
-      ("transport", J.String t.transport);
       ("bytes_tx", J.Int t.bytes_tx);
       ("bytes_rx", J.Int t.bytes_rx);
       ("frames_tx", J.Int t.frames_tx);
       ("frames_rx", J.Int t.frames_rx);
       ("batched_flushes", J.Int t.batched_flushes);
-      ("shm_hits", J.Int t.shm_hits);
-      ("shm_fallbacks", J.Int t.shm_fallbacks);
-      ("segments_created", J.Int t.segments_created);
-      ("segments_unlinked", J.Int t.segments_unlinked);
       ("warm_starts", J.Int t.warm_starts);
       ("cold_starts", J.Int t.cold_starts);
       ("pool_discards", J.Int t.pool_discards);

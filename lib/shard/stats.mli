@@ -10,7 +10,7 @@ type entry = {
   e_ands : int;
   e_worker : int;  (** worker that delivered the verdict *)
   e_wall_s : float;  (** worker-side wall clock for the verdict *)
-  e_via : string;  (** ["sweep"] or ["cubes"] *)
+  e_via : string;  (** ["sweep"], ["cubes"] or ["failed"] *)
   e_verdict : string;
 }
 
@@ -32,17 +32,12 @@ type t = {
   mutable workers_crashed : int;
   mutable respawns : int;
   (* {2 Data plane} *)
-  mutable transport : string;  (** ["shm"] or ["inline"] *)
   mutable bytes_tx : int;  (** frame bytes written, payload-inclusive *)
   mutable bytes_rx : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
   mutable batched_flushes : int;
       (** clause+cube frame pairs coalesced into one flush *)
-  mutable shm_hits : int;  (** dispatches reusing a resident segment *)
-  mutable shm_fallbacks : int;  (** shm dispatches re-sent inline *)
-  mutable segments_created : int;
-  mutable segments_unlinked : int;
   mutable warm_starts : int;  (** workers leased warm from the pool *)
   mutable cold_starts : int;  (** workers spawned cold for this run *)
   mutable pool_discards : int;  (** idle workers that failed ping validation *)

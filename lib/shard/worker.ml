@@ -30,13 +30,6 @@ type state = {
   mutable pending_clauses : (int * int * int list list) option;
 }
 
-(* Resolve a dispatch payload to AIGER bytes.  Inline is the bytes;
-   a shm descriptor is mapped and copied out by [Shm.read], which
-   validates the name and range and reports failures as [Error]. *)
-let resolve_blob = function
-  | Pr.Inline s -> Ok s
-  | Pr.Shm_ref { seg; off; len } -> Shm.read ~name:seg ~off ~len
-
 let cancel_of deadline_in =
   Option.map (fun d -> Par.Cancel.create ~deadline_in:d ()) deadline_in
 
@@ -235,10 +228,9 @@ let run_cube st ~run ~shard ~cube ~aiger ~assume ~freeze ~conflict_limit
 
 type action = Quit | No_reply | Reply of Pr.shard_reply
 
-(* A payload that cannot be used — unmappable or truncated shm
-   descriptor, corrupt AIGER bytes — is a framed [Shard_failed], never a
-   crash: the worker stays up and the coordinator falls back to inline
-   dispatch. *)
+(* AIGER bytes that do not parse are a framed [Shard_failed], never a
+   crash: the worker stays up and the coordinator settles that shard
+   undecided. *)
 let failed ~shard ~cube msg = Reply (Pr.Shard_failed { shard; cube; msg })
 
 let handle st = function
@@ -255,32 +247,21 @@ let handle st = function
   | Pr.Shard_check
       { run = _; shard; aiger; stall_conflicts; split_vars; direct_sat; deadline_in }
     -> (
-      match resolve_blob aiger with
-      | Error msg -> failed ~shard ~cube:None msg
-      | Ok aiger -> (
-          try
-            Reply
-              (run_check st ~shard ~aiger ~stall_conflicts ~split_vars
-                 ~direct_sat ~deadline_in)
-          with Aig.Aiger_io.Parse_error msg ->
-            failed ~shard ~cube:None ("bad aiger: " ^ msg)))
+      try
+        Reply
+          (run_check st ~shard ~aiger ~stall_conflicts ~split_vars ~direct_sat
+             ~deadline_in)
+      with Aig.Aiger_io.Parse_error msg ->
+        failed ~shard ~cube:None ("bad aiger: " ^ msg))
   | Pr.Shard_cube
       { run; shard; cube; aiger; assume; freeze; conflict_limit; deadline_in }
     -> (
-      let resolved =
-        match aiger with
-        | None -> Ok None
-        | Some b -> Result.map Option.some (resolve_blob b)
-      in
-      match resolved with
-      | Error msg -> failed ~shard ~cube:(Some cube) msg
-      | Ok aiger -> (
-          try
-            Reply
-              (run_cube st ~run ~shard ~cube ~aiger ~assume ~freeze
-                 ~conflict_limit ~deadline_in)
-          with Aig.Aiger_io.Parse_error msg ->
-            failed ~shard ~cube:(Some cube) ("bad aiger: " ^ msg)))
+      try
+        Reply
+          (run_cube st ~run ~shard ~cube ~aiger ~assume ~freeze ~conflict_limit
+             ~deadline_in)
+      with Aig.Aiger_io.Parse_error msg ->
+        failed ~shard ~cube:(Some cube) ("bad aiger: " ^ msg))
 
 let serve ?(num_domains = 1) ic oc =
   let st =

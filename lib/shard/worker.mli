@@ -16,10 +16,9 @@
     short learnt clauses.  The cube formula is cached across consecutive
     cubes of the same (run, shard).
 
-    AIGER payloads arrive either inline or as {!Shm} descriptors; a
-    descriptor that cannot be resolved (or bytes that do not parse)
-    produces a framed [Shard_failed] reply, never a crash — warm-pool
-    workers must survive bad input.  [Shard_ping] is answered with
+    AIGER payloads arrive as the frame's binary trailer; bytes that do
+    not parse produce a framed [Shard_failed] reply, never a crash —
+    warm-pool workers must survive bad input.  [Shard_ping] is answered with
     [Shard_pong] so {!Pool} can health-check idle workers. *)
 
 (** Environment variable that turns a host binary into a worker ("1"). *)

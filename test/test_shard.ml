@@ -1,7 +1,7 @@
 (* Multi-process sharded sweeping: plan shape, counter-example lifting
    across shard PI renumbering, verdict determinism for any worker count,
-   crash rescheduling, deadline kill+reap (no zombies), and the
-   cube-and-conquer tail. *)
+   crash rescheduling, deadline kill+reap (no zombies), rejected payloads,
+   the cube-and-conquer tail and the warm worker pool. *)
 
 let mult ~bits = Gen.Arith.multiplier ~bits
 
@@ -105,6 +105,12 @@ let test_disproof_lifted_across_renumbering () =
   | Simsweep.Engine.Proved -> Alcotest.fail "faulty miter proved"
   | Simsweep.Engine.Undecided -> Alcotest.fail "faulty miter undecided"
 
+(* Sorted (shard, verdict) pairs of a run's per-shard entries. *)
+let entry_sig st =
+  st.Shard.Stats.entries
+  |> List.map (fun e -> (e.Shard.Stats.e_shard, e.Shard.Stats.e_verdict))
+  |> List.sort compare
+
 let test_verdict_deterministic_across_worker_counts () =
   let eq = equiv_miter (mult ~bits:5) in
   let adder = Gen.Arith.adder ~bits:6 in
@@ -192,37 +198,17 @@ let test_cube_and_conquer_tail () =
 
 (* --- data plane ------------------------------------------------------- *)
 
-(* Nothing this process created may survive: the registry must be empty
-   and no segment file of ours may remain on disk. *)
-let no_leaked_segments ctx =
-  Alcotest.(check (list string))
-    (ctx ^ ": no live segments")
-    []
-    (Shard.Shm.live_segments ());
-  let mine = Printf.sprintf "%s%d-" Shard.Shm.prefix (Unix.getpid ()) in
-  let leaked =
-    Sys.readdir (Shard.Shm.segment_dir ())
-    |> Array.to_list
-    |> List.filter (String.starts_with ~prefix:mine)
-  in
-  Alcotest.(check (list string)) (ctx ^ ": no leaked segment files") [] leaked
-
 let test_transport_agreement () =
-  (* Same miter, same worker counts, both transports — verdicts and the
-     per-shard verdict entries must be bit-identical.  Cube-and-conquer
-     forced on (stall budget 2) so the reduced-miter segment path runs. *)
+  (* Inline binary-trailer frames are the one transport.  With cube
+     fan-out forced (engine skipped, stall budget 2) every shard goes
+     through the reduced-miter cube dispatch; the per-shard verdict
+     entries must be identical for 1-3 workers. *)
   let eq = equiv_miter (mult ~bits:5) in
-  let entry_sig st =
-    st.Shard.Stats.entries
-    |> List.map (fun e -> (e.Shard.Stats.e_shard, e.Shard.Stats.e_verdict))
-    |> List.sort compare
-  in
-  let run m workers transport =
+  let run m workers =
     let config =
       {
         (config ~workers) with
-        Shard.Check.transport;
-        direct_sat = true;
+        Shard.Check.direct_sat = true;
         stall_conflicts = 2;
         max_shard_ands = 128;
       }
@@ -232,86 +218,93 @@ let test_transport_agreement () =
   let reference = ref None in
   List.iter
     (fun workers ->
-      let o_shm, st_shm = run eq workers `Shm in
-      let o_inl, st_inl = run eq workers `Inline in
-      (match (o_shm, o_inl) with
-      | Simsweep.Engine.Proved, Simsweep.Engine.Proved -> ()
+      let outcome, st = run eq workers in
+      (match outcome with
+      | Simsweep.Engine.Proved -> ()
       | _ -> Alcotest.failf "equivalent miter not proved (%d workers)" workers);
-      Alcotest.(check string) "transport tags" "shm" st_shm.Shard.Stats.transport;
-      Alcotest.(check string) "inline tag" "inline" st_inl.Shard.Stats.transport;
-      Alcotest.(check bool)
-        (Printf.sprintf "entries agree across transports (%d workers)" workers)
-        true
-        (entry_sig st_shm = entry_sig st_inl);
-      (* ...and across worker counts. *)
-      (match !reference with
-      | None -> reference := Some (entry_sig st_shm)
+      match !reference with
+      | None -> reference := Some (entry_sig st)
       | Some r ->
           Alcotest.(check bool)
             (Printf.sprintf "entries agree across worker counts (%d)" workers)
             true
-            (entry_sig st_shm = r));
-      Alcotest.(check bool) "shm created segments" true
-        (st_shm.Shard.Stats.segments_created > 0);
-      Alcotest.(check int) "inline created none" 0
-        st_inl.Shard.Stats.segments_created;
-      Alcotest.(check bool) "shm moved fewer payload bytes" true
-        (st_shm.Shard.Stats.bytes_tx < st_inl.Shard.Stats.bytes_tx))
+            (entry_sig st = r))
     [ 1; 2; 3 ];
-  (* A disproof must be found and replay identically on both transports. *)
+  (* A disproof must be found over the cube path and replay. *)
   let adder = Gen.Arith.adder ~bits:6 in
   let ineq = Aig.Miter.build adder (faulty adder) in
-  List.iter
-    (fun transport ->
-      match run ineq 2 transport with
-      | Simsweep.Engine.Disproved (cex, po), _ ->
-          Alcotest.(check bool) "cex replays" true (Sim.Cex.check ineq cex po)
-      | _ -> Alcotest.fail "inequivalent miter not disproved")
-    [ `Shm; `Inline ];
-  no_leaked_segments "transport agreement"
+  match run ineq 2 with
+  | Simsweep.Engine.Disproved (cex, po), _ ->
+      Alcotest.(check bool) "cex replays" true (Sim.Cex.check ineq cex po)
+  | _ -> Alcotest.fail "inequivalent miter not disproved"
 
-let test_segment_lifecycle () =
+(* Set in the environment of a coordinator under test, this makes every
+   re-exec'd worker a stand-in that announces itself and then rejects the
+   payload of every shard check with a framed [Shard_failed]. *)
+let failing_worker_env = "SHARD_TEST_FAILING_WORKER"
+
+let failing_worker () =
+  let module Pr = Serve.Protocol in
+  let ic = Unix.in_channel_of_descr Unix.stdin in
+  let oc = Unix.out_channel_of_descr Unix.stdout in
+  set_binary_mode_in ic true;
+  set_binary_mode_out oc true;
+  let reply r =
+    let hdr, payload = Pr.shard_reply_to_frame r in
+    Pr.write_frame ~payload oc hdr
+  in
+  reply Pr.Shard_ready;
+  (* Without a stall no cube is ever dispatched, so only checks matter. *)
+  let rec loop () =
+    match Pr.read_frame ic with
+    | Error _ -> ()
+    | Ok inc -> (
+        match Pr.shard_task_of_frame inc with
+        | Ok Pr.Shard_quit -> ()
+        | Ok (Pr.Shard_check { shard; _ }) ->
+            reply
+              (Pr.Shard_failed
+                 { shard; cube = None; msg = "rejected by the test worker" });
+            loop ()
+        | Ok _ | Error _ -> loop ())
+  in
+  loop ();
+  exit 0
+
+let test_failed_payload_settles_undecided () =
+  (* Every dispatch is rejected.  Re-sending the same bytes cannot help,
+     so each shard must settle undecided after one attempt: the check
+     ends Undecided long before its deadline, never Proved. *)
   let m = equiv_miter (mult ~bits:5) in
-  (* Normal path with cube fan-out: every refcount returns to zero, so
-     every segment created is unlinked before [check] returns. *)
-  let cube_config =
-    {
-      (config ~workers:2) with
-      Shard.Check.direct_sat = true;
-      stall_conflicts = 2;
-      max_shard_ands = 128;
-    }
+  let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 30. } in
+  let t0 = Unix.gettimeofday () in
+  Unix.putenv failing_worker_env "1";
+  let outcome, st =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv failing_worker_env "0")
+      (fun () -> Shard.Check.check ~config m)
   in
-  let outcome, st = Shard.Check.check ~config:cube_config m in
+  let elapsed = Unix.gettimeofday () -. t0 in
   (match outcome with
-  | Simsweep.Engine.Proved -> ()
-  | _ -> Alcotest.fail "equivalent miter not proved");
-  Alcotest.(check bool) "segments created" true
-    (st.Shard.Stats.segments_created > 0);
-  Alcotest.(check int) "every segment unlinked"
-    st.Shard.Stats.segments_created st.Shard.Stats.segments_unlinked;
-  no_leaked_segments "cube fan-out";
-  (* SIGKILL a worker mid-shard: the crash path must not leak. *)
-  let crash_config =
-    {
-      (config ~workers:2) with
-      Shard.Check.test_kill_worker = Some 0;
-      max_respawns = 2;
-    }
-  in
-  ignore (Shard.Check.check ~config:crash_config m);
-  no_leaked_segments "worker SIGKILL";
-  (* Deadline kill+reap: segments referenced by killed workers included. *)
-  let deadline_config =
-    {
-      (config ~workers:2) with
-      Shard.Check.direct_sat = true;
-      stall_conflicts = max_int;
-      deadline_s = Some 0.3;
-    }
-  in
-  ignore (Shard.Check.check ~config:deadline_config (equiv_miter (mult ~bits:8)));
-  no_leaked_segments "deadline kill"
+  | Simsweep.Engine.Undecided -> ()
+  | Simsweep.Engine.Proved -> Alcotest.fail "rejected payloads proved the miter"
+  | Simsweep.Engine.Disproved _ -> Alcotest.fail "equivalent miter disproved");
+  Alcotest.(check bool)
+    (Printf.sprintf "settled in %.1fs, well before the deadline" elapsed)
+    true (elapsed < 5.);
+  let shards = st.Shard.Stats.shards in
+  Alcotest.(check bool) "several shards" true (shards >= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d frames sent for %d shards" st.Shard.Stats.frames_tx shards)
+    true
+    (st.Shard.Stats.frames_tx <= 2 * shards);
+  Alcotest.(check (list (pair int string)))
+    "every shard settled undecided"
+    (List.init shards (fun i -> (i, "undecided")))
+    (entry_sig st);
+  List.iter
+    (fun e -> Alcotest.(check string) "settled via" "failed" e.Shard.Stats.e_via)
+    st.Shard.Stats.entries
 
 let test_warm_pool () =
   let m = equiv_miter (mult ~bits:5) in
@@ -344,11 +337,13 @@ let test_warm_pool () =
   (* Idle expiry retires them. *)
   Alcotest.(check bool) "reap_idle retires expired workers" true
     (Shard.Pool.reap_idle ~max_idle_s:0. pool >= 1);
-  Alcotest.(check int) "pool drained" 0 (Shard.Pool.idle_count pool);
-  no_leaked_segments "warm pool"
+  Alcotest.(check int) "pool drained" 0 (Shard.Pool.idle_count pool)
 
 let () =
   (* Coordinators in these tests re-exec this binary as their workers. *)
+  if Sys.getenv_opt failing_worker_env = Some "1"
+     && Sys.getenv_opt Shard.Worker.mode_env = Some "1"
+  then failing_worker ();
   Shard.Worker.maybe_become_worker ();
   Alcotest.run "shard"
     [
@@ -366,6 +361,8 @@ let () =
           Alcotest.test_case "crash rescheduling" `Quick test_crash_rescheduling;
           Alcotest.test_case "deadline kill+reap" `Quick
             test_deadline_kills_and_reaps;
+          Alcotest.test_case "failed payload settles undecided" `Quick
+            test_failed_payload_settles_undecided;
           Alcotest.test_case "cube-and-conquer tail" `Quick
             test_cube_and_conquer_tail;
         ] );
@@ -373,7 +370,6 @@ let () =
         [
           Alcotest.test_case "transport agreement" `Slow
             test_transport_agreement;
-          Alcotest.test_case "segment lifecycle" `Quick test_segment_lifecycle;
           Alcotest.test_case "warm pool" `Quick test_warm_pool;
         ] );
     ]
