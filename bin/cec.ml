@@ -91,8 +91,8 @@ let run_remote addr engine_str name miter stats_json =
             else 3)
 
 (* Sharded mode: partition the miter, fork [shard_n] worker processes and
-   coordinate them (work-stealing, cube-and-conquer on stalls).  The
-   coordinator itself needs no domain pool. *)
+   coordinate them (work-stealing).  The coordinator itself needs no
+   domain pool. *)
 let run_shard shard_n name miter num_domains verbose stats_json =
   let worker_domains =
     match num_domains with Some j -> max 1 (j / max 1 shard_n) | None -> 1
@@ -108,19 +108,18 @@ let run_shard shard_n name miter num_domains verbose stats_json =
   if verbose then
     Printf.printf
       "shard: %d shards (%d groups, %d split) over %d workers, %d steals, %d \
-       cubes solved, %d clauses shared, %d crashed\n"
+       crashed\n"
       st.Shard.Stats.shards st.Shard.Stats.groups st.Shard.Stats.split_groups
       st.Shard.Stats.workers
       (Array.fold_left ( + ) 0 (Shard.Stats.steals st))
-      st.Shard.Stats.cubes_solved st.Shard.Stats.clauses_shared
       st.Shard.Stats.workers_crashed;
   if verbose then
     Printf.printf
-      "data plane: %d B tx / %d B rx in %d+%d frames (%d batched flushes), \
-       %d warm + %d cold starts\n"
+      "data plane: %d B tx / %d B rx in %d+%d frames, %d warm + %d cold \
+       starts\n"
       st.Shard.Stats.bytes_tx st.Shard.Stats.bytes_rx st.Shard.Stats.frames_tx
-      st.Shard.Stats.frames_rx st.Shard.Stats.batched_flushes
-      st.Shard.Stats.warm_starts st.Shard.Stats.cold_starts;
+      st.Shard.Stats.frames_rx st.Shard.Stats.warm_starts
+      st.Shard.Stats.cold_starts;
   Printf.printf "%s  (%.3fs)\n" (describe_outcome outcome) elapsed;
   (match stats_json with
   | Some file ->
@@ -403,9 +402,8 @@ let shard_n =
          ~doc:"Check with N coordinated worker processes instead of a \
                single in-process engine: the miter is partitioned into \
                shards (output-cone groups, large groups split at PO \
-               boundaries), workers pull shards work-stealing style, and a \
-               shard whose SAT tail stalls is cut into cubes fanned across \
-               idle workers with learnt-clause sharing (cube-and-conquer).  \
+               boundaries), workers pull shards work-stealing style and \
+               check each with the sweeping engine and its SAT fallback.  \
                Overrides --engine; 0 disables.  With --server, the shard \
                request is served by the daemon's warm worker pool.")
 

@@ -27,10 +27,6 @@ type t = {
       (** §V extension: interleave sweeping with logic rewriting — a light
           optimisation round on the miter between L phases opens new cut
           structures (classes are rebuilt by fresh partial simulation) *)
-  time_limit : float option;
-      (** wall-clock budget in seconds for the engine run; the G iteration
-          and L phases stop once exceeded, leaving the miter reduced as far
-          as it got (the SAT fallback can still finish it) *)
 }
 
 let default =
@@ -51,7 +47,6 @@ let default =
     distance_one_cex = false;
     adaptive_passes = false;
     rewrite_between_phases = false;
-    time_limit = None;
   }
 
 (** Scaled-down thresholds for CPU-sized experiments: same structure, the

@@ -128,36 +128,19 @@ let po_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~trace g =
 
 (* --- G phase: global function checking ----------------------------------- *)
 
-(* Deadline observations are recorded in the stats so a run cut short by
-   [time_limit] is distinguishable from one that converged. *)
-let past_deadline (cfg : Config.t) ~(stats : Stats.t) ~t0 =
-  match cfg.Config.time_limit with
-  | None -> false
-  | Some limit ->
-      let over = Unix.gettimeofday () -. t0 > limit in
-      if over then begin
-        stats.Stats.deadline_hits <- stats.Stats.deadline_hits + 1;
-        stats.Stats.deadline_exceeded <- true
-      end;
-      over
-
-(* The engine stops early for two reasons: the configured [time_limit]
-   (deadline) or an external cancellation token (portfolio race lost).
-   Both are recorded in the stats so a cut-short run is distinguishable
-   from one that converged. *)
-let stopping (cfg : Config.t) ?cancel ~(stats : Stats.t) ~t0 () =
-  let cancelled =
-    match cancel with
-    | Some c when Par.Cancel.poll c ->
-        stats.Stats.cancelled <- true;
-        true
-    | _ -> false
-  in
-  cancelled || past_deadline cfg ~stats ~t0
+(* The engine stops early when its cancellation token fires: a deadline
+   expired or a portfolio race was lost.  The stats record it, so a
+   cut-short run is distinguishable from one that converged. *)
+let stopping ?cancel ~(stats : Stats.t) () =
+  match cancel with
+  | Some c when Par.Cancel.poll c ->
+      stats.Stats.cancelled <- true;
+      true
+  | _ -> false
 
 (* Returns the reduced miter and the carried classes. *)
 let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
-    ~t0 ~trace g =
+    ~trace g =
   let g = ref g in
   let sigs =
     Sim.Psim.run ~stats:stats.Stats.psim !g ~nwords:cfg.sim_words ~rng ~pool
@@ -168,7 +151,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
   let merged = ref 0 in
   let continue_ = ref true in
   let iterations = ref 0 in
-  while !continue_ && !iterations < 64 && not (stopping cfg ?cancel ~stats ~t0 ()) do
+  while !continue_ && !iterations < 64 && not (stopping ?cancel ~stats ()) do
     incr iterations;
     stats.Stats.g_iterations <- stats.Stats.g_iterations + 1;
     let supports = Aig.Support.capped !g ~cap:cfg.k_g in
@@ -191,16 +174,11 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
       let candidates = Array.of_list candidates in
       let n = Array.length candidates in
       stats.Stats.g_candidates <- stats.Stats.g_candidates + n;
-      (* Without a time limit or cancel token the whole candidate set is
-         one batch (the best window-merging opportunities); under a
-         deadline it is split into bounded batches with a stop check
-         between them, so one huge batch cannot blow far past
-         [time_limit] or hold a lost race alive. *)
-      let batch_cap =
-        match (cfg.Config.time_limit, cancel) with
-        | None, None -> n
-        | _ -> 512
-      in
+      (* Without a cancel token the whole candidate set is one batch (the
+         best window-merging opportunities); with one it is split into
+         bounded batches with a stop check between them, so one huge batch
+         cannot blow far past a deadline or hold a lost race alive. *)
+      let batch_cap = match cancel with None -> n | Some _ -> 512 in
       let verdicts = Array.make n Exhaustive.Invalid in
       let base = ref 0 in
       let stopped = ref false in
@@ -234,7 +212,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
           verdicts.(tag) <- batch.(tag)
         done;
         base := hi;
-        if !base < n && stopping cfg ?cancel ~stats ~t0 () then stopped := true
+        if !base < n && stopping ?cancel ~stats () then stopped := true
       done;
       let cexs = ref [] in
       Array.iteri
@@ -295,7 +273,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
 (* --- L phases: repeated local function checking --------------------------- *)
 
 let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
-    ~t0 ~trace g classes =
+    ~trace g classes =
   let g = ref g and classes = ref classes in
   let phase = ref 0 in
   let progress = ref true in
@@ -304,7 +282,7 @@ let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
   while
     !progress && !phase < cfg.max_local_phases
     && (not (Aig.Miter.solved !g))
-    && not (stopping cfg ?cancel ~stats ~t0 ())
+    && not (stopping ?cancel ~stats ())
   do
     incr phase;
     stats.Stats.local_phases <- stats.Stats.local_phases + 1;
@@ -383,7 +361,6 @@ let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool mite
      (certificate) runs ignore the cache rather than emit unsound traces. *)
   let pcache = if trace <> None then None else pcache in
   let stats = Stats.create () in
-  let t0 = Unix.gettimeofday () in
   (* The P phase rewrites PO drivers in place; never mutate the caller's
      network. *)
   let miter = Aig.Network.copy miter in
@@ -447,7 +424,7 @@ let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool mite
         (* G phase. *)
         let g, classes =
           Stats.timed stats Stats.Global_check (fun () ->
-              global_phase config ~pool ~arena ~stats ?cancel ~rng ~t0 ~trace g)
+              global_phase config ~pool ~arena ~stats ?cancel ~rng ~trace g)
         in
         if Aig.Miter.solved g then
           finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network
@@ -456,8 +433,8 @@ let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool mite
           (* L phases. *)
           let g, classes =
             Stats.timed stats Stats.Local_check (fun () ->
-                local_phases config ~pool ~arena ~stats ?cancel ~rng ~t0 ~trace
-                  g classes)
+                local_phases config ~pool ~arena ~stats ?cancel ~rng ~trace g
+                  classes)
           in
           if Aig.Miter.solved g then
             finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network

@@ -12,8 +12,6 @@ type t = {
   mutable g_iterations : int;
   mutable g_candidates : int;
   mutable g_refinements : int;
-  mutable deadline_hits : int;
-  mutable deadline_exceeded : bool;
   mutable cancelled : bool;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -34,8 +32,6 @@ let create () =
     g_iterations = 0;
     g_candidates = 0;
     g_refinements = 0;
-    deadline_hits = 0;
-    deadline_exceeded = false;
     cancelled = false;
     cache_hits = 0;
     cache_misses = 0;
@@ -68,6 +64,4 @@ let pp fmt t =
     t.time_p t.time_g t.time_l t.pos_proved t.pairs_proved_global
     t.pairs_proved_local t.cex_found t.local_phases t.g_iterations
     t.g_candidates
-    (if t.cancelled then " CANCELLED"
-     else if t.deadline_exceeded then " DEADLINE"
-     else "")
+    (if t.cancelled then " CANCELLED" else "")

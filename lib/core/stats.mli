@@ -16,12 +16,9 @@ type t = {
   mutable g_candidates : int;  (** candidate pairs checked in the G phase *)
   mutable g_refinements : int;
       (** G-phase iterations that refined the classes with fresh CEXs *)
-  mutable deadline_hits : int;
-      (** times a deadline check observed the time limit exceeded *)
-  mutable deadline_exceeded : bool;
-      (** the configured [time_limit] was exceeded during the run *)
   mutable cancelled : bool;
-      (** the run's cancellation token fired (portfolio race lost) *)
+      (** the run's cancellation token fired (its deadline expired or a
+          portfolio race was lost) *)
   mutable cache_hits : int;
       (** PO verdicts discharged from the cross-request equivalence cache *)
   mutable cache_misses : int;

@@ -314,27 +314,10 @@ type io = {
   mutable io_bytes_rx : int;
   mutable io_frames_tx : int;
   mutable io_frames_rx : int;
-  mutable io_flushes : int;
 }
 
 let io_create () =
-  {
-    io_bytes_tx = 0;
-    io_bytes_rx = 0;
-    io_frames_tx = 0;
-    io_frames_rx = 0;
-    io_flushes = 0;
-  }
-
-let of_io io =
-  Obj
-    [
-      ("bytes_tx", Int io.io_bytes_tx);
-      ("bytes_rx", Int io.io_bytes_rx);
-      ("frames_tx", Int io.io_frames_tx);
-      ("frames_rx", Int io.io_frames_rx);
-      ("flushes", Int io.io_flushes);
-    ]
+  { io_bytes_tx = 0; io_bytes_rx = 0; io_frames_tx = 0; io_frames_rx = 0 }
 
 (* --- stat snapshots ------------------------------------------------------ *)
 
@@ -403,7 +386,6 @@ let of_sat (s : Sat.Sweep.stats) =
       ("rounds", Int s.rounds);
       ("cex_count", Int s.cex_count);
       ("rsim_splits", Int s.rsim_splits);
-      ("batches", Int s.batches);
       ("cnf_loads", Int s.cnf_loads);
       ("cache_hits", Int s.cache_hits);
       ("cache_misses", Int s.cache_misses);
@@ -427,8 +409,6 @@ let of_engine_stats (s : Stats.t) =
       ("g_iterations", Int s.g_iterations);
       ("g_candidates", Int s.g_candidates);
       ("g_refinements", Int s.g_refinements);
-      ("deadline_hits", Int s.deadline_hits);
-      ("deadline_exceeded", Bool s.deadline_exceeded);
       ("cancelled", Bool s.cancelled);
       ("cache_hits", Int s.cache_hits);
       ("cache_misses", Int s.cache_misses);

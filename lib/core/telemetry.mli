@@ -48,19 +48,16 @@ val list_member : string -> json -> json list option
 
     Mutable per-connection counters threaded through the frame layer
     ({!Serve.Protocol}): payload-inclusive bytes and frames in each
-    direction, plus actual [flush] syscalls — fewer flushes than frames
-    means writes were coalesced into batches. *)
+    direction. *)
 
 type io = {
   mutable io_bytes_tx : int;
   mutable io_bytes_rx : int;
   mutable io_frames_tx : int;
   mutable io_frames_rx : int;
-  mutable io_flushes : int;
 }
 
 val io_create : unit -> io
-val of_io : io -> json
 
 (** Pretty-printed snapshot written to [file], with a trailing newline. *)
 val write_file : string -> json -> unit

@@ -54,7 +54,6 @@ let shard_engine =
             Shard.Check.default_config with
             Shard.Check.workers = 2;
             max_shard_ands = 64;
-            stall_conflicts = 4_000;
             deadline_s = Some 120.;
           }
         in
@@ -417,12 +416,8 @@ let badpayload_stage log ~seed =
       Pr.shard_task_to_frame
         (Pr.Shard_check
            {
-             run = 0;
              shard = 0;
              aiger;
-             stall_conflicts = 10_000;
-             split_vars = 12;
-             direct_sat = false;
              deadline_in = Some 60.;
            })
     in

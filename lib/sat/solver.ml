@@ -726,66 +726,3 @@ let simplify ?(config = Simplify.default_config) ?cancel ?(frozen = []) t =
         probe t config cancel
     end
   end
-
-(* --- cube-and-conquer hooks -------------------------------------------- *)
-
-let top_activity_vars ?(limit = 16) t =
-  (* Unassigned, non-eliminated variables ranked by EVSIDS activity; ties
-     break on the variable id so the ranking is deterministic for a given
-     search history.  Variable 0 (the constant node of a CNF-loaded AIG)
-     never branches, so it is skipped along with level-0 fixed variables. *)
-  let cand = ref [] in
-  for v = t.nvars - 1 downto 1 do
-    if (not t.elim.(v)) && t.values.(v) = 0 && t.activity.(v) > 0. then
-      cand := v :: !cand
-  done;
-  let a = Array.of_list !cand in
-  Array.sort
-    (fun u v ->
-      let c = compare t.activity.(v) t.activity.(u) in
-      if c <> 0 then c else compare u v)
-    a;
-  Array.to_list (Array.sub a 0 (min limit (Array.length a)))
-
-let learnt_clauses ?(max_len = 8) ?(limit = max_int) t =
-  (* Short learnt clauses, most recently derived first.  Clauses derived
-     under assumptions are still implied by the clause database alone
-     (assumptions enter as decisions, never as clauses), so exporting them
-     to another solver over the same formula is sound. *)
-  let out = ref [] in
-  let n = ref 0 in
-  let ci = ref (t.nclauses - 1) in
-  while !ci >= 0 && !n < limit do
-    let c = t.clauses.(!ci) in
-    if
-      c.learnt
-      && Array.length c.lits > 0
-      && Array.length c.lits <= max_len
-      && not (Array.exists (fun l -> t.elim.(l lsr 1)) c.lits)
-    then begin
-      out := Array.to_list c.lits :: !out;
-      incr n
-    end;
-    decr ci
-  done;
-  List.rev !out
-
-let import_clause t lits =
-  (* Accept a clause learnt by another solver over the same formula.
-     Rejected (returns [false]) when a literal is malformed or its
-     variable was eliminated by preprocessing here — adding a clause over
-     an eliminated variable is invalid.  A clause that conflicts at level
-     0 simply flips the solver to Unsat, which is the correct verdict for
-     an implied clause. *)
-  if lits = [] then false
-  else if
-    List.exists
-      (fun l ->
-        let v = l lsr 1 in
-        l < 0 || v >= t.nvars || t.elim.(v))
-      lits
-  then false
-  else begin
-    ignore (add_clause t lits : bool);
-    true
-  end

@@ -87,31 +87,3 @@ val num_reduce_dbs : t -> int
 
 (** Learnt clauses dropped by database reductions. *)
 val num_learnts_removed : t -> int
-
-(** {1 Cube-and-conquer hooks}
-
-    Used by the sharded sweeping coordinator: a stalled solver reports its
-    hottest variables, the coordinator splits the search space into cubes
-    on them, and workers solving the same formula exchange short learnt
-    clauses. *)
-
-(** [top_activity_vars ?limit t] is at most [limit] unassigned,
-    non-eliminated variables in decreasing EVSIDS activity (ties broken by
-    variable id, so the ranking is deterministic for a given search
-    history).  Only meaningful after a [solve] call has bumped
-    activities. *)
-val top_activity_vars : ?limit:int -> t -> int list
-
-(** [learnt_clauses ?max_len ?limit t] is up to [limit] learnt clauses of
-    at most [max_len] literals, most recent first, skipping clauses over
-    eliminated variables.  Clauses learnt under assumptions are implied by
-    the clause database alone, so they may be replayed into any solver
-    holding the same formula. *)
-val learnt_clauses : ?max_len:int -> ?limit:int -> t -> lit list list
-
-(** [import_clause t lits] adds a clause learnt elsewhere over the same
-    formula.  Returns [false] when the clause is rejected — empty, a
-    malformed literal, or a variable eliminated by {!simplify} here.  An
-    imported clause that conflicts at level 0 makes further [solve]s
-    return [Unsat], which is sound for an implied clause. *)
-val import_clause : t -> lit list -> bool

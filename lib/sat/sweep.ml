@@ -1,12 +1,9 @@
 type config = {
   conflict_limit : int;
-  final_conflict_limit : int;
   sim_words : int;
   seed : int64;
   max_rounds : int;
   cex_batch : int;
-  pair_batch : int;
-  use_distance_one : bool;
   use_reverse_sim : bool;
   simplify : bool;
 }
@@ -14,13 +11,10 @@ type config = {
 let default_config =
   {
     conflict_limit = 1000;
-    final_conflict_limit = max_int;
     sim_words = 4;
     seed = 0x5eedL;
     max_rounds = 30;
     cex_batch = 48;
-    pair_batch = max_int;
-    use_distance_one = false;
     use_reverse_sim = false;
     simplify = true;
   }
@@ -38,7 +32,6 @@ type stats = {
   mutable rsim_splits : int;
   mutable candidates : int;
   mutable conflicts : int;
-  mutable batches : int;
   mutable cnf_loads : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -60,7 +53,6 @@ let new_stats () =
     rsim_splits = 0;
     candidates = 0;
     conflicts = 0;
-    batches = 0;
     cnf_loads = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -69,22 +61,6 @@ let new_stats () =
     learnts_removed = 0;
     simp = Simplify.mk_stats ();
   }
-
-let merge_stats ~into:a b =
-  a.sat_calls <- a.sat_calls + b.sat_calls;
-  a.sat_unsat <- a.sat_unsat + b.sat_unsat;
-  a.sat_sat <- a.sat_sat + b.sat_sat;
-  a.sat_unknown <- a.sat_unknown + b.sat_unknown;
-  a.rsim_splits <- a.rsim_splits + b.rsim_splits;
-  a.candidates <- a.candidates + b.candidates;
-  a.conflicts <- a.conflicts + b.conflicts;
-  a.cnf_loads <- a.cnf_loads + b.cnf_loads;
-  a.cache_hits <- a.cache_hits + b.cache_hits;
-  a.cache_misses <- a.cache_misses + b.cache_misses;
-  a.restarts <- a.restarts + b.restarts;
-  a.reduce_dbs <- a.reduce_dbs + b.reduce_dbs;
-  a.learnts_removed <- a.learnts_removed + b.learnts_removed;
-  Simplify.add_stats a.simp b.simp
 
 (* Fold one solver's search/preprocessing counters into sweep stats. *)
 let absorb_solver stats solver =
@@ -147,24 +123,15 @@ let prove_pair solver stats ~conflict_limit ?cancel g repr_lit target =
       | `Unknown -> `Unknown
       | `Unsat -> `Proved)
 
-(* Speculative per-pair verdict of one proof batch, before the
-   deterministic commit. *)
-type pverdict = P_skipped | P_proved | P_cex of Sim.Cex.t | P_unknown
-
 (* The shared sweeping core: round-based class refinement and SAT merging,
    returning the reduced network.  [check] adds the final PO decision on
    top; [fraig] returns the network as an optimisation result.
 
-   Candidate-pair proving is parallel and deterministic: the round's pairs
-   are split into fixed batches of [config.pair_batch]; each batch is
-   proved speculatively by whichever pool worker claims it, on a private
-   solver with its own CNF load (so a batch's verdicts depend only on the
-   network and the batch slice, never on scheduling); then the verdicts
-   are committed in pair-index order under the global [cex_batch] cap.
-   The result — verdicts, merge counts, reduced networks, stats — is
-   bit-identical for any pool size.  The price is speculation: a batch
-   may prove pairs the commit discards because an earlier batch already
-   filled the counter-example budget. *)
+   Each round proves its candidate pairs in pair-index order on one
+   incremental solver (learnt clauses carry from pair to pair) and
+   commits every verdict as it goes, until [cex_batch] fresh
+   counter-examples call for resimulation.  Only partial simulation uses
+   the pool, so the result is bit-identical for any pool size. *)
 let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
     g0 =
   let rng = Sim.Rng.create ~seed:config.seed in
@@ -196,189 +163,112 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
       |> Array.of_list
     in
     let n = Array.length pairs in
-    let dbg = Sys.getenv_opt "SIMSWEEP_SWEEP_DEBUG" <> None in
-    let t_round = Sys.time () in
-    if dbg then
-      Printf.eprintf "[sweep] round %d: nodes=%d pairs=%d\n%!" !round
-        (Aig.Network.num_nodes !g) n;
     if n = 0 then finished := true
     else begin
       let cur = !g in
-      (* Clamp to [n] so [pair_batch = max_int] (the default) cannot
-         overflow the batch count. *)
-      let bsz = max 1 (min config.pair_batch n) in
-      let nbatches = (n + bsz - 1) / bsz in
-      let verdicts = Array.make n P_skipped in
-      let bstats = Array.init nbatches (fun _ -> new_stats ()) in
+      let repl = Array.make (Aig.Network.num_nodes cur) None in
+      let fresh_cexs = ref 0 in
+      let merged_round = ref 0 in
       (* Cross-request pair cache: one O(n) hash pass per round keys every
          candidate; a hit skips the SAT proof entirely.  Freshly proved
-         keys are collected per batch and flushed at the end of the round,
-         so a lookup never observes a record from the same round —
-         cache-hit counts stay independent of pool scheduling. *)
+         keys are flushed at the end of the round, so a lookup never
+         observes a record from the same round. *)
       let hashes =
         match pcache with
         | Some _ -> Some (Aig.Shash.node_hashes cur)
         | None -> None
       in
-      let proved_keys = Array.make nbatches [] in
-      let eval_batch b =
-          let st = bstats.(b) in
-          let solver = Solver.create () in
-          st.cnf_loads <- st.cnf_loads + 1;
-          let loaded = Cnf.load solver cur in
-          assert loaded;
-          let lo = b * bsz and hi = min n ((b + 1) * bsz) in
-          (* Preprocess the batch solver with every node variable this
-             batch may assume frozen.  The frozen set depends only on the
-             batch slice, so verdicts stay scheduling-independent. *)
-          if config.simplify then begin
-            let frozen = ref [] in
-            for i = lo to hi - 1 do
-              let { Sim.Eclass.repr; other; _ } = pairs.(i) in
+      let proved_keys = ref [] in
+      (* A deadline that expired during simulation skips the CNF load. *)
+      if not (Par.Cancel.poll_opt cancel) then begin
+        let solver = Solver.create () in
+        stats.cnf_loads <- stats.cnf_loads + 1;
+        let loaded = Cnf.load solver cur in
+        assert loaded;
+        (* Preprocess with every node variable the round may assume
+           frozen. *)
+        if config.simplify then begin
+          let frozen = ref [] in
+          Array.iter
+            (fun { Sim.Eclass.repr; other; _ } ->
               if not (Aig.Network.is_const repr) then frozen := repr :: !frozen;
-              frozen := other :: !frozen
-            done;
-            Solver.simplify ?cancel ~frozen:!frozen solver
-          end;
-          (* The batch-local counter-example cap mirrors the global commit
-             cap: once this batch alone could fill the refinement budget
-             there is no point proving its remaining pairs. *)
-          let fresh = ref 0 in
-          let i = ref lo in
-          (* [poll_opt], not [is_set_opt]: a pair decided by the cache or
-             by reverse simulation makes no SAT call, so a batch of such
-             pairs would otherwise never consult the clock and an expired
-             deadline would only latch at the next round boundary. *)
-          while
-            !i < hi && !fresh < config.cex_batch
-            && not (Par.Cancel.poll_opt cancel)
-          do
-            let { Sim.Eclass.repr; other; compl_ } = pairs.(!i) in
-            st.candidates <- st.candidates + 1;
-            let repr_lit = Aig.Lit.make repr compl_ in
-            let target = Aig.Lit.make other false in
-            let ckey =
-              match (pcache, hashes) with
-              | Some pc, Some hs ->
-                  let k = Aig.Shash.pair_key hs repr_lit target in
-                  if pc.Aig.Pcache.lookup_pair k then begin
-                    st.cache_hits <- st.cache_hits + 1;
-                    `Hit
-                  end
-                  else begin
-                    st.cache_misses <- st.cache_misses + 1;
-                    `Miss k
-                  end
-              | _ -> `Off
-            in
-            (match ckey with
-            | `Hit -> verdicts.(!i) <- P_proved
-            | `Miss _ | `Off -> (
-                (* Reverse simulation first: a justified distinguishing
-                   pattern disproves the pair without any SAT effort. *)
-                let rsim_cex =
-                  if not config.use_reverse_sim then None
-                  else
-                    match Sim.Rsim.justify_pair cur target repr_lit with
-                    | Some c -> Some c
-                    | None -> Sim.Rsim.justify_pair cur repr_lit target
-                in
-                match
-                  match rsim_cex with
-                  | Some cex ->
-                      st.rsim_splits <- st.rsim_splits + 1;
-                      `Cex cex
-                  | None ->
-                      prove_pair solver st
-                        ~conflict_limit:config.conflict_limit ?cancel cur
-                        repr_lit target
-                with
-                | `Proved ->
-                    verdicts.(!i) <- P_proved;
-                    (match ckey with
-                    | `Miss k -> proved_keys.(b) <- k :: proved_keys.(b)
-                    | _ -> ())
-                | `Cex cex ->
-                    verdicts.(!i) <- P_cex cex;
-                    incr fresh
-                | `Unknown -> verdicts.(!i) <- P_unknown));
-            incr i
-          done;
-          absorb_solver st solver
-      in
-      (* Deterministic commit in pair-index order: merges and fresh
-         counter-examples are accepted exactly as the sequential schedule
-         would, with the global [cex_batch] cap applied at commit time.
-         Whenever a [P_skipped] pair is reached here, the cap is already
-         filled — batches stop early only after [cex_batch] local CEXs —
-         so no provable pair is ever lost to batching.
-
-         Once the cap is filled, nothing later in the round can commit, so
-         batches are evaluated lazily in pool-sized waves and the round
-         stops scheduling as soon as the committed prefix fills the cap.
-         Results stay bit-identical for any pool size: each batch's
-         verdicts depend only on its slice, the commit is an in-order
-         prefix scan, and batches past the stopping point — evaluated or
-         not — never contribute verdicts, stats or cache records.
-         (Without this, CEX-rich rounds pay the proof-and-discard cost of
-         every batch: nbatches × the sequential schedule's work.) *)
-      let repl = Array.make (Aig.Network.num_nodes cur) None in
-      let fresh_cexs = ref 0 in
-      let merged_round = ref 0 in
-      let commit_batch b =
-        for i = b * bsz to min n ((b + 1) * bsz) - 1 do
-          if !fresh_cexs < config.cex_batch then
-            match verdicts.(i) with
-            | P_skipped | P_unknown -> ()
-            | P_proved ->
-                let { Sim.Eclass.repr; other; compl_ } = pairs.(i) in
-                if repl.(other) = None then begin
-                  repl.(other) <- Some (Aig.Lit.make repr compl_);
-                  incr merged_round;
-                  stats.merged <- stats.merged + 1
+              frozen := other :: !frozen)
+            pairs;
+          Solver.simplify ?cancel ~frozen:!frozen solver
+        end;
+        let i = ref 0 in
+        (* [poll_opt], not [is_set_opt]: a pair decided by the cache or by
+           reverse simulation makes no SAT call, so a run of such pairs
+           would otherwise never consult the clock and an expired deadline
+           would only latch at the next round boundary. *)
+        while
+          !i < n && !fresh_cexs < config.cex_batch
+          && not (Par.Cancel.poll_opt cancel)
+        do
+          let { Sim.Eclass.repr; other; compl_ } = pairs.(!i) in
+          stats.candidates <- stats.candidates + 1;
+          let repr_lit = Aig.Lit.make repr compl_ in
+          let target = Aig.Lit.make other false in
+          let merge () =
+            if repl.(other) = None then begin
+              repl.(other) <- Some repr_lit;
+              incr merged_round;
+              stats.merged <- stats.merged + 1
+            end
+          in
+          let ckey =
+            match (pcache, hashes) with
+            | Some pc, Some hs ->
+                let k = Aig.Shash.pair_key hs repr_lit target in
+                if pc.Aig.Pcache.lookup_pair k then begin
+                  stats.cache_hits <- stats.cache_hits + 1;
+                  `Hit
                 end
-            | P_cex cex ->
-                stats.cex_count <- stats.cex_count + 1;
-                incr fresh_cexs;
-                pending_cexs := cex :: !pending_cexs;
-                if config.use_distance_one then
-                  pending_cexs :=
-                    Sim.Cex.distance_one ~limit:8 cex @ !pending_cexs
-        done
-      in
-      let wave = max 1 (Par.Pool.num_workers pool) in
-      let next = ref 0 in
-      (* [poll_opt] so a deadline expiring mid-round stops the wave
-         schedule at the next batch boundary instead of running every
-         remaining batch of the round. *)
-      while
-        !next < nbatches
-        && !fresh_cexs < config.cex_batch
-        && not (Par.Cancel.poll_opt cancel)
-      do
-        let hi = min nbatches (!next + wave) in
-        Par.Pool.parallel_for pool ~chunk:1 ~start:!next ~stop:hi eval_batch;
-        let b = ref !next in
-        while !b < hi && !fresh_cexs < config.cex_batch do
-          commit_batch !b;
-          merge_stats ~into:stats bstats.(!b);
-          stats.batches <- stats.batches + 1;
-          incr b
+                else begin
+                  stats.cache_misses <- stats.cache_misses + 1;
+                  `Miss k
+                end
+            | _ -> `Off
+          in
+          (match ckey with
+          | `Hit -> merge ()
+          | `Miss _ | `Off -> (
+              (* Reverse simulation first: a justified distinguishing
+                 pattern disproves the pair without any SAT effort. *)
+              let rsim_cex =
+                if not config.use_reverse_sim then None
+                else
+                  match Sim.Rsim.justify_pair cur target repr_lit with
+                  | Some c -> Some c
+                  | None -> Sim.Rsim.justify_pair cur repr_lit target
+              in
+              match
+                match rsim_cex with
+                | Some cex ->
+                    stats.rsim_splits <- stats.rsim_splits + 1;
+                    `Cex cex
+                | None ->
+                    prove_pair solver stats
+                      ~conflict_limit:config.conflict_limit ?cancel cur repr_lit
+                      target
+              with
+              | `Proved ->
+                  merge ();
+                  (match ckey with
+                  | `Miss k -> proved_keys := k :: !proved_keys
+                  | _ -> ())
+              | `Cex cex ->
+                  stats.cex_count <- stats.cex_count + 1;
+                  incr fresh_cexs;
+                  pending_cexs := cex :: !pending_cexs
+              | `Unknown -> ()));
+          incr i
         done;
-        next := !b
-      done;
+        absorb_solver stats solver
+      end;
       (match pcache with
-      | Some pc ->
-          for b = 0 to !next - 1 do
-            List.iter (fun k -> pc.Aig.Pcache.record_pair k) proved_keys.(b)
-          done
+      | Some pc -> List.iter pc.Aig.Pcache.record_pair !proved_keys
       | None -> ());
-      if dbg then
-        Printf.eprintf
-          "[sweep] round %d: committed %d/%d batches, merged=%d cexs=%d \
-           conflicts=%d (%.2fs)\n%!"
-          !round !next nbatches !merged_round !fresh_cexs stats.conflicts
-          (Sys.time () -. t_round);
       if !merged_round > 0 then begin
         let r = Aig.Reduce.apply cur ~repl in
         g := r.Aig.Reduce.network
@@ -437,11 +327,7 @@ let check ?(config = default_config) ?classes ?pcache ?cancel ~pool g0 =
               if l = Aig.Lit.const_false then check_pos rest
               else begin
                 stats.sat_calls <- stats.sat_calls + 1;
-                match
-                  Solver.solve
-                    ~assumptions:[ Cnf.lit l ]
-                    ~conflict_limit:config.final_conflict_limit ?cancel solver
-                with
+                match Solver.solve ~assumptions:[ Cnf.lit l ] ?cancel solver with
                 | Solver.Unsat ->
                     stats.sat_unsat <- stats.sat_unsat + 1;
                     check_pos rest

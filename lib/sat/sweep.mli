@@ -1,6 +1,5 @@
 (** SAT sweeping combinational equivalence checker — the baseline engine
-    standing in for ABC [&cec] (SAT-based, with pool-parallel
-    candidate-pair proving).
+    standing in for ABC [&cec].
 
     The classic flow: random simulation seeds equivalence classes;
     candidate pairs are proved by incremental SAT under assumptions with a
@@ -8,34 +7,18 @@
     pairs are merged and the miter reduced; rounds repeat until a fixed
     point, and finally the remaining POs are checked by SAT.
 
-    Pair proving is parallel {e and} deterministic: a round's pairs are
-    split into fixed batches of [pair_batch]; each batch is proved
-    speculatively on a private solver (its own CNF load), so its verdicts
-    depend only on the network and the batch slice, never on scheduling;
-    the verdicts are then committed in pair-index order under the global
-    [cex_batch] cap.  Batches are evaluated lazily in pool-sized waves:
-    once the committed prefix fills the cap, the round stops scheduling
-    and any speculatively evaluated batch past the stopping point is
-    discarded wholesale — so verdicts, merge counts, reduced networks and
-    stats are bit-identical for any pool size. *)
+    SAT is sequential: each round proves its pairs in pair-index order on
+    one incremental solver and commits each verdict as it goes, so learnt
+    clauses carry from pair to pair.  Only partial simulation runs on the
+    pool; verdicts, merge counts, reduced networks and stats are
+    bit-identical for any pool size. *)
 
 type config = {
   conflict_limit : int;  (** budget per pair-proving SAT call (ABC's [-C]) *)
-  final_conflict_limit : int;  (** budget per final PO check *)
   sim_words : int;  (** 64-bit words per partial-simulation signature *)
   seed : int64;
   max_rounds : int;
   cex_batch : int;  (** resimulate after this many fresh counter-examples *)
-  pair_batch : int;
-      (** candidate pairs per parallel proof batch; each batch gets a
-          private solver and CNF load, so batching buys parallelism at the
-          price of redundant loading, preprocessing and lost learnt-clause
-          reuse across the round.  That price is steep — a fresh solver
-          re-pays the warm-up conflicts of every cone its slice touches —
-          so the default is [max_int]: one batch, one solver per round,
-          exactly the sequential schedule.  Lower it only when rounds are
-          enormous and cores are plentiful. *)
-  use_distance_one : bool;  (** expand CEXs at Hamming distance 1 (§V) *)
   use_reverse_sim : bool;
       (** try backward justification ({!Sim.Rsim.justify_pair}) to disprove
           a candidate pair before spending SAT effort on it (§V, after
@@ -63,10 +46,9 @@ type stats = {
   mutable rounds : int;
   mutable cex_count : int;
   mutable rsim_splits : int;  (** pairs disproved by reverse simulation *)
-  mutable candidates : int;  (** candidate pairs attempted (speculation included) *)
+  mutable candidates : int;  (** candidate pairs attempted *)
   mutable conflicts : int;  (** CDCL conflicts, summed over all solvers *)
-  mutable batches : int;  (** proof batches evaluated and committed *)
-  mutable cnf_loads : int;  (** solver CNF loads (one per committed batch) *)
+  mutable cnf_loads : int;  (** solver CNF loads (one per round with pairs) *)
   mutable cache_hits : int;
       (** PO verdicts and candidate pairs discharged from the
           cross-request equivalence cache *)
@@ -85,10 +67,9 @@ type stats = {
     are consulted before sweeping (on a private copy — [miter] is not
     mutated), candidate pairs are keyed by {!Aig.Shash.pair_key} and
     proved pairs skip their SAT calls on a hit; fresh proofs are recorded
-    back.  Pair records flush only at round barriers, so results stay
-    bit-identical for any pool size.  [cancel] is polled at round
-    boundaries, between batch pairs and inside the SAT search; a cancelled
-    check returns [Undecided]. *)
+    back.  Pair records flush only at round barriers.  [cancel] is polled
+    at round boundaries, between pairs and inside the SAT search; a
+    cancelled check returns [Undecided]. *)
 val check :
   ?config:config ->
   ?classes:Sim.Eclass.t ->

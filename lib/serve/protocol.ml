@@ -1,9 +1,9 @@
 (* Wire protocol: 4-byte big-endian header length, then that many bytes
    of JSON (the hand-rolled [Simsweep.Telemetry] flavour), then an
    optional raw binary trailer whose size the header carries as
-   ["payload_len"].  Bulk bytes — AIGER images, counter-example bit
-   strings, learnt-clause blocks — ride the trailer: written and read
-   with exactly one copy and zero JSON escaping.  One request frame
+   ["payload_len"].  Bulk bytes — AIGER images and counter-example bit
+   strings — ride the trailer: written and read with exactly one copy
+   and zero JSON escaping.  One request frame
    yields exactly one response frame, in order, per connection. *)
 
 type json = Simsweep.Telemetry.json
@@ -115,36 +115,13 @@ let response_of_json j =
    Coordinator <-> worker messages for multi-process sharded sweeping
    (lib/shard).  Same framing and JSON flavour as the daemon protocol.
    AIGER payloads travel as the binary trailer; counter-examples are
-   '0'/'1' strings in the trailer; learnt-clause blocks are little-endian
-   int32 runs in the trailer.  Literals and variables are the SAT
-   solver's integer encoding — stable across processes because
-   [Sat.Cnf.load] maps network node [n] to variable [n] and both sides
-   decode the same AIGER bytes. *)
+   '0'/'1' strings in the trailer. *)
 
 type shard_task =
   | Shard_check of {
-      run : int;
       shard : int;
       aiger : string;
-      stall_conflicts : int;
-      split_vars : int;
-      direct_sat : bool;
       deadline_in : float option;
-    }
-  | Shard_cube of {
-      run : int;
-      shard : int;
-      cube : int;
-      aiger : string option;  (* cube formula; omitted when already loaded *)
-      assume : int list;  (* solver literals fixing this cube *)
-      freeze : int list;  (* vars the worker must keep assumable *)
-      conflict_limit : int;
-      deadline_in : float option;
-    }
-  | Shard_clauses of {
-      run : int;
-      shard : int;
-      clauses : int list list;  (* shared learnt clauses to import *)
     }
   | Shard_ping
   | Shard_quit
@@ -153,11 +130,6 @@ type shard_verdict =
   | Sv_proved
   | Sv_disproved of { cex : string; po : int }
   | Sv_undecided
-
-type cube_result =
-  | Cube_unsat
-  | Cube_sat of { cex : string; po : int }
-  | Cube_unknown
 
 type shard_reply =
   | Shard_ready
@@ -168,130 +140,25 @@ type shard_reply =
       wall_s : float;
       conflicts : int;
     }
-  | Shard_stalled of {
-      shard : int;
-      reduced : string;  (* engine-reduced miter: the cube formula *)
-      vars : int list;  (* high-activity split candidates, hottest first *)
-      wall_s : float;
-    }
-  | Shard_cube_reply of {
-      shard : int;
-      cube : int;
-      result : cube_result;
-      learnt : int list list;  (* short learnt clauses for the pool *)
-      conflicts : int;
-      wall_s : float;
-    }
-  | Shard_failed of { shard : int; cube : int option; msg : string }
+  | Shard_failed of { shard : int; msg : string }
 
 let cex_to_bits cex =
   String.init (Array.length cex) (fun i -> if cex.(i) then '1' else '0')
 
 let bits_to_cex s = Array.init (String.length s) (fun i -> s.[i] = '1')
 
-let ints_to_json l = List (List.map (fun i -> Int i) l)
-
-let ints_of_json = function
-  | List l ->
-      List.fold_right
-        (fun x acc ->
-          match (x, acc) with Int i, Some r -> Some (i :: r) | _ -> None)
-        l (Some [])
-  | _ -> None
-
-(* Learnt-clause block: [count, (len, lits...)*] as little-endian int32. *)
-let clauses_to_payload cs =
-  let words = List.fold_left (fun a c -> a + 1 + List.length c) 1 cs in
-  let b = Bytes.create (4 * words) in
-  let w = ref 0 in
-  let put v =
-    Bytes.set_int32_le b (4 * !w) (Int32.of_int v);
-    incr w
-  in
-  put (List.length cs);
-  List.iter
-    (fun c ->
-      put (List.length c);
-      List.iter put c)
-    cs;
-  Bytes.unsafe_to_string b
-
-let clauses_of_payload s =
-  let words = String.length s / 4 in
-  if String.length s <> 4 * words then Error "clause block: ragged length"
-  else if words = 0 then Error "clause block: empty"
-  else begin
-    let get w = Int32.to_int (String.get_int32_le s (4 * w)) in
-    let count = get 0 in
-    let pos = ref 1 in
-    let rec clauses n acc =
-      if n = 0 then
-        if !pos = words then Ok (List.rev acc)
-        else Error "clause block: trailing garbage"
-      else if !pos >= words then Error "clause block: truncated"
-      else begin
-        let len = get !pos in
-        incr pos;
-        if len < 0 || !pos + len > words then Error "clause block: truncated"
-        else begin
-          let c = List.init len (fun i -> get (!pos + i)) in
-          pos := !pos + len;
-          clauses (n - 1) (c :: acc)
-        end
-      end
-    in
-    if count < 0 then Error "clause block: negative count" else clauses count []
-  end
-
-let deadline_field = function
-  | Some s -> [ ("deadline_in", Float s) ]
-  | None -> []
-
-let deadline_of j = float_member "deadline_in" j
-
 let shard_task_to_frame = function
-  | Shard_check
-      { run; shard; aiger; stall_conflicts; split_vars; direct_sat; deadline_in }
-    ->
+  | Shard_check { shard; aiger; deadline_in } ->
       ( Obj
-          ([
-             ("type", String "shard-check");
-             ("run", Int run);
-             ("shard", Int shard);
-             ("stall_conflicts", Int stall_conflicts);
-             ("split_vars", Int split_vars);
-             ("direct_sat", Bool direct_sat);
-           ]
-          @ deadline_field deadline_in),
+          ([ ("type", String "shard-check"); ("shard", Int shard) ]
+          @
+          match deadline_in with
+          | Some s -> [ ("deadline_in", Float s) ]
+          | None -> []),
         aiger )
-  | Shard_cube
-      { run; shard; cube; aiger; assume; freeze; conflict_limit; deadline_in }
-    ->
-      ( Obj
-          ([
-             ("type", String "shard-cube");
-             ("run", Int run);
-             ("shard", Int shard);
-             ("cube", Int cube);
-             ("assume", ints_to_json assume);
-             ("freeze", ints_to_json freeze);
-             ("conflict_limit", Int conflict_limit);
-           ]
-          @ deadline_field deadline_in),
-        Option.value ~default:"" aiger )
-  | Shard_clauses { run; shard; clauses } ->
-      ( Obj
-          [
-            ("type", String "shard-clauses");
-            ("run", Int run);
-            ("shard", Int shard);
-          ],
-        clauses_to_payload clauses )
   | Shard_ping -> (Obj [ ("type", String "shard-ping") ], "")
   | Shard_quit -> (Obj [ ("type", String "shard-quit") ], "")
 
-(* An empty trailer on a cube means "no AIGER in this frame": the worker
-   already holds the cube formula. *)
 let shard_task_of_frame { hdr = j; payload } =
   match str_field "type" j with
   | Error e -> Error e
@@ -301,61 +168,17 @@ let shard_task_of_frame { hdr = j; payload } =
           Ok
             (Shard_check
                {
-                 run = Option.value ~default:0 (int_member "run" j);
                  shard;
                  aiger = payload;
-                 stall_conflicts =
-                   Option.value ~default:max_int (int_member "stall_conflicts" j);
-                 split_vars = Option.value ~default:0 (int_member "split_vars" j);
-                 direct_sat =
-                   Option.value ~default:false (bool_member "direct_sat" j);
-                 deadline_in = deadline_of j;
+                 deadline_in = float_member "deadline_in" j;
                })
       | Some _ -> Error "shard-check: missing aiger"
       | None -> Error "shard-check: missing shard id")
-  | Ok "shard-cube" -> (
-      match
-        ( int_member "shard" j,
-          int_member "cube" j,
-          Option.bind (member "assume" j) ints_of_json )
-      with
-      | Some shard, Some cube, Some assume ->
-          Ok
-            (Shard_cube
-               {
-                 run = Option.value ~default:0 (int_member "run" j);
-                 shard;
-                 cube;
-                 aiger = (if payload = "" then None else Some payload);
-                 assume;
-                 freeze =
-                   Option.value ~default:[]
-                     (Option.bind (member "freeze" j) ints_of_json);
-                 conflict_limit =
-                   Option.value ~default:max_int (int_member "conflict_limit" j);
-                 deadline_in = deadline_of j;
-               })
-      | _ -> Error "shard-cube: malformed fields")
-  | Ok "shard-clauses" -> (
-      match (int_member "shard" j, clauses_of_payload payload) with
-      | Some shard, Ok clauses ->
-          Ok
-            (Shard_clauses
-               {
-                 run = Option.value ~default:0 (int_member "run" j);
-                 shard;
-                 clauses;
-               })
-      | None, _ -> Error "shard-clauses: missing shard id"
-      | _, Error e -> Error e)
   | Ok "shard-ping" -> Ok Shard_ping
   | Ok "shard-quit" -> Ok Shard_quit
   | Ok other -> Error ("unknown shard task " ^ other)
 
-(* Verdict/result tags in the header; the bulk (CEX bits, learnt-clause
-   block) in the trailer.  A frame has one trailer, so [Cube_sat] carries
-   the CEX there and ships no learnt clauses — the coordinator stops the
-   run on a disproof anyway. *)
+(* Verdict tag in the header; a disproof's CEX bits in the trailer. *)
 let shard_verdict_to_frame = function
   | Sv_proved -> ([ ("verdict", String "proved") ], "")
   | Sv_disproved { cex; po } ->
@@ -372,21 +195,6 @@ let shard_verdict_of_frame { hdr = j; payload } =
   | Some "undecided" -> Ok Sv_undecided
   | _ -> Error "missing verdict"
 
-let cube_result_to_frame = function
-  | Cube_unsat -> ([ ("result", String "unsat") ], None)
-  | Cube_sat { cex; po } -> ([ ("result", String "sat"); ("po", Int po) ], Some cex)
-  | Cube_unknown -> ([ ("result", String "unknown") ], None)
-
-let cube_result_of_frame { hdr = j; payload } =
-  match string_member "result" j with
-  | Some "unsat" -> Ok Cube_unsat
-  | Some "sat" -> (
-      match int_member "po" j with
-      | Some po -> Ok (Cube_sat { cex = payload; po })
-      | None -> Error "sat cube: missing po")
-  | Some "unknown" -> Ok Cube_unknown
-  | _ -> Error "missing cube result"
-
 let shard_reply_to_frame = function
   | Shard_ready -> (Obj [ ("type", String "shard-ready") ], "")
   | Shard_pong -> (Obj [ ("type", String "shard-pong") ], "")
@@ -401,41 +209,16 @@ let shard_reply_to_frame = function
            ]
           @ verdict_fields),
         payload )
-  | Shard_stalled { shard; reduced; vars; wall_s } ->
+  | Shard_failed { shard; msg } ->
       ( Obj
           [
-            ("type", String "shard-stalled");
+            ("type", String "shard-failed");
             ("shard", Int shard);
-            ("vars", ints_to_json vars);
-            ("wall_s", Float wall_s);
+            ("msg", String msg);
           ],
-        reduced )
-  | Shard_cube_reply { shard; cube; result; learnt; conflicts; wall_s } ->
-      let result_fields, cex = cube_result_to_frame result in
-      let payload =
-        match cex with Some cex -> cex | None -> clauses_to_payload learnt
-      in
-      ( Obj
-          ([
-             ("type", String "shard-cube-reply");
-             ("shard", Int shard);
-             ("cube", Int cube);
-             ("conflicts", Int conflicts);
-             ("wall_s", Float wall_s);
-           ]
-          @ result_fields),
-        payload )
-  | Shard_failed { shard; cube; msg } ->
-      ( Obj
-          ([
-             ("type", String "shard-failed");
-             ("shard", Int shard);
-             ("msg", String msg);
-           ]
-          @ match cube with Some c -> [ ("cube", Int c) ] | None -> []),
         "" )
 
-let shard_reply_of_frame ({ hdr = j; payload } as inc) =
+let shard_reply_of_frame ({ hdr = j; _ } as inc) =
   match str_field "type" j with
   | Error e -> Error e
   | Ok "shard-ready" -> Ok Shard_ready
@@ -453,47 +236,9 @@ let shard_reply_of_frame ({ hdr = j; payload } as inc) =
                })
       | None, _ -> Error "shard-verdict: missing shard id"
       | _, Error e -> Error e)
-  | Ok "shard-stalled" -> (
-      match (int_member "shard" j, Option.bind (member "vars" j) ints_of_json) with
-      | Some shard, Some vars ->
-          Ok
-            (Shard_stalled
-               {
-                 shard;
-                 reduced = payload;
-                 vars;
-                 wall_s = Option.value ~default:0. (float_member "wall_s" j);
-               })
-      | _ -> Error "shard-stalled: malformed fields")
-  | Ok "shard-cube-reply" -> (
-      match
-        (int_member "shard" j, int_member "cube" j, cube_result_of_frame inc)
-      with
-      | Some shard, Some cube, Ok result ->
-          let learnt =
-            match result with
-            | Cube_sat _ -> Ok []
-            | _ -> clauses_of_payload payload
-          in
-          (match learnt with
-          | Error e -> Error ("shard-cube-reply: " ^ e)
-          | Ok learnt ->
-              Ok
-                (Shard_cube_reply
-                   {
-                     shard;
-                     cube;
-                     result;
-                     learnt;
-                     conflicts = Option.value ~default:0 (int_member "conflicts" j);
-                     wall_s = Option.value ~default:0. (float_member "wall_s" j);
-                   }))
-      | _, _, Error e -> Error e
-      | _ -> Error "shard-cube-reply: malformed fields")
   | Ok "shard-failed" -> (
       match (int_member "shard" j, string_member "msg" j) with
-      | Some shard, Some msg ->
-          Ok (Shard_failed { shard; cube = int_member "cube" j; msg })
+      | Some shard, Some msg -> Ok (Shard_failed { shard; msg })
       | _ -> Error "shard-failed: malformed fields")
   | Ok other -> Error ("unknown shard reply " ^ other)
 
@@ -506,10 +251,7 @@ let count_tx (io : io option) bytes =
       io.io_frames_tx <- io.io_frames_tx + 1
   | None -> ()
 
-let count_flush (io : io option) =
-  match io with Some io -> io.io_flushes <- io.io_flushes + 1 | None -> ()
-
-let write_frame ?(flush = true) ?io ?(payload = "") oc (j : json) =
+let write_frame ?io ?(payload = "") oc (j : json) =
   let plen = String.length payload in
   let j =
     if plen = 0 then j
@@ -528,14 +270,7 @@ let write_frame ?(flush = true) ?io ?(payload = "") oc (j : json) =
   output_string oc body;
   if plen > 0 then output_string oc payload;
   count_tx io (4 + n + plen);
-  if flush then begin
-    Stdlib.flush oc;
-    count_flush io
-  end
-
-let flush_frames ?io oc =
-  Stdlib.flush oc;
-  count_flush io
+  Stdlib.flush oc
 
 let really_read ic buf len =
   let off = ref 0 in

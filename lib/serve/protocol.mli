@@ -3,11 +3,10 @@
     Frames are a 4-byte big-endian header length, that many bytes of
     JSON header (the hand-rolled {!Simsweep.Telemetry} flavour), then an
     optional raw binary trailer whose size the header announces as
-    ["payload_len"].  Bulk bytes — AIGER images, counter-example bit
-    strings, learnt-clause blocks — ride the trailer: one copy per side,
-    zero JSON escaping.  A connection is a strict request/response
-    alternation: each request frame yields exactly one response frame,
-    in order (except the one-way frames documented below). *)
+    ["payload_len"].  Bulk bytes — AIGER images and counter-example bit
+    strings — ride the trailer: one copy per side, zero JSON escaping.
+    A connection is a strict request/response alternation: each request
+    frame yields exactly one response frame, in order. *)
 
 type json = Simsweep.Telemetry.json
 type io = Simsweep.Telemetry.io
@@ -60,44 +59,16 @@ val response_of_json : json -> (response, string) result
 (** {1 Shard frames}
 
     Coordinator ↔ worker messages for multi-process sharded sweeping
-    ({!Shard.Check}), over the same framing.  AIGER payloads travel as
-    the binary trailer; counter-examples are
-    ['0']/['1'] strings in the trailer; learnt clauses are little-endian
-    int32 blocks in the trailer.  Literals and variables use the SAT
-    solver's integer encoding, which is stable across processes because
-    {!Sat.Cnf.load} maps network node [n] to variable [n] and both
-    sides decode the same AIGER bytes. *)
+    ({!Shard.Check}), over the same framing.  A shard's AIGER travels as
+    the binary trailer of its [Shard_check]; a disproof's counter-example
+    travels as a ['0']/['1'] string in the trailer of its verdict. *)
 
 type shard_task =
   | Shard_check of {
-      run : int;  (** coordinator run id; isolates warm-pool reuse *)
       shard : int;
       aiger : string;  (** binary AIGER of the shard's sub-miter *)
-      stall_conflicts : int;  (** SAT budget before declaring a stall *)
-      split_vars : int;  (** how many split candidates to report *)
-      direct_sat : bool;  (** skip the sweeping engine (tests) *)
       deadline_in : float option;
     }  (** check one shard end to end *)
-  | Shard_cube of {
-      run : int;
-      shard : int;
-      cube : int;
-      aiger : string option;
-          (** cube formula (the stalled shard's reduced miter); omitted
-              when this worker already holds it *)
-      assume : int list;  (** solver literals fixing this cube *)
-      freeze : int list;  (** vars that must survive preprocessing *)
-      conflict_limit : int;
-      deadline_in : float option;
-    }  (** solve one cube of a stalled shard *)
-  | Shard_clauses of {
-      run : int;
-      shard : int;
-      clauses : int list list;  (** learnt clauses shared by other workers *)
-    }
-      (** one-way: import clauses into the cached cube solver (or stash
-          them until it exists).  No reply — written unflushed and
-          coalesced with the next {!Shard_cube} into one syscall batch. *)
   | Shard_ping  (** pool health probe; answered with {!Shard_pong} *)
   | Shard_quit
 
@@ -105,11 +76,6 @@ type shard_verdict =
   | Sv_proved
   | Sv_disproved of { cex : string; po : int }
   | Sv_undecided
-
-type cube_result =
-  | Cube_unsat
-  | Cube_sat of { cex : string; po : int }
-  | Cube_unknown
 
 type shard_reply =
   | Shard_ready  (** sent once at (cold) worker startup *)
@@ -120,35 +86,13 @@ type shard_reply =
       wall_s : float;
       conflicts : int;
     }
-  | Shard_stalled of {
-      shard : int;
-      reduced : string;  (** engine-reduced miter: the cube formula *)
-      vars : int list;  (** high-activity split candidates, hottest first *)
-      wall_s : float;
-    }
-  | Shard_cube_reply of {
-      shard : int;
-      cube : int;
-      result : cube_result;
-      learnt : int list list;
-          (** short learnt clauses for the pool; always [[]] on
-              {!Cube_sat} (the frame's one trailer carries the CEX) *)
-      conflicts : int;
-      wall_s : float;
-    }
-  | Shard_failed of { shard : int; cube : int option; msg : string }
+  | Shard_failed of { shard : int; msg : string }
       (** framed error: the task's AIGER bytes did not parse.  The
           worker stays alive; the coordinator settles the shard
           undecided. *)
 
 val cex_to_bits : bool array -> string
 val bits_to_cex : string -> bool array
-
-(** Learnt-clause trailer codec: little-endian int32 words —
-    clause count, then per clause its length followed by its literals. *)
-val clauses_to_payload : int list list -> string
-
-val clauses_of_payload : string -> (int list list, string) result
 val shard_task_to_frame : shard_task -> json * string
 val shard_task_of_frame : incoming -> (shard_task, string) result
 val shard_reply_to_frame : shard_reply -> json * string
@@ -158,18 +102,13 @@ val shard_reply_of_frame : incoming -> (shard_reply, string) result
 
     Blocking frame I/O on buffered channels.  [write_frame] injects
     ["payload_len"] into the header when [payload] is non-empty, writes
-    header and trailer, and flushes unless [~flush:false] — pass
-    [~flush:false] to coalesce several frames into one syscall batch,
-    then flush on the last frame (or {!flush_frames}).  Raises
-    [Invalid_argument] when the frame exceeds {!max_frame} or a payload
-    is attached to a non-object header.  [io], when given, accumulates
-    payload-inclusive byte/frame/flush counters.
+    header and trailer, and flushes.  Raises [Invalid_argument] when the
+    frame exceeds {!max_frame} or a payload is attached to a non-object
+    header.  [io], when given, accumulates payload-inclusive byte and
+    frame counters.
 
     [read_frame] returns [Error "eof"] on clean end-of-stream and a
     descriptive error on a truncated, oversized or unparsable frame. *)
 
-val write_frame :
-  ?flush:bool -> ?io:io -> ?payload:string -> out_channel -> json -> unit
-
-val flush_frames : ?io:io -> out_channel -> unit
+val write_frame : ?io:io -> ?payload:string -> out_channel -> json -> unit
 val read_frame : ?io:io -> in_channel -> (incoming, string) result

@@ -5,12 +5,7 @@ type config = {
   workers : int;
   worker_domains : int;
   max_shard_ands : int;
-  stall_conflicts : int;
-  split_vars : int;
-  cube_conflict_limit : int;
-  max_pool_clauses : int;
   max_respawns : int;
-  direct_sat : bool;
   deadline_s : float option;
   worker_exe : string option;
   test_kill_worker : int option;
@@ -21,12 +16,7 @@ let default_config =
     workers = 2;
     worker_domains = 1;
     max_shard_ands = 20_000;
-    stall_conflicts = 20_000;
-    split_vars = 12;
-    cube_conflict_limit = max_int;
-    max_pool_clauses = 4096;
     max_respawns = 4;
-    direct_sat = false;
     deadline_s = None;
     worker_exe = None;
     test_kill_worker = None;
@@ -39,13 +29,6 @@ let plan_max_ands config g =
   let floor = min 256 config.max_shard_ands in
   max floor (min config.max_shard_ands (total / max 1 config.workers))
 
-(* Run ids distinguish this check from everything a warm worker served
-   before it: shard numbering restarts at 0 per run, so frames carry the
-   pair.  Atomic because daemon connections can start checks from
-   several threads. *)
-let run_counter = Atomic.make 0
-let next_run_id () = Atomic.fetch_and_add run_counter 1
-
 (* --- coordinator state ------------------------------------------------ *)
 
 type srun = {
@@ -53,29 +36,14 @@ type srun = {
   mutable sr_aiger : string option;  (* cached wire form of [sr.sub] *)
   mutable sr_done : string option;  (* verdict tag once settled *)
   mutable sr_t0 : float;  (* first assignment time *)
-  (* cube-and-conquer state, populated on stall *)
-  mutable cube_aiger : string;
-  mutable freeze : int list;  (* split variables, hottest first *)
-  mutable pending : int;  (* outstanding cubes *)
-  mutable any_unknown : bool;  (* an exhausted cube path stayed unknown *)
-  mutable next_cube : int;
-  pool_tbl : (Sat.Solver.lit list, unit) Hashtbl.t;
-  mutable pool_rev : Sat.Solver.lit list list;  (* newest first *)
-  mutable pool_count : int;
 }
-
-type task =
-  | Check of srun
-  | Cube of { c_sr : srun; c_id : int; c_assume : Sat.Solver.lit list; c_depth : int }
 
 type worker = {
   w_id : int;  (* stable slot, reused by respawns *)
   mutable w_conn : Pool.worker;
   mutable w_alive : bool;
   mutable w_ready : bool;
-  mutable w_task : task option;
-  mutable w_cube_shard : int;  (* shard whose cube formula it holds, -1 *)
-  mutable w_clauses_sent : int;  (* pool clauses already shipped for it *)
+  mutable w_task : srun option;
 }
 
 exception Done of E.outcome
@@ -119,7 +87,6 @@ let check ?(config = default_config) ?cancel ?pool g =
   | None ->
       (* The coordinator writes into worker sockets that can die under it. *)
       Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-      let run = next_run_id () in
       let num_pis = Aig.Network.num_pis g in
       let deadline =
         Option.map (fun d -> t_start +. d) config.deadline_s
@@ -132,35 +99,21 @@ let check ?(config = default_config) ?cancel ?pool g =
       in
       let sruns =
         List.map
-          (fun sh ->
-            {
-              sr = sh;
-              sr_aiger = None;
-              sr_done = None;
-              sr_t0 = 0.;
-              cube_aiger = "";
-              freeze = [];
-              pending = 0;
-              any_unknown = false;
-              next_cube = 0;
-              pool_tbl = Hashtbl.create 64;
-              pool_rev = [];
-              pool_count = 0;
-            })
+          (fun sh -> { sr = sh; sr_aiger = None; sr_done = None; sr_t0 = 0. })
           plan.Plan.shards
         |> Array.of_list
       in
-      let checkq = Queue.create () in
-      Array.iter (fun sr -> Queue.add (Check sr) checkq) sruns;
-      let cubeq = ref [] in
+      (* Shards in plan order; a task taken back from a crashed worker
+         goes to the front. *)
+      let queue = ref (Array.to_list sruns) in
       let pop_task () =
-        match !cubeq with
+        match !queue with
         | t :: rest ->
-            cubeq := rest;
+            queue := rest;
             Some t
-        | [] -> Queue.take_opt checkq
+        | [] -> None
       in
-      let requeue_front t = cubeq := t :: !cubeq in
+      let requeue_front t = queue := t :: !queue in
       let exe = worker_exe config in
       let domains = max 1 config.worker_domains in
       let cold_spawn () =
@@ -193,8 +146,6 @@ let check ?(config = default_config) ?cancel ?pool g =
                  w_alive = true;
                  w_ready = warm;  (* cold workers announce Shard_ready *)
                  w_task = None;
-                 w_cube_shard = -1;
-                 w_clauses_sent = 0;
                })
              leased)
       in
@@ -207,9 +158,7 @@ let check ?(config = default_config) ?cancel ?pool g =
           w.w_conn <- cold_spawn ();
           w.w_alive <- true;
           w.w_ready <- false;
-          w.w_task <- None;
-          w.w_cube_shard <- -1;
-          w.w_clauses_sent <- 0
+          w.w_task <- None
         end
       in
       let settle sr ~worker ~via ~wall_s verdict_tag =
@@ -226,23 +175,28 @@ let check ?(config = default_config) ?cancel ?pool g =
           }
           :: stats.entries
       in
-      let disprove sr sub_cex po =
-        (* Validate before trusting a child process with the verdict. *)
+      (* A worker's disproof is validated before it is trusted or
+         recorded: a CEX that does not replay settles the shard
+         undecided. *)
+      let disprove sr ~worker ~wall_s sub_cex po =
         if
-          po < List.length sr.sr.Plan.pos
+          0 <= po
+          && po < List.length sr.sr.Plan.pos
           && Array.length sub_cex = Aig.Network.num_pis sr.sr.Plan.sub
           && Sim.Cex.check sr.sr.Plan.sub sub_cex po
-        then
+        then begin
+          settle sr ~worker ~via:"sweep" ~wall_s "disproved";
           let cex =
             Simsweep.Partition.lift_cex ~pi_origin:sr.sr.Plan.pi_origin
               ~num_pis sub_cex
           in
           raise (Done (E.Disproved (cex, List.nth sr.sr.Plan.pos po)))
+        end
         else begin
           Printf.eprintf
             "shard: worker returned an invalid counter-example for shard %d\n%!"
             sr.sr.Plan.id;
-          sr.sr_done <- Some "undecided"
+          settle sr ~worker ~via:"sweep" ~wall_s "undecided"
         end
       in
       let on_crash w =
@@ -259,76 +213,20 @@ let check ?(config = default_config) ?cancel ?pool g =
           respawn w
         end
       in
-      let send_task w t =
-        let deadline_in = remaining () in
-        let clause_batch = ref None in
-        let frame =
-          match t with
-          | Check sr ->
-              if sr.sr_t0 = 0. then sr.sr_t0 <- Unix.gettimeofday ();
-              let aiger =
-                match sr.sr_aiger with
-                | Some a -> a
-                | None ->
-                    let a = Aig.Aiger_io.to_binary_string sr.sr.Plan.sub in
-                    sr.sr_aiger <- Some a;
-                    a
-              in
-              Pr.Shard_check
-                {
-                  run;
-                  shard = sr.sr.Plan.id;
-                  aiger;
-                  stall_conflicts = config.stall_conflicts;
-                  split_vars = config.split_vars;
-                  direct_sat = config.direct_sat;
-                  deadline_in;
-                }
-          | Cube { c_sr = sr; c_id; c_assume; _ } ->
-              let aiger =
-                if w.w_cube_shard = sr.sr.Plan.id then None
-                else begin
-                  w.w_cube_shard <- sr.sr.Plan.id;
-                  w.w_clauses_sent <- 0;
-                  Some sr.cube_aiger
-                end
-              in
-              let fresh = sr.pool_count - w.w_clauses_sent in
-              let clauses =
-                if fresh <= 0 then []
-                else
-                  List.filteri (fun i _ -> i < fresh) sr.pool_rev |> List.rev
-              in
-              w.w_clauses_sent <- sr.pool_count;
-              if clauses <> [] then begin
-                stats.clause_imports <- stats.clause_imports + List.length clauses;
-                clause_batch :=
-                  Some (Pr.Shard_clauses { run; shard = sr.sr.Plan.id; clauses })
-              end;
-              Pr.Shard_cube
-                {
-                  run;
-                  shard = sr.sr.Plan.id;
-                  cube = c_id;
-                  aiger;
-                  assume = c_assume;
-                  freeze = sr.freeze;
-                  conflict_limit = config.cube_conflict_limit;
-                  deadline_in;
-                }
+      let send_task w sr =
+        if sr.sr_t0 = 0. then sr.sr_t0 <- Unix.gettimeofday ();
+        let aiger =
+          match sr.sr_aiger with
+          | Some a -> a
+          | None ->
+              let a = Aig.Aiger_io.to_binary_string sr.sr.Plan.sub in
+              sr.sr_aiger <- Some a;
+              a
         in
-        let oc = w.w_conn.Pool.pw_oc in
-        let write () =
-          (* The clause batch rides unflushed ahead of its cube: two
-             frames, one syscall batch, one doorbell. *)
-          (match !clause_batch with
-          | Some cf ->
-              let hdr, payload = Pr.shard_task_to_frame cf in
-              Pr.write_frame ~flush:false ~io ~payload oc hdr;
-              stats.batched_flushes <- stats.batched_flushes + 1
-          | None -> ());
-          let hdr, payload = Pr.shard_task_to_frame frame in
-          Pr.write_frame ~io ~payload oc hdr
+        let hdr, payload =
+          Pr.shard_task_to_frame
+            (Pr.Shard_check
+               { shard = sr.sr.Plan.id; aiger; deadline_in = remaining () })
         in
         (* Fault injection: kill this slot at its first assignment,
            before the task hits the wire.  Once [Unix.kill] returns the
@@ -342,79 +240,11 @@ let check ?(config = default_config) ?cancel ?pool g =
             (try Unix.kill w.w_conn.Pool.pw_pid Sys.sigkill
              with Unix.Unix_error _ -> ())
         | _ -> ());
-        match write () with
-        | () -> w.w_task <- Some t
+        match Pr.write_frame ~io ~payload w.w_conn.Pool.pw_oc hdr with
+        | () -> w.w_task <- Some sr
         | exception _ ->
-            requeue_front t;
+            requeue_front sr;
             on_crash w
-      in
-      let add_pool_clauses sr learnt =
-        List.iter
-          (fun c ->
-            let c = List.sort_uniq compare c in
-            if
-              c <> []
-              && sr.pool_count < config.max_pool_clauses
-              && not (Hashtbl.mem sr.pool_tbl c)
-            then begin
-              Hashtbl.replace sr.pool_tbl c ();
-              sr.pool_rev <- c :: sr.pool_rev;
-              sr.pool_count <- sr.pool_count + 1;
-              stats.clauses_shared <- stats.clauses_shared + 1
-            end)
-          learnt
-      in
-      let cube_done sr w ~via =
-        sr.pending <- sr.pending - 1;
-        if sr.pending <= 0 && sr.sr_done = None then
-          settle sr ~worker:w.w_id ~via
-            ~wall_s:(Unix.gettimeofday () -. sr.sr_t0)
-            (if sr.any_unknown then "undecided" else "proved")
-      in
-      let alive_count () =
-        Array.fold_left (fun n w -> if w.w_alive then n + 1 else n) 0 workers
-      in
-      let on_stalled sr vars reduced =
-        sr.cube_aiger <- reduced;
-        sr.freeze <- vars;
-        let rec bits n = if n <= 1 then 0 else 1 + bits ((n + 1) / 2) in
-        let k =
-          min (List.length vars) (min 6 (max 1 (bits (2 * alive_count ()))))
-        in
-        let head = List.filteri (fun i _ -> i < k) vars in
-        sr.pending <- 1 lsl k;
-        for m = (1 lsl k) - 1 downto 0 do
-          let assume =
-            List.mapi
-              (fun j v -> Sat.Solver.mklit v ((m lsr j) land 1 = 1))
-              head
-          in
-          let c_id = sr.next_cube in
-          sr.next_cube <- sr.next_cube + 1;
-          requeue_front (Cube { c_sr = sr; c_id; c_assume = assume; c_depth = k })
-        done
-      in
-      let resplit sr (t : task) =
-        match t with
-        | Cube { c_assume; c_depth; _ } when c_depth < List.length sr.freeze ->
-            let v = List.nth sr.freeze c_depth in
-            stats.resplits <- stats.resplits + 1;
-            sr.pending <- sr.pending + 1;
-            List.iter
-              (fun sign ->
-                let c_id = sr.next_cube in
-                sr.next_cube <- sr.next_cube + 1;
-                requeue_front
-                  (Cube
-                     {
-                       c_sr = sr;
-                       c_id;
-                       c_assume = c_assume @ [ Sat.Solver.mklit v sign ];
-                       c_depth = c_depth + 1;
-                     }))
-              [ false; true ];
-            true
-        | _ -> false
       in
       let handle_reply w t reply =
         match (t, reply) with
@@ -423,57 +253,27 @@ let check ?(config = default_config) ?cancel ?pool g =
                from pool validation; not a task completion *)
             w.w_ready <- true;
             w.w_task <- t
-        | Some t, Pr.Shard_failed { msg; _ } ->
+        | Some sr, Pr.Shard_failed { msg; _ } ->
             (* The worker could not parse the payload.  Re-sending the
                same bytes would fail the same way, so the shard settles
                undecided; the worker itself is fine. *)
             Printf.eprintf "shard: worker %d rejected a payload (%s)\n%!"
               w.w_id msg;
-            w.w_cube_shard <- -1;
-            let sr = match t with Check sr -> sr | Cube { c_sr; _ } -> c_sr in
             if sr.sr_done = None then
               settle sr ~worker:w.w_id ~via:"failed"
                 ~wall_s:(Unix.gettimeofday () -. sr.sr_t0)
                 "undecided"
-        | Some (Check sr), Pr.Shard_verdict { shard; verdict; wall_s; conflicts }
+        | Some sr, Pr.Shard_verdict { shard; verdict; wall_s; conflicts }
           when shard = sr.sr.Plan.id -> (
             stats.conflicts <- stats.conflicts + conflicts;
             stats.tasks.(w.w_id) <- stats.tasks.(w.w_id) + 1;
+            let worker = w.w_id in
             match verdict with
-            | Pr.Sv_proved -> settle sr ~worker:w.w_id ~via:"sweep" ~wall_s "proved"
+            | Pr.Sv_proved -> settle sr ~worker ~via:"sweep" ~wall_s "proved"
             | Pr.Sv_undecided ->
-                settle sr ~worker:w.w_id ~via:"sweep" ~wall_s "undecided"
+                settle sr ~worker ~via:"sweep" ~wall_s "undecided"
             | Pr.Sv_disproved { cex; po } ->
-                settle sr ~worker:w.w_id ~via:"sweep" ~wall_s "disproved";
-                disprove sr (Pr.bits_to_cex cex) po)
-        | Some (Check sr), Pr.Shard_stalled { shard; reduced; vars; wall_s = _ }
-          when shard = sr.sr.Plan.id ->
-            stats.tasks.(w.w_id) <- stats.tasks.(w.w_id) + 1;
-            on_stalled sr vars reduced
-        | ( Some (Cube { c_sr = sr; c_id; _ } as t),
-            Pr.Shard_cube_reply { shard; cube; result; learnt; conflicts; wall_s = _ }
-          )
-          when shard = sr.sr.Plan.id && cube = c_id -> (
-            stats.conflicts <- stats.conflicts + conflicts;
-            stats.tasks.(w.w_id) <- stats.tasks.(w.w_id) + 1;
-            add_pool_clauses sr learnt;
-            match result with
-            | Pr.Cube_unsat ->
-                stats.cubes_solved <- stats.cubes_solved + 1;
-                cube_done sr w ~via:"cubes"
-            | Pr.Cube_sat { cex; po } ->
-                stats.cubes_solved <- stats.cubes_solved + 1;
-                stats.cubes_sat <- stats.cubes_sat + 1;
-                settle sr ~worker:w.w_id ~via:"cubes"
-                  ~wall_s:(Unix.gettimeofday () -. sr.sr_t0)
-                  "disproved";
-                disprove sr (Pr.bits_to_cex cex) po
-            | Pr.Cube_unknown ->
-                stats.cubes_unknown <- stats.cubes_unknown + 1;
-                if not (resplit sr t) then begin
-                  sr.any_unknown <- true;
-                  cube_done sr w ~via:"cubes"
-                end)
+                disprove sr ~worker ~wall_s (Pr.bits_to_cex cex) po)
         | _ ->
             Printf.eprintf "shard: protocol confusion from worker %d, killing it\n%!"
               w.w_id;
@@ -522,8 +322,7 @@ let check ?(config = default_config) ?cancel ?pool g =
                   raise (Done E.Undecided);
                 (* settled? *)
                 if
-                  !cubeq = []
-                  && Queue.is_empty checkq
+                  !queue = []
                   && Array.for_all (fun w -> w.w_task = None) workers
                   && Array.for_all (fun sr -> sr.sr_done <> None) sruns
                 then raise (Done (outcome_of_sruns ()));

@@ -1,18 +1,15 @@
-(** Multi-process sharded sweeping with a cube-and-conquer SAT tail.
+(** Multi-process sharded sweeping.
 
     The coordinator plans shards ({!Plan}), spawns [workers] processes
     (re-exec of the host binary, {!Worker}), and schedules shards with
     work-stealing: workers pull the next task whenever idle, so a slow
     shard never serialises the rest.  Verdicts stream back over
-    {!Serve.Protocol} shard frames; counter-examples are lifted to the
-    full input space before being reported, and a single disproof stops
-    the whole run (remaining workers are killed and reaped).
-
-    When a shard's SAT tail stalls, the worker ships back the
-    engine-reduced miter and its hottest variables; the coordinator cuts
-    the shard into cubes on those variables, fans the cubes across idle
-    workers, re-splits any cube that comes back unknown, and relays short
-    learnt clauses between the workers attacking the same shard.
+    {!Serve.Protocol} shard frames.  Each worker checks its shard with
+    the sweeping engine and the sequential SAT sweeper to completion
+    ({!Worker}).  Counter-examples are validated against the shard and
+    lifted to the full input space before being reported, and a single
+    disproof stops the whole run (remaining workers are killed and
+    reaped).
 
     A crashed worker is reaped, its task re-queued, and a replacement
     spawned (up to [max_respawns]) — shards are never lost.  [deadline_s]
@@ -21,10 +18,9 @@
     every worker is killed and reaped and the check returns [Undecided].
 
     {b Data plane.}  Each shard's binary AIGER travels once per
-    dispatch as the frame's trailer; a cube carries the reduced miter
-    only to a worker that does not hold it yet.  A worker that cannot
-    parse a payload answers [Shard_failed], and that shard settles
-    undecided (via ["failed"]) rather than being re-sent.  With [?pool],
+    dispatch as the frame's trailer.  A worker that cannot parse a
+    payload answers [Shard_failed], and that shard settles undecided
+    (via ["failed"]) rather than being re-sent.  With [?pool],
     workers are leased from a {!Pool} (warm when available) and healthy
     idle workers are returned at the end instead of being killed. *)
 
@@ -32,12 +28,7 @@ type config = {
   workers : int;  (** worker processes to spawn *)
   worker_domains : int;  (** simulation domains per worker *)
   max_shard_ands : int;  (** target AND nodes per shard *)
-  stall_conflicts : int;  (** SAT budget before a shard counts as stalled *)
-  split_vars : int;  (** cube-split candidates requested per stall *)
-  cube_conflict_limit : int;  (** budget per cube solve *)
-  max_pool_clauses : int;  (** shared-clause pool cap per shard *)
   max_respawns : int;  (** replacement workers after crashes *)
-  direct_sat : bool;  (** skip the sweeping engine in workers (tests) *)
   deadline_s : float option;  (** wall-clock budget for the whole check *)
   worker_exe : string option;
       (** worker executable; defaults to [SIMSWEEP_SHARD_WORKER] or
@@ -53,8 +44,8 @@ val default_config : config
     Verdict classes (proved / disproved / undecided) are deterministic
     for any worker count and pool temperature; [Undecided] is only
     returned on cancellation, deadline expiry, exhausted respawns, a
-    payload a worker could not parse, or a genuinely stalled cube
-    tree. *)
+    payload a worker could not parse, or a worker counter-example that
+    does not replay. *)
 val check :
   ?config:config ->
   ?cancel:Par.Cancel.t ->

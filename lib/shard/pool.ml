@@ -78,7 +78,7 @@ let kill w =
 (* A candidate from the idle list may have died or wedged since release.
    Probe it: one ping frame, then read (with a receive timeout on the
    socket) until the pong comes back.  Stray frames from a previous life
-   — a late cube reply racing a crash — are drained and discarded, but
+   — a late reply racing a crash — are drained and discarded, but
    only boundedly many, so a worker spewing garbage is a discard too. *)
 let ping_timeout_s = 2.0
 let max_stray_frames = 64

@@ -25,9 +25,7 @@ let shell () =
           in
           Ok
             (Printf.sprintf
-               "%s (%d shards, %d workers [%d warm, %d cold], %d steals, %d \
-                cubes)"
+               "%s (%d shards, %d workers [%d warm, %d cold], %d steals)"
                (outcome_string outcome) st.Stats.shards st.Stats.workers
                st.Stats.warm_starts st.Stats.cold_starts
-               (Array.fold_left ( + ) 0 (Stats.steals st))
-               st.Stats.cubes_solved))
+               (Array.fold_left ( + ) 0 (Stats.steals st))))

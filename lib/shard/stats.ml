@@ -15,12 +15,6 @@ type t = {
   mutable shards : int;
   mutable wall_s : float;
   tasks : int array;
-  mutable cubes_solved : int;
-  mutable cubes_sat : int;
-  mutable cubes_unknown : int;
-  mutable resplits : int;
-  mutable clauses_shared : int;
-  mutable clause_imports : int;
   mutable conflicts : int;
   mutable workers_spawned : int;
   mutable workers_crashed : int;
@@ -30,7 +24,6 @@ type t = {
   mutable bytes_rx : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
-  mutable batched_flushes : int;
   mutable warm_starts : int;
   mutable cold_starts : int;
   mutable pool_discards : int;
@@ -46,12 +39,6 @@ let create ~workers =
     shards = 0;
     wall_s = 0.;
     tasks = Array.make (max 1 workers) 0;
-    cubes_solved = 0;
-    cubes_sat = 0;
-    cubes_unknown = 0;
-    resplits = 0;
-    clauses_shared = 0;
-    clause_imports = 0;
     conflicts = 0;
     workers_spawned = 0;
     workers_crashed = 0;
@@ -60,7 +47,6 @@ let create ~workers =
     bytes_rx = 0;
     frames_tx = 0;
     frames_rx = 0;
-    batched_flushes = 0;
     warm_starts = 0;
     cold_starts = 0;
     pool_discards = 0;
@@ -103,12 +89,6 @@ let to_json t =
       ("tasks_per_worker", ints t.tasks);
       ("steals_per_worker", ints steals);
       ("steals", J.Int (Array.fold_left ( + ) 0 steals));
-      ("cubes_solved", J.Int t.cubes_solved);
-      ("cubes_sat", J.Int t.cubes_sat);
-      ("cubes_unknown", J.Int t.cubes_unknown);
-      ("resplits", J.Int t.resplits);
-      ("clauses_shared", J.Int t.clauses_shared);
-      ("clause_imports", J.Int t.clause_imports);
       ("conflicts", J.Int t.conflicts);
       ("workers_spawned", J.Int t.workers_spawned);
       ("workers_crashed", J.Int t.workers_crashed);
@@ -117,7 +97,6 @@ let to_json t =
       ("bytes_rx", J.Int t.bytes_rx);
       ("frames_tx", J.Int t.frames_tx);
       ("frames_rx", J.Int t.frames_rx);
-      ("batched_flushes", J.Int t.batched_flushes);
       ("warm_starts", J.Int t.warm_starts);
       ("cold_starts", J.Int t.cold_starts);
       ("pool_discards", J.Int t.pool_discards);

@@ -7,14 +7,10 @@
     rides on the worker's stdin/stdout; stdout is immediately dup'ed away
     and redirected to stderr so stray prints cannot corrupt frames.
 
-    A worker handles one task at a time: [Shard_check] runs the sweeping
-    engine with a bounded SAT tail and either answers with a verdict or,
-    when the tail stalls, ships back the engine-reduced miter plus its
-    hottest SAT variables as cube-split candidates; [Shard_cube] solves
-    one cube of a stalled shard under assumptions, importing clauses
-    learnt elsewhere ([Shard_clauses] batches) and exporting its own
-    short learnt clauses.  The cube formula is cached across consecutive
-    cubes of the same (run, shard).
+    A worker handles one task at a time: [Shard_check] runs
+    {!Simsweep.Engine.check_with_fallback} — the sweeping engine, then the
+    SAT sweeper with its default configuration to completion — and
+    answers with a verdict.
 
     AIGER payloads arrive as the frame's binary trailer; bytes that do
     not parse produce a framed [Shard_failed] reply, never a crash —
@@ -33,7 +29,7 @@ val domains_env : string
 val maybe_become_worker : unit -> unit
 
 (** The protocol loop itself: read {!Serve.Protocol.shard_task} frames,
-    answer each with one {!Serve.Protocol.shard_reply} frame (except
-    one-way [Shard_clauses]), return on [Shard_quit] or end-of-stream.
+    answer each with one {!Serve.Protocol.shard_reply} frame, return on
+    [Shard_quit] or end-of-stream.
     [num_domains] sizes the worker's simulation pool (default 1). *)
 val serve : ?num_domains:int -> in_channel -> out_channel -> unit

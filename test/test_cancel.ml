@@ -319,7 +319,7 @@ let test_race_agrees_with_sequential () =
         (r.Simsweep.Portfolio.per_engine_time <> []))
     [ 1; 2; 3; 4; 5; 6 ]
 
-(* --- deterministic parallel SAT sweeping ----------------------------- *)
+(* --- SAT sweeping is independent of the pool size ---------------------- *)
 
 (* Structural identity of two networks: same node table, same outputs. *)
 let same_network a b =
@@ -340,11 +340,7 @@ let same_network a b =
 let stats_tuple (s : Sat.Sweep.stats) =
   ( s.Sat.Sweep.sat_calls, s.sat_unsat, s.sat_sat, s.sat_unknown, s.merged,
     s.rounds, s.cex_count, s.rsim_splits, s.candidates, s.conflicts,
-    s.batches, s.cnf_loads )
-
-(* Small batches force several parallel proof batches even on the small
-   networks the property generates. *)
-let det_config = { Sat.Sweep.default_config with pair_batch = 4 }
+    s.cnf_loads )
 
 let with_n_domains n f =
   let pool = Par.Pool.create ~num_domains:n () in
@@ -360,9 +356,9 @@ let prop_parallel_sweep_deterministic =
       in
       let m = Aig.Miter.build g1 g2 in
       let o1, s1 = with_n_domains 1 (fun pool ->
-          Sat.Sweep.check ~config:det_config ~pool m) in
+          Sat.Sweep.check ~pool m) in
       let o3, s3 = with_n_domains 3 (fun pool ->
-          Sat.Sweep.check ~config:det_config ~pool m) in
+          Sat.Sweep.check ~pool m) in
       (* Bit-identical: same verdict (CEX included) and same stats,
          whatever the pool size. *)
       o1 = o3 && stats_tuple s1 = stats_tuple s3)
@@ -372,9 +368,9 @@ let prop_parallel_fraig_deterministic =
     Util.arb_seed (fun seed ->
       let g = Util.random_network ~pis:6 ~nodes:60 ~pos:4 seed in
       let r1, s1 = with_n_domains 1 (fun pool ->
-          Sat.Sweep.fraig ~config:det_config ~pool g) in
+          Sat.Sweep.fraig ~pool g) in
       let r3, s3 = with_n_domains 3 (fun pool ->
-          Sat.Sweep.fraig ~config:det_config ~pool g) in
+          Sat.Sweep.fraig ~pool g) in
       same_network r1 r3 && stats_tuple s1 = stats_tuple s3)
 
 let () =

@@ -3,8 +3,9 @@
 
 let scaled = Simsweep.Config.scaled
 
-let run ?config ?stop_after miter =
-  Util.with_pool (fun pool -> Simsweep.Engine.run ?config ?stop_after ~pool miter)
+let run ?config ?stop_after ?cancel miter =
+  Util.with_pool (fun pool ->
+      Simsweep.Engine.run ?config ?stop_after ?cancel ~pool miter)
 
 let test_proves_small_miters () =
   List.iter
@@ -169,29 +170,25 @@ let prop_rewrite_between_phases_sound =
           | Simsweep.Engine.Undecided ->
               Util.solved_brute r.Simsweep.Engine.reduced = expect))
 
-let test_time_limit () =
-  (* A zero budget stops the G/L work immediately; the flow must still be
-     sound (Undecided with a partially-reduced miter, or solved by P). *)
+let test_expired_deadline () =
+  (* An already-expired deadline stops the G/L work immediately; the flow
+     must still be sound (Undecided with a partially-reduced miter, or
+     solved by P). *)
   let g = Gen.Arith.multiplier ~bits:6 in
   let m = Aig.Miter.build g (Opt.Resyn.resyn2 g) in
   let cfg =
-    {
-      scaled with
-      Simsweep.Config.k_cap_p = 8;
-      k_p = 6;
-      k_g = 8;
-      time_limit = Some 0.;
-    }
+    { scaled with Simsweep.Config.k_cap_p = 8; k_p = 6; k_g = 8 }
   in
-  let r = run ~config:cfg m in
+  let r = run ~config:cfg ~cancel:(Par.Cancel.create ~deadline_in:0. ()) m in
   (match r.Simsweep.Engine.outcome with
   | Simsweep.Engine.Undecided | Simsweep.Engine.Proved -> ()
   | Simsweep.Engine.Disproved _ -> Alcotest.fail "miter is equivalent");
   Alcotest.(check bool) "no local phases ran" true
     (r.Simsweep.Engine.stats.Simsweep.Stats.local_phases = 0);
   (* And a generous budget behaves like no budget. *)
-  let cfg2 = { cfg with Simsweep.Config.time_limit = Some 3600. } in
-  let r2 = run ~config:cfg2 m in
+  let r2 =
+    run ~config:cfg ~cancel:(Par.Cancel.create ~deadline_in:3600. ()) m
+  in
   Alcotest.(check bool) "proved within generous budget" true
     (r2.Simsweep.Engine.outcome = Simsweep.Engine.Proved)
 
@@ -256,7 +253,7 @@ let () =
           Alcotest.test_case "stats timers" `Quick test_stats_timers;
           Alcotest.test_case "adaptive passes" `Quick test_adaptive_passes;
           Alcotest.test_case "rewrite between phases" `Quick test_rewrite_between_phases;
-          Alcotest.test_case "time limit" `Quick test_time_limit;
+          Alcotest.test_case "time limit" `Quick test_expired_deadline;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

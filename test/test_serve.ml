@@ -86,17 +86,6 @@ let test_protocol_payload () =
     rx.Simsweep.Telemetry.io_bytes_rx;
   Alcotest.(check int) "one frame out" 1 tx.Simsweep.Telemetry.io_frames_tx;
   Alcotest.(check int) "one frame in" 1 rx.Simsweep.Telemetry.io_frames_rx;
-  Alcotest.(check int) "one flush" 1 tx.Simsweep.Telemetry.io_flushes;
-  (* Coalescing: two unflushed writes + one flushed = one flush. *)
-  Serve.Protocol.write_frame ~flush:false ~io:tx oc hdr;
-  Serve.Protocol.write_frame ~flush:false ~io:tx oc hdr;
-  Serve.Protocol.write_frame ~io:tx oc hdr;
-  Alcotest.(check int) "batched flush" 2 tx.Simsweep.Telemetry.io_flushes;
-  for i = 1 to 3 do
-    match Serve.Protocol.read_frame ic with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "batched frame %d: %s" i e
-  done;
   close_out oc;
   close_in ic
 

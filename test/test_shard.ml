@@ -1,7 +1,7 @@
 (* Multi-process sharded sweeping: plan shape, counter-example lifting
    across shard PI renumbering, verdict determinism for any worker count,
    crash rescheduling, deadline kill+reap (no zombies), rejected payloads,
-   the cube-and-conquer tail and the warm worker pool. *)
+   rejected disproofs and the warm worker pool. *)
 
 let mult ~bits = Gen.Arith.multiplier ~bits
 
@@ -112,15 +112,27 @@ let entry_sig st =
   |> List.sort compare
 
 let test_verdict_deterministic_across_worker_counts () =
+  (* Verdicts and the per-shard entries must be identical for 1-3
+     workers, and every shard is settled by its worker's sweep. *)
   let eq = equiv_miter (mult ~bits:5) in
   let adder = Gen.Arith.adder ~bits:6 in
   let ineq = Aig.Miter.build adder (faulty adder) in
+  let reference = ref None in
   List.iter
     (fun workers ->
-      let outcome, _ = Shard.Check.check ~config:(config ~workers) eq in
+      let outcome, st = Shard.Check.check ~config:(config ~workers) eq in
       (match outcome with
       | Simsweep.Engine.Proved -> ()
       | _ -> Alcotest.fail (Printf.sprintf "equivalent: %d workers" workers));
+      (match !reference with
+      | None -> reference := Some (entry_sig st)
+      | Some r ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "entries agree across worker counts (%d)" workers)
+            r (entry_sig st));
+      List.iter
+        (fun e -> Alcotest.(check string) "settled via" "sweep" e.Shard.Stats.e_via)
+        st.Shard.Stats.entries;
       let outcome, _ = Shard.Check.check ~config:(config ~workers) ineq in
       match outcome with
       | Simsweep.Engine.Disproved (cex, po) ->
@@ -147,18 +159,12 @@ let test_crash_rescheduling () =
   | _ -> Alcotest.fail "verdict lost with the killed worker"
 
 let test_deadline_kills_and_reaps () =
-  (* A SAT-hard miter (multiplier, engine skipped) with a short deadline:
-     the check must come back Undecided with every worker process gone —
-     no zombies, no survivors. *)
-  let m = equiv_miter (mult ~bits:8) in
-  let config =
-    {
-      (config ~workers:2) with
-      Shard.Check.direct_sat = true;
-      stall_conflicts = max_int;
-      deadline_s = Some 0.3;
-    }
-  in
+  (* A miter the workers cannot finish in time (an 11-bit Wallace
+     multiplier) with a short deadline: the check must come back without
+     a disproof and with every worker process gone — no zombies, no
+     survivors. *)
+  let m = equiv_miter (Gen.Wallace.multiplier ~bits:11) in
+  let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 0.3 } in
   let outcome, st = Shard.Check.check ~config m in
   (match outcome with
   | Simsweep.Engine.Disproved _ -> Alcotest.fail "equivalent miter disproved"
@@ -177,73 +183,14 @@ let test_deadline_kills_and_reaps () =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | pid, _ -> Alcotest.fail (Printf.sprintf "unreaped child %d" pid)
 
-let test_cube_and_conquer_tail () =
-  (* Engine skipped and a stall budget of 2 conflicts: every shard stalls
-     immediately and must be finished by the cube tail. *)
-  let m = equiv_miter (mult ~bits:5) in
-  let config =
-    {
-      (config ~workers:2) with
-      Shard.Check.direct_sat = true;
-      stall_conflicts = 2;
-      max_shard_ands = 128;
-    }
-  in
-  let outcome, st = Shard.Check.check ~config m in
-  (match outcome with
-  | Simsweep.Engine.Proved -> ()
-  | Simsweep.Engine.Disproved _ -> Alcotest.fail "equivalent miter disproved"
-  | Simsweep.Engine.Undecided -> Alcotest.fail "cube tail left the miter undecided");
-  Alcotest.(check bool) "cubes were solved" true (st.Shard.Stats.cubes_solved > 0)
-
-(* --- data plane ------------------------------------------------------- *)
-
-let test_transport_agreement () =
-  (* Inline binary-trailer frames are the one transport.  With cube
-     fan-out forced (engine skipped, stall budget 2) every shard goes
-     through the reduced-miter cube dispatch; the per-shard verdict
-     entries must be identical for 1-3 workers. *)
-  let eq = equiv_miter (mult ~bits:5) in
-  let run m workers =
-    let config =
-      {
-        (config ~workers) with
-        Shard.Check.direct_sat = true;
-        stall_conflicts = 2;
-        max_shard_ands = 128;
-      }
-    in
-    Shard.Check.check ~config m
-  in
-  let reference = ref None in
-  List.iter
-    (fun workers ->
-      let outcome, st = run eq workers in
-      (match outcome with
-      | Simsweep.Engine.Proved -> ()
-      | _ -> Alcotest.failf "equivalent miter not proved (%d workers)" workers);
-      match !reference with
-      | None -> reference := Some (entry_sig st)
-      | Some r ->
-          Alcotest.(check bool)
-            (Printf.sprintf "entries agree across worker counts (%d)" workers)
-            true
-            (entry_sig st = r))
-    [ 1; 2; 3 ];
-  (* A disproof must be found over the cube path and replay. *)
-  let adder = Gen.Arith.adder ~bits:6 in
-  let ineq = Aig.Miter.build adder (faulty adder) in
-  match run ineq 2 with
-  | Simsweep.Engine.Disproved (cex, po), _ ->
-      Alcotest.(check bool) "cex replays" true (Sim.Cex.check ineq cex po)
-  | _ -> Alcotest.fail "inequivalent miter not disproved"
-
 (* Set in the environment of a coordinator under test, this makes every
-   re-exec'd worker a stand-in that announces itself and then rejects the
-   payload of every shard check with a framed [Shard_failed]. *)
+   re-exec'd worker a stand-in that announces itself and then answers
+   every shard check according to the variable's value: ["reject"] with a
+   framed [Shard_failed], ["bad-cex"] with a disproof whose counter-example
+   does not replay, ["bad-po"] with a disproof at PO -1.  ["0"] is off. *)
 let failing_worker_env = "SHARD_TEST_FAILING_WORKER"
 
-let failing_worker () =
+let failing_worker mode =
   let module Pr = Serve.Protocol in
   let ic = Unix.in_channel_of_descr Unix.stdin in
   let oc = Unix.out_channel_of_descr Unix.stdout in
@@ -254,22 +201,34 @@ let failing_worker () =
     Pr.write_frame ~payload oc hdr
   in
   reply Pr.Shard_ready;
-  (* Without a stall no cube is ever dispatched, so only checks matter. *)
+  let disproof shard aiger po =
+    (* Every test miter is equivalent, so no assignment replays. *)
+    let num_pis = Aig.Network.num_pis (Aig.Aiger_io.of_string aiger) in
+    let cex = Pr.cex_to_bits (Array.make num_pis false) in
+    Pr.Shard_verdict
+      { shard; verdict = Pr.Sv_disproved { cex; po }; wall_s = 0.; conflicts = 0 }
+  in
   let rec loop () =
     match Pr.read_frame ic with
     | Error _ -> ()
     | Ok inc -> (
         match Pr.shard_task_of_frame inc with
         | Ok Pr.Shard_quit -> ()
-        | Ok (Pr.Shard_check { shard; _ }) ->
+        | Ok (Pr.Shard_check { shard; aiger; _ }) ->
             reply
-              (Pr.Shard_failed
-                 { shard; cube = None; msg = "rejected by the test worker" });
+              (match mode with
+              | "bad-cex" -> disproof shard aiger 0
+              | "bad-po" -> disproof shard aiger (-1)
+              | _ -> Pr.Shard_failed { shard; msg = "rejected by the test worker" });
             loop ()
         | Ok _ | Error _ -> loop ())
   in
   loop ();
   exit 0
+
+let with_stand_in mode f =
+  Unix.putenv failing_worker_env mode;
+  Fun.protect ~finally:(fun () -> Unix.putenv failing_worker_env "0") f
 
 let test_failed_payload_settles_undecided () =
   (* Every dispatch is rejected.  Re-sending the same bytes cannot help,
@@ -278,11 +237,8 @@ let test_failed_payload_settles_undecided () =
   let m = equiv_miter (mult ~bits:5) in
   let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 30. } in
   let t0 = Unix.gettimeofday () in
-  Unix.putenv failing_worker_env "1";
   let outcome, st =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv failing_worker_env "0")
-      (fun () -> Shard.Check.check ~config m)
+    with_stand_in "reject" (fun () -> Shard.Check.check ~config m)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match outcome with
@@ -305,6 +261,29 @@ let test_failed_payload_settles_undecided () =
   List.iter
     (fun e -> Alcotest.(check string) "settled via" "failed" e.Shard.Stats.e_via)
     st.Shard.Stats.entries
+
+let test_bad_disproof_settles_undecided () =
+  (* A worker disproof is checked before it is trusted or recorded: a
+     counter-example that does not replay, or one at a PO index out of
+     range, settles its shard undecided — never a "disproved" entry, never
+     an exception out of the coordinator. *)
+  let m = equiv_miter (mult ~bits:5) in
+  let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 30. } in
+  List.iter
+    (fun mode ->
+      let outcome, st =
+        with_stand_in mode (fun () -> Shard.Check.check ~config m)
+      in
+      (match outcome with
+      | Simsweep.Engine.Undecided -> ()
+      | Simsweep.Engine.Proved -> Alcotest.failf "%s: proved" mode
+      | Simsweep.Engine.Disproved _ ->
+          Alcotest.failf "%s: invalid disproof accepted" mode);
+      Alcotest.(check (list (pair int string)))
+        (mode ^ ": every shard settled undecided")
+        (List.init st.Shard.Stats.shards (fun i -> (i, "undecided")))
+        (entry_sig st))
+    [ "bad-cex"; "bad-po" ]
 
 let test_warm_pool () =
   let m = equiv_miter (mult ~bits:5) in
@@ -341,9 +320,11 @@ let test_warm_pool () =
 
 let () =
   (* Coordinators in these tests re-exec this binary as their workers. *)
-  if Sys.getenv_opt failing_worker_env = Some "1"
-     && Sys.getenv_opt Shard.Worker.mode_env = Some "1"
-  then failing_worker ();
+  (match Sys.getenv_opt failing_worker_env with
+  | Some mode
+    when mode <> "0" && Sys.getenv_opt Shard.Worker.mode_env = Some "1" ->
+      failing_worker mode
+  | _ -> ());
   Shard.Worker.maybe_become_worker ();
   Alcotest.run "shard"
     [
@@ -363,13 +344,11 @@ let () =
             test_deadline_kills_and_reaps;
           Alcotest.test_case "failed payload settles undecided" `Quick
             test_failed_payload_settles_undecided;
-          Alcotest.test_case "cube-and-conquer tail" `Quick
-            test_cube_and_conquer_tail;
+          Alcotest.test_case "bad disproof settles undecided" `Quick
+            test_bad_disproof_settles_undecided;
         ] );
       ( "data plane",
         [
-          Alcotest.test_case "transport agreement" `Slow
-            test_transport_agreement;
           Alcotest.test_case "warm pool" `Quick test_warm_pool;
         ] );
     ]

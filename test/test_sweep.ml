@@ -170,46 +170,17 @@ let prop_fraig_idempotent_size =
              result must already be near the fixed point. *)
           Aig.Network.num_ands g2 <= Aig.Network.num_ands g1))
 
-let test_batch_stats () =
-  (* Parallel proof batches leave a coherent telemetry trail: every
-     dispatched batch loads the CNF once (the final PO check may add one
-     more load), and a tiny pair_batch dispatches several batches. *)
-  Util.with_pool (fun pool ->
-      let g = Util.random_network ~pis:6 ~nodes:60 ~pos:4 3 in
-      let miter = Aig.Miter.build g (Opt.Balance.run (Opt.Xorflip.run g)) in
-      let config = { Sat.Sweep.default_config with pair_batch = 2 } in
-      let outcome, stats = Sat.Sweep.check ~config ~pool miter in
-      Alcotest.(check bool) "proved" true (outcome = Sat.Sweep.Equivalent);
-      Alcotest.(check bool) "batches dispatched" true (stats.Sat.Sweep.batches >= 1);
-      Alcotest.(check bool) "one cnf load per batch" true
-        (stats.Sat.Sweep.cnf_loads >= stats.Sat.Sweep.batches))
-
 let test_cancelled_before_start () =
-  (* A token expired before the check starts must stop the batch loop
-     before any SAT work: no batches committed, no SAT calls made. *)
+  (* A token expired before the check starts must stop the round loop
+     before any SAT work: no solver loaded, no SAT calls made. *)
   Util.with_pool (fun pool ->
       let g = Util.random_network ~pis:6 ~nodes:60 ~pos:4 3 in
       let miter = Aig.Miter.build g (Opt.Balance.run (Opt.Xorflip.run g)) in
       let cancel = Par.Cancel.create ~deadline_in:0.0 () in
       let outcome, stats = Sat.Sweep.check ~cancel ~pool miter in
       Alcotest.(check bool) "undecided" true (outcome = Sat.Sweep.Undecided);
-      Alcotest.(check int) "no batches" 0 stats.Sat.Sweep.batches;
+      Alcotest.(check int) "no cnf loads" 0 stats.Sat.Sweep.cnf_loads;
       Alcotest.(check int) "no sat calls" 0 stats.Sat.Sweep.sat_calls)
-
-let prop_pair_batch_size_sound =
-  QCheck.Test.make ~name:"any pair_batch agrees with brute force" ~count:10
-    (QCheck.pair Util.arb_seed (QCheck.int_range 1 8)) (fun (seed, bsz) ->
-      Util.with_pool (fun pool ->
-          let g1 = Util.random_network ~pis:6 ~nodes:40 ~pos:3 seed in
-          let g2 = Util.random_network ~pis:6 ~nodes:40 ~pos:3 (seed + 1) in
-          let miter = Aig.Miter.build g1 g2 in
-          let expect = Util.equivalent_brute g1 g2 in
-          let config = { Sat.Sweep.default_config with pair_batch = bsz } in
-          match Sat.Sweep.check ~config ~pool miter with
-          | Sat.Sweep.Equivalent, _ -> expect
-          | Sat.Sweep.Inequivalent (cex, po), _ ->
-              (not expect) && Sim.Cex.check miter cex po
-          | Sat.Sweep.Undecided, _ -> false))
 
 let prop_random_equivalence =
   QCheck.Test.make ~name:"sweep agrees with brute force" ~count:30 Util.arb_seed
@@ -247,7 +218,6 @@ let () =
           Alcotest.test_case "check direct" `Quick test_check_direct;
           Alcotest.test_case "reverse-sim splits" `Quick test_reverse_sim_splits;
           Alcotest.test_case "fraig reduces" `Quick test_fraig_reduces_redundancy;
-          Alcotest.test_case "batch stats" `Quick test_batch_stats;
           Alcotest.test_case "cancelled before start" `Quick
             test_cancelled_before_start;
         ] );
@@ -256,7 +226,6 @@ let () =
           [
             prop_random_equivalence;
             prop_optimized_equivalence;
-            prop_pair_batch_size_sound;
             prop_reverse_sim_sound;
             prop_fraig_sound;
             prop_fraig_idempotent_size;

@@ -160,8 +160,8 @@ let test_engine_counters () =
   Alcotest.(check bool) "g iterations counted" true (s.Simsweep.Stats.g_iterations >= 1);
   Alcotest.(check bool) "candidates >= proved" true
     (s.Simsweep.Stats.g_candidates >= s.Simsweep.Stats.pairs_proved_global);
-  Alcotest.(check bool) "no deadline configured, none hit" true
-    ((not s.Simsweep.Stats.deadline_exceeded) && s.Simsweep.Stats.deadline_hits = 0);
+  Alcotest.(check bool) "no deadline configured, none hit" false
+    s.Simsweep.Stats.cancelled;
   Alcotest.(check bool) "exhaustive work counted" true
     (s.Simsweep.Stats.exhaustive.Simsweep.Exhaustive.windows > 0
      && s.Simsweep.Stats.exhaustive.Simsweep.Exhaustive.words_computed > 0
@@ -179,7 +179,7 @@ let test_engine_counters () =
       Alcotest.(check bool) "has psim" true (member "psim" st <> None)
   | None -> Alcotest.fail "missing stats")
 
-(* A tiny time limit must set the deadline flag instead of running the
+(* An expired deadline must set the cancelled flag instead of running the
    engine to convergence. *)
 let test_deadline_flag () =
   (* 22 PIs: the P phase cannot solve the whole miter, so the flow reaches
@@ -187,13 +187,13 @@ let test_deadline_flag () =
   let original = Gen.Arith.multiplier ~bits:11 in
   let optimized = Opt.Resyn.resyn2 original in
   let miter = Aig.Miter.build original optimized in
-  let config =
-    { Simsweep.Config.scaled with Simsweep.Config.time_limit = Some 0. }
+  let cancel = Par.Cancel.create ~deadline_in:0. () in
+  let r =
+    Util.with_pool (fun pool ->
+        Simsweep.Engine.run ~config:Simsweep.Config.scaled ~cancel ~pool miter)
   in
-  let r = Util.with_pool (fun pool -> Simsweep.Engine.run ~config ~pool miter) in
   let s = r.Simsweep.Engine.stats in
-  Alcotest.(check bool) "deadline recorded" true
-    (s.Simsweep.Stats.deadline_exceeded && s.Simsweep.Stats.deadline_hits >= 1)
+  Alcotest.(check bool) "deadline recorded" true s.Simsweep.Stats.cancelled
 
 let test_pool_stats () =
   let stats =
