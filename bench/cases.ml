@@ -48,24 +48,19 @@ let table2 =
     { name = "wallace"; build = (fun () -> Gen.Wallace.multiplier ~bits:8); doubles = 0 };
   ]
 
-type prepared = {
-  case : case;
-  original : Aig.Network.t;
-  optimized : Aig.Network.t;
-  miter : Aig.Network.t;
-}
+let all = table2 @ enlarged
 
-let cache : (string, prepared) Hashtbl.t = Hashtbl.create 16
+let cache : (string, Aig.Network.t) Hashtbl.t = Hashtbl.create 16
 
+(* The case's miter: its original network against the resyn2-optimized
+   copy, built once per process. *)
 let prepare case =
   match Hashtbl.find_opt cache case.name with
-  | Some p -> p
+  | Some m -> m
   | None ->
       let original = Gen.Double.times case.doubles (case.build ()) in
-      let optimized = Opt.Resyn.resyn2 original in
-      let miter = Aig.Miter.build original optimized in
-      let p = { case; original; optimized; miter } in
-      Hashtbl.replace cache case.name p;
-      p
+      let m = Aig.Miter.build original (Opt.Resyn.resyn2 original) in
+      Hashtbl.replace cache case.name m;
+      m
 
-let find name = List.find (fun c -> c.name = name) (table2 @ enlarged)
+let find name = List.find (fun c -> c.name = name) all

@@ -35,11 +35,6 @@ let calibrate () =
   ignore (Sys.opaque_identity !acc);
   t
 
-let outcome_tag = function
-  | Simsweep.Engine.Proved -> "EQ"
-  | Simsweep.Engine.Disproved _ -> "NEQ"
-  | Simsweep.Engine.Undecided -> "UNDEC"
-
 (* The combined "ours" flow of Table II: engine first, SAT sweeper on the
    remainder; returns per-column data. *)
 type ours = {
@@ -49,11 +44,14 @@ type ours = {
   total : float;
   outcome : Simsweep.Engine.outcome;
   engine_stats : Simsweep.Stats.t;  (** telemetry of the engine run *)
-  sat_stats : Sat.Sweep.stats option;  (** telemetry of the SAT fallback *)
 }
 
-let run_ours ?(config = Simsweep.Config.scaled) ~pool miter =
-  let r, gpu_time = time (fun () -> Simsweep.Engine.run ~config ~pool (Aig.Network.copy miter)) in
+let run_ours ~pool miter =
+  let r, gpu_time =
+    time (fun () ->
+        Simsweep.Engine.run ~config:Simsweep.Config.scaled ~pool
+          (Aig.Network.copy miter))
+  in
   match r.Simsweep.Engine.outcome with
   | Simsweep.Engine.Proved | Simsweep.Engine.Disproved _ ->
       {
@@ -63,10 +61,9 @@ let run_ours ?(config = Simsweep.Config.scaled) ~pool miter =
         total = gpu_time;
         outcome = r.Simsweep.Engine.outcome;
         engine_stats = r.Simsweep.Engine.stats;
-        sat_stats = None;
       }
   | Simsweep.Engine.Undecided ->
-      let (sat_outcome, sat_stats), sat_time =
+      let (sat_outcome, _), sat_time =
         time (fun () -> Sat.Sweep.check ~pool r.Simsweep.Engine.reduced)
       in
       let outcome =
@@ -82,11 +79,10 @@ let run_ours ?(config = Simsweep.Config.scaled) ~pool miter =
         total = gpu_time +. sat_time;
         outcome;
         engine_stats = r.Simsweep.Engine.stats;
-        sat_stats = Some sat_stats;
       }
 
 let run_sat_baseline ~pool miter =
   time (fun () -> fst (Sat.Sweep.check ~pool (Aig.Network.copy miter)))
 
-let run_portfolio ?(mode = `Sequential) ~pool miter =
-  time (fun () -> Simsweep.Portfolio.check ~mode ~pool (Aig.Network.copy miter))
+let run_portfolio ~pool miter =
+  time (fun () -> Simsweep.Portfolio.check ~pool (Aig.Network.copy miter))

@@ -173,11 +173,21 @@ let test_engine_counters () =
   (match parse (to_string ~indent:true j) with
   | Ok j' -> Alcotest.(check bool) "snapshot round-trips" true (j = j')
   | Error e -> Alcotest.fail e);
-  (match member "stats" j with
-  | Some st ->
-      Alcotest.(check bool) "has exhaustive" true (member "exhaustive" st <> None);
-      Alcotest.(check bool) "has psim" true (member "psim" st <> None)
-  | None -> Alcotest.fail "missing stats")
+  let has path =
+    Alcotest.(check bool) ("has " ^ String.concat "." path) true
+      (List.fold_left (fun o k -> Option.bind o (member k)) (Some j) path
+       <> None)
+  in
+  List.iter has
+    [
+      [ "stats"; "exhaustive" ];
+      [ "stats"; "psim" ];
+      [ "stats"; "time_p_s" ];
+      [ "stats"; "time_g_s" ];
+      [ "stats"; "time_l_s" ];
+      [ "stats"; "exhaustive"; "arena_hwm_words" ];
+      [ "stats"; "exhaustive"; "arena_grows" ];
+    ]
 
 (* An expired deadline must set the cancelled flag instead of running the
    engine to convergence. *)
@@ -221,9 +231,10 @@ let test_pool_stats () =
   match parse (to_string (of_pool stats)) with
   | Ok v ->
       Alcotest.(check bool) "pool json" true (member "jobs" v = Some (Int 1));
-      Alcotest.(check bool) "has steals" true (member "steals" v <> None);
-      Alcotest.(check bool) "has regions" true (member "regions" v <> None);
-      Alcotest.(check bool) "has region_jobs" true (member "region_jobs" v <> None)
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) ("has " ^ key) true (member key v <> None))
+        [ "steals"; "regions"; "region_jobs"; "chunks_per_worker"; "barrier_wait_s" ]
   | Error e -> Alcotest.fail e
 
 let () =
