@@ -1,24 +1,31 @@
 let union_capped ~cap a b =
   let la = Array.length a and lb = Array.length b in
-  let buf = Array.make (min (la + lb) (cap + 1)) 0 in
-  let rec go i j k =
-    if k > cap then None
-    else if i = la && j = lb then Some (Array.sub buf 0 k)
-    else if k = Array.length buf then None
-    else if j = lb || (i < la && a.(i) < b.(j)) then begin
-      buf.(k) <- a.(i);
-      go (i + 1) j (k + 1)
-    end
-    else if i = la || b.(j) < a.(i) then begin
-      buf.(k) <- b.(j);
-      go i (j + 1) (k + 1)
-    end
-    else begin
-      buf.(k) <- a.(i);
-      go (i + 1) (j + 1) (k + 1)
-    end
-  in
-  go 0 0 0
+  (* Count the union first, so an over-cap union allocates nothing and a
+     fitting one allocates its exact-size result only.  Loops, not local
+     recursive functions, which would allocate closures. *)
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !k <= cap && !i < la && !j < lb do
+    let x = a.(!i) and y = b.(!j) in
+    if x <= y then incr i;
+    if y <= x then incr j;
+    incr k
+  done;
+  let n = !k + (la - !i) + (lb - !j) in
+  if n > cap then None
+  else begin
+    let buf = Array.make n 0 in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la && !j < lb do
+      let x = a.(!i) and y = b.(!j) in
+      buf.(!k) <- (if x <= y then x else y);
+      if x <= y then incr i;
+      if y <= x then incr j;
+      incr k
+    done;
+    Array.blit a !i buf !k (la - !i);
+    Array.blit b !j buf !k (lb - !j);
+    Some buf
+  end
 
 let capped g ~cap =
   let n = Network.num_nodes g in

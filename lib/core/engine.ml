@@ -295,6 +295,10 @@ let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
           Local.run_pass cfg ~pass ~pool ~arena ~stats:stats.Stats.exhaustive
             ?cancel !g !classes
         in
+        stats.Stats.local_pairs_tried <-
+          stats.Stats.local_pairs_tried + result.Local.pairs_tried;
+        stats.Stats.local_cuts_checked <-
+          stats.Stats.local_cuts_checked + result.Local.cuts_checked;
         let dropped = Hashtbl.create 64 in
         let pass_merged = ref 0 in
         List.iter

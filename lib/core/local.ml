@@ -77,23 +77,28 @@ let run_pass (cfg : Config.t) ~pass ~pool ~arena ~stats ?cancel g classes =
     buffer := (cut, m, b, compl_) :: !buffer;
     incr buffered
   in
+  let common = Array.make n [] in
   let l = ref 1 in
   (* Poll (not just read the flag) at level boundaries so an armed
      deadline latches; inner batch guards use the flag-only check. *)
   while !l <= !max_el && not (Par.Cancel.poll_opt cancel) do
     let nodes = Array.of_list buckets.(!l) in
-    (* Parallel cut enumeration and selection for the level's nodes. *)
+    (* Parallel cut enumeration and selection for the level's nodes, and
+       each pair's common cuts: Eq. 2 puts a representative on a lower
+       level, so its priority cuts are final here. *)
     Par.Pool.parallel_for pool ~start:0 ~stop:(Array.length nodes) (fun k ->
         let m = nodes.(k) in
+        let r = repr_arr.(m) in
         let sim_target =
-          if cfg.similarity_selection && repr_arr.(m) <> m && repr_arr.(m) <> 0
-          then Some prio.(repr_arr.(m))
+          if cfg.similarity_selection && r <> m && r <> 0 then Some prio.(r)
           else None
         in
         prio.(m) <-
           Cuts.Enumerate.node_cuts g ecfg ~pass ~fanouts ~levels ~prio
-            ~sim_target m);
-    (* Generate and buffer the common cuts of this level's pairs. *)
+            ~sim_target m;
+        if r <> m && r <> 0 then
+          common.(m) <- Cuts.Enumerate.common_cuts ~k_l:cfg.k_l prio.(r) prio.(m));
+    (* Buffer the level's common cuts in node order. *)
     Array.iter
       (fun m ->
         let r = repr_arr.(m) in
@@ -103,10 +108,7 @@ let run_pass (cfg : Config.t) ~pass ~pool ~arena ~stats ?cancel g classes =
             (* Constant candidates: any cut of [m] is usable; the local
                function must be constant. *)
             List.iter (fun cut -> push cut m (-1) compl_arr.(m)) prio.(m)
-          else begin
-            let common = Cuts.Enumerate.common_cuts ~k_l:cfg.k_l prio.(r) prio.(m) in
-            List.iter (fun cut -> push cut m r compl_arr.(m)) common
-          end
+          else List.iter (fun cut -> push cut m r compl_arr.(m)) common.(m)
         end)
       nodes;
     incr l

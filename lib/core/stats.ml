@@ -9,6 +9,8 @@ type t = {
   mutable pairs_proved_local : int;
   mutable cex_found : int;
   mutable local_phases : int;
+  mutable local_pairs_tried : int;
+  mutable local_cuts_checked : int;
   mutable g_iterations : int;
   mutable g_candidates : int;
   mutable g_refinements : int;
@@ -29,6 +31,8 @@ let create () =
     pairs_proved_local = 0;
     cex_found = 0;
     local_phases = 0;
+    local_pairs_tried = 0;
+    local_cuts_checked = 0;
     g_iterations = 0;
     g_candidates = 0;
     g_refinements = 0;

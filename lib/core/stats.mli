@@ -12,6 +12,11 @@ type t = {
   mutable pairs_proved_local : int;
   mutable cex_found : int;
   mutable local_phases : int;
+  mutable local_pairs_tried : int;
+      (** candidate pairs given common cuts, summed over L passes *)
+  mutable local_cuts_checked : int;
+      (** common cuts simulated in L passes; [pairs_proved_local] over this
+          is the L phase's yield per cut *)
   mutable g_iterations : int;  (** G-phase refinement iterations run *)
   mutable g_candidates : int;  (** candidate pairs checked in the G phase *)
   mutable g_refinements : int;

@@ -406,6 +406,8 @@ let of_engine_stats (s : Stats.t) =
       ("pairs_proved_local", Int s.pairs_proved_local);
       ("cex_found", Int s.cex_found);
       ("local_phases", Int s.local_phases);
+      ("local_pairs_tried", Int s.local_pairs_tried);
+      ("local_cuts_checked", Int s.local_cuts_checked);
       ("g_iterations", Int s.g_iterations);
       ("g_candidates", Int s.g_candidates);
       ("g_refinements", Int s.g_refinements);

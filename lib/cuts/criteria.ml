@@ -7,11 +7,10 @@ type metrics = { fanout : float; size : int; level : float }
 let metrics ~fanouts ~levels cut =
   let n = Array.length cut in
   let fo = ref 0 and lv = ref 0 in
-  Array.iter
-    (fun id ->
-      fo := !fo + fanouts.(id);
-      lv := !lv + levels.(id))
-    cut;
+  for i = 0 to n - 1 do
+    fo := !fo + fanouts.(cut.(i));
+    lv := !lv + levels.(cut.(i))
+  done;
   {
     fanout = float_of_int !fo /. float_of_int n;
     size = n;

@@ -21,10 +21,19 @@ type config = {
     [n] for representatives and PIs. *)
 val enum_levels : Aig.Network.t -> repr_of:(int -> int) -> int array
 
+(** [candidates g ~k_l ~prio n] is [E(n)]: the merges of the fanins' cut
+    sets (each with its trivial cut) within [k_l] leaves, deduplicated, in
+    {!Cut.compare} order.  [prio] holds the fanins' priority cuts.  The LUT
+    mapper ranks the same set by its own criteria. *)
+val candidates :
+  Aig.Network.t -> k_l:int -> prio:Cut.t list array -> int -> Cut.t list
+
 (** [node_cuts g cfg ~pass ~fanouts ~levels ~prio ~sim_target n] computes
     [P(n)].  [prio] holds the already-computed priority cuts of the fanins;
     [sim_target] supplies the representative's cuts for similarity-steered
-    selection (pass criteria break ties). *)
+    selection (pass criteria break ties).  Each candidate is scored once;
+    the result is the first [c] of a stable sort of {!candidates} by
+    score, so equal scores keep {!Cut.compare} order. *)
 val node_cuts :
   Aig.Network.t ->
   config ->
@@ -37,5 +46,6 @@ val node_cuts :
   Cut.t list
 
 (** Common cuts of a candidate pair: pairwise merges of the two priority
-    cut sets under the size bound, deduplicated, trivial cuts excluded. *)
+    cut sets under the size bound, deduplicated, trivial cuts excluded, in
+    {!Cut.compare} order. *)
 val common_cuts : k_l:int -> Cut.t list -> Cut.t list -> Cut.t list

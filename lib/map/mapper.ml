@@ -15,25 +15,6 @@ let cut_arrival arrival cut =
 let cut_area_flow aflow cut =
   Array.fold_left (fun acc i -> acc +. aflow.(i)) 1. cut
 
-(* Candidate cuts of [n] from the priority sets of its fanins (Eq. 1 with
-   the mapper's own ranking). *)
-let candidates g ~k prio n =
-  let f0 = Aig.Network.fanin0 g n and f1 = Aig.Network.fanin1 g n in
-  let n0 = Aig.Lit.node f0 and n1 = Aig.Lit.node f1 in
-  let set0 = Cuts.Cut.trivial n0 :: prio.(n0) in
-  let set1 = Cuts.Cut.trivial n1 :: prio.(n1) in
-  let acc = ref [] in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun v ->
-          match Cuts.Cut.merge ~cap:k u v with
-          | Some c -> acc := c :: !acc
-          | None -> ())
-        set1)
-    set0;
-  List.sort_uniq Cuts.Cut.compare !acc
-
 let select ~c ~score cuts =
   let ranked = List.map (fun cut -> (score cut, cut)) cuts in
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) ranked in
@@ -50,7 +31,7 @@ let map ?(k = 6) g =
   let keep = 8 in
   (* Pass 1: depth-optimal choice, area flow as tie-breaker. *)
   Aig.Network.iter_ands g (fun id ->
-      let cand = candidates g ~k prio id in
+      let cand = Cuts.Enumerate.candidates g ~k_l:k ~prio id in
       let score cut =
         ( cut_arrival arrival cut,
           cut_area_flow aflow cut,

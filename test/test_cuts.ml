@@ -164,6 +164,137 @@ let test_similarity_steering () =
       Alcotest.(check bool) "steered similarity at least as high" true
         (sim_of steered +. 1e-9 >= sim_of unsteered)
 
+(* A straightforward enumerator, the reference that [Cuts.Enumerate] must
+   match cut for cut and in order: list-based unions, [Stdlib.compare]
+   dedup, a stable sort over freshly recomputed scores, then the first [c]. *)
+module Reference = struct
+  let merge ~cap a b =
+    let u = List.sort_uniq compare (Array.to_list a @ Array.to_list b) in
+    if List.length u > cap then None else Some (Array.of_list u)
+
+  let merges ~k_l us vs =
+    let acc = ref [] in
+    List.iter
+      (fun u ->
+        List.iter
+          (fun v ->
+            match merge ~cap:k_l u v with Some c -> acc := c :: !acc | None -> ())
+          vs)
+      us;
+    List.sort_uniq Stdlib.compare !acc
+
+  let similarity c cuts =
+    List.fold_left
+      (fun acc c' ->
+        let inter = List.length (List.filter (fun x -> Array.mem x c') (Array.to_list c)) in
+        let union = Array.length c + Array.length c' - inter in
+        acc +. (float_of_int inter /. float_of_int union))
+      0. cuts
+
+  let node_cuts g (cfg : Cuts.Enumerate.config) ~pass ~fanouts ~levels ~prio
+      ~sim_target n =
+    let n0 = Aig.Lit.node (Aig.Network.fanin0 g n) in
+    let n1 = Aig.Lit.node (Aig.Network.fanin1 g n) in
+    let cand =
+      merges ~k_l:cfg.k_l ([| n0 |] :: prio.(n0)) ([| n1 |] :: prio.(n1))
+    in
+    let scored =
+      List.map (fun c -> (c, Cuts.Criteria.metrics ~fanouts ~levels c)) cand
+    in
+    let cmp (ca, ma) (cb, mb) =
+      let r =
+        match sim_target with
+        | None -> 0
+        | Some t -> compare (similarity cb t) (similarity ca t)
+      in
+      if r <> 0 then r else Cuts.Criteria.compare_metrics pass ma mb
+    in
+    List.filteri (fun i _ -> i < cfg.c) (List.map fst (List.stable_sort cmp scored))
+end
+
+let gen_sorted_cut =
+  QCheck.Gen.(
+    map
+      (fun l -> Array.of_list (List.sort_uniq compare l))
+      (list_size (int_range 0 10) (int_range 1 200)))
+
+(* Every AND's priority cuts, from both enumerators side by side.  Every
+   third AND is steered (when [steer]) toward the cuts of the AND half its
+   id below, as a non-representative toward its representative. *)
+let prop_matches_reference =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, pass, steer, k_l, c) ->
+        Printf.sprintf "seed=%d pass=%d steer=%b k_l=%d c=%d" seed pass steer k_l c)
+      QCheck.Gen.(
+        let* seed = int_range 0 1_000_000 in
+        let* pass = int_range 0 2 in
+        let* steer = bool in
+        let* k_l = oneofl [ 4; 6; 8 ] in
+        let* c = oneofl [ 1; 3; 8 ] in
+        return (seed, pass, steer, k_l, c))
+  in
+  QCheck.Test.make ~name:"node_cuts and common_cuts match the reference"
+    ~count:120 arb (fun (seed, pass, steer, k_l, c) ->
+      let g = Util.random_network ~pis:8 ~nodes:80 seed in
+      let pass = List.nth Cuts.Criteria.table1 pass in
+      let fanouts = Aig.Network.fanout_counts g in
+      let levels = Aig.Network.levels g in
+      let cfg = { Cuts.Enumerate.k_l; c } in
+      let n = Aig.Network.num_nodes g in
+      let prio = Array.make n [] and prio_ref = Array.make n [] in
+      for i = 0 to Aig.Network.num_pis g - 1 do
+        let p = Aig.Network.pi g i in
+        prio.(p) <- [ Cuts.Cut.trivial p ];
+        prio_ref.(p) <- [ Cuts.Cut.trivial p ]
+      done;
+      let target n =
+        let r = n / 2 in
+        if steer && n mod 3 = 0 && Aig.Network.is_and g r then Some r else None
+      in
+      let ok = ref true in
+      Aig.Network.iter_ands g (fun m ->
+          let r = target m in
+          let steer_of prio = Option.map (fun r -> prio.(r)) r in
+          prio.(m) <-
+            Cuts.Enumerate.node_cuts g cfg ~pass ~fanouts ~levels ~prio
+              ~sim_target:(steer_of prio) m;
+          prio_ref.(m) <-
+            Reference.node_cuts g cfg ~pass ~fanouts ~levels ~prio:prio_ref
+              ~sim_target:(steer_of prio_ref) m;
+          if prio.(m) <> prio_ref.(m) then ok := false;
+          Option.iter
+            (fun r ->
+              if
+                Cuts.Enumerate.common_cuts ~k_l prio.(r) prio.(m)
+                <> Reference.merges ~k_l prio_ref.(r) prio_ref.(m)
+              then ok := false)
+            r);
+      !ok)
+
+let prop_merge_matches_union =
+  QCheck.Test.make ~name:"Cut.merge is the capped union; signatures never reject a fit"
+    ~count:1000
+    (QCheck.make QCheck.Gen.(triple gen_sorted_cut gen_sorted_cut (int_range 0 12)))
+    (fun (a, b, cap) ->
+      let m = Cuts.Cut.merge ~cap a b in
+      let rejected =
+        Cuts.Cut.sig_exceeds ~cap (Cuts.Cut.signature a lor Cuts.Cut.signature b)
+      in
+      m = Reference.merge ~cap a b
+      && m = Aig.Support.union_capped ~cap a b
+      && ((not rejected) || m = None))
+
+let prop_compare_agrees =
+  QCheck.Test.make ~name:"Cut.compare agrees in sign with Stdlib.compare"
+    ~count:1000
+    QCheck.(pair (array_of_size Gen.(int_range 0 4) (int_range 0 6))
+              (array_of_size Gen.(int_range 0 4) (int_range 0 6)))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Cuts.Cut.compare a b) = sign (Stdlib.compare a b)
+      && Cuts.Cut.compare a a = 0)
+
 let () =
   Alcotest.run "cuts"
     [
@@ -182,5 +313,8 @@ let () =
             prop_cut_count_bounded;
             prop_enum_levels_dependencies;
             prop_common_cuts_valid_for_both;
+            prop_matches_reference;
+            prop_merge_matches_union;
+            prop_compare_agrees;
           ] );
     ]

@@ -137,7 +137,9 @@ let test_three_passes_distinct () =
         List.map
           (fun pass ->
             let r = run_pass ~pass g classes in
-            Alcotest.(check bool) "tried pairs" true (r.Simsweep.Local.pairs_tried >= 0);
+            Alcotest.(check bool) "proved within tried" true
+              (List.length r.Simsweep.Local.proved <= r.Simsweep.Local.pairs_tried);
+            Alcotest.(check bool) "cuts checked" true (r.Simsweep.Local.cuts_checked > 0);
             r.Simsweep.Local.pairs_tried)
           Cuts.Criteria.table1
       in

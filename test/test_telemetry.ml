@@ -158,6 +158,10 @@ let test_engine_counters () =
   Alcotest.(check bool) "psim words counted" true
     (s.Simsweep.Stats.psim.Sim.Psim.node_words > 0);
   Alcotest.(check bool) "g iterations counted" true (s.Simsweep.Stats.g_iterations >= 1);
+  Alcotest.(check bool) "L phase ran" true (s.Simsweep.Stats.local_phases >= 1);
+  Alcotest.(check bool) "local proofs within pairs tried" true
+    (s.Simsweep.Stats.pairs_proved_local <= s.Simsweep.Stats.local_pairs_tried);
+  Alcotest.(check bool) "local cuts checked" true (s.Simsweep.Stats.local_cuts_checked > 0);
   Alcotest.(check bool) "candidates >= proved" true
     (s.Simsweep.Stats.g_candidates >= s.Simsweep.Stats.pairs_proved_global);
   Alcotest.(check bool) "no deadline configured, none hit" false
@@ -185,6 +189,8 @@ let test_engine_counters () =
       [ "stats"; "time_p_s" ];
       [ "stats"; "time_g_s" ];
       [ "stats"; "time_l_s" ];
+      [ "stats"; "local_pairs_tried" ];
+      [ "stats"; "local_cuts_checked" ];
       [ "stats"; "exhaustive"; "arena_hwm_words" ];
       [ "stats"; "exhaustive"; "arena_grows" ];
     ]
