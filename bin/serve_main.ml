@@ -55,21 +55,21 @@ let run_client addr script timeout =
       2
   | Ok c ->
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      let req = Serve.Protocol.Script { script; timeout_s = timeout } in
+      let req = Shard.Protocol.Script { script; timeout_s = timeout } in
       (match Serve.Client.request c req with
       | Error e ->
           Printf.eprintf "error: %s\n" e;
           2
       | Ok r ->
-          print_string r.Serve.Protocol.output;
+          print_string r.Shard.Protocol.output;
           if
-            r.Serve.Protocol.output <> ""
-            && r.Serve.Protocol.output.[String.length r.Serve.Protocol.output - 1]
+            r.Shard.Protocol.output <> ""
+            && r.Shard.Protocol.output.[String.length r.Shard.Protocol.output - 1]
                <> '\n'
           then print_newline ();
-          if r.Serve.Protocol.ok then 0
+          if r.Shard.Protocol.ok then 0
           else begin
-            Printf.eprintf "error: %s\n" r.Serve.Protocol.output;
+            Printf.eprintf "error: %s\n" r.Shard.Protocol.output;
             2
           end)
 
@@ -151,8 +151,6 @@ let cmd =
 
 let () =
   (* A daemon hosting shard requests re-execs itself as the worker, so
-     the worker hook must run first; registering the shard engine makes
-     "shard.N" resolvable from Cec requests and served scripts. *)
+     the worker hook must run first. *)
   Shard.Worker.maybe_become_worker ();
-  Shard.Register.shell ();
   exit (Cmd.eval' cmd)

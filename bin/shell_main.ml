@@ -22,7 +22,6 @@ let interactive state =
 let () =
   (* Children spawned by `cec shard` re-exec this binary as workers. *)
   Shard.Worker.maybe_become_worker ();
-  Shard.Register.shell ();
   let state = Shell.Command.create () in
   let code =
     match Array.to_list Sys.argv with

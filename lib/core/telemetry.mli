@@ -47,7 +47,7 @@ val list_member : string -> json -> json list option
 (** {1 Wire I/O counters}
 
     Mutable per-connection counters threaded through the frame layer
-    ({!Serve.Protocol}): payload-inclusive bytes and frames in each
+    ([Shard.Protocol]): payload-inclusive bytes and frames in each
     direction. *)
 
 type io = {

@@ -23,6 +23,17 @@ let of_sat_outcome = function
   | Sat.Sweep.Inequivalent (cex, po) -> V_inequivalent (cex, po)
   | Sat.Sweep.Undecided -> V_unknown "undecided"
 
+(* An engine of the shared table, under its oracle name. *)
+let of_table name engine =
+  {
+    name;
+    run =
+      (fun ~pool m ->
+        match Shell.Engines.run ~pool engine m with
+        | Ok r -> of_engine_outcome r.Shell.Engines.outcome
+        | Error e -> V_unknown e);
+  }
+
 let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) () =
   [
     {
@@ -35,27 +46,9 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
             | `Equivalent -> V_equivalent
             | `Inequivalent (cex, po) -> V_inequivalent (cex, po));
     };
-    {
-      name = "sim";
-      run =
-        (fun ~pool m ->
-          let r = Simsweep.Engine.run ~config:Simsweep.Config.scaled ~pool m in
-          of_engine_outcome r.Simsweep.Engine.outcome);
-    };
-    {
-      name = "combined";
-      run =
-        (fun ~pool m ->
-          let c =
-            Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled
-              ~transfer_classes:true ~pool m
-          in
-          of_engine_outcome c.Simsweep.Engine.final);
-    };
-    {
-      name = "satsweep";
-      run = (fun ~pool m -> of_sat_outcome (fst (Sat.Sweep.check ~pool m)));
-    };
+    of_table "sim" Shell.Engines.Sim;
+    of_table "combined" Shell.Engines.Combined;
+    of_table "satsweep" Shell.Engines.Sat;
     {
       name = "satdirect";
       run =
@@ -84,24 +77,12 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
           | `Node_limit -> V_unknown "node limit"
           | `Timeout -> V_unknown "timeout");
     };
-    {
-      name = "portfolio";
-      run =
-        (fun ~pool m ->
-          let r = Simsweep.Portfolio.check ~pool m in
-          of_engine_outcome r.Simsweep.Portfolio.outcome);
-    };
-    {
-      (* The racing portfolio is its own oracle member: any scheduling bug
-         that lets cancellation corrupt a verdict shows up as a
-         disagreement with the sequential engines (degrades to the
-         sequential portfolio on machines without spare cores). *)
-      name = "race";
-      run =
-        (fun ~pool m ->
-          let r = Simsweep.Portfolio.check ~mode:`Race ~pool m in
-          of_engine_outcome r.Simsweep.Portfolio.outcome);
-    };
+    of_table "portfolio" (Shell.Engines.Portfolio `Sequential);
+    (* The racing portfolio is its own oracle member: any scheduling bug
+       that lets cancellation corrupt a verdict shows up as a
+       disagreement with the sequential engines (degrades to the
+       sequential portfolio on machines without spare cores). *)
+    of_table "race" (Shell.Engines.Portfolio `Race);
   ]
 
 type failure =

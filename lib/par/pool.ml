@@ -334,32 +334,6 @@ let parallel_region t f =
       f
   end
 
-let parallel_reduce ?chunk t ~start ~stop ~neutral ~body ~combine =
-  let n = stop - start in
-  if n <= 0 then neutral
-  else begin
-    (* Deterministic: chunk boundaries depend only on [n] and [chunk], each
-       chunk folds its indices left-to-right, and the chunk partials are
-       folded in chunk order — so any associative [combine] gives the same
-       result as a sequential left fold, run after run. *)
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | _ -> max 1 (n / (8 * (t.spawned + 1)))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let partial = Array.make nchunks neutral in
-    parallel_for t ~chunk:1 ~start:0 ~stop:nchunks (fun c ->
-        let lo = start + (c * chunk) in
-        let hi = min stop (lo + chunk) in
-        let acc = ref neutral in
-        for i = lo to hi - 1 do
-          acc := combine !acc (body i)
-        done;
-        partial.(c) <- !acc);
-    Array.fold_left combine neutral partial
-  end
-
 let shutdown t =
   let already = Atomic.exchange t.stopping true in
   Mutex.lock t.mutex;

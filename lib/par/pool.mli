@@ -76,22 +76,6 @@ val parallel_for : t -> ?chunk:int -> start:int -> stop:int -> (int -> unit) -> 
     inert: [f] is simply called. *)
 val parallel_region : t -> (unit -> 'a) -> 'a
 
-(** [parallel_reduce t ~start ~stop ~neutral ~body ~combine] folds the
-    values of [body i] with [combine].  [combine] must be associative and
-    [neutral] its unit; commutativity is {e not} required — indices are
-    folded left-to-right within fixed chunks and the chunk partials are
-    combined in index order, so the result is deterministic and equal to
-    the sequential left fold for any associative [combine]. *)
-val parallel_reduce :
-  ?chunk:int ->
-  t ->
-  start:int ->
-  stop:int ->
-  neutral:'a ->
-  body:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  'a
-
 (** Terminate the worker domains.  Idempotent; the pool must not be used
     for further loops afterwards. *)
 val shutdown : t -> unit

@@ -5,7 +5,6 @@ type config = {
   max_rounds : int;
   cex_batch : int;
   use_reverse_sim : bool;
-  simplify : bool;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     max_rounds = 30;
     cex_batch = 48;
     use_reverse_sim = false;
-    simplify = true;
   }
 
 type outcome = Equivalent | Inequivalent of Sim.Cex.t * int | Undecided
@@ -187,15 +185,13 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
         assert loaded;
         (* Preprocess with every node variable the round may assume
            frozen. *)
-        if config.simplify then begin
-          let frozen = ref [] in
-          Array.iter
-            (fun { Sim.Eclass.repr; other; _ } ->
-              if not (Aig.Network.is_const repr) then frozen := repr :: !frozen;
-              frozen := other :: !frozen)
-            pairs;
-          Solver.simplify ?cancel ~frozen:!frozen solver
-        end;
+        let frozen = ref [] in
+        Array.iter
+          (fun { Sim.Eclass.repr; other; _ } ->
+            if not (Aig.Network.is_const repr) then frozen := repr :: !frozen;
+            frozen := other :: !frozen)
+          pairs;
+        Solver.simplify ?cancel ~frozen:!frozen solver;
         let i = ref 0 in
         (* [poll_opt], not [is_set_opt]: a pair decided by the cache or by
            reverse simulation makes no SAT call, so a run of such pairs
@@ -319,7 +315,7 @@ let check ?(config = default_config) ?classes ?pcache ?cancel ~pool g0 =
       if not loaded then Equivalent
       else begin
         let unsolved = Aig.Miter.unsolved_outputs g in
-        if config.simplify then simplify_for_pos ?cancel solver g unsolved;
+        simplify_for_pos ?cancel solver g unsolved;
         let rec check_pos = function
           | [] -> Equivalent
           | po :: rest -> (

@@ -5,7 +5,11 @@
     candidate pairs are proved by incremental SAT under assumptions with a
     per-call conflict budget; counter-examples refine the classes; proved
     pairs are merged and the miter reduced; rounds repeat until a fixed
-    point, and finally the remaining POs are checked by SAT.
+    point, and finally the remaining POs are checked by SAT.  Every
+    solver is preprocessed ({!Solver.simplify}: BVE, subsumption,
+    equivalent literals, XOR/Gauss, probing) with the variables it will
+    be asked about frozen; counter-examples stay valid because eliminated
+    PI values are reconstructed into the model.
 
     SAT is sequential: each round proves its pairs in pair-index order on
     one incremental solver and commits each verdict as it goes, so learnt
@@ -23,11 +27,6 @@ type config = {
       (** try backward justification ({!Sim.Rsim.justify_pair}) to disprove
           a candidate pair before spending SAT effort on it (§V, after
           Zhang et al.) *)
-  simplify : bool;
-      (** preprocess the final-PO solver ({!Solver.simplify}: BVE,
-          subsumption, equivalent literals, XOR/Gauss, probing) with the
-          unsolved PO variables frozen.  Counter-examples remain valid:
-          eliminated PI values are reconstructed into the model. *)
 }
 
 val default_config : config

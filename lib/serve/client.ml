@@ -1,5 +1,7 @@
 (* Client side of the daemon protocol, shared by the CLI binaries. *)
 
+module Protocol = Shard.Protocol
+
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 (* "host:port" is TCP, anything else a Unix socket path. *)

@@ -10,4 +10,4 @@ val connect : Server.addr -> (t, string) result
 val close : t -> unit
 
 (** One request/response round trip. *)
-val request : t -> Protocol.request -> (Protocol.response, string) result
+val request : t -> Shard.Protocol.request -> (Shard.Protocol.response, string) result

@@ -6,6 +6,8 @@
    fair turns and the machine is never oversubscribed.  Every session
    feeds and consults the one shared equivalence cache. *)
 
+module Protocol = Shard.Protocol
+
 type addr = Unix_path of string | Tcp of string * int
 
 type config = {

@@ -1,7 +1,7 @@
 (** CEC as a service: a persistent sweep daemon.
 
     The server listens on a Unix-domain or TCP socket and speaks the
-    length-prefixed JSON {!Protocol}.  Each connection gets an isolated
+    length-prefixed JSON {!Shard.Protocol}.  Each connection gets an isolated
     {!Session} (its own current network and store) running on its own
     thread; heavy work is serialized onto one shared domain pool in fair
     FIFO order ({!Scheduler}); every request may carry a wall-clock
@@ -22,7 +22,7 @@ type config = {
       (** applied to requests that carry no timeout of their own *)
   max_frame_bytes : int;
       (** protocol frame cap, header + payload
-          ({!Protocol.set_max_frame}, applied at {!start}) *)
+          ({!Shard.Protocol.set_max_frame}, applied at {!start}) *)
   pool : Par.Pool.t option;  (** [None]: the process-wide default pool *)
 }
 

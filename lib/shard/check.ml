@@ -1,4 +1,4 @@
-module Pr = Serve.Protocol
+module Pr = Protocol
 module E = Simsweep.Engine
 
 type config = {
@@ -55,6 +55,9 @@ let worker_exe config =
       match Sys.getenv_opt "SIMSWEEP_SHARD_WORKER" with
       | Some exe when exe <> "" -> exe
       | _ -> Sys.executable_name)
+
+let can_spawn config =
+  worker_exe config <> Sys.executable_name || Worker.hosts_workers ()
 
 let kill_and_reap w =
   if w.w_alive then begin

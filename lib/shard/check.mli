@@ -4,7 +4,7 @@
     (re-exec of the host binary, {!Worker}), and schedules shards with
     work-stealing: workers pull the next task whenever idle, so a slow
     shard never serialises the rest.  Verdicts stream back over
-    {!Serve.Protocol} shard frames.  Each worker checks its shard with
+    {!Protocol} shard frames.  Each worker checks its shard with
     the sweeping engine and the sequential SAT sweeper to completion
     ({!Worker}).  Counter-examples are validated against the shard and
     lifted to the full input space before being reported, and a single
@@ -39,6 +39,13 @@ type config = {
 }
 
 val default_config : config
+
+(** Whether [config] names an executable that serves as a worker:
+    [worker_exe], [SIMSWEEP_SHARD_WORKER], or this program itself once
+    it has called {!Worker.maybe_become_worker}.  Otherwise {!check}
+    would re-exec a program that runs its [main] instead of the worker
+    loop. *)
+val can_spawn : config -> bool
 
 (** [check ?config ?cancel ?pool g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic

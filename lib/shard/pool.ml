@@ -10,7 +10,7 @@
    — a leased worker that crashes mid-run is the coordinator's problem
    and simply never comes back. *)
 
-module Pr = Serve.Protocol
+module Pr = Protocol
 
 type worker = {
   pw_pid : int;

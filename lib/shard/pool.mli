@@ -6,7 +6,7 @@
     solver-cache state) instead of paying exec + cold-start per run.
 
     The pool holds only {e idle} workers.  {!acquire} leases workers
-    out, revalidating every warm candidate with a {!Serve.Protocol}
+    out, revalidating every warm candidate with a {!Protocol}
     ping/pong exchange (dead, wedged or desynced workers are killed and
     replaced with cold spawns); {!release} returns a healthy idle worker
     — never one that is mid-task; leased workers that die are simply

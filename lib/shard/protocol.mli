@@ -1,4 +1,4 @@
-(** The daemon's wire protocol.
+(** The wire protocol of the daemon and of shard workers.
 
     Frames are a 4-byte big-endian header length, that many bytes of
     JSON header (the hand-rolled {!Simsweep.Telemetry} flavour), then an
@@ -29,12 +29,11 @@ type incoming = { hdr : json; payload : string }
 type request =
   | Ping  (** liveness probe; answered without queueing *)
   | Script of { script : string; timeout_s : float option }
-      (** run a shell script ({!Shell.Command.exec_script}) in this
+      (** run a shell script ([Shell.Command.exec_script]) in this
           connection's session *)
   | Cec of { aiger : string; engine : string; timeout_s : float option }
       (** check a miter shipped as an AIGER binary trailer with the
-          named [cec] engine (sim, sat, bdd, portfolio, combined,
-          partitioned, shard.N) *)
+          [cec] engine of that name ([Shell.Engines.of_string]) *)
   | Cache_stats  (** snapshot of the shared equivalence cache *)
 
 type response = {

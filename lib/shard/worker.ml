@@ -1,4 +1,4 @@
-module Pr = Serve.Protocol
+module Pr = Protocol
 
 let mode_env = "SIMSWEEP_SHARD_WORKER_MODE"
 let domains_env = "SIMSWEEP_SHARD_DOMAINS"
@@ -98,7 +98,11 @@ let worker_main () =
      exit 1);
   exit 0
 
+let hooked = Atomic.make false
+
 let maybe_become_worker () =
   match Sys.getenv_opt mode_env with
   | Some "1" -> worker_main ()
-  | _ -> ()
+  | _ -> Atomic.set hooked true
+
+let hosts_workers () = Atomic.get hooked

@@ -28,8 +28,13 @@ val domains_env : string
     otherwise. *)
 val maybe_become_worker : unit -> unit
 
-(** The protocol loop itself: read {!Serve.Protocol.shard_task} frames,
-    answer each with one {!Serve.Protocol.shard_reply} frame, return on
+(** Whether this process has called {!maybe_become_worker}, so that a
+    re-exec of its executable comes up as a worker rather than running
+    the program's [main] again. *)
+val hosts_workers : unit -> bool
+
+(** The protocol loop itself: read {!Protocol.shard_task} frames,
+    answer each with one {!Protocol.shard_reply} frame, return on
     [Shard_quit] or end-of-stream.
     [num_domains] sizes the worker's simulation pool (default 1). *)
 val serve : ?num_domains:int -> in_channel -> out_channel -> unit

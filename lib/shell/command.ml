@@ -26,9 +26,9 @@ let help_text =
       "store NAME           save the current network";
       "load NAME            recall a stored network";
       "miter NAME           current := miter(current, NAME)";
-      "cec [ENGINE]         sim sat satdirect bdd portfolio combined \
-       partitioned; plus registered engines (e.g. shard.N: N-process \
-       sharded sweeping)";
+      "cec [ENGINE]         check the current miter (default combined) with";
+      "                     sim combined sat satdirect bdd portfolio";
+      "                     portfolio.race partitioned shard[.N] (N workers)";
       "map [K]              map to K-input LUTs and resynthesise (default 6)";
       "fraig                merge functionally equivalent internal nodes";
       "certify              combined check with certificate validation";
@@ -64,124 +64,12 @@ let generate family size =
   | "display" -> Ok (Gen.Control.display ~hbits:(size 8) ~vbits:(max 1 (size 8 - 1)))
   | _ -> Error ("unknown family " ^ family)
 
-let outcome_string = function
-  | Simsweep.Engine.Proved -> "EQUIVALENT"
-  | Simsweep.Engine.Disproved (cex, po) ->
-      let bits =
-        String.init (Array.length cex) (fun i -> if cex.(i) then '1' else '0')
-      in
-      Printf.sprintf "NOT EQUIVALENT (output %d, inputs %s)" po bits
-  | Simsweep.Engine.Undecided -> "UNDECIDED"
-
-(* Append a cache-effect suffix when an equivalence cache is plugged in,
-   so clients (and the serve smoke test) can observe reuse. *)
-let cache_suffix st ~hits ~misses =
-  match st.pcache with
-  | None -> ""
-  | Some _ -> Printf.sprintf " [cache %d hits, %d misses]" hits misses
-
-(* Extra checking engines registered by libraries the shell cannot link
-   directly (dependency direction) — e.g. the multi-process shard
-   coordinator, whose library depends on the serve protocol which in turn
-   depends on this shell.  Entry points opt in by calling
-   [register_engine] at start-up. *)
-let external_engines :
-    ( string,
-      ?cancel:Par.Cancel.t ->
-      arg:string option ->
-      Aig.Network.t ->
-      (string, string) result )
-    Hashtbl.t =
-  Hashtbl.create 4
-
-let register_engine name run = Hashtbl.replace external_engines name run
-
-let run_cec ?cancel st g engine =
-  let pool = Lazy.force st.pool in
-  let pcache = st.pcache in
-  match engine with
-  | "sim" ->
-      let r =
-        Simsweep.Engine.run ~config:Simsweep.Config.scaled ?pcache ?cancel ~pool
-          g
-      in
-      let s = r.Simsweep.Engine.stats in
-      Ok
-        (Printf.sprintf "%s (reduced %.1f%%)%s"
-           (outcome_string r.Simsweep.Engine.outcome)
-           (Simsweep.Engine.reduction_percent r)
-           (cache_suffix st ~hits:s.Simsweep.Stats.cache_hits
-              ~misses:s.Simsweep.Stats.cache_misses))
-  | "sat" -> (
-      match Sat.Sweep.check ?pcache ?cancel ~pool (Aig.Network.copy g) with
-      | Sat.Sweep.Equivalent, st_ ->
-          Ok
-            (Printf.sprintf "EQUIVALENT (%d SAT calls)%s"
-               st_.Sat.Sweep.sat_calls
-               (cache_suffix st ~hits:st_.Sat.Sweep.cache_hits
-                  ~misses:st_.Sat.Sweep.cache_misses))
-      | Sat.Sweep.Inequivalent (cex, po), _ ->
-          Ok (outcome_string (Simsweep.Engine.Disproved (cex, po)))
-      | Sat.Sweep.Undecided, _ -> Ok "UNDECIDED")
-  | "satdirect" -> (
-      (* Monolithic SAT with preprocessing, no sweeping — exercises the
-         Solver.simplify pipeline end to end. *)
-      match Sat.Sweep.check_direct ?cancel g with
-      | Sat.Sweep.Equivalent -> Ok "EQUIVALENT"
-      | Sat.Sweep.Inequivalent (cex, po) ->
-          Ok (outcome_string (Simsweep.Engine.Disproved (cex, po)))
-      | Sat.Sweep.Undecided -> Ok "UNDECIDED")
-  | "bdd" -> (
-      match Bdd.check ?cancel g with
-      | `Equivalent -> Ok "EQUIVALENT"
-      | `Inequivalent (cex, po) ->
-          Ok (outcome_string (Simsweep.Engine.Disproved (cex, po)))
-      | `Node_limit -> Ok "UNDECIDED (BDD node limit)"
-      | `Timeout -> Ok "UNDECIDED (BDD step budget)")
-  | "portfolio" ->
-      let r =
-        Simsweep.Portfolio.check ~config:Simsweep.Config.scaled ?cancel ~pool g
-      in
-      Ok
-        (Printf.sprintf "%s (winner: %s)"
-           (outcome_string r.Simsweep.Portfolio.outcome)
-           (match r.Simsweep.Portfolio.winner with
-           | Some e -> Simsweep.Portfolio.engine_name e
-           | None -> "none"))
-  | "combined" ->
-      let c =
-        Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled
-          ?pcache ?cancel ~pool g
-      in
-      let es = c.Simsweep.Engine.engine.Simsweep.Engine.stats in
-      let sat_hits, sat_misses =
-        match c.Simsweep.Engine.sat_stats with
-        | Some s -> (s.Sat.Sweep.cache_hits, s.Sat.Sweep.cache_misses)
-        | None -> (0, 0)
-      in
-      Ok
-        (outcome_string c.Simsweep.Engine.final
-        ^ cache_suffix st
-            ~hits:(es.Simsweep.Stats.cache_hits + sat_hits)
-            ~misses:(es.Simsweep.Stats.cache_misses + sat_misses))
-  | "partitioned" ->
-      let outcome, n =
-        Simsweep.Partition.check ~config:Simsweep.Config.scaled ?cancel ~pool g
-      in
-      Ok (Printf.sprintf "%s (%d groups)" (outcome_string outcome) n)
-  | other -> (
-      (* "name" or "name.ARG" selects a registered engine, ARG passed
-         through (e.g. "shard.4" = shard coordinator with 4 workers). *)
-      let name, arg =
-        match String.index_opt other '.' with
-        | Some i ->
-            ( String.sub other 0 i,
-              Some (String.sub other (i + 1) (String.length other - i - 1)) )
-        | None -> (other, None)
-      in
-      match Hashtbl.find_opt external_engines name with
-      | Some run -> run ?cancel ~arg g
-      | None -> Error ("unknown engine " ^ other))
+let run_cec ?cancel st g name =
+  match Engines.of_string name with
+  | Error e -> Error e
+  | Ok engine ->
+      Engines.run ?cancel ?pcache:st.pcache ~pool:(Lazy.force st.pool) engine g
+      |> Result.map (fun r -> r.Engines.summary)
 
 (* Tokenize one command line ABC-style: words split on blanks; double or
    single quotes group a word, so filenames may contain blanks, [;] or
@@ -300,7 +188,7 @@ let exec ?cancel st line =
               Simsweep.Certificate.generate ~config:Simsweep.Config.scaled
                 ?cancel ~pool g
             in
-            let verdict = outcome_string result.Simsweep.Engine.outcome in
+            let verdict = Engines.outcome_string result.Simsweep.Engine.outcome in
             if not cert.Simsweep.Certificate.claims_proved then
               Ok (verdict ^ " (no full certificate)")
             else begin

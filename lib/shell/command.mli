@@ -20,8 +20,8 @@
     store NAME             save the current network under NAME
     load NAME              make a stored network current
     miter NAME             replace current with miter(current, NAME)
-    cec [sim|sat|bdd|portfolio|combined|partitioned]
-                           check the current miter (default combined)
+    cec [ENGINE]           check the current miter with a {!Engines}
+                           name (default combined)
     certify                check with certificate generation + validation
     sim N                  print N random simulation vectors
     stats                  print size statistics
@@ -51,25 +51,11 @@ val create : ?pool:Par.Pool.t -> ?pcache:Aig.Pcache.t -> unit -> state
     long-running commands ([cec], [fraig]). *)
 val exec : ?cancel:Par.Cancel.t -> state -> string -> (string, string) result
 
-(** [register_engine name run] plugs an extra [cec] engine into the
-    interpreter, for libraries the shell cannot link directly (the shard
-    coordinator depends on the serve protocol, which depends on this
-    shell).  The engine is selected as [cec name] or [cec name.ARG]; the
-    part after the first dot reaches [run] as [arg].  Registering an
-    existing name replaces it.  Entry points opt in explicitly. *)
-val register_engine :
-  string ->
-  (?cancel:Par.Cancel.t ->
-  arg:string option ->
-  Aig.Network.t ->
-  (string, string) result) ->
-  unit
-
-(** [run_cec ?cancel state miter engine] checks [miter] with the named
-    [cec] engine (sim, sat, bdd, portfolio, combined, partitioned, or
-    anything from {!register_engine}) using the state's pool and
-    equivalence cache, without touching the state's
-    current network or store.  The daemon's direct-CEC entry point. *)
+(** [run_cec ?cancel state miter engine] checks [miter] with the
+    {!Engines} entry named [engine] using the state's pool and
+    equivalence cache, without touching the state's current network or
+    store, and returns the engine's one-line summary.  The daemon's
+    direct-CEC entry point. *)
 val run_cec :
   ?cancel:Par.Cancel.t ->
   state ->

@@ -61,51 +61,6 @@ let test_nested () =
               ignore (Atomic.fetch_and_add acc 1)));
       Alcotest.(check int) "64 iterations" 64 (Atomic.get acc))
 
-let test_reduce () =
-  with_pool 4 (fun pool ->
-      let s =
-        Par.Pool.parallel_reduce pool ~start:1 ~stop:1001 ~neutral:0
-          ~body:(fun i -> i)
-          ~combine:( + )
-      in
-      Alcotest.(check int) "sum 1..1000" 500500 s;
-      let m =
-        Par.Pool.parallel_reduce pool ~start:0 ~stop:100 ~neutral:min_int
-          ~body:(fun i -> (i * 37) mod 101)
-          ~combine:max
-      in
-      let expect = ref min_int in
-      for i = 0 to 99 do
-        expect := max !expect ((i * 37) mod 101)
-      done;
-      Alcotest.(check int) "max" !expect m)
-
-let test_reduce_deterministic () =
-  (* Regression: list append is associative but NOT commutative, so any
-     scheduling-order dependence in parallel_reduce shows up as a permuted
-     result.  Must equal the sequential left fold, every run, every chunking. *)
-  with_pool 4 (fun pool ->
-      let n = 500 in
-      let expect = List.init n Fun.id in
-      List.iter
-        (fun chunk ->
-          for _run = 1 to 10 do
-            let got =
-              match chunk with
-              | None ->
-                  Par.Pool.parallel_reduce pool ~start:0 ~stop:n ~neutral:[]
-                    ~body:(fun i -> [ i ])
-                    ~combine:( @ )
-              | Some chunk ->
-                  Par.Pool.parallel_reduce ~chunk pool ~start:0 ~stop:n
-                    ~neutral:[]
-                    ~body:(fun i -> [ i ])
-                    ~combine:( @ )
-            in
-            Alcotest.(check (list int)) "in order" expect got
-          done)
-        [ None; Some 1; Some 7; Some 64; Some 1000 ])
-
 let test_shutdown_idempotent () =
   let pool = Par.Pool.create ~num_domains:3 () in
   Par.Pool.parallel_for pool ~start:0 ~stop:10 (fun _ -> ());
@@ -237,8 +192,6 @@ let () =
           Alcotest.test_case "exception" `Quick test_exception;
           Alcotest.test_case "reuse" `Quick test_reuse_many;
           Alcotest.test_case "nested" `Quick test_nested;
-          Alcotest.test_case "reduce" `Quick test_reduce;
-          Alcotest.test_case "reduce deterministic" `Quick test_reduce_deterministic;
           Alcotest.test_case "region equivalence" `Quick test_region_equivalence;
           Alcotest.test_case "region nested sequential" `Quick
             test_region_nested_sequential;

@@ -9,8 +9,8 @@ let contains hay needle =
 (* {2 Protocol} *)
 
 let roundtrip_request req =
-  let hdr, payload = Serve.Protocol.request_to_frame req in
-  match Serve.Protocol.(request_of_frame { hdr; payload }) with
+  let hdr, payload = Shard.Protocol.request_to_frame req in
+  match Shard.Protocol.(request_of_frame { hdr; payload }) with
   | Ok r -> r
   | Error e -> Alcotest.failf "request did not roundtrip: %s" e
 
@@ -18,46 +18,46 @@ let test_protocol_json () =
   List.iter
     (fun req -> assert (roundtrip_request req = req))
     [
-      Serve.Protocol.Ping;
-      Serve.Protocol.Cache_stats;
-      Serve.Protocol.Script { script = "gen adder 4; stats"; timeout_s = None };
-      Serve.Protocol.Script { script = "a\nb;c \"q;q\""; timeout_s = Some 1.5 };
-      Serve.Protocol.Cec
+      Shard.Protocol.Ping;
+      Shard.Protocol.Cache_stats;
+      Shard.Protocol.Script { script = "gen adder 4; stats"; timeout_s = None };
+      Shard.Protocol.Script { script = "a\nb;c \"q;q\""; timeout_s = Some 1.5 };
+      Shard.Protocol.Cec
         { aiger = "aag 0 0 0 0 0\n"; engine = "sat"; timeout_s = Some 0.25 };
     ];
   let resp =
     {
-      Serve.Protocol.ok = true;
+      Shard.Protocol.ok = true;
       output = "EQUIVALENT";
       cache_hits = 3;
       cache_misses = 1;
       elapsed_s = 0.125;
     }
   in
-  match Serve.Protocol.(response_of_json (response_to_json resp)) with
+  match Shard.Protocol.(response_of_json (response_to_json resp)) with
   | Ok r -> Alcotest.(check bool) "response roundtrips" true (r = resp)
   | Error e -> Alcotest.failf "response did not roundtrip: %s" e
 
 let test_protocol_frames () =
   let rd, wr = Unix.pipe () in
   let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
-  let j1, _ = Serve.Protocol.request_to_frame Serve.Protocol.Ping in
+  let j1, _ = Shard.Protocol.request_to_frame Shard.Protocol.Ping in
   let j2, _ =
-    Serve.Protocol.request_to_frame
-      (Serve.Protocol.Script { script = "x \"esc\\\"ape\""; timeout_s = None })
+    Shard.Protocol.request_to_frame
+      (Shard.Protocol.Script { script = "x \"esc\\\"ape\""; timeout_s = None })
   in
-  Serve.Protocol.write_frame oc j1;
-  Serve.Protocol.write_frame oc j2;
-  (match Serve.Protocol.read_frame ic with
+  Shard.Protocol.write_frame oc j1;
+  Shard.Protocol.write_frame oc j2;
+  (match Shard.Protocol.read_frame ic with
   | Ok inc ->
-      Alcotest.(check bool) "frame 1" true (inc.Serve.Protocol.hdr = j1);
-      Alcotest.(check string) "frame 1 no payload" "" inc.Serve.Protocol.payload
+      Alcotest.(check bool) "frame 1" true (inc.Shard.Protocol.hdr = j1);
+      Alcotest.(check string) "frame 1 no payload" "" inc.Shard.Protocol.payload
   | Error e -> Alcotest.failf "frame 1: %s" e);
-  (match Serve.Protocol.read_frame ic with
-  | Ok inc -> Alcotest.(check bool) "frame 2" true (inc.Serve.Protocol.hdr = j2)
+  (match Shard.Protocol.read_frame ic with
+  | Ok inc -> Alcotest.(check bool) "frame 2" true (inc.Shard.Protocol.hdr = j2)
   | Error e -> Alcotest.failf "frame 2: %s" e);
   close_out oc;
-  (match Serve.Protocol.read_frame ic with
+  (match Shard.Protocol.read_frame ic with
   | Error "eof" -> ()
   | Ok _ -> Alcotest.fail "expected eof"
   | Error e -> Alcotest.failf "expected eof, got: %s" e);
@@ -72,12 +72,12 @@ let test_protocol_payload () =
   let rx = Simsweep.Telemetry.io_create () in
   let payload = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
   let hdr = Simsweep.Telemetry.Obj [ ("type", Simsweep.Telemetry.String "t") ] in
-  Serve.Protocol.write_frame ~io:tx ~payload oc hdr;
-  (match Serve.Protocol.read_frame ~io:rx ic with
+  Shard.Protocol.write_frame ~io:tx ~payload oc hdr;
+  (match Shard.Protocol.read_frame ~io:rx ic with
   | Ok inc ->
-      Alcotest.(check string) "payload intact" payload inc.Serve.Protocol.payload;
+      Alcotest.(check string) "payload intact" payload inc.Shard.Protocol.payload;
       Alcotest.(check bool) "payload_len in header" true
-        (Simsweep.Telemetry.int_member "payload_len" inc.Serve.Protocol.hdr
+        (Simsweep.Telemetry.int_member "payload_len" inc.Shard.Protocol.hdr
         = Some (String.length payload))
   | Error e -> Alcotest.failf "payload frame: %s" e);
   Alcotest.(check bool) "tx counted payload" true
@@ -92,11 +92,11 @@ let test_protocol_payload () =
 let test_protocol_frame_cap () =
   (* The cap is configurable and enforced at the boundary on both sides.
      Alcotest runs in-process, so restore the default before leaving. *)
-  let saved = Serve.Protocol.max_frame () in
-  Fun.protect ~finally:(fun () -> Serve.Protocol.set_max_frame saved)
+  let saved = Shard.Protocol.max_frame () in
+  Fun.protect ~finally:(fun () -> Shard.Protocol.set_max_frame saved)
   @@ fun () ->
-  Serve.Protocol.set_max_frame 65536;
-  Alcotest.(check int) "floor clamps" 65536 (Serve.Protocol.max_frame ());
+  Shard.Protocol.set_max_frame 65536;
+  Alcotest.(check int) "floor clamps" 65536 (Shard.Protocol.max_frame ());
   (* A socketpair, not a pipe: an at-cap frame (64 KiB + framing) would
      fill a pipe's buffer and deadlock this single-threaded test. *)
   let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -108,26 +108,26 @@ let test_protocol_frame_cap () =
   in
   (* Exactly at the cap: passes. *)
   let at_cap = String.make (65536 - hdr_len) 'x' in
-  Serve.Protocol.write_frame ~payload:at_cap oc hdr;
-  (match Serve.Protocol.read_frame ic with
+  Shard.Protocol.write_frame ~payload:at_cap oc hdr;
+  (match Shard.Protocol.read_frame ic with
   | Ok inc ->
       Alcotest.(check int) "at-cap payload arrives" (String.length at_cap)
-        (String.length inc.Serve.Protocol.payload)
+        (String.length inc.Shard.Protocol.payload)
   | Error e -> Alcotest.failf "at-cap frame: %s" e);
   (* One byte over: the writer refuses before touching the socket. *)
   (match
-     Serve.Protocol.write_frame ~payload:(String.make 65537 'x') oc hdr
+     Shard.Protocol.write_frame ~payload:(String.make 65537 'x') oc hdr
    with
   | () -> Alcotest.fail "over-cap write accepted"
   | exception Invalid_argument _ -> ());
   (* An oversized length prefix is rejected reader-side without
      allocating. *)
   let bogus = Bytes.create 4 in
-  Bytes.set_int32_be bogus 0 (Int32.of_int (Serve.Protocol.max_frame () + 1));
+  Bytes.set_int32_be bogus 0 (Int32.of_int (Shard.Protocol.max_frame () + 1));
   output_bytes oc bogus;
   flush oc;
   close_out oc;
-  (match Serve.Protocol.read_frame ic with
+  (match Shard.Protocol.read_frame ic with
   | Error e -> Alcotest.(check bool) "oversized rejected" true (contains e "length")
   | Ok _ -> Alcotest.fail "oversized frame accepted");
   close_in ic
@@ -245,7 +245,7 @@ let with_server f =
           cache_entries = 100_000;
           cache_bytes = 256_000_000;
           default_timeout_s = None;
-          max_frame_bytes = Serve.Protocol.default_max_frame;
+          max_frame_bytes = Shard.Protocol.default_max_frame;
           pool = Some pool;
         }
       in
@@ -262,27 +262,27 @@ let request c req =
   | Ok r -> r
   | Error e -> Alcotest.failf "request: %s" e
 
-let script ?timeout_s s = Serve.Protocol.Script { script = s; timeout_s }
+let script ?timeout_s s = Shard.Protocol.Script { script = s; timeout_s }
 
 let test_server_roundtrip () =
   with_server (fun _srv path ->
       let c = client path in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      let r = request c Serve.Protocol.Ping in
-      Alcotest.(check bool) "ping ok" true r.Serve.Protocol.ok;
-      Alcotest.(check string) "pong" "pong" r.Serve.Protocol.output;
+      let r = request c Shard.Protocol.Ping in
+      Alcotest.(check bool) "ping ok" true r.Shard.Protocol.ok;
+      Alcotest.(check string) "pong" "pong" r.Shard.Protocol.output;
       let r = request c (script "gen adder 4; store a; xorflip; miter a; cec sim")
       in
-      Alcotest.(check bool) "script ok" true r.Serve.Protocol.ok;
+      Alcotest.(check bool) "script ok" true r.Shard.Protocol.ok;
       Alcotest.(check bool) "equivalent" true
-        (contains r.Serve.Protocol.output "EQUIVALENT");
+        (contains r.Shard.Protocol.output "EQUIVALENT");
       (* Errors carry the command index and do not kill the connection. *)
       let r = request c (script "gen adder 4; frobnicate") in
-      Alcotest.(check bool) "error reported" false r.Serve.Protocol.ok;
+      Alcotest.(check bool) "error reported" false r.Shard.Protocol.ok;
       Alcotest.(check bool) "indexed" true
-        (contains r.Serve.Protocol.output "command 2");
-      let r = request c Serve.Protocol.Ping in
-      Alcotest.(check bool) "still alive" true r.Serve.Protocol.ok)
+        (contains r.Shard.Protocol.output "command 2");
+      let r = request c Shard.Protocol.Ping in
+      Alcotest.(check bool) "still alive" true r.Shard.Protocol.ok)
 
 let test_server_cache_hits () =
   with_server (fun _srv path ->
@@ -292,16 +292,16 @@ let test_server_cache_hits () =
         request c (script "gen multiplier 6; store a; resyn2; miter a; cec")
       in
       let cold = run () in
-      Alcotest.(check bool) "cold ok" true cold.Serve.Protocol.ok;
-      Alcotest.(check int) "cold has no hits" 0 cold.Serve.Protocol.cache_hits;
+      Alcotest.(check bool) "cold ok" true cold.Shard.Protocol.ok;
+      Alcotest.(check int) "cold has no hits" 0 cold.Shard.Protocol.cache_hits;
       Alcotest.(check bool) "cold misses" true
-        (cold.Serve.Protocol.cache_misses > 0);
+        (cold.Shard.Protocol.cache_misses > 0);
       (* The identical request from a fresh connection reuses the proofs. *)
       let warm = run () in
-      Alcotest.(check bool) "warm ok" true warm.Serve.Protocol.ok;
+      Alcotest.(check bool) "warm ok" true warm.Shard.Protocol.ok;
       Alcotest.(check bool) "warm hits" true
-        (warm.Serve.Protocol.cache_hits > 0);
-      Alcotest.(check int) "warm misses" 0 warm.Serve.Protocol.cache_misses;
+        (warm.Shard.Protocol.cache_hits > 0);
+      Alcotest.(check int) "warm misses" 0 warm.Shard.Protocol.cache_misses;
       let entries, hits, _ = Serve.Ecache.stats (Serve.Server.ecache _srv) in
       Alcotest.(check bool) "cache populated" true (entries > 0);
       Alcotest.(check bool) "lifetime hits" true (hits > 0))
@@ -312,25 +312,25 @@ let test_server_cec_request () =
       let g2 = Opt.Resyn.resyn2 (Aig.Network.copy g1) in
       let miter = Aig.Miter.build g1 g2 in
       let aiger = Aig.Aiger_io.to_binary_string miter in
-      let req = Serve.Protocol.Cec { aiger; engine = "combined"; timeout_s = None } in
+      let req = Shard.Protocol.Cec { aiger; engine = "combined"; timeout_s = None } in
       let c = client path in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
       let r1 = request c req in
-      Alcotest.(check bool) "ok" true r1.Serve.Protocol.ok;
+      Alcotest.(check bool) "ok" true r1.Shard.Protocol.ok;
       Alcotest.(check bool) "equivalent" true
-        (contains r1.Serve.Protocol.output "EQUIVALENT");
+        (contains r1.Shard.Protocol.output "EQUIVALENT");
       let r2 = request c req in
       Alcotest.(check bool) "repeat hits the cache" true
-        (r2.Serve.Protocol.cache_hits > 0);
+        (r2.Shard.Protocol.cache_hits > 0);
       Alcotest.(check int) "repeat misses nothing" 0
-        r2.Serve.Protocol.cache_misses;
+        r2.Shard.Protocol.cache_misses;
       (* An unparsable miter is an error, not a crash. *)
       let bad =
         request c
-          (Serve.Protocol.Cec
+          (Shard.Protocol.Cec
              { aiger = "not an aiger"; engine = "sat"; timeout_s = None })
       in
-      Alcotest.(check bool) "bad aiger rejected" false bad.Serve.Protocol.ok)
+      Alcotest.(check bool) "bad aiger rejected" false bad.Shard.Protocol.ok)
 
 let test_server_sessions_isolated () =
   with_server (fun _srv path ->
@@ -341,12 +341,12 @@ let test_server_sessions_isolated () =
           Serve.Client.close c2)
         (fun () ->
           let r = request c1 (script "gen adder 4; store a") in
-          Alcotest.(check bool) "stored in session 1" true r.Serve.Protocol.ok;
+          Alcotest.(check bool) "stored in session 1" true r.Shard.Protocol.ok;
           let r = request c2 (script "load a") in
           Alcotest.(check bool) "invisible in session 2" false
-            r.Serve.Protocol.ok;
+            r.Shard.Protocol.ok;
           Alcotest.(check bool) "explains" true
-            (contains r.Serve.Protocol.output "no stored network")))
+            (contains r.Shard.Protocol.output "no stored network")))
 
 let test_server_concurrent_clients () =
   with_server (fun _srv path ->
@@ -374,11 +374,11 @@ let test_server_concurrent_clients () =
           match r with
           | Some r ->
               Alcotest.(check bool) (Printf.sprintf "client %d ok" i) true
-                r.Serve.Protocol.ok;
+                r.Shard.Protocol.ok;
               Alcotest.(check bool)
                 (Printf.sprintf "client %d equivalent" i)
                 true
-                (contains r.Serve.Protocol.output "EQUIVALENT")
+                (contains r.Shard.Protocol.output "EQUIVALENT")
           | None -> Alcotest.failf "client %d got no response" i)
         results)
 
@@ -389,21 +389,26 @@ let test_server_deadline () =
       (* A deadline that expired before the engines first poll it: the
          check must come back UNDECIDED, not run to completion — for
          every engine the shell can dispatch, so no daemon request can
-         dodge its deadline by picking the right engine. *)
+         dodge its deadline by picking the right engine.  The miter is
+         built once; the session keeps it for the timed requests. *)
+      let r =
+        request c (script "gen multiplier 8; store a; resyn2; miter a; store m")
+      in
+      Alcotest.(check bool) "miter built" true r.Shard.Protocol.ok;
       List.iter
         (fun last ->
-          let r =
-            request c
-              (script ~timeout_s:1e-9
-                 ("gen multiplier 8; store a; resyn2; miter a; " ^ last))
-          in
-          Alcotest.(check bool) (last ^ " ok") true r.Serve.Protocol.ok;
+          let r = request c (script ~timeout_s:1e-9 ("load m; " ^ last)) in
+          Alcotest.(check bool) (last ^ " ok") true r.Shard.Protocol.ok;
           Alcotest.(check bool) (last ^ " undecided") true
-            (contains r.Serve.Protocol.output "UNDECIDED"))
-        [
-          "cec sat"; "cec satdirect"; "cec sim"; "cec bdd"; "cec portfolio";
-          "cec partitioned"; "cec combined"; "certify";
-        ])
+            (contains r.Shard.Protocol.output "UNDECIDED"))
+        ("certify"
+        :: List.filter_map
+             (function
+               (* This binary hosts no shard workers; test_shard covers
+                  the shard deadline. *)
+               | Shell.Engines.Shard _ -> None
+               | e -> Some ("cec " ^ Shell.Engines.to_string e))
+             Shell.Engines.all))
 
 let test_server_client_hangup () =
   (* A client that sends a request and hangs up without reading the
@@ -416,18 +421,18 @@ let test_server_client_hangup () =
       Unix.connect fd (Unix.ADDR_UNIX path);
       let oc = Unix.out_channel_of_descr fd in
       let hdr, payload =
-        Serve.Protocol.request_to_frame
+        Shard.Protocol.request_to_frame
           (script "gen multiplier 6; store a; resyn2; miter a; cec sim")
       in
-      Serve.Protocol.write_frame ~payload oc hdr;
+      Shard.Protocol.write_frame ~payload oc hdr;
       (* Close without ever reading the response frame. *)
       Unix.close fd;
       (* The daemon finishes the abandoned request, then serves us. *)
       let c = client path in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      let r = request c Serve.Protocol.Ping in
+      let r = request c Shard.Protocol.Ping in
       Alcotest.(check bool) "daemon survived the hangup" true
-        r.Serve.Protocol.ok)
+        r.Shard.Protocol.ok)
 
 let test_server_socket_in_use () =
   (* Starting a second daemon on a live daemon's socket path must fail
@@ -442,9 +447,9 @@ let test_server_socket_in_use () =
       (* The first daemon's endpoint is untouched. *)
       let c = client path in
       Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      let r = request c Serve.Protocol.Ping in
+      let r = request c Shard.Protocol.Ping in
       Alcotest.(check bool) "original daemon still serves" true
-        r.Serve.Protocol.ok)
+        r.Shard.Protocol.ok)
 
 let () =
   Alcotest.run "serve"

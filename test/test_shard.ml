@@ -191,7 +191,7 @@ let test_deadline_kills_and_reaps () =
 let failing_worker_env = "SHARD_TEST_FAILING_WORKER"
 
 let failing_worker mode =
-  let module Pr = Serve.Protocol in
+  let module Pr = Shard.Protocol in
   let ic = Unix.in_channel_of_descr Unix.stdin in
   let oc = Unix.out_channel_of_descr Unix.stdout in
   set_binary_mode_in ic true;

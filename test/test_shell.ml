@@ -54,12 +54,68 @@ let test_all_engines () =
       ignore (exec_ok st "miter a");
       List.iter
         (fun engine ->
-          let out = exec_ok st ("cec " ^ engine) in
-          Alcotest.(check bool) (engine ^ " equivalent") true
-            (contains out "EQUIVALENT"))
-        [ "sim"; "sat"; "bdd"; "portfolio"; "combined"; "partitioned" ];
+          let name = Shell.Engines.to_string engine in
+          Alcotest.(check bool) (name ^ " round-trips") true
+            (Shell.Engines.of_string name = Ok engine);
+          match engine with
+          | Shell.Engines.Shard _ -> () (* see test_shard_guard *)
+          | _ ->
+              let out = exec_ok st ("cec " ^ name) in
+              Alcotest.(check bool) (name ^ " equivalent") true
+                (contains out "EQUIVALENT"))
+        Shell.Engines.all;
+      Alcotest.(check bool) "bare shard" true
+        (Shell.Engines.of_string "shard" = Ok (Shell.Engines.Shard 2));
+      let e = exec_err st "cec shard.0" in
+      Alcotest.(check bool) "bad worker count" true (contains e "bad worker count");
       let e = exec_err st "cec nonsense" in
       Alcotest.(check bool) "unknown engine" true (contains e "unknown engine"))
+
+(* This test binary never calls [Shard.Worker.maybe_become_worker], so a
+   re-exec of it would run the test suite again instead of a worker: the
+   shard engine must refuse before spawning anything. *)
+let test_shard_guard () =
+  with_state (fun st ->
+      ignore (exec_ok st "gen adder 4");
+      ignore (exec_ok st "store a");
+      ignore (exec_ok st "miter a");
+      let e = exec_err st "cec shard" in
+      Alcotest.(check bool) "refused" true (contains e "cannot host");
+      match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+      | pid, _ -> Alcotest.failf "child process %d spawned" pid)
+
+(* The shell's and daemon's [cec combined] is cec's: the SAT fallback is
+   seeded with the engine's equivalence classes.  A 12-bit divider
+   against its balanced self leaves work for SAT under [Config.scaled],
+   and the transfer changes what that SAT run does. *)
+let test_combined_transfers_classes () =
+  let g = Gen.Divider.divide ~bits:12 in
+  let m = Aig.Miter.build g (Opt.Balance.run g) in
+  let pool = Par.Pool.create ~num_domains:1 () in
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () ->
+      let fallback json =
+        match Simsweep.Telemetry.member "sat_fallback" json with
+        | Some j -> Simsweep.Telemetry.to_string j
+        | None -> Alcotest.fail "no sat_fallback field"
+      in
+      let direct transfer_classes =
+        fallback
+          (Simsweep.Telemetry.of_combined
+             (Simsweep.Engine.check_with_fallback
+                ~config:Simsweep.Config.scaled ~transfer_classes ~pool m))
+      in
+      let table =
+        match Shell.Engines.run ~pool Shell.Engines.Combined m with
+        | Ok { Shell.Engines.stats = [ ("combined", j) ]; _ } -> fallback j
+        | Ok _ -> Alcotest.fail "combined reports no combined field"
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check bool) "SAT fallback ran" true (table <> "null");
+      Alcotest.(check bool) "transfer changes the SAT run" true
+        (direct true <> direct false);
+      Alcotest.(check string) "same SAT run as transfer_classes:true"
+        (direct true) table)
 
 let test_certify () =
   with_state (fun st ->
@@ -251,6 +307,9 @@ let () =
           Alcotest.test_case "no current" `Quick test_no_current;
           Alcotest.test_case "store/load/miter/cec" `Quick test_store_load_miter_cec;
           Alcotest.test_case "all engines" `Quick test_all_engines;
+          Alcotest.test_case "shard guard" `Quick test_shard_guard;
+          Alcotest.test_case "combined transfers classes" `Quick
+            test_combined_transfers_classes;
           Alcotest.test_case "certify" `Quick test_certify;
           Alcotest.test_case "script/files" `Quick test_script_and_files;
           Alcotest.test_case "sim output" `Quick test_sim_output;
