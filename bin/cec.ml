@@ -4,8 +4,10 @@
    of the shared table (Shell.Engines): the simulation-based engine (the
    paper's contribution), the SAT sweeper baseline, the BDD engine, the
    portfolio, the combined engine+SAT flow of Table II, or sharded
-   worker processes — in-process or on a simsweep-serve daemon. *)
+   worker processes. *)
 
+(* Malformed AIGER, unreadable files and miter sides that disagree on
+   their PI/PO counts are input errors, reported as [Error]. *)
 let read_inputs file1 file2 suite scale post_double =
   let enlarge (name, miter) =
     if post_double <= 0 then (name, miter)
@@ -13,75 +15,26 @@ let read_inputs file1 file2 suite scale post_double =
       ( Printf.sprintf "%s(x%d)" name (1 lsl post_double),
         Gen.Double.times post_double miter )
   in
-  match (file1, file2, suite) with
-  | Some f1, Some f2, None ->
-      let g1 = Aig.Aiger_io.read_file f1 and g2 = Aig.Aiger_io.read_file f2 in
-      Ok (enlarge (Printf.sprintf "%s vs %s" f1 f2, Aig.Miter.build g1 g2))
-  | Some f1, None, None ->
-      (* A single file is interpreted as an already-built miter. *)
-      Ok (enlarge (f1, Aig.Aiger_io.read_file f1))
-  | None, None, Some name ->
-      let case = Gen.Suite.build ~scale name in
-      Ok (enlarge ("suite:" ^ name, case.Gen.Suite.miter))
-  | _ -> Error "give either FILE [FILE2] or --suite NAME"
+  try
+    match (file1, file2, suite) with
+    | Some f1, Some f2, None ->
+        let g1 = Aig.Aiger_io.read_file f1 and g2 = Aig.Aiger_io.read_file f2 in
+        Ok (enlarge (Printf.sprintf "%s vs %s" f1 f2, Aig.Miter.build g1 g2))
+    | Some f1, None, None ->
+        (* A single file is interpreted as an already-built miter. *)
+        Ok (enlarge (f1, Aig.Aiger_io.read_file f1))
+    | None, None, Some name ->
+        let case = Gen.Suite.build ~scale name in
+        Ok (enlarge ("suite:" ^ name, case.Gen.Suite.miter))
+    | _ -> Error "give either FILE [FILE2] or --suite NAME"
+  with
+  | Aig.Aiger_io.Parse_error e -> Error ("parse error: " ^ e)
+  | Sys_error e | Invalid_argument e -> Error e
 
 let exit_code = function
   | Simsweep.Engine.Proved -> 0
   | Simsweep.Engine.Disproved _ -> 1
   | Simsweep.Engine.Undecided -> 3
-
-(* Client mode: ship the miter to a running daemon (simsweep-serve) and
-   let it check — repeated checks of the same cones hit the daemon's
-   cross-request equivalence cache. *)
-let run_remote addr engine_str name miter stats_json =
-  match Serve.Client.connect (Serve.Client.parse_addr addr) with
-  | Error e ->
-      Printf.eprintf "error: cannot connect to %s: %s\n" addr e;
-      2
-  | Ok c ->
-      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-      let req =
-        Shard.Protocol.Cec
-          {
-            aiger = Aig.Aiger_io.to_binary_string miter;
-            engine = engine_str;
-            timeout_s = None;
-          }
-      in
-      (match Serve.Client.request c req with
-      | Error e ->
-          Printf.eprintf "error: %s\n" e;
-          2
-      | Ok r ->
-          Printf.printf "%s  (%.3fs on %s; cache: %d hits, %d misses)\n"
-            r.Shard.Protocol.output r.Shard.Protocol.elapsed_s addr
-            r.Shard.Protocol.cache_hits r.Shard.Protocol.cache_misses;
-          (match stats_json with
-          | Some file ->
-              let open Simsweep.Telemetry in
-              write_file file
-                (Obj
-                   [
-                     ("name", String name);
-                     ("engine", String engine_str);
-                     ("server", String addr);
-                     ("output", String r.Shard.Protocol.output);
-                     ("ok", Bool r.Shard.Protocol.ok);
-                     ("time_s", Float r.Shard.Protocol.elapsed_s);
-                     ("cache_hits", Int r.Shard.Protocol.cache_hits);
-                     ("cache_misses", Int r.Shard.Protocol.cache_misses);
-                   ])
-          | None -> ());
-          if not r.Shard.Protocol.ok then 2
-          else
-            let out = r.Shard.Protocol.output in
-            let starts p =
-              String.length out >= String.length p
-              && String.sub out 0 (String.length p) = p
-            in
-            if starts "NOT EQUIVALENT" then 1
-            else if starts "EQUIVALENT" then 0
-            else 3)
 
 let run_local engine name miter num_domains verbose certify stats_json =
   if verbose then begin
@@ -162,8 +115,7 @@ let run_local engine name miter num_domains verbose certify stats_json =
       exit_code outcome
 
 let run_check engine file1 file2 suite scale post_double num_domains race
-    verbose certify stats_json server shard_n max_frame_mb =
-  Shard.Protocol.set_max_frame (max_frame_mb * 1024 * 1024);
+    verbose certify stats_json shard_n =
   let engine =
     if shard_n > 0 then Shell.Engines.Shard shard_n
     else if race && engine = Shell.Engines.Portfolio `Sequential then
@@ -174,15 +126,8 @@ let run_check engine file1 file2 suite scale post_double num_domains race
   | Error msg ->
       prerr_endline ("error: " ^ msg);
       2
-  | Ok (name, miter) -> (
-      match server with
-      | Some addr ->
-          (* The daemon runs the same engine table, so a warm daemon
-             answers shard requests from its persistent worker pool
-             instead of this process forking cold workers. *)
-          run_remote addr (Shell.Engines.to_string engine) name miter stats_json
-      | None ->
-          run_local engine name miter num_domains verbose certify stats_json)
+  | Ok (name, miter) ->
+      run_local engine name miter num_domains verbose certify stats_json
 
 open Cmdliner
 
@@ -233,7 +178,7 @@ let race =
                get a dedicated domain next to the pool-parallel \
                simulation engine; the first conclusive verdict cancels \
                the losers.  Degrades to the sequential portfolio when the \
-               machine lacks cores.  Honoured with --server too.")
+               machine lacks cores.")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ]
@@ -250,12 +195,6 @@ let stats_json =
                per-phase times, window/word counts, pool utilization, SAT \
                effort) to FILE as JSON.")
 
-let server =
-  Arg.(value & opt (some string) None & info [ "server" ] ~docv:"ADDR"
-         ~doc:"Check on a running simsweep-serve daemon at ADDR (a Unix \
-               socket path or HOST:PORT) instead of in-process; repeated \
-               checks hit the daemon's cross-request equivalence cache.")
-
 let shard_n =
   Arg.(value & opt int 0 & info [ "shard" ] ~docv:"N"
          ~doc:"Select engine shard.N: check with N coordinated worker \
@@ -265,14 +204,7 @@ let shard_n =
                work-stealing style and check each with the sweeping \
                engine and its SAT fallback; each worker gets an equal \
                share of the --domains budget.  Overrides --engine; 0 \
-               disables.  With --server, the shard request is served by \
-               the daemon's warm worker pool.")
-
-let max_frame_mb =
-  Arg.(value & opt int 256 & info [ "max-frame-mb" ] ~docv:"MB"
-         ~doc:"Protocol frame cap (header + binary payload) in megabytes \
-               for shard and --server traffic; bounds the largest AIGER a \
-               single frame may carry.")
+               disables.")
 
 let cmd =
   let doc = "simulation-based parallel sweeping equivalence checker" in
@@ -280,8 +212,7 @@ let cmd =
     (Cmd.info "simsweep-cec" ~doc)
     Term.(
       const run_check $ engine $ file1 $ file2 $ suite $ scale $ post_double
-      $ num_domains $ race $ verbose $ certify $ stats_json $ server
-      $ shard_n $ max_frame_mb)
+      $ num_domains $ race $ verbose $ certify $ stats_json $ shard_n)
 
 let () =
   (* Re-exec'ed children of `--shard` coordinators become workers here. *)

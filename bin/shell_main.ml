@@ -19,6 +19,15 @@ let interactive state =
    with End_of_file | Exit -> ());
   0
 
+let run_script state text =
+  match Shell.Command.exec_script state text with
+  | Ok out ->
+      print_string out;
+      0
+  | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      1
+
 let () =
   (* Children spawned by `cec shard` re-exec this binary as workers. *)
   Shard.Worker.maybe_become_worker ();
@@ -26,25 +35,14 @@ let () =
   let code =
     match Array.to_list Sys.argv with
     | [ _ ] -> interactive state
-    | [ _; "-c"; script ] | [ _; "--command"; script ] -> (
-        match Shell.Command.exec_script state script with
-        | Ok out ->
-            print_string out;
-            0
-        | Error e ->
-            Printf.eprintf "error: %s\n" e;
-            1)
+    | [ _; "-c"; script ] | [ _; "--command"; script ] -> run_script state script
     | [ _; file ] -> (
-        let ic = open_in file in
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        match Shell.Command.exec_script state text with
-        | Ok out ->
-            print_string out;
-            0
-        | Error e ->
+        (* An unreadable script is an I/O error, not a script failure. *)
+        match In_channel.with_open_bin file In_channel.input_all with
+        | text -> run_script state text
+        | exception Sys_error e ->
             Printf.eprintf "error: %s\n" e;
-            1)
+            2)
     | _ ->
         prerr_endline "usage: simsweep-shell [SCRIPT | -c COMMANDS]";
         2

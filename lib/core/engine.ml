@@ -358,12 +358,9 @@ let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
 
 (* --- overall flow --------------------------------------------------------- *)
 
-let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool miter =
+let run ?(config = Config.default) ?stop_after ?trace ?cancel ~pool miter =
   if trace <> None && config.Config.rewrite_between_phases then
     invalid_arg "Engine.run: trace is incompatible with rewrite_between_phases";
-  (* A cache-discharged PO leaves no replayable reduction step, so traced
-     (certificate) runs ignore the cache rather than emit unsound traces. *)
-  let pcache = if trace <> None then None else pcache in
   let stats = Stats.create () in
   (* The P phase rewrites PO drivers in place; never mutate the caller's
      network. *)
@@ -373,31 +370,7 @@ let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool mite
   (* One simulation-table slab for the whole run: every exhaustive batch
      of every phase recycles it instead of re-allocating the budget. *)
   let arena = Arena.create ~words:config.Config.memory_words in
-  (* Equivalence-cache pre-pass: discharge POs proved in earlier requests,
-     replay recorded counter-examples, and remember the keys of the POs
-     this run still has to decide. *)
-  let cache_disproved, cache_pending =
-    match pcache with
-    | None -> (None, [])
-    | Some pc ->
-        Stats.timed stats Stats.Po_check (fun () ->
-            let r = Sim.Pcheck.consult pc miter in
-            stats.Stats.cache_hits <- stats.Stats.cache_hits + r.Sim.Pcheck.hits;
-            stats.Stats.cache_misses <-
-              stats.Stats.cache_misses + r.Sim.Pcheck.misses;
-            (r.Sim.Pcheck.disproved, r.Sim.Pcheck.pending))
-  in
   let finish ?classes outcome g =
-    (match pcache with
-    | Some pc ->
-        let tag =
-          match outcome with
-          | Proved -> `Proved
-          | Disproved (cex, po) -> `Disproved (cex, po)
-          | Undecided -> `Undecided
-        in
-        Sim.Pcheck.record pc ~pending:cache_pending tag
-    | None -> ());
     {
       outcome;
       reduced = g;
@@ -407,11 +380,8 @@ let run ?(config = Config.default) ?stop_after ?trace ?pcache ?cancel ~pool mite
       reduced_size = (if outcome = Proved then 0 else Aig.Network.num_ands g);
     }
   in
-  match cache_disproved with
-  | Some (cex, po) -> finish (Disproved (cex, po)) miter
-  | None ->
   if Aig.Miter.solved miter then
-    (* Every PO discharged from the cache. *)
+    (* Every PO is already constant false. *)
     finish Proved (Aig.Reduce.sweep miter).Aig.Reduce.network
   else
   (* P phase. *)
@@ -454,8 +424,8 @@ type combined = {
 }
 
 let check_with_fallback ?config ?(sat_config = Sat.Sweep.default_config)
-    ?(transfer_classes = false) ?pcache ?cancel ~pool miter =
-  let engine = run ?config ?pcache ?cancel ~pool miter in
+    ?(transfer_classes = false) ?cancel ~pool miter =
+  let engine = run ?config ?cancel ~pool miter in
   match engine.outcome with
   | Proved | Disproved _ ->
       { engine; sat_outcome = None; sat_stats = None; final = engine.outcome }
@@ -465,7 +435,7 @@ let check_with_fallback ?config ?(sat_config = Sat.Sweep.default_config)
   | Undecided ->
       let classes = if transfer_classes then engine.classes else None in
       let sat_outcome, sat_stats =
-        Sat.Sweep.check ~config:sat_config ?classes ?pcache ?cancel ~pool
+        Sat.Sweep.check ~config:sat_config ?classes ?cancel ~pool
           engine.reduced
       in
       let final =

@@ -40,23 +40,19 @@ type trace_step = {
   trace_merges : (int * Aig.Lit.t) list;  (** node, replacement literal *)
 }
 
-(** [run ?config ?stop_after ?trace ?pcache ?cancel ~pool miter] executes
+(** [run ?config ?stop_after ?trace ?cancel ~pool miter] executes
     the engine.  [stop_after] truncates the flow after the named phase
     type — used to reproduce Fig. 7 (miters extracted after P, P+G,
     P+G+L).  [trace] receives every reduction step; it is incompatible
     with [rewrite_between_phases] (the rewriting steps are not replayable)
-    and raises [Invalid_argument] in that combination.  [pcache] plugs in
-    a cross-request equivalence cache ({!Aig.Pcache}): cached PO verdicts
-    are applied before the P phase and the run's conclusion is recorded
-    back; it is ignored when [trace] is set (cache-discharged POs have no
-    replayable reduction step).  [cancel] is polled at every phase
-    boundary, G-phase sub-batch and simulation round; a cancelled run
-    returns [Undecided] with [stats.cancelled] set. *)
+    and raises [Invalid_argument] in that combination.  [cancel] is
+    polled at every phase boundary, G-phase sub-batch and simulation
+    round; a cancelled run returns [Undecided] with [stats.cancelled]
+    set. *)
 val run :
   ?config:Config.t ->
   ?stop_after:[ `P | `G | `L ] ->
   ?trace:(trace_step -> unit) ->
-  ?pcache:Aig.Pcache.t ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->
@@ -72,14 +68,12 @@ type combined = {
 (** The paper's integrated flow: the simulation engine first, then the SAT
     sweeper on the reduced miter when the engine leaves it undecided.
     [transfer_classes] forwards the engine's equivalence classes to the
-    sweeper (§V extension).  [pcache] is threaded to both the engine run
-    and the SAT fallback.  A cancelled engine run skips the SAT fallback
+    sweeper (§V extension).  A cancelled engine run skips the SAT fallback
     and returns [Undecided]. *)
 val check_with_fallback :
   ?config:Config.t ->
   ?sat_config:Sat.Sweep.config ->
   ?transfer_classes:bool ->
-  ?pcache:Aig.Pcache.t ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->

@@ -15,8 +15,6 @@ type t = {
   mutable g_candidates : int;
   mutable g_refinements : int;
   mutable cancelled : bool;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   exhaustive : Exhaustive.stats;
   psim : Sim.Psim.stats;
 }
@@ -37,8 +35,6 @@ let create () =
     g_candidates = 0;
     g_refinements = 0;
     cancelled = false;
-    cache_hits = 0;
-    cache_misses = 0;
     exhaustive = Exhaustive.new_stats ();
     psim = Sim.Psim.new_stats ();
   }

@@ -24,10 +24,6 @@ type t = {
   mutable cancelled : bool;
       (** the run's cancellation token fired (its deadline expired or a
           portfolio race was lost) *)
-  mutable cache_hits : int;
-      (** PO verdicts discharged from the cross-request equivalence cache *)
-  mutable cache_misses : int;
-      (** PO cache lookups that found nothing (cache enabled only) *)
   exhaustive : Exhaustive.stats;
   psim : Sim.Psim.stats;  (** partial (random) simulation effort *)
 }

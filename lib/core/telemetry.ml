@@ -282,7 +282,7 @@ let member key = function
   | _ -> None
 
 (* Typed field accessors, shared by every hand-rolled wire codec (the
-   serve protocol, the shard coordinator frames, the bench readers).
+   shard coordinator frames, the bench readers).
    Numeric accessors accept both numeric shapes: a float that happens to
    be integral serialises as an [Int] and must still read back. *)
 
@@ -300,9 +300,6 @@ let float_member key j =
 
 let string_member key j =
   match member key j with Some (String s) -> Some s | _ -> None
-
-let bool_member key j =
-  match member key j with Some (Bool b) -> Some b | _ -> None
 
 let list_member key j =
   match member key j with Some (List l) -> Some l | _ -> None
@@ -387,8 +384,6 @@ let of_sat (s : Sat.Sweep.stats) =
       ("cex_count", Int s.cex_count);
       ("rsim_splits", Int s.rsim_splits);
       ("cnf_loads", Int s.cnf_loads);
-      ("cache_hits", Int s.cache_hits);
-      ("cache_misses", Int s.cache_misses);
       ("restarts", Int s.restarts);
       ("reduce_dbs", Int s.reduce_dbs);
       ("learnts_removed", Int s.learnts_removed);
@@ -412,8 +407,6 @@ let of_engine_stats (s : Stats.t) =
       ("g_candidates", Int s.g_candidates);
       ("g_refinements", Int s.g_refinements);
       ("cancelled", Bool s.cancelled);
-      ("cache_hits", Int s.cache_hits);
-      ("cache_misses", Int s.cache_misses);
       ("exhaustive", of_exhaustive s.exhaustive);
       ("psim", of_psim s.psim);
     ]

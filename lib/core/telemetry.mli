@@ -34,14 +34,13 @@ val member : string -> json -> json option
 (** {1 Typed field accessors}
 
     [member] plus a shape check, shared by the hand-rolled wire codecs
-    (serve protocol, shard frames, bench readers).  The numeric accessors
+    (shard frames, bench readers).  The numeric accessors
     accept both numeric shapes — an integral float serialises as [Int]
     and must still read back. *)
 
 val int_member : string -> json -> int option
 val float_member : string -> json -> float option
 val string_member : string -> json -> string option
-val bool_member : string -> json -> bool option
 val list_member : string -> json -> json list option
 
 (** {1 Wire I/O counters}

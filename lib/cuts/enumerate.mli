@@ -23,8 +23,7 @@ val enum_levels : Aig.Network.t -> repr_of:(int -> int) -> int array
 
 (** [candidates g ~k_l ~prio n] is [E(n)]: the merges of the fanins' cut
     sets (each with its trivial cut) within [k_l] leaves, deduplicated, in
-    {!Cut.compare} order.  [prio] holds the fanins' priority cuts.  The LUT
-    mapper ranks the same set by its own criteria. *)
+    {!Cut.compare} order.  [prio] holds the fanins' priority cuts. *)
 val candidates :
   Aig.Network.t -> k_l:int -> prio:Cut.t list array -> int -> Cut.t list
 

@@ -397,9 +397,9 @@ let badpayload_stage log ~seed =
   let image =
     Aig.Aiger_io.to_binary_string (Aig.Miter.build left (Opt.Resyn.light left))
   in
-  let w = Shard.Pool.spawn ~exe:Sys.executable_name ~domains:1 in
-  Fun.protect ~finally:(fun () -> Shard.Pool.kill w) @@ fun () ->
-  let ic = Shard.Pool.ic w and oc = Shard.Pool.oc w in
+  let w = Shard.Proc.spawn ~exe:Sys.executable_name ~domains:1 in
+  Fun.protect ~finally:(fun () -> Shard.Proc.kill w) @@ fun () ->
+  let ic = Shard.Proc.ic w and oc = Shard.Proc.oc w in
   let recv what =
     match Pr.read_frame ic with
     | Error e ->

@@ -46,8 +46,8 @@ type t = {
   done_cond : Condition.t;
   mutable domains : unit Domain.t list;
   submit : Mutex.t;
-      (* The pool has a single job slot, so concurrent submitters (shared
-         sessions, the serve daemon) are serialized: the mutex is held from
+      (* The pool has a single job slot, so concurrent submitters (shell
+         sessions sharing one pool) are serialized: the mutex is held from
          job publication through barrier exit.  Per-job stats are mutated
          under it; only the sequential-fallback counters stay best-effort. *)
   oversubscribed : bool;  (* more domains than cores: see [create] *)

@@ -53,8 +53,8 @@ val reset_stats : t -> unit
     done.  Exceptions raised by [body] are re-raised (first one wins) after
     the barrier.  Nested calls from inside [body] run sequentially.
 
-    Concurrent submitters (several domains or threads sharing one pool —
-    the serve daemon's sessions) are safe: the pool has a single job slot
+    Concurrent submitters (several domains or threads sharing one pool,
+    such as concurrent shell sessions) are safe: the pool has a single job slot
     and serializes loops through an internal submit lock, so concurrent
     loops queue FIFO-ish instead of corrupting each other.  Per-job stats
     stay exact; only [seq_jobs]/[items] of sequential fallbacks are

@@ -7,8 +7,7 @@
    simplified clauses together with a {e reconstruction stack} that maps
    any model of the simplified formula back to a model of the original
    one — the contract `Sat.Sweep` depends on, since every counter-example
-   it reports is replayed on the miter by the fuzz oracle and the
-   `Sim.Pcheck` cache.
+   it reports is replayed on the miter by the fuzz oracle.
 
    Reconstruction follows MiniSat's SimpSolver: eliminating variable v
    stores the smaller phase's clauses (v's literal rotated to the front)

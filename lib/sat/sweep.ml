@@ -31,8 +31,6 @@ type stats = {
   mutable candidates : int;
   mutable conflicts : int;
   mutable cnf_loads : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable restarts : int;
   mutable reduce_dbs : int;
   mutable learnts_removed : int;
@@ -52,8 +50,6 @@ let new_stats () =
     candidates = 0;
     conflicts = 0;
     cnf_loads = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     restarts = 0;
     reduce_dbs = 0;
     learnts_removed = 0;
@@ -130,8 +126,7 @@ let prove_pair solver stats ~conflict_limit ?cancel g repr_lit target =
    commits every verdict as it goes, until [cex_batch] fresh
    counter-examples call for resimulation.  Only partial simulation uses
    the pool, so the result is bit-identical for any pool size. *)
-let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
-    g0 =
+let sweep_core ?(config = default_config) ?classes ?cancel ~pool ~stats g0 =
   let rng = Sim.Rng.create ~seed:config.seed in
   let g = ref g0 in
   let carried_classes = ref classes in
@@ -167,16 +162,6 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
       let repl = Array.make (Aig.Network.num_nodes cur) None in
       let fresh_cexs = ref 0 in
       let merged_round = ref 0 in
-      (* Cross-request pair cache: one O(n) hash pass per round keys every
-         candidate; a hit skips the SAT proof entirely.  Freshly proved
-         keys are flushed at the end of the round, so a lookup never
-         observes a record from the same round. *)
-      let hashes =
-        match pcache with
-        | Some _ -> Some (Aig.Shash.node_hashes cur)
-        | None -> None
-      in
-      let proved_keys = ref [] in
       (* A deadline that expired during simulation skips the CNF load. *)
       if not (Par.Cancel.poll_opt cancel) then begin
         let solver = Solver.create () in
@@ -193,9 +178,9 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
           pairs;
         Solver.simplify ?cancel ~frozen:!frozen solver;
         let i = ref 0 in
-        (* [poll_opt], not [is_set_opt]: a pair decided by the cache or by
-           reverse simulation makes no SAT call, so a run of such pairs
-           would otherwise never consult the clock and an expired deadline
+        (* [poll_opt], not [is_set_opt]: a pair decided by reverse
+           simulation makes no SAT call, so a run of such pairs would
+           otherwise never consult the clock and an expired deadline
            would only latch at the next round boundary. *)
         while
           !i < n && !fresh_cexs < config.cex_batch
@@ -212,59 +197,34 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
               stats.merged <- stats.merged + 1
             end
           in
-          let ckey =
-            match (pcache, hashes) with
-            | Some pc, Some hs ->
-                let k = Aig.Shash.pair_key hs repr_lit target in
-                if pc.Aig.Pcache.lookup_pair k then begin
-                  stats.cache_hits <- stats.cache_hits + 1;
-                  `Hit
-                end
-                else begin
-                  stats.cache_misses <- stats.cache_misses + 1;
-                  `Miss k
-                end
-            | _ -> `Off
+          (* Reverse simulation first: a justified distinguishing
+             pattern disproves the pair without any SAT effort. *)
+          let rsim_cex =
+            if not config.use_reverse_sim then None
+            else
+              match Sim.Rsim.justify_pair cur target repr_lit with
+              | Some c -> Some c
+              | None -> Sim.Rsim.justify_pair cur repr_lit target
           in
-          (match ckey with
-          | `Hit -> merge ()
-          | `Miss _ | `Off -> (
-              (* Reverse simulation first: a justified distinguishing
-                 pattern disproves the pair without any SAT effort. *)
-              let rsim_cex =
-                if not config.use_reverse_sim then None
-                else
-                  match Sim.Rsim.justify_pair cur target repr_lit with
-                  | Some c -> Some c
-                  | None -> Sim.Rsim.justify_pair cur repr_lit target
-              in
-              match
-                match rsim_cex with
-                | Some cex ->
-                    stats.rsim_splits <- stats.rsim_splits + 1;
-                    `Cex cex
-                | None ->
-                    prove_pair solver stats
-                      ~conflict_limit:config.conflict_limit ?cancel cur repr_lit
-                      target
-              with
-              | `Proved ->
-                  merge ();
-                  (match ckey with
-                  | `Miss k -> proved_keys := k :: !proved_keys
-                  | _ -> ())
-              | `Cex cex ->
-                  stats.cex_count <- stats.cex_count + 1;
-                  incr fresh_cexs;
-                  pending_cexs := cex :: !pending_cexs
-              | `Unknown -> ()));
+          (match
+             match rsim_cex with
+             | Some cex ->
+                 stats.rsim_splits <- stats.rsim_splits + 1;
+                 `Cex cex
+             | None ->
+                 prove_pair solver stats ~conflict_limit:config.conflict_limit
+                   ?cancel cur repr_lit target
+           with
+          | `Proved -> merge ()
+          | `Cex cex ->
+              stats.cex_count <- stats.cex_count + 1;
+              incr fresh_cexs;
+              pending_cexs := cex :: !pending_cexs
+          | `Unknown -> ());
           incr i
         done;
         absorb_solver stats solver
       end;
-      (match pcache with
-      | Some pc -> List.iter pc.Aig.Pcache.record_pair !proved_keys
-      | None -> ());
       if !merged_round > 0 then begin
         let r = Aig.Reduce.apply cur ~repl in
         g := r.Aig.Reduce.network
@@ -275,35 +235,9 @@ let sweep_core ?(config = default_config) ?classes ?pcache ?cancel ~pool ~stats
   done;
   !g
 
-let check ?(config = default_config) ?classes ?pcache ?cancel ~pool g0 =
+let check ?(config = default_config) ?classes ?cancel ~pool g0 =
   let stats = new_stats () in
-  (* Cross-request cache pre-pass.  [consult] discharges cached POs in
-     place, so it runs on a copy — callers hand us their own miter. *)
-  let g0, cache_disproved, cache_pending =
-    match pcache with
-    | None -> (g0, None, [])
-    | Some pc ->
-        let g0 = Aig.Network.copy g0 in
-        let r = Sim.Pcheck.consult pc g0 in
-        stats.cache_hits <- stats.cache_hits + r.Sim.Pcheck.hits;
-        stats.cache_misses <- stats.cache_misses + r.Sim.Pcheck.misses;
-        (g0, r.Sim.Pcheck.disproved, r.Sim.Pcheck.pending)
-  in
-  let finish outcome =
-    (match pcache with
-    | Some pc ->
-        Sim.Pcheck.record pc ~pending:cache_pending
-          (match outcome with
-          | Equivalent -> `Proved
-          | Inequivalent (cex, po) -> `Disproved (cex, po)
-          | Undecided -> `Undecided)
-    | None -> ());
-    (outcome, stats)
-  in
-  match cache_disproved with
-  | Some (cex, po) -> finish (Inequivalent (cex, po))
-  | None ->
-  let g = sweep_core ~config ?classes ?pcache ?cancel ~pool ~stats g0 in
+  let g = sweep_core ~config ?classes ?cancel ~pool ~stats g0 in
   (* Final PO checking on the reduced miter. *)
   let outcome =
     if Aig.Miter.solved g then Equivalent
@@ -341,7 +275,7 @@ let check ?(config = default_config) ?classes ?pcache ?cancel ~pool g0 =
       end
     end
   in
-  finish outcome
+  (outcome, stats)
 
 let fraig ?(config = default_config) ?cancel ~pool g =
   let stats = new_stats () in

@@ -48,31 +48,21 @@ type stats = {
   mutable candidates : int;  (** candidate pairs attempted *)
   mutable conflicts : int;  (** CDCL conflicts, summed over all solvers *)
   mutable cnf_loads : int;  (** solver CNF loads (one per round with pairs) *)
-  mutable cache_hits : int;
-      (** PO verdicts and candidate pairs discharged from the
-          cross-request equivalence cache *)
-  mutable cache_misses : int;  (** cache lookups that found nothing *)
   mutable restarts : int;  (** CDCL restarts, summed over all solvers *)
   mutable reduce_dbs : int;  (** learnt-database reductions *)
   mutable learnts_removed : int;  (** learnt clauses dropped by reductions *)
   simp : Simplify.stats;  (** preprocessing counters, summed over solvers *)
 }
 
-(** [check ?config ?classes ?pcache ?cancel ~pool miter] decides whether
+(** [check ?config ?classes ?cancel ~pool miter] decides whether
     every PO of [miter] is constant false.  [classes] optionally seeds the
     equivalence classes (EC transfer from the simulation engine, paper
-    §V); node ids in [classes] must refer to [miter].  [pcache] plugs in a
-    cross-request equivalence cache ({!Aig.Pcache}): cached PO verdicts
-    are consulted before sweeping (on a private copy — [miter] is not
-    mutated), candidate pairs are keyed by {!Aig.Shash.pair_key} and
-    proved pairs skip their SAT calls on a hit; fresh proofs are recorded
-    back.  Pair records flush only at round barriers.  [cancel] is polled
+    §V); node ids in [classes] must refer to [miter].  [cancel] is polled
     at round boundaries, between pairs and inside the SAT search; a
     cancelled check returns [Undecided]. *)
 val check :
   ?config:config ->
   ?classes:Sim.Eclass.t ->
-  ?pcache:Aig.Pcache.t ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->

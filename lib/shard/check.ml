@@ -40,7 +40,7 @@ type srun = {
 
 type worker = {
   w_id : int;  (* stable slot, reused by respawns *)
-  mutable w_conn : Pool.worker;
+  mutable w_conn : Proc.t;
   mutable w_alive : bool;
   mutable w_ready : bool;
   mutable w_task : srun option;
@@ -63,12 +63,12 @@ let kill_and_reap w =
   if w.w_alive then begin
     w.w_alive <- false;
     w.w_ready <- false;
-    Pool.kill w.w_conn
+    Proc.kill w.w_conn
   end
 
 (* --- the check -------------------------------------------------------- *)
 
-let check ?(config = default_config) ?cancel ?pool g =
+let check ?(config = default_config) ?cancel g =
   let t_start = Unix.gettimeofday () in
   let stats = Stats.create ~workers:(max 1 config.workers) in
   let io = Simsweep.Telemetry.io_create () in
@@ -119,38 +119,22 @@ let check ?(config = default_config) ?cancel ?pool g =
       let requeue_front t = queue := t :: !queue in
       let exe = worker_exe config in
       let domains = max 1 config.worker_domains in
-      let cold_spawn () =
-        let pw = Pool.spawn ~exe ~domains in
+      let spawn () =
+        let pw = Proc.spawn ~exe ~domains in
         stats.workers_spawned <- stats.workers_spawned + 1;
-        stats.cold_starts <- stats.cold_starts + 1;
-        stats.worker_pids <- pw.Pool.pw_pid :: stats.worker_pids;
+        stats.worker_pids <- Proc.pid pw :: stats.worker_pids;
         pw
       in
+      (* Workers announce [Shard_ready] once up. *)
       let workers =
-        let leased, discards =
-          match pool with
-          | Some p -> Pool.acquire p ~exe ~domains ~n:(max 1 config.workers)
-          | None ->
-              (List.init (max 1 config.workers) (fun _ -> (Pool.spawn ~exe ~domains, false)), 0)
-        in
-        stats.pool_discards <- discards;
-        Array.of_list
-          (List.mapi
-             (fun w_id (pw, warm) ->
-               if warm then stats.warm_starts <- stats.warm_starts + 1
-               else begin
-                 stats.workers_spawned <- stats.workers_spawned + 1;
-                 stats.cold_starts <- stats.cold_starts + 1
-               end;
-               stats.worker_pids <- pw.Pool.pw_pid :: stats.worker_pids;
-               {
-                 w_id;
-                 w_conn = pw;
-                 w_alive = true;
-                 w_ready = warm;  (* cold workers announce Shard_ready *)
-                 w_task = None;
-               })
-             leased)
+        Array.init (max 1 config.workers) (fun w_id ->
+            {
+              w_id;
+              w_conn = spawn ();
+              w_alive = true;
+              w_ready = false;
+              w_task = None;
+            })
       in
       let respawns_left = ref config.max_respawns in
       let test_kill_fired = ref false in
@@ -158,7 +142,7 @@ let check ?(config = default_config) ?cancel ?pool g =
         if !respawns_left > 0 then begin
           decr respawns_left;
           stats.respawns <- stats.respawns + 1;
-          w.w_conn <- cold_spawn ();
+          w.w_conn <- spawn ();
           w.w_alive <- true;
           w.w_ready <- false;
           w.w_task <- None
@@ -206,7 +190,7 @@ let check ?(config = default_config) ?cancel ?pool g =
         if w.w_alive then begin
           w.w_alive <- false;
           w.w_ready <- false;
-          Pool.kill w.w_conn;
+          Proc.kill w.w_conn;
           stats.workers_crashed <- stats.workers_crashed + 1;
           (match w.w_task with
           | Some t ->
@@ -240,10 +224,10 @@ let check ?(config = default_config) ?cancel ?pool g =
         (match config.test_kill_worker with
         | Some id when id = w.w_id && not !test_kill_fired ->
             test_kill_fired := true;
-            (try Unix.kill w.w_conn.Pool.pw_pid Sys.sigkill
+            (try Unix.kill (Proc.pid w.w_conn) Sys.sigkill
              with Unix.Unix_error _ -> ())
         | _ -> ());
-        match Pr.write_frame ~io ~payload w.w_conn.Pool.pw_oc hdr with
+        match Pr.write_frame ~io ~payload (Proc.oc w.w_conn) hdr with
         | () -> w.w_task <- Some sr
         | exception _ ->
             requeue_front sr;
@@ -251,9 +235,8 @@ let check ?(config = default_config) ?cancel ?pool g =
       in
       let handle_reply w t reply =
         match (t, reply) with
-        | _, (Pr.Shard_ready | Pr.Shard_pong) ->
-            (* unsolicited hello from a (re)spawn, or a pong straggling
-               from pool validation; not a task completion *)
+        | _, Pr.Shard_ready ->
+            (* hello from a (re)spawn; not a task completion *)
             w.w_ready <- true;
             w.w_task <- t
         | Some sr, Pr.Shard_failed { msg; _ } ->
@@ -284,12 +267,12 @@ let check ?(config = default_config) ?cancel ?pool g =
             w.w_task <- None;
             w.w_alive <- false;
             w.w_ready <- false;
-            Pool.kill w.w_conn;
+            Proc.kill w.w_conn;
             stats.workers_crashed <- stats.workers_crashed + 1;
             respawn w
       in
       let handle_readable w =
-        match Pr.read_frame ~io w.w_conn.Pool.pw_ic with
+        match Pr.read_frame ~io (Proc.ic w.w_conn) with
         | Error _ -> on_crash w
         | Ok inc -> (
             match Pr.shard_reply_of_frame inc with
@@ -306,17 +289,7 @@ let check ?(config = default_config) ?cancel ?pool g =
           E.Proved
         else E.Undecided
       in
-      let finally () =
-        (* Idle, healthy workers go back to the pool warm; anything
-           mid-task or dead is killed. *)
-        Array.iter
-          (fun w ->
-            match pool with
-            | Some p when w.w_alive && w.w_ready && w.w_task = None ->
-                Pool.release p w.w_conn
-            | _ -> kill_and_reap w)
-          workers
-      in
+      let finally () = Array.iter kill_and_reap workers in
       let result =
         Fun.protect ~finally (fun () ->
             try
@@ -331,7 +304,7 @@ let check ?(config = default_config) ?cancel ?pool g =
                 then raise (Done (outcome_of_sruns ()));
                 (* While an injected kill is pending, only its target slot
                    may take work: otherwise a fast sibling can finish every
-                   shard before the (cold, still exec-ing) target ever
+                   shard before the (still exec-ing) target ever
                    announces ready, and the fault never fires.  Inert in
                    production — [test_kill_worker] is [None]. *)
                 let kill_hold w =
@@ -357,7 +330,7 @@ let check ?(config = default_config) ?cancel ?pool g =
                 let fds =
                   Array.to_list workers
                   |> List.filter_map (fun w ->
-                         if w.w_alive then Some w.w_conn.Pool.pw_fd else None)
+                         if w.w_alive then Some (Proc.fd w.w_conn) else None)
                 in
                 if fds = [] then
                   (* every worker dead and no respawn budget left *)
@@ -371,7 +344,7 @@ let check ?(config = default_config) ?cancel ?pool g =
                   (fun fd ->
                     Array.iter
                       (fun w ->
-                        if w.w_alive && w.w_conn.Pool.pw_fd = fd then
+                        if w.w_alive && Proc.fd w.w_conn = fd then
                           handle_readable w)
                       workers)
                   readable

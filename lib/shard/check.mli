@@ -20,9 +20,8 @@
     {b Data plane.}  Each shard's binary AIGER travels once per
     dispatch as the frame's trailer.  A worker that cannot parse a
     payload answers [Shard_failed], and that shard settles undecided
-    (via ["failed"]) rather than being re-sent.  With [?pool],
-    workers are leased from a {!Pool} (warm when available) and healthy
-    idle workers are returned at the end instead of being killed. *)
+    (via ["failed"]) rather than being re-sent.  Workers are spawned for
+    every check ({!Proc}) and killed and reaped when it ends. *)
 
 type config = {
   workers : int;  (** worker processes to spawn *)
@@ -47,15 +46,14 @@ val default_config : config
     loop. *)
 val can_spawn : config -> bool
 
-(** [check ?config ?cancel ?pool g] checks the miter [g] end to end.
+(** [check ?config ?cancel g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic
-    for any worker count and pool temperature; [Undecided] is only
+    for any worker count; [Undecided] is only
     returned on cancellation, deadline expiry, exhausted respawns, a
     payload a worker could not parse, or a worker counter-example that
     does not replay. *)
 val check :
   ?config:config ->
   ?cancel:Par.Cancel.t ->
-  ?pool:Pool.t ->
   Aig.Network.t ->
   Simsweep.Engine.outcome * Stats.t

@@ -3,16 +3,15 @@
    optional raw binary trailer whose size the header carries as
    ["payload_len"].  Bulk bytes — AIGER images and counter-example bit
    strings — ride the trailer: written and read with exactly one copy
-   and zero JSON escaping.  One request frame
-   yields exactly one response frame, in order, per connection. *)
+   and zero JSON escaping.  After the worker's opening [Shard_ready],
+   each [Shard_check] frame yields exactly one reply frame, in order. *)
 
 type json = Simsweep.Telemetry.json
 type io = Simsweep.Telemetry.io
 
-(* A frame larger than this is a protocol error, not an allocation.  The
-   cap is configurable (server config, --max-frame-mb): the old fixed
-   256 MB constant was a silent ceiling on shard payload size once
-   --post-double started producing multi-MB miters. *)
+(* A frame larger than this is a protocol error, not an allocation.
+   Shards are planned far below it; [set_max_frame] lowers it so the
+   boundary can be tested without 256 MB frames. *)
 let default_max_frame = 256 * 1024 * 1024
 let min_max_frame = 64 * 1024
 let max_frame_cap = Atomic.make default_max_frame
@@ -21,43 +20,7 @@ let set_max_frame n = Atomic.set max_frame_cap (max min_max_frame n)
 
 type incoming = { hdr : json; payload : string }
 
-type request =
-  | Ping
-  | Script of { script : string; timeout_s : float option }
-  | Cec of { aiger : string; engine : string; timeout_s : float option }
-  | Cache_stats
-
-type response = {
-  ok : bool;
-  output : string;  (* printable output, or the error message *)
-  cache_hits : int;
-  cache_misses : int;
-  elapsed_s : float;
-}
-
-let error_response ?(elapsed_s = 0.) msg =
-  { ok = false; output = msg; cache_hits = 0; cache_misses = 0; elapsed_s }
-
 open Simsweep.Telemetry
-
-let timeout_field = function
-  | Some s -> [ ("timeout_s", Float s) ]
-  | None -> []
-
-let request_to_frame = function
-  | Ping -> (Obj [ ("type", String "ping") ], "")
-  | Script { script; timeout_s } ->
-      ( Obj
-          ([ ("type", String "script"); ("script", String script) ]
-          @ timeout_field timeout_s),
-        "" )
-  | Cec { aiger; engine; timeout_s } ->
-      (* The AIGER image travels as the binary trailer. *)
-      ( Obj
-          ([ ("type", String "cec"); ("engine", String engine) ]
-          @ timeout_field timeout_s),
-        aiger )
-  | Cache_stats -> (Obj [ ("type", String "cache-stats") ], "")
 
 let str_field name j =
   match member name j with
@@ -65,55 +28,9 @@ let str_field name j =
   | Some _ -> Error (Printf.sprintf "field %S: expected a string" name)
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let timeout_of j =
-  match member "timeout_s" j with
-  | Some (Float s) -> Some s
-  | Some (Int s) -> Some (float_of_int s)
-  | _ -> None
-
-let request_of_frame { hdr = j; payload } =
-  match str_field "type" j with
-  | Error e -> Error e
-  | Ok "ping" -> Ok Ping
-  | Ok "script" -> (
-      match str_field "script" j with
-      | Ok script -> Ok (Script { script; timeout_s = timeout_of j })
-      | Error e -> Error e)
-  | Ok "cec" -> (
-      match str_field "engine" j with
-      | Ok engine -> Ok (Cec { aiger = payload; engine; timeout_s = timeout_of j })
-      | Error e -> Error e)
-  | Ok "cache-stats" -> Ok Cache_stats
-  | Ok other -> Error ("unknown request type " ^ other)
-
-let response_to_json r =
-  Obj
-    [
-      ("ok", Bool r.ok);
-      ("output", String r.output);
-      ("cache_hits", Int r.cache_hits);
-      ("cache_misses", Int r.cache_misses);
-      ("elapsed_s", Float r.elapsed_s);
-    ]
-
-let response_of_json j =
-  match (bool_member "ok" j, string_member "output" j) with
-  | Some ok, Some output ->
-      let int_field name = Option.value ~default:0 (int_member name j) in
-      Ok
-        {
-          ok;
-          output;
-          cache_hits = int_field "cache_hits";
-          cache_misses = int_field "cache_misses";
-          elapsed_s = Option.value ~default:0. (float_member "elapsed_s" j);
-        }
-  | _ -> Error "malformed response (missing ok/output)"
-
 (* {2 Shard frames}
 
-   Coordinator <-> worker messages for multi-process sharded sweeping
-   (lib/shard).  Same framing and JSON flavour as the daemon protocol.
+   Coordinator <-> worker messages for multi-process sharded sweeping.
    AIGER payloads travel as the binary trailer; counter-examples are
    '0'/'1' strings in the trailer. *)
 
@@ -123,7 +40,6 @@ type shard_task =
       aiger : string;
       deadline_in : float option;
     }
-  | Shard_ping
   | Shard_quit
 
 type shard_verdict =
@@ -133,7 +49,6 @@ type shard_verdict =
 
 type shard_reply =
   | Shard_ready
-  | Shard_pong
   | Shard_verdict of {
       shard : int;
       verdict : shard_verdict;
@@ -156,7 +71,6 @@ let shard_task_to_frame = function
           | Some s -> [ ("deadline_in", Float s) ]
           | None -> []),
         aiger )
-  | Shard_ping -> (Obj [ ("type", String "shard-ping") ], "")
   | Shard_quit -> (Obj [ ("type", String "shard-quit") ], "")
 
 let shard_task_of_frame { hdr = j; payload } =
@@ -174,7 +88,6 @@ let shard_task_of_frame { hdr = j; payload } =
                })
       | Some _ -> Error "shard-check: missing aiger"
       | None -> Error "shard-check: missing shard id")
-  | Ok "shard-ping" -> Ok Shard_ping
   | Ok "shard-quit" -> Ok Shard_quit
   | Ok other -> Error ("unknown shard task " ^ other)
 
@@ -197,7 +110,6 @@ let shard_verdict_of_frame { hdr = j; payload } =
 
 let shard_reply_to_frame = function
   | Shard_ready -> (Obj [ ("type", String "shard-ready") ], "")
-  | Shard_pong -> (Obj [ ("type", String "shard-pong") ], "")
   | Shard_verdict { shard; verdict; wall_s; conflicts } ->
       let verdict_fields, payload = shard_verdict_to_frame verdict in
       ( Obj
@@ -222,7 +134,6 @@ let shard_reply_of_frame ({ hdr = j; _ } as inc) =
   match str_field "type" j with
   | Error e -> Error e
   | Ok "shard-ready" -> Ok Shard_ready
-  | Ok "shard-pong" -> Ok Shard_pong
   | Ok "shard-verdict" -> (
       match (int_member "shard" j, shard_verdict_of_frame inc) with
       | Some shard, Ok verdict ->

@@ -1,12 +1,12 @@
-(** The wire protocol of the daemon and of shard workers.
+(** The wire protocol between a shard coordinator and its workers.
 
     Frames are a 4-byte big-endian header length, that many bytes of
     JSON header (the hand-rolled {!Simsweep.Telemetry} flavour), then an
     optional raw binary trailer whose size the header announces as
     ["payload_len"].  Bulk bytes — AIGER images and counter-example bit
     strings — ride the trailer: one copy per side, zero JSON escaping.
-    A connection is a strict request/response alternation: each request
-    frame yields exactly one response frame, in order. *)
+    After the worker's opening [Shard_ready], each [Shard_check] frame
+    yields exactly one reply frame, in order. *)
 
 type json = Simsweep.Telemetry.json
 type io = Simsweep.Telemetry.io
@@ -14,53 +14,23 @@ type io = Simsweep.Telemetry.io
 (** {1 Frame size cap}
 
     A frame (header + trailer) larger than the cap is rejected on both
-    sides before any allocation.  Process-global and configurable
-    (server config, [--max-frame-mb]); defaults to 256 MB.
-    {!set_max_frame} clamps to a 64 KiB floor so the protocol's own
-    control frames always fit. *)
+    sides before any allocation.  Process-global; defaults to 256 MB,
+    far above any planned shard.  {!set_max_frame} lowers it so the
+    boundary can be tested, clamped to a 64 KiB floor so control frames
+    always fit. *)
 
-val default_max_frame : int
 val max_frame : unit -> int
 val set_max_frame : int -> unit
 
 (** A decoded frame: JSON header plus raw trailer ([""] when absent). *)
 type incoming = { hdr : json; payload : string }
 
-type request =
-  | Ping  (** liveness probe; answered without queueing *)
-  | Script of { script : string; timeout_s : float option }
-      (** run a shell script ([Shell.Command.exec_script]) in this
-          connection's session *)
-  | Cec of { aiger : string; engine : string; timeout_s : float option }
-      (** check a miter shipped as an AIGER binary trailer with the
-          [cec] engine of that name ([Shell.Engines.of_string]) *)
-  | Cache_stats  (** snapshot of the shared equivalence cache *)
-
-type response = {
-  ok : bool;
-  output : string;  (** printable output, or the error message *)
-  cache_hits : int;  (** equivalence-cache hits during this request *)
-  cache_misses : int;
-  elapsed_s : float;
-}
-
-val error_response : ?elapsed_s:float -> string -> response
-
-(** Codecs produce [(header, payload)] pairs for {!write_frame} and
-    consume the {!incoming} a {!read_frame} returned.  Responses are
-    header-only. *)
-
-val request_to_frame : request -> json * string
-val request_of_frame : incoming -> (request, string) result
-val response_to_json : response -> json
-val response_of_json : json -> (response, string) result
-
 (** {1 Shard frames}
 
     Coordinator ↔ worker messages for multi-process sharded sweeping
-    ({!Shard.Check}), over the same framing.  A shard's AIGER travels as
-    the binary trailer of its [Shard_check]; a disproof's counter-example
-    travels as a ['0']/['1'] string in the trailer of its verdict. *)
+    ({!Shard.Check}).  A shard's AIGER travels as the binary trailer of
+    its [Shard_check]; a disproof's counter-example travels as a
+    ['0']/['1'] string in the trailer of its verdict. *)
 
 type shard_task =
   | Shard_check of {
@@ -68,7 +38,6 @@ type shard_task =
       aiger : string;  (** binary AIGER of the shard's sub-miter *)
       deadline_in : float option;
     }  (** check one shard end to end *)
-  | Shard_ping  (** pool health probe; answered with {!Shard_pong} *)
   | Shard_quit
 
 type shard_verdict =
@@ -77,8 +46,7 @@ type shard_verdict =
   | Sv_undecided
 
 type shard_reply =
-  | Shard_ready  (** sent once at (cold) worker startup *)
-  | Shard_pong  (** answer to {!Shard_ping} *)
+  | Shard_ready  (** sent once at worker startup *)
   | Shard_verdict of {
       shard : int;
       verdict : shard_verdict;

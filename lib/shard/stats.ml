@@ -24,9 +24,6 @@ type t = {
   mutable bytes_rx : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
-  mutable warm_starts : int;
-  mutable cold_starts : int;
-  mutable pool_discards : int;
   mutable entries : entry list;
   mutable worker_pids : int list;
 }
@@ -47,9 +44,6 @@ let create ~workers =
     bytes_rx = 0;
     frames_tx = 0;
     frames_rx = 0;
-    warm_starts = 0;
-    cold_starts = 0;
-    pool_discards = 0;
     entries = [];
     worker_pids = [];
   }
@@ -97,8 +91,5 @@ let to_json t =
       ("bytes_rx", J.Int t.bytes_rx);
       ("frames_tx", J.Int t.frames_tx);
       ("frames_rx", J.Int t.frames_rx);
-      ("warm_starts", J.Int t.warm_starts);
-      ("cold_starts", J.Int t.cold_starts);
-      ("pool_discards", J.Int t.pool_discards);
       ("shard_entries", J.List entries);
     ]

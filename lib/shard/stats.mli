@@ -30,9 +30,6 @@ type t = {
   mutable bytes_rx : int;
   mutable frames_tx : int;
   mutable frames_rx : int;
-  mutable warm_starts : int;  (** workers leased warm from the pool *)
-  mutable cold_starts : int;  (** workers spawned cold for this run *)
-  mutable pool_discards : int;  (** idle workers that failed ping validation *)
   mutable entries : entry list;  (** most recent first *)
   mutable worker_pids : int list;
 }

@@ -38,7 +38,6 @@ type action = Quit | Reply of Pr.shard_reply
 
 let handle ~pool = function
   | Pr.Shard_quit -> Quit
-  | Pr.Shard_ping -> Reply Pr.Shard_pong
   | Pr.Shard_check { shard; aiger; deadline_in } -> (
       (* AIGER bytes that do not parse are a framed [Shard_failed], never
          a crash: the worker stays up and the coordinator settles that

@@ -13,9 +13,8 @@
     answers with a verdict.
 
     AIGER payloads arrive as the frame's binary trailer; bytes that do
-    not parse produce a framed [Shard_failed] reply, never a crash —
-    warm-pool workers must survive bad input.  [Shard_ping] is answered with
-    [Shard_pong] so {!Pool} can health-check idle workers. *)
+    not parse produce a framed [Shard_failed] reply, never a crash: the
+    worker stays up for its next task. *)
 
 (** Environment variable that turns a host binary into a worker ("1"). *)
 val mode_env : string

@@ -2,15 +2,13 @@ type state = {
   mutable current : Aig.Network.t option;
   store : (string, Aig.Network.t) Hashtbl.t;
   pool : Par.Pool.t Lazy.t;
-  pcache : Aig.Pcache.t option;
 }
 
-let create ?pool ?pcache () =
+let create ?pool () =
   {
     current = None;
     store = Hashtbl.create 8;
     pool = (match pool with Some p -> lazy p | None -> lazy (Par.Pool.create ()));
-    pcache;
   }
 
 let help_text =
@@ -29,7 +27,6 @@ let help_text =
       "cec [ENGINE]         check the current miter (default combined) with";
       "                     sim combined sat satdirect bdd portfolio";
       "                     portfolio.race partitioned shard[.N] (N workers)";
-      "map [K]              map to K-input LUTs and resynthesise (default 6)";
       "fraig                merge functionally equivalent internal nodes";
       "certify              combined check with certificate validation";
       "sim N                random simulation vectors";
@@ -68,7 +65,7 @@ let run_cec ?cancel st g name =
   match Engines.of_string name with
   | Error e -> Error e
   | Ok engine ->
-      Engines.run ?cancel ?pcache:st.pcache ~pool:(Lazy.force st.pool) engine g
+      Engines.run ?cancel ~pool:(Lazy.force st.pool) engine g
       |> Result.map (fun r -> r.Engines.summary)
 
 (* Tokenize one command line ABC-style: words split on blanks; double or
@@ -228,26 +225,6 @@ let exec ?cancel st line =
             set g'
               (Printf.sprintf "fraig: %s (%d merges)" (stats_line g')
                  fstats.Sat.Sweep.merged))
-    | [ "map" ] | [ "map"; _ ] -> (
-        let k =
-          match words with
-          | [ "map" ] -> Ok 6
-          | [ "map"; n ] -> (
-              match int_of_string_opt n with
-              | Some v -> Ok v
-              | None -> Error ("bad k " ^ n))
-          | _ -> assert false
-        in
-        match k with
-        | Error e -> Error e
-        | Ok k ->
-            with_current st (fun g ->
-                let m = Lutmap.Mapper.map ~k g in
-                let g' = Lutmap.Mapper.to_network m in
-                set g'
-                  (Printf.sprintf "mapped: %d LUTs, depth %d; resynthesised: %s"
-                     (Lutmap.Mapper.lut_count m) m.Lutmap.Mapper.depth
-                     (stats_line g'))))
     | [ "stats" ] -> with_current st (fun g -> Ok (stats_line g))
     | [ "dot"; file ] ->
         with_current st (fun g ->

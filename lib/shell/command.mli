@@ -22,6 +22,7 @@
     miter NAME             replace current with miter(current, NAME)
     cec [ENGINE]           check the current miter with a {!Engines}
                            name (default combined)
+    fraig                  merge functionally equivalent internal nodes
     certify                check with certificate generation + validation
     sim N                  print N random simulation vectors
     stats                  print size statistics
@@ -32,16 +33,13 @@
 type state
 
 (** Fresh interpreter state.  When [pool] is omitted a private pool is
-    created lazily and shut down by [Gc] finalisation at exit.  [pcache]
-    plugs in a cross-request equivalence cache ({!Aig.Pcache}) consulted
-    by the [cec] engines; cache effects are reported in the command
-    output.
+    created lazily and shut down by [Gc] finalisation at exit.
 
     A [state] is single-session: it is not safe to share one state
     between domains or threads.  Concurrent sessions must each own a
     [state]; they {e may} share one [pool] (submissions are serialized by
-    the pool) and one thread-safe [pcache]. *)
-val create : ?pool:Par.Pool.t -> ?pcache:Aig.Pcache.t -> unit -> state
+    the pool). *)
+val create : ?pool:Par.Pool.t -> unit -> state
 
 (** [exec ?cancel state line] runs one command; returns its printable
     output or an error message.  Blank lines and comments yield [Ok ""].
@@ -50,18 +48,6 @@ val create : ?pool:Par.Pool.t -> ?pcache:Aig.Pcache.t -> unit -> state
     group a word ([read "my file.aig"]).  [cancel] is forwarded to the
     long-running commands ([cec], [fraig]). *)
 val exec : ?cancel:Par.Cancel.t -> state -> string -> (string, string) result
-
-(** [run_cec ?cancel state miter engine] checks [miter] with the
-    {!Engines} entry named [engine] using the state's pool and
-    equivalence cache, without touching the state's current network or
-    store, and returns the engine's one-line summary.  The daemon's
-    direct-CEC entry point. *)
-val run_cec :
-  ?cancel:Par.Cancel.t ->
-  state ->
-  Aig.Network.t ->
-  string ->
-  (string, string) result
 
 (** Run a whole script, stopping at the first error; returns the
     concatenated output.  Commands are separated by newlines or [;] —

@@ -57,56 +57,32 @@ type report = {
   stats : (string * T.json) list;
 }
 
-(* The cache effect, shown only when an equivalence cache is plugged in
-   so clients (and the serve smoke test) can observe reuse. *)
-let cache_suffix pcache ~hits ~misses =
-  match pcache with
-  | None -> ""
-  | Some _ -> Printf.sprintf " [cache %d hits, %d misses]" hits misses
-
 let of_sat_outcome = function
   | Sat.Sweep.Equivalent -> E.Proved
   | Sat.Sweep.Inequivalent (cex, po) -> E.Disproved (cex, po)
   | Sat.Sweep.Undecided -> E.Undecided
 
-let run ?cancel ?pcache ~pool engine g =
+let run ?cancel ~pool engine g =
   let config = Simsweep.Config.scaled in
   let report ?(stats = []) ?(detail = "") outcome =
     Ok { outcome; summary = outcome_string outcome ^ detail; stats }
   in
   match engine with
   | Sim ->
-      let r = E.run ~config ?pcache ?cancel ~pool g in
-      let s = r.E.stats in
+      let r = E.run ~config ?cancel ~pool g in
       report ~stats:[ ("run", T.of_run r) ] r.E.outcome
-        ~detail:
-          (Printf.sprintf " (reduced %.1f%%)%s" (E.reduction_percent r)
-             (cache_suffix pcache ~hits:s.Simsweep.Stats.cache_hits
-                ~misses:s.Simsweep.Stats.cache_misses))
+        ~detail:(Printf.sprintf " (reduced %.1f%%)" (E.reduction_percent r))
   | Combined ->
       let c =
-        E.check_with_fallback ~config ~transfer_classes:true ?pcache ?cancel
-          ~pool g
-      in
-      let es = c.E.engine.E.stats in
-      let sat_hits, sat_misses =
-        match c.E.sat_stats with
-        | Some s -> (s.Sat.Sweep.cache_hits, s.Sat.Sweep.cache_misses)
-        | None -> (0, 0)
+        E.check_with_fallback ~config ~transfer_classes:true ?cancel ~pool g
       in
       report ~stats:[ ("combined", T.of_combined c) ] c.E.final
-        ~detail:
-          (cache_suffix pcache
-             ~hits:(es.Simsweep.Stats.cache_hits + sat_hits)
-             ~misses:(es.Simsweep.Stats.cache_misses + sat_misses))
   | Sat ->
-      let o, s = Sat.Sweep.check ?pcache ?cancel ~pool g in
+      let o, s = Sat.Sweep.check ?cancel ~pool g in
       let detail =
         match o with
         | Sat.Sweep.Equivalent ->
-            Printf.sprintf " (%d SAT calls)%s" s.Sat.Sweep.sat_calls
-              (cache_suffix pcache ~hits:s.Sat.Sweep.cache_hits
-                 ~misses:s.Sat.Sweep.cache_misses)
+            Printf.sprintf " (%d SAT calls)" s.Sat.Sweep.sat_calls
         | _ -> ""
       in
       report ~stats:[ ("sat", T.of_sat s) ] ~detail (of_sat_outcome o)
@@ -141,12 +117,9 @@ let run ?cancel ?pcache ~pool engine g =
       if not (Shard.Check.can_spawn config) then
         Error "shard: this program cannot host shard worker processes"
       else
-        let outcome, st =
-          Shard.Check.check ~config ?cancel ~pool:(Shard.Pool.default ()) g
-        in
+        let outcome, st = Shard.Check.check ~config ?cancel g in
         report ~stats:[ ("shard", Shard.Stats.to_json st) ] outcome
           ~detail:
-            (Printf.sprintf " (%d shards, %d workers [%d warm, %d cold], %d steals)"
+            (Printf.sprintf " (%d shards, %d workers, %d steals)"
                st.Shard.Stats.shards st.Shard.Stats.workers
-               st.Shard.Stats.warm_starts st.Shard.Stats.cold_starts
                (Array.fold_left ( + ) 0 (Shard.Stats.steals st)))

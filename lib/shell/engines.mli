@@ -1,9 +1,9 @@
 (** The checking engines, defined once for every front-end.
 
-    [simsweep-cec], the shell's [cec] command, the daemon's direct-CEC
-    requests and the fuzz oracle all select an engine by one of the names
-    below and run it through {!run}, so a name means the same check — the
-    same configuration, the same verdict — wherever it is used.
+    [simsweep-cec], the shell's [cec] command and the fuzz oracle all
+    select an engine by one of the names below and run it through {!run},
+    so a name means the same check — the same configuration, the same
+    verdict — wherever it is used.
 
     {v
     sim             the simulation engine alone (Config.scaled)
@@ -15,8 +15,8 @@
     portfolio       sim, BDD and SAT in sequence (Config.default)
     portfolio.race  the same three engines raced on separate domains
     partitioned     sim then SAT, per support-disjoint output group
-    shard[.N]       N worker processes (default 2) leased from
-                    Shard.Pool.default, each sweeping its shards
+    shard[.N]       N worker processes (default 2), spawned for this
+                    check, each sweeping its shards
     v} *)
 
 type t =
@@ -44,25 +44,20 @@ val outcome_string : Simsweep.Engine.outcome -> string
 
 type report = {
   outcome : Simsweep.Engine.outcome;
-  summary : string;
-      (** one line: the verdict plus engine detail, and a
-          [[cache N hits, M misses]] suffix when a [pcache] is plugged in
-          (sim, sat, combined) *)
+  summary : string;  (** one line: the verdict plus engine detail *)
   stats : (string * Simsweep.Telemetry.json) list;
       (** the engine's [--stats-json] fields: [run] (sim), [combined],
           [sat], [portfolio], [partition_groups] or [shard]; none for
           satdirect and bdd *)
 }
 
-(** [run ?cancel ?pcache ~pool engine miter] checks [miter].  [pool] runs
-    the in-process engines; [shard.N] gives each of its N workers an
-    equal share of its domains (at least one).  [pcache] is the
-    cross-request equivalence cache of sim, sat and combined.  [Error]
-    only for [shard] in a program that cannot host shard workers
-    ({!Shard.Check.can_spawn}); no process is spawned then. *)
+(** [run ?cancel ~pool engine miter] checks [miter].  [pool] runs the
+    in-process engines; [shard.N] gives each of its N workers an equal
+    share of its domains (at least one).  [Error] only for [shard] in a
+    program that cannot host shard workers ({!Shard.Check.can_spawn}); no
+    process is spawned then. *)
 val run :
   ?cancel:Par.Cancel.t ->
-  ?pcache:Aig.Pcache.t ->
   pool:Par.Pool.t ->
   t ->
   Aig.Network.t ->

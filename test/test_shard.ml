@@ -1,7 +1,7 @@
-(* Multi-process sharded sweeping: plan shape, counter-example lifting
-   across shard PI renumbering, verdict determinism for any worker count,
-   crash rescheduling, deadline kill+reap (no zombies), rejected payloads,
-   rejected disproofs and the warm worker pool. *)
+(* Multi-process sharded sweeping: the frame protocol and its codecs,
+   plan shape, counter-example lifting across shard PI renumbering,
+   verdict determinism for any worker count, crash rescheduling, deadline
+   kill+reap (no zombies), rejected payloads and rejected disproofs. *)
 
 let mult ~bits = Gen.Arith.multiplier ~bits
 
@@ -37,6 +37,156 @@ let config ~workers =
     max_shard_ands = 64;
     deadline_s = Some 120.;
   }
+
+(* --- protocol --------------------------------------------------------- *)
+
+module Pr = Shard.Protocol
+module J = Simsweep.Telemetry
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+let test_protocol_frames () =
+  let rd, wr = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
+  let j1, _ = Pr.shard_reply_to_frame Pr.Shard_ready in
+  let j2, _ =
+    Pr.shard_reply_to_frame
+      (Pr.Shard_failed { shard = 3; msg = "x \"esc\\\"ape\"" })
+  in
+  Pr.write_frame oc j1;
+  Pr.write_frame oc j2;
+  (match Pr.read_frame ic with
+  | Ok inc ->
+      Alcotest.(check bool) "frame 1" true (inc.Pr.hdr = j1);
+      Alcotest.(check string) "frame 1 no payload" "" inc.Pr.payload
+  | Error e -> Alcotest.failf "frame 1: %s" e);
+  (match Pr.read_frame ic with
+  | Ok inc -> Alcotest.(check bool) "frame 2" true (inc.Pr.hdr = j2)
+  | Error e -> Alcotest.failf "frame 2: %s" e);
+  close_out oc;
+  (match Pr.read_frame ic with
+  | Error "eof" -> ()
+  | Ok _ -> Alcotest.fail "expected eof"
+  | Error e -> Alcotest.failf "expected eof, got: %s" e);
+  close_in ic
+
+let test_protocol_payload () =
+  (* Binary trailers must survive byte-exactly — every byte value, no
+     JSON escaping — and the io counters must account for them. *)
+  let rd, wr = Unix.pipe () in
+  let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
+  let tx = J.io_create () in
+  let rx = J.io_create () in
+  let payload = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
+  let hdr = J.Obj [ ("type", J.String "t") ] in
+  Pr.write_frame ~io:tx ~payload oc hdr;
+  (match Pr.read_frame ~io:rx ic with
+  | Ok inc ->
+      Alcotest.(check string) "payload intact" payload inc.Pr.payload;
+      Alcotest.(check bool) "payload_len in header" true
+        (J.int_member "payload_len" inc.Pr.hdr = Some (String.length payload))
+  | Error e -> Alcotest.failf "payload frame: %s" e);
+  Alcotest.(check bool) "tx counted payload" true
+    (tx.J.io_bytes_tx > String.length payload);
+  Alcotest.(check int) "tx = rx bytes" tx.J.io_bytes_tx rx.J.io_bytes_rx;
+  Alcotest.(check int) "one frame out" 1 tx.J.io_frames_tx;
+  Alcotest.(check int) "one frame in" 1 rx.J.io_frames_rx;
+  close_out oc;
+  close_in ic
+
+let test_protocol_frame_cap () =
+  (* The cap is enforced at the boundary on both sides.  Alcotest runs
+     in-process, so restore the default before leaving. *)
+  let saved = Pr.max_frame () in
+  Fun.protect ~finally:(fun () -> Pr.set_max_frame saved) @@ fun () ->
+  Pr.set_max_frame 65536;
+  Alcotest.(check int) "floor clamps" 65536 (Pr.max_frame ());
+  (* A socketpair, not a pipe: an at-cap frame (64 KiB + framing) would
+     fill a pipe's buffer and deadlock this single-threaded test. *)
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
+  let hdr = J.Obj [ ("type", J.String "t") ] in
+  let hdr_len =
+    String.length (J.to_string hdr) + String.length ",\"payload_len\":65536"
+  in
+  (* Exactly at the cap: passes. *)
+  let at_cap = String.make (65536 - hdr_len) 'x' in
+  Pr.write_frame ~payload:at_cap oc hdr;
+  (match Pr.read_frame ic with
+  | Ok inc ->
+      Alcotest.(check int) "at-cap payload arrives" (String.length at_cap)
+        (String.length inc.Pr.payload)
+  | Error e -> Alcotest.failf "at-cap frame: %s" e);
+  (* One byte over: the writer refuses before touching the socket. *)
+  (match Pr.write_frame ~payload:(String.make 65537 'x') oc hdr with
+  | () -> Alcotest.fail "over-cap write accepted"
+  | exception Invalid_argument _ -> ());
+  (* An oversized length prefix is rejected reader-side without
+     allocating. *)
+  let bogus = Bytes.create 4 in
+  Bytes.set_int32_be bogus 0 (Int32.of_int (Pr.max_frame () + 1));
+  output_bytes oc bogus;
+  flush oc;
+  close_out oc;
+  (match Pr.read_frame ic with
+  | Error e -> Alcotest.(check bool) "oversized rejected" true (contains e "length")
+  | Ok _ -> Alcotest.fail "oversized frame accepted");
+  close_in ic
+
+(* Every task and reply constructor survives encode, framing and decode;
+   AIGER images and CEX bits ride the binary trailer. *)
+let test_protocol_codecs () =
+  let aiger = Aig.Aiger_io.to_binary_string (equiv_miter (mult ~bits:3)) in
+  let through_frame (hdr, payload) =
+    let rd, wr = Unix.pipe () in
+    let ic = Unix.in_channel_of_descr rd
+    and oc = Unix.out_channel_of_descr wr in
+    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+    Pr.write_frame ~payload oc hdr;
+    close_out oc;
+    match Pr.read_frame ic with
+    | Ok inc -> inc
+    | Error e -> Alcotest.failf "frame did not roundtrip: %s" e
+  in
+  List.iter
+    (fun task ->
+      match Pr.shard_task_of_frame (through_frame (Pr.shard_task_to_frame task)) with
+      | Ok t -> Alcotest.(check bool) "task roundtrips" true (t = task)
+      | Error e -> Alcotest.failf "task did not decode: %s" e)
+    [
+      Pr.Shard_check { shard = 0; aiger; deadline_in = None };
+      Pr.Shard_check { shard = 7; aiger; deadline_in = Some 2.5 };
+      Pr.Shard_quit;
+    ];
+  let cex = Pr.cex_to_bits [| true; false; false; true; true |] in
+  Alcotest.(check string) "cex bits" "10011" cex;
+  Alcotest.(check bool) "bits_to_cex inverts" true
+    (Pr.bits_to_cex cex = [| true; false; false; true; true |]);
+  List.iter
+    (fun reply ->
+      match
+        Pr.shard_reply_of_frame (through_frame (Pr.shard_reply_to_frame reply))
+      with
+      | Ok r -> Alcotest.(check bool) "reply roundtrips" true (r = reply)
+      | Error e -> Alcotest.failf "reply did not decode: %s" e)
+    [
+      Pr.Shard_ready;
+      Pr.Shard_verdict
+        { shard = 1; verdict = Pr.Sv_proved; wall_s = 0.125; conflicts = 0 };
+      Pr.Shard_verdict
+        { shard = 2; verdict = Pr.Sv_undecided; wall_s = 1.5; conflicts = 42 };
+      Pr.Shard_verdict
+        {
+          shard = 3;
+          verdict = Pr.Sv_disproved { cex; po = 4 };
+          wall_s = 0.25;
+          conflicts = 9;
+        };
+      Pr.Shard_failed { shard = 5; msg = "bad aiger: \"quoted\"" };
+    ]
 
 (* --- plan ------------------------------------------------------------- *)
 
@@ -221,7 +371,7 @@ let failing_worker mode =
               | "bad-po" -> disproof shard aiger (-1)
               | _ -> Pr.Shard_failed { shard; msg = "rejected by the test worker" });
             loop ()
-        | Ok _ | Error _ -> loop ())
+        | Error _ -> loop ())
   in
   loop ();
   exit 0
@@ -285,39 +435,6 @@ let test_bad_disproof_settles_undecided () =
         (entry_sig st))
     [ "bad-cex"; "bad-po" ]
 
-let test_warm_pool () =
-  let m = equiv_miter (mult ~bits:5) in
-  let pool = Shard.Pool.create () in
-  Fun.protect ~finally:(fun () -> Shard.Pool.shutdown pool) @@ fun () ->
-  let cfg = config ~workers:2 in
-  let o1, s1 = Shard.Check.check ~config:cfg ~pool m in
-  (match o1 with
-  | Simsweep.Engine.Proved -> ()
-  | _ -> Alcotest.fail "cold run not proved");
-  Alcotest.(check int) "first run all cold" 2 s1.Shard.Stats.cold_starts;
-  Alcotest.(check int) "first run no warm" 0 s1.Shard.Stats.warm_starts;
-  Alcotest.(check bool) "workers released to the pool" true
-    (Shard.Pool.idle_count pool >= 1);
-  let o2, s2 = Shard.Check.check ~config:cfg ~pool m in
-  (match o2 with
-  | Simsweep.Engine.Proved -> ()
-  | _ -> Alcotest.fail "warm run not proved");
-  Alcotest.(check bool) "second run reused warm workers" true
-    (s2.Shard.Stats.warm_starts >= 1);
-  Alcotest.(check int) "lease is complete" 2
-    (s2.Shard.Stats.warm_starts + s2.Shard.Stats.cold_starts);
-  (* Warm workers are the same processes the first run used. *)
-  let reused =
-    List.filter (fun p -> List.mem p s1.Shard.Stats.worker_pids)
-      s2.Shard.Stats.worker_pids
-  in
-  Alcotest.(check bool) "same pids resurface" true
-    (List.length reused >= s2.Shard.Stats.warm_starts);
-  (* Idle expiry retires them. *)
-  Alcotest.(check bool) "reap_idle retires expired workers" true
-    (Shard.Pool.reap_idle ~max_idle_s:0. pool >= 1);
-  Alcotest.(check int) "pool drained" 0 (Shard.Pool.idle_count pool)
-
 let () =
   (* Coordinators in these tests re-exec this binary as their workers. *)
   (match Sys.getenv_opt failing_worker_env with
@@ -328,6 +445,14 @@ let () =
   Shard.Worker.maybe_become_worker ();
   Alcotest.run "shard"
     [
+      ( "protocol",
+        [
+          Alcotest.test_case "framing" `Quick test_protocol_frames;
+          Alcotest.test_case "binary payload" `Quick test_protocol_payload;
+          Alcotest.test_case "frame cap boundary" `Quick
+            test_protocol_frame_cap;
+          Alcotest.test_case "codec roundtrip" `Quick test_protocol_codecs;
+        ] );
       ( "plan",
         [
           Alcotest.test_case "pack and split" `Quick test_plan_pack_and_split;
@@ -346,9 +471,5 @@ let () =
             test_failed_payload_settles_undecided;
           Alcotest.test_case "bad disproof settles undecided" `Quick
             test_bad_disproof_settles_undecided;
-        ] );
-      ( "data plane",
-        [
-          Alcotest.test_case "warm pool" `Quick test_warm_pool;
         ] );
     ]

@@ -169,16 +169,6 @@ let test_inequivalent_report () =
       let out = exec_ok st "cec combined" in
       Alcotest.(check bool) "not equivalent" true (contains out "NOT EQUIVALENT"))
 
-let test_map () =
-  with_state (fun st ->
-      ignore (exec_ok st "gen multiplier 6");
-      ignore (exec_ok st "store g");
-      let out = exec_ok st "map 5" in
-      Alcotest.(check bool) "reports LUTs" true (contains out "LUTs");
-      ignore (exec_ok st "miter g");
-      let out = exec_ok st "cec sat" in
-      Alcotest.(check bool) "mapped equivalent" true (contains out "EQUIVALENT"))
-
 (* Regression: a [#] inside a word (e.g. a filename) is not a comment —
    only a [#] at the start of the line or after a blank is. *)
 let test_hash_in_filename () =
@@ -314,7 +304,6 @@ let () =
           Alcotest.test_case "script/files" `Quick test_script_and_files;
           Alcotest.test_case "sim output" `Quick test_sim_output;
           Alcotest.test_case "inequivalent" `Quick test_inequivalent_report;
-          Alcotest.test_case "map" `Quick test_map;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "hash in filename" `Quick test_hash_in_filename;
           Alcotest.test_case "quoted filenames" `Quick test_quoted_filenames;
