@@ -41,14 +41,6 @@ let run_local engine name miter num_domains verbose certify stats_json =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
-  (* A racing portfolio spawns two racer domains next to the pool:
-     unless the user pinned the pool size, shrink it so pool workers
-     plus racers stay within the recommended domain count. *)
-  let num_domains =
-    if num_domains = None && engine = Shell.Engines.Portfolio `Race then
-      Some (Simsweep.Portfolio.recommended_pool_domains ())
-    else num_domains
-  in
   let pool = Par.Pool.create ?num_domains () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -65,8 +57,7 @@ let run_local engine name miter num_domains verbose certify stats_json =
       (match stats_json with
       | Some file ->
           let open Simsweep.Telemetry in
-          (* "engine" names the family: shard.4 and portfolio.race report
-             as shard and portfolio. *)
+          (* "engine" names the family: shard.4 reports as shard. *)
           let family =
             List.hd (String.split_on_char '.' (Shell.Engines.to_string engine))
           in
@@ -114,14 +105,9 @@ let run_local engine name miter num_domains verbose certify stats_json =
          | _ -> print_endline "certificate: only produced for proved miters");
       exit_code outcome
 
-let run_check engine file1 file2 suite scale post_double num_domains race
-    verbose certify stats_json shard_n =
-  let engine =
-    if shard_n > 0 then Shell.Engines.Shard shard_n
-    else if race && engine = Shell.Engines.Portfolio `Sequential then
-      Shell.Engines.Portfolio `Race
-    else engine
-  in
+let run_check engine file1 file2 suite scale post_double num_domains verbose
+    certify stats_json shard_n =
+  let engine = if shard_n > 0 then Shell.Engines.Shard shard_n else engine in
   match read_inputs file1 file2 suite scale post_double with
   | Error msg ->
       prerr_endline ("error: " ^ msg);
@@ -139,9 +125,9 @@ let engine =
          ~doc:"Checking engine: sim (simulation-based), combined (sim + \
                SAT fallback, the paper's Table II flow), sat (SAT \
                sweeping), satdirect (monolithic SAT per output), bdd, \
-               portfolio, portfolio.race, partitioned (sim + SAT per \
-               support-disjoint output group) or shard[.N] (N worker \
-               processes, default 2).")
+               portfolio, partitioned (sim + SAT per support-disjoint \
+               output group) or shard[.N] (N worker processes, default \
+               2).")
 
 let file1 =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -170,15 +156,6 @@ let post_double =
 let num_domains =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N"
          ~doc:"Worker domains (default: machine-dependent).")
-
-let race =
-  Arg.(value & flag & info [ "race" ]
-         ~doc:"With --engine portfolio, select portfolio.race: race the \
-               portfolio engines concurrently.  BDD and SAT sweeping each \
-               get a dedicated domain next to the pool-parallel \
-               simulation engine; the first conclusive verdict cancels \
-               the losers.  Degrades to the sequential portfolio when the \
-               machine lacks cores.")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ]
@@ -212,9 +189,12 @@ let cmd =
     (Cmd.info "simsweep-cec" ~doc)
     Term.(
       const run_check $ engine $ file1 $ file2 $ suite $ scale $ post_double
-      $ num_domains $ race $ verbose $ certify $ stats_json $ shard_n)
+      $ num_domains $ verbose $ certify $ stats_json $ shard_n)
 
 let () =
   (* Re-exec'ed children of `--shard` coordinators become workers here. *)
   Shard.Worker.maybe_become_worker ();
-  exit (Cmd.eval' cmd)
+  (* Usage errors Cmdliner reports itself (an unknown option, a FILE that
+     does not exist, a bad engine name) exit 2 like every other error. *)
+  let code = Cmd.eval' cmd in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

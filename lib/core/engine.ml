@@ -128,9 +128,9 @@ let po_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~trace g =
 
 (* --- G phase: global function checking ----------------------------------- *)
 
-(* The engine stops early when its cancellation token fires: a deadline
-   expired or a portfolio race was lost.  The stats record it, so a
-   cut-short run is distinguishable from one that converged. *)
+(* The engine stops early when its cancellation token fires: it was set
+   or its deadline expired.  The stats record it, so a cut-short run is
+   distinguishable from one that converged. *)
 let stopping ?cancel ~(stats : Stats.t) () =
   match cancel with
   | Some c when Par.Cancel.poll c ->
@@ -177,7 +177,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
       (* Without a cancel token the whole candidate set is one batch (the
          best window-merging opportunities); with one it is split into
          bounded batches with a stop check between them, so one huge batch
-         cannot blow far past a deadline or hold a lost race alive. *)
+         cannot blow far past a deadline. *)
       let batch_cap = match cancel with None -> n | Some _ -> 512 in
       let verdicts = Array.make n Exhaustive.Invalid in
       let base = ref 0 in

@@ -22,8 +22,8 @@ type t = {
   mutable g_refinements : int;
       (** G-phase iterations that refined the classes with fresh CEXs *)
   mutable cancelled : bool;
-      (** the run's cancellation token fired (its deadline expired or a
-          portfolio race was lost) *)
+      (** the run's cancellation token fired (it was set or its deadline
+          expired) *)
   exhaustive : Exhaustive.stats;
   psim : Sim.Psim.stats;  (** partial (random) simulation effort *)
 }

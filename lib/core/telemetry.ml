@@ -443,20 +443,13 @@ let of_portfolio (r : Portfolio.result) =
         match r.Portfolio.winner with
         | Some w -> String (Portfolio.engine_name w)
         | None -> Null );
-      ("mode", String (Portfolio.mode_name r.Portfolio.mode_used));
       ("time_s", Float r.Portfolio.time);
-      ( "racers",
-        List (List.map (fun n -> String n) r.Portfolio.racers) );
       ( "per_engine_time_s",
         Obj
           (List.map
              (fun (e, t) -> (Portfolio.engine_name e, Float t))
              r.Portfolio.per_engine_time) );
       ("bdd_timeout", Bool r.Portfolio.bdd_timeout);
-      ( "cancel_latency_s",
-        match r.Portfolio.cancel_latency with
-        | Some l -> Float l
-        | None -> Null );
       ( "engine_stats",
         match r.Portfolio.engine_stats with
         | Some s -> of_engine_stats s

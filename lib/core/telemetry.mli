@@ -83,6 +83,6 @@ val of_run : Engine.run_result -> json
 (** Snapshot of the combined engine+SAT flow. *)
 val of_combined : Engine.combined -> json
 
-(** Snapshot of a portfolio run: outcome, winner, mode, per-engine
-    wall-clock, BDD step-budget hit, race cancel latency, member stats. *)
+(** Snapshot of a portfolio run: outcome, winner, per-engine wall-clock,
+    BDD step-budget hit, member stats. *)
 val of_portfolio : Portfolio.result -> json

@@ -77,12 +77,7 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
           | `Node_limit -> V_unknown "node limit"
           | `Timeout -> V_unknown "timeout");
     };
-    of_table "portfolio" (Shell.Engines.Portfolio `Sequential);
-    (* The racing portfolio is its own oracle member: any scheduling bug
-       that lets cancellation corrupt a verdict shows up as a
-       disagreement with the sequential engines (degrades to the
-       sequential portfolio on machines without spare cores). *)
-    of_table "race" (Shell.Engines.Portfolio `Race);
+    of_table "portfolio" Shell.Engines.Portfolio;
   ]
 
 type failure =

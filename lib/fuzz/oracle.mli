@@ -2,11 +2,10 @@
     inconsistency.
 
     Cross-checked engines: the brute-force ground truth (≤ 16 PIs); the
-    {!Shell.Engines} entries sim, combined, sat (as [satsweep]),
-    portfolio and portfolio.race (as [race]), exactly as the front-ends
-    run them; and, under fuzz-sized budgets, the direct per-PO SAT check
-    with and without preprocessing and the BDD engine under a node
-    budget.  A failure is one of:
+    {!Shell.Engines} entries sim, combined, sat (as [satsweep]) and
+    portfolio, exactly as the front-ends run them; and, under fuzz-sized
+    budgets, the direct per-PO SAT check with and without preprocessing
+    and the BDD engine under a node budget.  A failure is one of:
 
     - two engines returning conclusive opposite verdicts;
     - a counter-example that does not replay on the miter;

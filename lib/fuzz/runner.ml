@@ -37,10 +37,11 @@ let shrink_failure ~engines ~pool ~budget ~miter failures =
   in
   Shrink.shrink ~budget ~fails miter
 
-(* The multi-process shard coordinator as an oracle engine, racing the
-   in-process engines on every generated miter.  A tiny shard budget makes
-   even fuzz-sized miters split into several shards, so the plan/extract/
-   lift path is exercised, and the deadline bounds a wedged coordinator.
+(* The multi-process shard coordinator as an oracle engine, cross-checked
+   against the in-process engines on every generated miter.  A tiny shard
+   budget makes even fuzz-sized miters split into several shards, so the
+   plan/extract/lift path is exercised, and the deadline bounds a wedged
+   coordinator.
    NOTE: any binary embedding this engine must call
    [Shard.Worker.maybe_become_worker] first thing in [main] — the
    coordinator re-execs the host executable to make workers. *)
@@ -293,52 +294,6 @@ let badrecon_stage log ~pool ~seed =
   in
   attempt 0
 
-(* Race-cancellation stage of the self-test: a deliberately hanging engine
-   (it returns only once the shared token fires) races a fast conclusive
-   one; the race must return promptly with the fast winner and a recorded
-   cancel latency, proving cooperative cancellation actually unwinds a
-   stuck racer. *)
-let race_cancel_stage log miter =
-  let open Simsweep.Portfolio in
-  let fast =
-    {
-      racer_name = "fast";
-      racer_run =
-        (fun ~cancel ->
-          match Sat.Sweep.check_direct ~cancel miter with
-          | Sat.Sweep.Equivalent -> `Eq
-          | Sat.Sweep.Inequivalent _ -> `Ineq
-          | Sat.Sweep.Undecided -> `Unknown);
-      racer_conclusive = (fun v -> v <> `Unknown);
-    }
-  in
-  let hang =
-    {
-      racer_name = "hang";
-      racer_run =
-        (fun ~cancel ->
-          while not (Simsweep.Cancel.poll cancel) do
-            Domain.cpu_relax ()
-          done;
-          raise Simsweep.Cancel.Cancelled);
-      racer_conclusive = (fun _ -> false);
-    }
-  in
-  let ro = race [ fast; hang ] in
-  match (ro.race_winner, ro.race_cancel_latency) with
-  | Some (0, _), Some _ ->
-      (* No timings in the log: a seed's self-test log is byte-identical
-         run to run. *)
-      log "self-test: race cancelled the hanging engine (cancel latency recorded)";
-      Ok ()
-  | Some (0, _), None ->
-      Error "self-test: race cancelled the hanging engine but recorded no cancel latency"
-  | Some (i, _), _ ->
-      Error
-        (Printf.sprintf
-           "self-test: race won by racer %d, expected the fast engine" i)
-  | None, _ -> Error "self-test: race with a hanging engine returned no winner"
-
 (* Shard worker-crash stage of the self-test: a worker is SIGKILLed right
    after pulling its first shard; the coordinator must reap it, requeue
    the shard, spawn a replacement and still conclude correctly. *)
@@ -527,21 +482,18 @@ let self_test ?(log = null_log) ~pool ~out_dir ~seed () =
       if not reproduces then
         Error "self-test: the shrunk AIGER file does not reproduce the disagreement"
       else
-        match race_cancel_stage log miter with
+        match badrecon_stage log ~pool ~seed with
         | Error e -> Error e
         | Ok () -> (
-            match badrecon_stage log ~pool ~seed with
+            match shardkill_stage log ~seed with
             | Error e -> Error e
             | Ok () -> (
-                match shardkill_stage log ~seed with
+                match badpayload_stage log ~seed with
                 | Error e -> Error e
-                | Ok () -> (
-                    match badpayload_stage log ~seed with
-                    | Error e -> Error e
-                    | Ok () ->
-                        log
-                          (Printf.sprintf "self-test: OK (repro %s)"
-                             repro.Report.path);
-                        Ok repro)))
+                | Ok () ->
+                    log
+                      (Printf.sprintf "self-test: OK (repro %s)"
+                         repro.Report.path);
+                    Ok repro))
     end
   end

@@ -25,9 +25,9 @@ type summary = {
 
 (** [run ?log ?extra_engines ~pool config].  [extra_engines] join the
     differential comparison (the self-test's lying engine enters here).
-    Every mode also includes a multi-process [shard] engine that races
-    the coordinator against the in-process portfolio, so the host binary
-    must call [Shard.Worker.maybe_become_worker] at startup. *)
+    Every mode also includes a multi-process [shard] engine, cross-checked
+    against the in-process engines, so the host binary must call
+    [Shard.Worker.maybe_become_worker] at startup. *)
 val run :
   ?log:(string -> unit) ->
   ?extra_engines:Oracle.engine list ->
@@ -68,13 +68,12 @@ val run_dir :
     deliberately lying engine, and require that the oracle flags the
     disagreement, the shrinker reduces the miter to at most 20% of its
     AND nodes, the written AIGER repro still reproduces the disagreement
-    when read back, a portfolio race cancels a deliberately hanging
-    engine once the fast racer concludes, a SAT stub with broken
-    counter-example reconstruction is flagged by CEX replay, the shard
-    coordinator survives a worker SIGKILLed mid-shard (crash
-    registered, shard rescheduled, correct verdict), and a shard worker
-    fed a truncated AIGER image and non-AIGER bytes answers each with a
-    framed [Shard_failed] and still serves a valid dispatch on the same
+    when read back, a SAT stub with broken counter-example
+    reconstruction is flagged by CEX replay, the shard coordinator
+    survives a worker SIGKILLed mid-shard (crash registered, shard
+    rescheduled, correct verdict), and a shard worker fed a truncated
+    AIGER image and non-AIGER bytes answers each with a framed
+    [Shard_failed] and still serves a valid dispatch on the same
     connection.  [Error] describes the first broken link. *)
 val self_test :
   ?log:(string -> unit) ->

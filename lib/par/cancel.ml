@@ -2,7 +2,7 @@
    wall-clock deadline.  [poll] latches a deadline expiry into the flag so
    that later polls cost a single atomic load. *)
 
-type t = { flag : bool Atomic.t; deadline : float; parent : t option }
+type t = { flag : bool Atomic.t; deadline : float }
 
 exception Cancelled
 
@@ -12,32 +12,18 @@ let create ?deadline_in () =
     | None -> Float.infinity
     | Some d -> Unix.gettimeofday () +. d
   in
-  { flag = Atomic.make false; deadline; parent = None }
-
-let child ?deadline_in parent =
-  let deadline =
-    match deadline_in with
-    | None -> Float.infinity
-    | Some d -> Unix.gettimeofday () +. d
-  in
-  { flag = Atomic.make false; deadline; parent = Some parent }
+  { flag = Atomic.make false; deadline }
 
 let set t = Atomic.set t.flag true
 let is_set t = Atomic.get t.flag
 
-let rec poll t =
+let poll t =
   Atomic.get t.flag
-  ||
-  match t.parent with
-  | Some p when poll p ->
-      Atomic.set t.flag true;
-      true
-  | _ ->
-      t.deadline < Float.infinity
-      && Unix.gettimeofday () > t.deadline
-      &&
-      (Atomic.set t.flag true;
-       true)
+  || t.deadline < Float.infinity
+     && Unix.gettimeofday () > t.deadline
+     &&
+     (Atomic.set t.flag true;
+      true)
 
 let check t = if poll t then raise Cancelled
 

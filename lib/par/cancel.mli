@@ -4,8 +4,7 @@
     wall-clock deadline.  Engine loops poll the token at their natural
     batch boundaries (simulation rounds, SAT conflicts, BDD node
     allocations) and unwind with an inconclusive verdict when it fires —
-    the mechanism behind the racing portfolio's "first conclusive verdict
-    cancels the losers" and behind per-engine time budgets.
+    the mechanism behind per-engine time budgets and shard deadlines.
 
     Tokens are domain-safe: [set] and [poll] may be called from any
     domain. *)
@@ -18,14 +17,6 @@ exception Cancelled
     deadline that many seconds from now; polling past the deadline sets
     the token as if {!set} had been called. *)
 val create : ?deadline_in:float -> unit -> t
-
-(** [child ?deadline_in parent] is a token that fires when [parent] fires
-    (observed on [poll]) or when its own deadline expires or {!set} is
-    called on it — but setting the child never touches [parent].  The
-    racing portfolio uses this to share a per-request deadline token with
-    its racers: the winner cancels the losers through the child while the
-    request's own token stays clean for later work. *)
-val child : ?deadline_in:float -> t -> t
 
 (** Request cancellation.  Idempotent. *)
 val set : t -> unit

@@ -343,26 +343,3 @@ let shutdown t =
     List.iter Domain.join t.domains;
     t.domains <- []
   end
-
-(* The check-then-set on [default_pool] must be atomic: two domains racing
-   through it would each create a pool and one would leak its worker
-   domains forever.  The mutex also makes the [at_exit] registration
-   happen exactly once, on the single creation path. *)
-let default_pool = ref None
-let default_mutex = Mutex.create ()
-
-let default () =
-  Mutex.lock default_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock default_mutex)
-    (fun () ->
-      match !default_pool with
-      | Some p -> p
-      | None ->
-          let p = create () in
-          default_pool := Some p;
-          (* The default pool's domains are never joined by callers; tear
-             them down at process exit so runs under test runners exit
-             cleanly. *)
-          at_exit (fun () -> shutdown p);
-          p)

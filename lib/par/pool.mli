@@ -79,10 +79,3 @@ val parallel_region : t -> (unit -> 'a) -> 'a
 (** Terminate the worker domains.  Idempotent; the pool must not be used
     for further loops afterwards. *)
 val shutdown : t -> unit
-
-(** Lazily-created process-wide pool; its workers are shut down
-    automatically at process exit.  Safe to call from concurrent domains:
-    creation is mutex-guarded, so exactly one pool is ever created (and its
-    [at_exit] teardown registered exactly once), no matter how many domains
-    race through the first call. *)
-val default : unit -> t

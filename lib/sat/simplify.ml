@@ -19,8 +19,8 @@
 
    Every loop polls [Par.Cancel] (at pass boundaries and every ~64 inner
    iterations); a cancelled run returns the partially simplified — still
-   equisatisfiable — database, so daemon deadlines and portfolio racing
-   hold even when a request dies inside preprocessing. *)
+   equisatisfiable — database, so deadlines hold even when a check dies
+   inside preprocessing. *)
 
 let neg l = l lxor 1
 

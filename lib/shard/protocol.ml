@@ -40,7 +40,6 @@ type shard_task =
       aiger : string;
       deadline_in : float option;
     }
-  | Shard_quit
 
 type shard_verdict =
   | Sv_proved
@@ -71,7 +70,6 @@ let shard_task_to_frame = function
           | Some s -> [ ("deadline_in", Float s) ]
           | None -> []),
         aiger )
-  | Shard_quit -> (Obj [ ("type", String "shard-quit") ], "")
 
 let shard_task_of_frame { hdr = j; payload } =
   match str_field "type" j with
@@ -88,7 +86,6 @@ let shard_task_of_frame { hdr = j; payload } =
                })
       | Some _ -> Error "shard-check: missing aiger"
       | None -> Error "shard-check: missing shard id")
-  | Ok "shard-quit" -> Ok Shard_quit
   | Ok other -> Error ("unknown shard task " ^ other)
 
 (* Verdict tag in the header; a disproof's CEX bits in the trailer. *)

@@ -38,7 +38,6 @@ type shard_task =
       aiger : string;  (** binary AIGER of the shard's sub-miter *)
       deadline_in : float option;
     }  (** check one shard end to end *)
-  | Shard_quit
 
 type shard_verdict =
   | Sv_proved

@@ -34,17 +34,13 @@ let run_check ~pool ~shard ~aiger ~deadline_in =
 
 (* --- protocol loop ---------------------------------------------------- *)
 
-type action = Quit | Reply of Pr.shard_reply
-
-let handle ~pool = function
-  | Pr.Shard_quit -> Quit
-  | Pr.Shard_check { shard; aiger; deadline_in } -> (
-      (* AIGER bytes that do not parse are a framed [Shard_failed], never
-         a crash: the worker stays up and the coordinator settles that
-         shard undecided. *)
-      try Reply (run_check ~pool ~shard ~aiger ~deadline_in)
-      with Aig.Aiger_io.Parse_error msg ->
-        Reply (Pr.Shard_failed { shard; msg = "bad aiger: " ^ msg }))
+let handle ~pool (Pr.Shard_check { shard; aiger; deadline_in }) =
+  (* AIGER bytes that do not parse are a framed [Shard_failed], never a
+     crash: the worker stays up and the coordinator settles that shard
+     undecided. *)
+  try run_check ~pool ~shard ~aiger ~deadline_in
+  with Aig.Aiger_io.Parse_error msg ->
+    Pr.Shard_failed { shard; msg = "bad aiger: " ^ msg }
 
 let serve ?(num_domains = 1) ic oc =
   let pool = lazy (Par.Pool.create ~num_domains ()) in
@@ -66,12 +62,9 @@ let serve ?(num_domains = 1) ic oc =
         | Error e ->
             Printf.eprintf "shard worker: bad task: %s\n%!" e;
             loop ()
-        | Ok task -> (
-            match handle ~pool task with
-            | Quit -> ()
-            | Reply reply ->
-                write_reply reply;
-                loop ()))
+        | Ok task ->
+            write_reply (handle ~pool task);
+            loop ())
   in
   loop ();
   if Lazy.is_val pool then Par.Pool.shutdown (Lazy.force pool)

@@ -33,7 +33,7 @@ val maybe_become_worker : unit -> unit
 val hosts_workers : unit -> bool
 
 (** The protocol loop itself: read {!Protocol.shard_task} frames,
-    answer each with one {!Protocol.shard_reply} frame, return on
-    [Shard_quit] or end-of-stream.
+    answer each with one {!Protocol.shard_reply} frame, return at
+    end-of-stream.
     [num_domains] sizes the worker's simulation pool (default 1). *)
 val serve : ?num_domains:int -> in_channel -> out_channel -> unit

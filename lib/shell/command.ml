@@ -26,7 +26,7 @@ let help_text =
       "miter NAME           current := miter(current, NAME)";
       "cec [ENGINE]         check the current miter (default combined) with";
       "                     sim combined sat satdirect bdd portfolio";
-      "                     portfolio.race partitioned shard[.N] (N workers)";
+      "                     partitioned shard[.N] (N workers)";
       "fraig                merge functionally equivalent internal nodes";
       "certify              combined check with certificate validation";
       "sim N                random simulation vectors";

@@ -7,7 +7,7 @@ type t =
   | Sat
   | Sat_direct
   | Bdd
-  | Portfolio of Simsweep.Portfolio.mode
+  | Portfolio
   | Partitioned
   | Shard of int
 
@@ -15,8 +15,8 @@ let default_workers = Shard.Check.default_config.Shard.Check.workers
 
 let all =
   [
-    Sim; Combined; Sat; Sat_direct; Bdd; Portfolio `Sequential;
-    Portfolio `Race; Partitioned; Shard default_workers;
+    Sim; Combined; Sat; Sat_direct; Bdd; Portfolio; Partitioned;
+    Shard default_workers;
   ]
 
 let to_string = function
@@ -25,8 +25,7 @@ let to_string = function
   | Sat -> "sat"
   | Sat_direct -> "satdirect"
   | Bdd -> "bdd"
-  | Portfolio `Sequential -> "portfolio"
-  | Portfolio `Race -> "portfolio.race"
+  | Portfolio -> "portfolio"
   | Partitioned -> "partitioned"
   | Shard n -> Printf.sprintf "shard.%d" n
 
@@ -93,8 +92,8 @@ let run ?cancel ~pool engine g =
       | `Inequivalent (cex, po) -> report (E.Disproved (cex, po))
       | `Node_limit -> report E.Undecided ~detail:" (BDD node limit)"
       | `Timeout -> report E.Undecided ~detail:" (BDD step budget)")
-  | Portfolio mode ->
-      let r = Simsweep.Portfolio.check ~mode ?cancel ~pool g in
+  | Portfolio ->
+      let r = Simsweep.Portfolio.check ?cancel ~pool g in
       report ~stats:[ ("portfolio", T.of_portfolio r) ]
         r.Simsweep.Portfolio.outcome
         ~detail:

@@ -13,7 +13,6 @@
     satdirect       one monolithic SAT check per output, no sweeping
     bdd             the BDD engine
     portfolio       sim, BDD and SAT in sequence (Config.default)
-    portfolio.race  the same three engines raced on separate domains
     partitioned     sim then SAT, per support-disjoint output group
     shard[.N]       N worker processes (default 2), spawned for this
                     check, each sweeping its shards
@@ -25,7 +24,7 @@ type t =
   | Sat
   | Sat_direct
   | Bdd
-  | Portfolio of Simsweep.Portfolio.mode
+  | Portfolio
   | Partitioned
   | Shard of int  (** worker processes, [>= 1] *)
 

@@ -2,7 +2,9 @@
 # Exit-code checks for hostile command-line input: `cec` on a malformed
 # AIGER file and on two files whose PI counts differ, and `simsweep-shell`
 # on a missing script, must each print `error: ...` and exit 2 (usage or
-# I/O error), never die on an uncaught exception.
+# I/O error), never die on an uncaught exception.  Usage errors the
+# command-line parser reports itself (an unknown option, a missing FILE,
+# an unknown engine name) must exit 2 with a message on stderr.
 #
 #   sh cli_errors.sh path/to/cec.exe path/to/shell_main.exe A.aag B.aag
 # where A.aag and B.aag are well-formed AIGER files with different PI
@@ -30,7 +32,24 @@ expect() {
     status=1
   fi
 }
+# expect_usage LABEL COMMAND...
+expect_usage() {
+  label=$1
+  shift
+  "$@" > out.txt 2> err.txt
+  got=$?
+  if [ "$got" -ne 2 ] || [ ! -s err.txt ]; then
+    echo "$label: exit $got, expected 2 with a message on stderr"
+    cat out.txt err.txt
+    status=1
+  fi
+}
 expect "cec on a malformed AIGER" "$cec" bad.aag
 expect "cec on a PI count mismatch" "$cec" "$left" "$right"
 expect "shell on a missing script" "$shell" missing.ss
+expect_usage "cec with an unknown option" "$cec" --bogus
+expect_usage "cec on a missing FILE" "$cec" missing.aag
+# On a miter every engine decides, so only the rejected name can exit 2.
+expect_usage "cec with the removed portfolio.race engine" "$cec" \
+  -e portfolio.race --suite voter --scale 0
 exit $status

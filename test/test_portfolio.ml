@@ -115,14 +115,12 @@ let test_bdd_budget_blowup_disproof () =
   check_stats_invariants r
 
 let test_sequential_result_fields () =
-  (* Sequential runs: no cancel latency, mode echoed back, the winner's
-     wall-clock is reported, the BDD ran within its step budget. *)
+  (* The winner's wall-clock is reported and the BDD ran within its step
+     budget. *)
   let g = Gen.Arith.adder ~bits:5 in
   let m = Aig.Miter.build g (Opt.Resyn.light g) in
   let r = check ~mode:`Sequential m in
   let open Simsweep.Portfolio in
-  Alcotest.(check bool) "sequential mode" true (r.mode_used = `Sequential);
-  Alcotest.(check bool) "no cancel latency" true (r.cancel_latency = None);
   Alcotest.(check bool) "no bdd timeout" false r.bdd_timeout;
   Alcotest.(check bool) "per-engine times recorded" true (r.per_engine_time <> []);
   List.iter

@@ -159,8 +159,13 @@ let test_protocol_codecs () =
     [
       Pr.Shard_check { shard = 0; aiger; deadline_in = None };
       Pr.Shard_check { shard = 7; aiger; deadline_in = Some 2.5 };
-      Pr.Shard_quit;
     ];
+  (* No quit task exists: workers end at end-of-stream. *)
+  Alcotest.(check bool) "shard-quit is not a task" true
+    (Result.is_error
+       (Pr.shard_task_of_frame
+          { Pr.hdr = Simsweep.Telemetry.Obj [ ("type", String "shard-quit") ];
+            payload = "" }));
   let cex = Pr.cex_to_bits [| true; false; false; true; true |] in
   Alcotest.(check string) "cex bits" "10011" cex;
   Alcotest.(check bool) "bits_to_cex inverts" true
@@ -363,7 +368,6 @@ let failing_worker mode =
     | Error _ -> ()
     | Ok inc -> (
         match Pr.shard_task_of_frame inc with
-        | Ok Pr.Shard_quit -> ()
         | Ok (Pr.Shard_check { shard; aiger; _ }) ->
             reply
               (match mode with

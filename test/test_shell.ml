@@ -66,6 +66,8 @@ let test_all_engines () =
         Shell.Engines.all;
       Alcotest.(check bool) "bare shard" true
         (Shell.Engines.of_string "shard" = Ok (Shell.Engines.Shard 2));
+      Alcotest.(check bool) "no racing portfolio" true
+        (Result.is_error (Shell.Engines.of_string "portfolio.race"));
       let e = exec_err st "cec shard.0" in
       Alcotest.(check bool) "bad worker count" true (contains e "bad worker count");
       let e = exec_err st "cec nonsense" in
@@ -227,14 +229,14 @@ let test_script_error_index () =
           Alcotest.(check bool) "cause" true (contains e "unknown command"))
 
 (* Concurrent sessions: N domains, each with its own state, all sharing
-   the process-wide default pool.  Stores stay isolated, every check
-   concludes correctly, and nothing crashes or deadlocks. *)
+   one pool.  Stores stay isolated, every check concludes correctly, and
+   nothing crashes or deadlocks. *)
 let test_concurrent_sessions () =
   let n = 4 in
+  Util.with_pool @@ fun pool ->
   let results =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
-            let pool = Par.Pool.default () in
             let st = Shell.Command.create ~pool () in
             let name = Printf.sprintf "g%d" i in
             let script =
@@ -263,17 +265,6 @@ let test_concurrent_sessions () =
             true (contains e "no stored network")
       | Ok _ -> Alcotest.failf "session %d saw another session's store" i)
     results
-
-(* The default pool is created exactly once even under a concurrent
-   first call (the lazy-init race regression). *)
-let test_default_pool_once () =
-  let pools =
-    Array.init 8 (fun _ -> Domain.spawn (fun () -> Par.Pool.default ()))
-    |> Array.map Domain.join
-  in
-  Array.iter
-    (fun p -> Alcotest.(check bool) "same pool" true (p == pools.(0)))
-    pools
 
 let test_errors () =
   with_state (fun st ->
@@ -310,6 +301,5 @@ let () =
           Alcotest.test_case "script error index" `Quick test_script_error_index;
           Alcotest.test_case "concurrent sessions" `Quick
             test_concurrent_sessions;
-          Alcotest.test_case "default pool once" `Quick test_default_pool_once;
         ] );
     ]
