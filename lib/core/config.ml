@@ -9,7 +9,9 @@ type t = {
   k_cap_p : int;  (** [k_P]: one-shot PO-checking support threshold *)
   k_p : int;  (** fallback PO-checking support threshold *)
   k_g : int;  (** global-function-checking support threshold *)
-  k_l : int;  (** maximum local cut size *)
+  k_l : int;
+      (** maximum local cut size; at most {!Exhaustive.small_inputs}, since
+          every L window is checked by the small-window evaluator *)
   c : int;  (** priority cuts per node *)
   memory_words : int;  (** simulation-table budget, in 64-bit words *)
   sim_words : int;  (** partial-simulation signature words *)
@@ -18,7 +20,12 @@ type t = {
   window_merging : bool;  (** §III-B3 heuristic (global checking only) *)
   similarity_selection : bool;  (** §III-C1 similarity-steered cuts *)
   passes : Cuts.Criteria.pass list;  (** cut-selection passes per L phase *)
-  cut_buffer_capacity : int;  (** common-cut buffer size (Algorithm 2) *)
+  cut_buffer_capacity : int;
+      (** common-cut buffer size of Algorithm 2.  The engine checks each
+          pair's common cuts where they are made and keeps no buffer; only
+          perfbench's replay of the L pass (perfbench/replay.ml) still
+          reads this field.  It goes with ROADMAP item 3, the benchmark
+          change that replaces that replay. *)
   distance_one_cex : bool;  (** §V extension: distance-1 CEX expansion *)
   adaptive_passes : bool;
       (** §V extension: disable a cut-selection pass for the remaining L

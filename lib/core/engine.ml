@@ -272,7 +272,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
 
 (* --- L phases: repeated local function checking --------------------------- *)
 
-let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
+let local_phases (cfg : Config.t) ~pool ~(stats : Stats.t) ?cancel ~rng
     ~trace g classes =
   let g = ref g and classes = ref classes in
   let phase = ref 0 in
@@ -292,7 +292,7 @@ let local_phases (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
     List.iter
       (fun pass ->
         let result =
-          Local.run_pass cfg ~pass ~pool ~arena ~stats:stats.Stats.exhaustive
+          Local.run_pass cfg ~pass ~pool ~stats:stats.Stats.exhaustive
             ?cancel !g !classes
         in
         stats.Stats.local_pairs_tried <-
@@ -407,7 +407,7 @@ let run ?(config = Config.default) ?stop_after ?trace ?cancel ~pool miter =
           (* L phases. *)
           let g, classes =
             Stats.timed stats Stats.Local_check (fun () ->
-                local_phases config ~pool ~arena ~stats ?cancel ~rng ~trace g
+                local_phases config ~pool ~stats ?cancel ~rng ~trace g
                   classes)
           in
           if Aig.Miter.solved g then

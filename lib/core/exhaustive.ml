@@ -281,74 +281,220 @@ let simulate_window ?cancel pool arena prep ~entry_words ~verdicts ~par_inner =
       (fun p -> if not p.decided then verdicts.(p.ptag) <- Proved)
       prep.ppairs
 
-(* Fast path for the small windows of local function checking: truth
-   tables of at most 16 words are evaluated by a single memoised cone
-   traversal, skipping the window preparation entirely.  Returns the
-   number of AND nodes evaluated. *)
-exception Boundary_escape
+(* The small-window evaluator: a window of at most [small_inputs] inputs
+   is evaluated by one memoised DFS from its roots, skipping the window
+   preparation.  It runs on per-domain scratch: [stamp.(n) = cur] marks
+   the nodes holding a row of the current window and [row.(n)] names the
+   row; row [r] is [nw] words at byte offset [r * nw * 8] of [words].
+   Once the scratch has grown to the largest network and cone seen, a
+   window allocates nothing. *)
+let small_inputs = 10
 
-let small_window g (job : job) verdicts =
-  let ni = Array.length job.inputs in
-  let nw = if ni <= 6 then 1 else 1 lsl (ni - 6) in
-  let tail_mask =
-    if ni >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl ni)) 1L
-  in
-  let tts : (int, int64 array) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun j n ->
-      Hashtbl.replace tts n (Array.init nw (fun w -> Bv.Tt.proj_word ~var:j w)))
-    job.inputs;
-  let nodes = ref 0 in
-  let rec eval n =
-    match Hashtbl.find_opt tts n with
-    | Some a -> a
-    | None ->
-        if not (Aig.Network.is_and g n) then raise Boundary_escape;
-        let f0 = Aig.Network.fanin0 g n and f1 = Aig.Network.fanin1 g n in
-        let a0 = eval (Aig.Lit.node f0) and a1 = eval (Aig.Lit.node f1) in
+type scratch = {
+  mutable stamp : int array;
+  mutable row : int array;
+  mutable cur : int;
+  mutable words : Bytes.t;
+  mutable width : int;  (* inputs of the current window *)
+  mutable nw : int;
+  mutable rows : int;
+  mutable nodes : int;  (* AND nodes evaluated in the current window *)
+}
+
+(* One scratch per domain: windows checked on different domains never
+   share it. *)
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        stamp = [||];
+        row = [||];
+        cur = 0;
+        words = Bytes.create (256 * 8);
+        width = 0;
+        nw = 1;
+        rows = 0;
+        nodes = 0;
+      })
+
+let new_row sc =
+  let r = sc.rows in
+  let need = (r + 1) * sc.nw * 8 in
+  if Bytes.length sc.words < need then begin
+    let words = Bytes.create (max need (2 * Bytes.length sc.words)) in
+    Bytes.blit sc.words 0 words 0 (r * sc.nw * 8);
+    sc.words <- words
+  end;
+  sc.rows <- r + 1;
+  r
+
+(* Start a window on [inputs]: each input gets its projection table. *)
+let begin_window sc g inputs =
+  let n = Aig.Network.num_nodes g in
+  if Array.length sc.stamp < n then begin
+    let size = max n (2 * Array.length sc.stamp) in
+    sc.stamp <- Array.make size 0;
+    sc.row <- Array.make size 0;
+    sc.cur <- 0
+  end;
+  sc.cur <- sc.cur + 1;
+  let ni = Array.length inputs in
+  sc.width <- ni;
+  sc.nw <- (if ni <= 6 then 1 else 1 lsl (ni - 6));
+  sc.rows <- 0;
+  sc.nodes <- 0;
+  for j = 0 to ni - 1 do
+    let r = new_row sc in
+    let o = r * sc.nw * 8 in
+    for w = 0 to sc.nw - 1 do
+      Bytes.set_int64_ne sc.words (o + (w * 8)) (Bv.Tt.proj_word ~var:j w)
+    done;
+    sc.stamp.(inputs.(j)) <- sc.cur;
+    sc.row.(inputs.(j)) <- r
+  done
+
+(* The row of node [n], evaluating its cone first, or [-1] when the DFS
+   reaches a node that is neither an input nor an AND: the inputs do not
+   bound the cone. *)
+let rec eval sc g n =
+  if sc.stamp.(n) = sc.cur then sc.row.(n)
+  else if not (Aig.Network.is_and g n) then -1
+  else begin
+    let f0 = Aig.Network.fanin0 g n and f1 = Aig.Network.fanin1 g n in
+    let r0 = eval sc g (Aig.Lit.node f0) in
+    if r0 < 0 then -1
+    else
+      let r1 = eval sc g (Aig.Lit.node f1) in
+      if r1 < 0 then -1
+      else begin
+        let r = new_row sc in
+        let nw = sc.nw and data = sc.words in
+        let o0 = r0 * nw * 8 and o1 = r1 * nw * 8 and o = r * nw * 8 in
         let m0 = if Aig.Lit.is_compl f0 then -1L else 0L in
         let m1 = if Aig.Lit.is_compl f1 then -1L else 0L in
-        let a =
-          Array.init nw (fun w ->
-              Int64.logand (Int64.logxor a0.(w) m0) (Int64.logxor a1.(w) m1))
+        for k = 0 to nw - 1 do
+          let k = k * 8 in
+          Bytes.set_int64_ne data (o + k)
+            (Int64.logand
+               (Int64.logxor (Bytes.get_int64_ne data (o0 + k)) m0)
+               (Int64.logxor (Bytes.get_int64_ne data (o1 + k)) m1))
+        done;
+        sc.nodes <- sc.nodes + 1;
+        sc.stamp.(n) <- sc.cur;
+        sc.row.(n) <- r;
+        r
+      end
+  end
+
+(* Trailing zeros of a non-zero int. *)
+let ctz_int x =
+  let n = ref 0 in
+  while (x lsr !n) land 1 = 0 do
+    incr n
+  done;
+  !n
+
+(* Outcome codes of [compare_pair]; a mismatch is its pattern, >= 0. *)
+let code_proved = -1
+let code_invalid = -2
+
+(* Compare [a] with [b] ([-1]: constant false), complemented when
+   [compl_], over the current window: the lowest differing pattern. *)
+let compare_pair sc g ~a ~b ~compl_ =
+  let ra = eval sc g a in
+  let rb = if ra < 0 || b < 0 then -1 else eval sc g b in
+  if ra < 0 || (b >= 0 && rb < 0) then code_invalid
+  else begin
+    let nw = sc.nw and data = sc.words in
+    let tail_mask =
+      if sc.width >= 6 then -1L
+      else Int64.sub (Int64.shift_left 1L (1 lsl sc.width)) 1L
+    in
+    let cmask = if compl_ then -1L else 0L in
+    let res = ref code_proved and w = ref 0 in
+    while !res = code_proved && !w < nw do
+      let k = !w * 8 in
+      let x = Bytes.get_int64_ne data ((ra * nw * 8) + k) in
+      let y = if b < 0 then 0L else Bytes.get_int64_ne data ((rb * nw * 8) + k) in
+      let diff = Int64.logxor (Int64.logxor x y) cmask in
+      let diff = if !w = nw - 1 then Int64.logand diff tail_mask else diff in
+      if not (Int64.equal diff 0L) then begin
+        (* The lowest set bit, from the word's halves as ints: passing the
+           word to a function would box it. *)
+        let lo = Int64.to_int diff land 0xFFFF_FFFF in
+        let bit =
+          if lo <> 0 then ctz_int lo
+          else 32 + ctz_int (Int64.to_int (Int64.shift_right_logical diff 32))
         in
-        incr nodes;
-        Hashtbl.replace tts n a;
-        a
+        res := (!w * 64) + bit
+      end;
+      incr w
+    done;
+    !res
+  end
+
+let count_small_window stats ~inputs ~nodes =
+  let ni = Array.length inputs in
+  let nw = if ni <= 6 then 1 else 1 lsl (ni - 6) in
+  stats.windows <- stats.windows + 1;
+  stats.small_windows <- stats.small_windows + 1;
+  stats.rounds <- stats.rounds + 1;
+  stats.nodes_simulated <- stats.nodes_simulated + nodes;
+  stats.words_computed <- stats.words_computed + ((nodes + ni) * nw)
+
+(* One window of [run]'s small path: pairs are compared in order, and one
+   whose cone escapes the inputs leaves it and every later pair [Invalid].
+   Returns the number of AND nodes evaluated. *)
+let small_window g (job : job) verdicts =
+  let sc = Domain.DLS.get scratch_key in
+  begin_window sc g job.inputs;
+  let rec go = function
+    | [] -> ()
+    | p :: rest ->
+        let v = compare_pair sc g ~a:p.a ~b:p.b ~compl_:p.compl_ in
+        if v <> code_invalid then begin
+          verdicts.(p.tag) <-
+            (if v = code_proved then Proved
+             else Mismatch { pattern = v; inputs = job.inputs });
+          go rest
+        end
   in
-  (try
-     List.iter
-       (fun p ->
-         let ta = eval p.a in
-         let tb = if p.b < 0 then None else Some (eval p.b) in
-         let cmask = if p.compl_ then -1L else 0L in
-         let verdict = ref Proved in
-         (try
-            for w = 0 to nw - 1 do
-              let x = ta.(w) in
-              let y = match tb with None -> 0L | Some b -> b.(w) in
-              let diff = Int64.logxor (Int64.logxor x y) cmask in
-              let diff = if w = nw - 1 then Int64.logand diff tail_mask else diff in
-              if not (Int64.equal diff 0L) then begin
-                verdict := Mismatch { pattern = (w * 64) + ctz64 diff; inputs = job.inputs };
-                raise Exit
-              end
-            done
-          with Exit -> ());
-         verdicts.(p.tag) <- !verdict)
-       job.pairs
-   with Boundary_escape -> () (* pairs keep the default [Invalid] verdict *));
-  !nodes
+  go job.pairs;
+  sc.nodes
+
+let prove_on_windows stats ?cancel g ~windows ~a ~b ~compl_ =
+  let sc = Domain.DLS.get scratch_key in
+  List.fold_left
+    (fun proved inputs ->
+      (* A cancelled pass checks no further window. *)
+      if Par.Cancel.is_set_opt cancel then proved
+      else begin
+        if Array.length inputs > small_inputs then
+          invalid_arg "Exhaustive.prove_on_windows: window too wide";
+        begin_window sc g inputs;
+        let v = compare_pair sc g ~a ~b ~compl_ in
+        count_small_window stats ~inputs ~nodes:sc.nodes;
+        proved || v = code_proved
+      end)
+    false windows
+
+let add_stats ~into s =
+  into.windows <- into.windows + s.windows;
+  into.nodes_simulated <- into.nodes_simulated + s.nodes_simulated;
+  into.words_computed <- into.words_computed + s.words_computed;
+  into.rounds <- into.rounds + s.rounds;
+  into.small_windows <- into.small_windows + s.small_windows;
+  into.arena_hwm_words <- max into.arena_hwm_words s.arena_hwm_words;
+  into.arena_grows <- into.arena_grows + s.arena_grows
 
 let run g ~pool ~memory_words ?arena ?(stats = new_stats ()) ?cancel ~jobs
     ~num_tags () =
   (* Latch an already-expired deadline before dispatching any window. *)
   ignore (Par.Cancel.poll_opt cancel);
   let verdicts = Array.make num_tags Invalid in
-  (* Small windows (local function checking) go through the direct
-     evaluator; large ones use the round-based simulation table. *)
+  (* Small windows go through the small-window evaluator; large ones use
+     the round-based simulation table. *)
   let small, jobs =
-    List.partition (fun (j : job) -> Array.length j.inputs <= 10) jobs
+    List.partition (fun (j : job) -> Array.length j.inputs <= small_inputs) jobs
   in
   if small <> [] then begin
     let small = Array.of_list small in
@@ -360,16 +506,7 @@ let run g ~pool ~memory_words ?arena ?(stats = new_stats ()) ?cancel ~jobs
           counts.(k) <- small_window g small.(k) verdicts);
     Array.iteri
       (fun k (job : job) ->
-        stats.windows <- stats.windows + 1;
-        stats.small_windows <- stats.small_windows + 1;
-        stats.rounds <- stats.rounds + 1;
-        stats.nodes_simulated <- stats.nodes_simulated + counts.(k);
-        let nw =
-          let ni = Array.length job.inputs in
-          if ni <= 6 then 1 else 1 lsl (ni - 6)
-        in
-        stats.words_computed <-
-          stats.words_computed + ((counts.(k) + Array.length job.inputs) * nw))
+        count_small_window stats ~inputs:job.inputs ~nodes:counts.(k))
       small
   end;
   let preps = List.filter_map (fun job -> prepare g job) jobs in

@@ -41,7 +41,7 @@ type stats = {
           the words of that round's (possibly partial) entry segment count *)
   mutable rounds : int;
   mutable small_windows : int;
-      (** windows answered by the memoised small-window fast path *)
+      (** windows answered by the small-window evaluator *)
   mutable arena_hwm_words : int;
       (** simulation-table arena high-water mark, in 64-bit words *)
   mutable arena_grows : int;
@@ -50,8 +50,15 @@ type stats = {
 
 val new_stats : unit -> stats
 
+(** Windows of at most this many inputs (truth tables of at most 16
+    words) skip the simulation table: the small-window evaluator computes
+    them by one memoised traversal from the roots, on per-domain scratch
+    space that it reuses from window to window. *)
+val small_inputs : int
+
 (** [run g ~pool ~memory_words ~jobs ~num_tags] returns a verdict per tag.
-    Tags absent from all jobs stay [Invalid].
+    Tags absent from all jobs stay [Invalid].  Jobs of at most
+    {!small_inputs} inputs are answered by the small-window evaluator.
 
     The simulation table is carved out of an {!Arena} slab sized by
     [memory_words] — allocated once per call and recycled across chunks
@@ -73,3 +80,25 @@ val run :
   num_tags:int ->
   unit ->
   verdict array
+
+(** [prove_on_windows stats ?cancel g ~windows ~a ~b ~compl_] checks the
+    pair [a ≡ b] ([b = -1]: constant false; complemented when [compl_])
+    on every window of [windows] with the small-window evaluator, in the
+    calling domain, and counts each into [stats] as {!run} would count it.
+    True when some window proves the pair, as {!run} would answer
+    [Proved] for it.  [stats] must be private to the calling domain.  A
+    set [cancel] skips the remaining windows.  Raises [Invalid_argument]
+    on a window of more than {!small_inputs} inputs. *)
+val prove_on_windows :
+  stats ->
+  ?cancel:Par.Cancel.t ->
+  Aig.Network.t ->
+  windows:int array list ->
+  a:int ->
+  b:int ->
+  compl_:bool ->
+  bool
+
+(** [add_stats ~into s] adds the counters of [s] to [into] (the arena
+    high-water mark is a maximum). *)
+val add_stats : into:stats -> stats -> unit

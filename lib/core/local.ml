@@ -1,6 +1,6 @@
 type result = { proved : (int * Aig.Lit.t) list; pairs_tried : int; cuts_checked : int }
 
-let run_pass (cfg : Config.t) ~pass ~pool ~arena ~stats ?cancel g classes =
+let run_pass (cfg : Config.t) ~pass ~pool ~stats ?cancel g classes =
   let n = Aig.Network.num_nodes g in
   (* Class structure as arrays for O(1) lookup. *)
   let repr_arr = Array.init n (fun i -> i) in
@@ -31,61 +31,21 @@ let run_pass (cfg : Config.t) ~pass ~pool ~arena ~stats ?cancel g classes =
     prio.(p) <- [ Cuts.Cut.trivial p ]
   done;
   let ecfg = { Cuts.Enumerate.k_l = cfg.k_l; c = cfg.c } in
-  (* The common-cut buffer of Algorithm 2 and its flushing. *)
   let proved = ref [] in
-  let proved_mark = Array.make n false in
-  let buffer = ref [] in
-  let buffered = ref 0 in
   let pairs_tried = ref 0 in
   let cuts_checked = ref 0 in
-  let flush () =
-    if !buffer <> [] then begin
-      let items = Array.of_list (List.rev !buffer) in
-      buffer := [];
-      buffered := 0;
-      let jobs =
-        Array.to_list items
-        |> List.mapi (fun tag (cut, m, b, compl_) ->
-               { Exhaustive.inputs = cut; pairs = [ { Exhaustive.a = m; b; compl_; tag } ] })
-      in
-      cuts_checked := !cuts_checked + Array.length items;
-      let verdicts =
-        Exhaustive.run g ~pool ~memory_words:cfg.memory_words ~arena ~stats
-          ?cancel ~jobs ~num_tags:(Array.length items) ()
-      in
-      Array.iteri
-        (fun tag verdict ->
-          match verdict with
-          | Exhaustive.Proved ->
-              let _, m, b, compl_ = items.(tag) in
-              if not proved_mark.(m) then begin
-                proved_mark.(m) <- true;
-                let target =
-                  if b < 0 then Aig.Lit.xor_compl Aig.Lit.const_false compl_
-                  else Aig.Lit.make b compl_
-                in
-                proved := (m, target) :: !proved
-              end
-          | Exhaustive.Mismatch _ | Exhaustive.Invalid ->
-              (* Inconclusive: the differing patterns may be SDCs. *)
-              ())
-        verdicts
-    end
-  in
-  let push cut m b compl_ =
-    if !buffered >= cfg.cut_buffer_capacity then flush ();
-    buffer := (cut, m, b, compl_) :: !buffer;
-    incr buffered
-  in
-  let common = Array.make n [] in
   let l = ref 1 in
   (* Poll (not just read the flag) at level boundaries so an armed
-     deadline latches; inner batch guards use the flag-only check. *)
+     deadline latches; the window checks use the flag-only check. *)
   while !l <= !max_el && not (Par.Cancel.poll_opt cancel) do
     let nodes = Array.of_list buckets.(!l) in
-    (* Parallel cut enumeration and selection for the level's nodes, and
-       each pair's common cuts: Eq. 2 puts a representative on a lower
-       level, so its priority cuts are final here. *)
+    (* Each pair's outcome, by index in [nodes]: whether some window
+       proved it, and the windows it checked. *)
+    let outcome = Array.make (Array.length nodes) None in
+    (* Cut enumeration and selection for the level's nodes, and each pair
+       checked on its common cuts where they are made: Eq. 2 puts a
+       representative on a lower level, so its priority cuts are final
+       here. *)
     Par.Pool.parallel_for pool ~start:0 ~stop:(Array.length nodes) (fun k ->
         let m = nodes.(k) in
         let r = repr_arr.(m) in
@@ -96,22 +56,39 @@ let run_pass (cfg : Config.t) ~pass ~pool ~arena ~stats ?cancel g classes =
         prio.(m) <-
           Cuts.Enumerate.node_cuts g ecfg ~pass ~fanouts ~levels ~prio
             ~sim_target m;
-        if r <> m && r <> 0 then
-          common.(m) <- Cuts.Enumerate.common_cuts ~k_l:cfg.k_l prio.(r) prio.(m));
-    (* Buffer the level's common cuts in node order. *)
-    Array.iter
-      (fun m ->
-        let r = repr_arr.(m) in
         if r <> m then begin
-          incr pairs_tried;
-          if r = 0 then
-            (* Constant candidates: any cut of [m] is usable; the local
-               function must be constant. *)
-            List.iter (fun cut -> push cut m (-1) compl_arr.(m)) prio.(m)
-          else List.iter (fun cut -> push cut m r compl_arr.(m)) common.(m)
-        end)
+          (* A constant candidate may use any cut of [m]: its local
+             function must be constant. *)
+          let windows, b =
+            if r = 0 then (prio.(m), -1)
+            else (Cuts.Enumerate.common_cuts ~k_l:cfg.k_l prio.(r) prio.(m), r)
+          in
+          let st = Exhaustive.new_stats () in
+          (* A mismatch is inconclusive: the differing patterns may be
+             SDCs. *)
+          let ok =
+            Exhaustive.prove_on_windows st ?cancel g ~windows ~a:m ~b
+              ~compl_:compl_arr.(m)
+          in
+          outcome.(k) <- Some (ok, st)
+        end);
+    Array.iteri
+      (fun k m ->
+        match outcome.(k) with
+        | None -> ()
+        | Some (ok, st) ->
+            incr pairs_tried;
+            cuts_checked := !cuts_checked + st.Exhaustive.windows;
+            Exhaustive.add_stats ~into:stats st;
+            if ok then begin
+              let r = repr_arr.(m) and c = compl_arr.(m) in
+              let target =
+                if r = 0 then Aig.Lit.xor_compl Aig.Lit.const_false c
+                else Aig.Lit.make r c
+              in
+              proved := (m, target) :: !proved
+            end)
       nodes;
     incr l
   done;
-  if not (Par.Cancel.is_set_opt cancel) then flush ();
   { proved = !proved; pairs_tried = !pairs_tried; cuts_checked = !cuts_checked }

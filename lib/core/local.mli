@@ -3,11 +3,13 @@
     One pass interleaves priority-cut enumeration with exhaustive
     simulation of local functions: nodes are processed by enumeration
     level (Eq. 2 — a non-representative waits for its representative's
-    cuts); as soon as the common cuts of the candidate pairs of a level
-    are generated they are inserted in a bounded buffer, and the buffer is
-    checked by Algorithm 1 whenever it fills up.  A pair is proved when
-    its local functions w.r.t. {e any} common cut are identical; a
-    mismatch is inconclusive (it may be a satisfiability don't-care). *)
+    cuts), and in the level's parallel loop each candidate pair is checked
+    on its common cuts as soon as they are made, by
+    {!Exhaustive.prove_on_windows}.  Algorithm 2 batches these windows in
+    a buffer because a GPU keeps no per-cut state; on a CPU each domain
+    checks its own pairs in place.  A pair is proved when its local
+    functions w.r.t. {e any} common cut are identical; a mismatch is
+    inconclusive (it may be a satisfiability don't-care). *)
 
 type result = {
   proved : (int * Aig.Lit.t) list;  (** node, replacement literal *)
@@ -15,16 +17,16 @@ type result = {
   cuts_checked : int;
 }
 
-(** [run_pass cfg ~pass ~pool ~arena ~stats ?cancel g classes] runs one
-    cut generation and checking pass over all candidate pairs of
-    [classes].  [arena] backs the simulation tables of every buffer flush.
-    [cancel] is polled between enumeration levels and threaded into every
-    flush; a cancelled pass returns the pairs proved so far. *)
+(** [run_pass cfg ~pass ~pool ~stats ?cancel g classes] runs one cut
+    generation and checking pass over all candidate pairs of [classes].
+    [proved] lists the proved pairs in reverse enumeration order; every
+    cut checked counts into [stats] as a small window.  [cancel] is polled
+    between enumeration levels and read before every window; a cancelled
+    pass returns the pairs proved so far. *)
 val run_pass :
   Config.t ->
   pass:Cuts.Criteria.pass ->
   pool:Par.Pool.t ->
-  arena:Arena.t ->
   stats:Exhaustive.stats ->
   ?cancel:Par.Cancel.t ->
   Aig.Network.t ->

@@ -19,13 +19,19 @@ type pass = Fanout_first | Small_level_first | Large_level_first
 (** The three passes in Table I order. *)
 val table1 : pass list
 
-type metrics = {
-  fanout : float;  (** average fanout count of the cut nodes *)
-  size : int;
-  level : float;  (** average structural level of the cut nodes *)
-}
-
-val metrics : fanouts:int array -> levels:int array -> Cut.t -> metrics
-
-(** [compare_metrics pass a b] orders better cuts first. *)
-val compare_metrics : pass -> metrics -> metrics -> int
+(** [compare pass ~fanout ~size ~level ~fanout' ~size' ~level'] orders
+    better cuts first.  Each cut is given by its size and by the fanout
+    counts and the structural levels of its nodes, each summed: the
+    criteria compare the averages [fanout / size] and [level / size].
+    They compare exactly, as integer cross-products; for sums this small
+    that is also the order of their float quotients.  Plain integer
+    arguments let a selection loop score cuts without allocating. *)
+val compare :
+  pass ->
+  fanout:int ->
+  size:int ->
+  level:int ->
+  fanout':int ->
+  size':int ->
+  level':int ->
+  int

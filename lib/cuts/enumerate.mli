@@ -21,18 +21,15 @@ type config = {
     [n] for representatives and PIs. *)
 val enum_levels : Aig.Network.t -> repr_of:(int -> int) -> int array
 
-(** [candidates g ~k_l ~prio n] is [E(n)]: the merges of the fanins' cut
-    sets (each with its trivial cut) within [k_l] leaves, deduplicated, in
-    {!Cut.compare} order.  [prio] holds the fanins' priority cuts. *)
-val candidates :
-  Aig.Network.t -> k_l:int -> prio:Cut.t list array -> int -> Cut.t list
-
 (** [node_cuts g cfg ~pass ~fanouts ~levels ~prio ~sim_target n] computes
     [P(n)].  [prio] holds the already-computed priority cuts of the fanins;
     [sim_target] supplies the representative's cuts for similarity-steered
-    selection (pass criteria break ties).  Each candidate is scored once;
-    the result is the first [c] of a stable sort of {!candidates} by
-    score, so equal scores keep {!Cut.compare} order. *)
+    selection (pass criteria break ties).  The candidates [E(n)] are
+    merged into per-domain scratch space and scored there, each once; a
+    cut array is allocated only for a candidate that is kept.  The result
+    is the first [c] distinct candidates ordered by score, then by
+    {!Cut.compare}: the first [c] of a stable sort by score of [E(n)]
+    deduplicated in {!Cut.compare} order. *)
 val node_cuts :
   Aig.Network.t ->
   config ->

@@ -4,8 +4,6 @@
 
 type t = { flag : bool Atomic.t; deadline : float }
 
-exception Cancelled
-
 let create ?deadline_in () =
   let deadline =
     match deadline_in with
@@ -24,8 +22,6 @@ let poll t =
      &&
      (Atomic.set t.flag true;
       true)
-
-let check t = if poll t then raise Cancelled
 
 (* Optional-token helpers: engine loops thread [cancel : t option] and the
    absent token must cost nothing on the hot path. *)

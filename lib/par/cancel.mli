@@ -11,8 +11,6 @@
 
 type t
 
-exception Cancelled
-
 (** [create ?deadline_in ()] makes a fresh token.  [deadline_in] arms a
     deadline that many seconds from now; polling past the deadline sets
     the token as if {!set} had been called. *)
@@ -27,9 +25,6 @@ val is_set : t -> bool
 (** Flag state or deadline expiry.  An expired deadline latches into the
     flag, so repeated polls after expiry cost one atomic load. *)
 val poll : t -> bool
-
-(** [check t] raises {!Cancelled} when {!poll} is true. *)
-val check : t -> unit
 
 (** [poll_opt c] / [is_set_opt c] on an optional token; [None] is never
     cancelled and costs one branch. *)

@@ -26,13 +26,6 @@ let test_token_deadline () =
   let far = Par.Cancel.create ~deadline_in:3600.0 () in
   Alcotest.(check bool) "future deadline" false (Par.Cancel.poll far)
 
-let test_token_check_raises () =
-  let c = Par.Cancel.create () in
-  Par.Cancel.check c;
-  Par.Cancel.set c;
-  Alcotest.check_raises "check raises" Par.Cancel.Cancelled (fun () ->
-      Par.Cancel.check c)
-
 (* --- a pre-set token unwinds every engine immediately --------------- *)
 
 let preset () =
@@ -195,7 +188,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_token_basics;
           Alcotest.test_case "deadline" `Quick test_token_deadline;
-          Alcotest.test_case "check raises" `Quick test_token_check_raises;
         ] );
       ( "engines",
         [

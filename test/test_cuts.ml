@@ -18,23 +18,28 @@ let test_similarity () =
 
 let test_criteria_orders () =
   let fanouts = [| 0; 5; 1; 1 |] and levels = [| 0; 0; 2; 4 |] in
-  let m c = Cuts.Criteria.metrics ~fanouts ~levels c in
+  let m c =
+    let sum a = Array.fold_left (fun s x -> s + a.(x)) 0 c in
+    (sum fanouts, Array.length c, sum levels)
+  in
+  let better pass (f, s, l) (f', s', l') =
+    Cuts.Criteria.compare pass ~fanout:f ~size:s ~level:l ~fanout':f' ~size':s'
+      ~level':l'
+    < 0
+  in
   let hi_fanout = m [| 1 |] (* fanout 5, level 0, size 1 *)
   and lo_level = m [| 2 |] (* fanout 1, level 2 *)
   and hi_level = m [| 3 |] (* fanout 1, level 4 *) in
-  let better pass a b = Cuts.Criteria.compare_metrics pass a b < 0 in
   Alcotest.(check bool) "pass1 prefers fanout" true
     (better Cuts.Criteria.Fanout_first hi_fanout lo_level);
   Alcotest.(check bool) "pass2 prefers small level" true
     (better Cuts.Criteria.Small_level_first lo_level hi_level);
   Alcotest.(check bool) "pass3 prefers large level" true
     (better Cuts.Criteria.Large_level_first hi_level lo_level);
-  (* Tie on the main metric falls back to size. *)
+  (* Tie on the main metric (average fanout 1) falls back to size. *)
   let small = m [| 2 |] and big = m [| 2; 3 |] in
-  ignore big;
-  let big' = Cuts.Criteria.metrics ~fanouts ~levels [| 2; 2 |] in
   Alcotest.(check bool) "size tie-break" true
-    (Cuts.Criteria.compare_metrics Cuts.Criteria.Fanout_first small big' <= 0)
+    (better Cuts.Criteria.Fanout_first small big)
 
 let compute_prio g ~k_l ~c ~pass =
   let fanouts = Aig.Network.fanout_counts g in
@@ -166,7 +171,8 @@ let test_similarity_steering () =
 
 (* A straightforward enumerator, the reference that [Cuts.Enumerate] must
    match cut for cut and in order: list-based unions, [Stdlib.compare]
-   dedup, a stable sort over freshly recomputed scores, then the first [c]. *)
+   dedup, a stable sort over freshly recomputed scores (the criteria on
+   float averages), then the first [c]. *)
 module Reference = struct
   let merge ~cap a b =
     let u = List.sort_uniq compare (Array.to_list a @ Array.to_list b) in
@@ -191,6 +197,19 @@ module Reference = struct
         acc +. (float_of_int inter /. float_of_int union))
       0. cuts
 
+  (* Table I's criteria on float averages, chained. *)
+  let metrics ~fanouts ~levels c =
+    let n = float_of_int (Array.length c) in
+    let avg a = float_of_int (Array.fold_left (fun s x -> s + a.(x)) 0 c) /. n in
+    (avg fanouts, Array.length c, avg levels)
+
+  let compare_metrics pass (fa, sa, la) (fb, sb, lb) =
+    let chain r1 r3 = if r1 <> 0 then r1 else if sa <> sb then compare sa sb else r3 in
+    match pass with
+    | Cuts.Criteria.Fanout_first -> chain (compare fb fa) (compare la lb)
+    | Small_level_first -> chain (compare la lb) (compare fb fa)
+    | Large_level_first -> chain (compare lb la) (compare fb fa)
+
   let node_cuts g (cfg : Cuts.Enumerate.config) ~pass ~fanouts ~levels ~prio
       ~sim_target n =
     let n0 = Aig.Lit.node (Aig.Network.fanin0 g n) in
@@ -198,16 +217,14 @@ module Reference = struct
     let cand =
       merges ~k_l:cfg.k_l ([| n0 |] :: prio.(n0)) ([| n1 |] :: prio.(n1))
     in
-    let scored =
-      List.map (fun c -> (c, Cuts.Criteria.metrics ~fanouts ~levels c)) cand
-    in
+    let scored = List.map (fun c -> (c, metrics ~fanouts ~levels c)) cand in
     let cmp (ca, ma) (cb, mb) =
       let r =
         match sim_target with
         | None -> 0
         | Some t -> compare (similarity cb t) (similarity ca t)
       in
-      if r <> 0 then r else Cuts.Criteria.compare_metrics pass ma mb
+      if r <> 0 then r else compare_metrics pass ma mb
     in
     List.filteri (fun i _ -> i < cfg.c) (List.map fst (List.stable_sort cmp scored))
 end

@@ -238,6 +238,40 @@ let prop_reduction_sound =
               (* The reduced miter must be solved iff the original is. *)
               Util.solved_brute m = Util.solved_brute r.Simsweep.Engine.reduced))
 
+(* The flow's work, pinned on small Table II miters under [Config.scaled]:
+   a change that claims to do the same work faster must leave every one
+   of these counters as it is.  Two cases reach the L phase; log2 ends in
+   the P phase with one window of the small-window evaluator. *)
+let test_work_counters () =
+  List.iter
+    (fun (name, expected) ->
+      let case = Gen.Suite.build ~scale:0 name in
+      let r = run ~config:scaled case.Gen.Suite.miter in
+      let s = r.Simsweep.Engine.stats in
+      let e = s.Simsweep.Stats.exhaustive in
+      let got =
+        [
+          s.Simsweep.Stats.pos_proved;
+          s.pairs_proved_global;
+          s.pairs_proved_local;
+          s.local_phases;
+          s.local_pairs_tried;
+          s.local_cuts_checked;
+          e.Simsweep.Exhaustive.windows;
+          e.small_windows;
+          e.nodes_simulated;
+        ]
+      in
+      Alcotest.(check (list int))
+        (name ^ ": POs, global, local, phases, pairs tried, cuts checked, \
+                 windows, small windows, nodes")
+        expected got)
+    [
+      ("voter", [ 0; 67; 37; 2; 79; 1737; 1741; 1739; 20617 ]);
+      ("vga_lcd", [ 1; 46; 7; 1; 154; 3118; 3128; 3120; 16909 ]);
+      ("log2", [ 7; 0; 0; 0; 0; 0; 1; 1; 1809 ]);
+    ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -254,6 +288,7 @@ let () =
           Alcotest.test_case "adaptive passes" `Quick test_adaptive_passes;
           Alcotest.test_case "rewrite between phases" `Quick test_rewrite_between_phases;
           Alcotest.test_case "time limit" `Quick test_expired_deadline;
+          Alcotest.test_case "work counters" `Quick test_work_counters;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

@@ -312,6 +312,148 @@ let prop_budget_independent =
           a = b
       | _ -> true)
 
+(* A plain evaluator of small windows, pattern by pattern: the window's
+   inputs are free variables (input [j] is bit [j] of the pattern), a root
+   that is an input is that variable, and a pair whose cone reaches a node
+   that is neither an input nor an AND is [Invalid], as is every later
+   pair of its job.  A mismatch is the lowest differing pattern. *)
+let plain_window g (job : Simsweep.Exhaustive.job) verdicts =
+  let inputs = job.Simsweep.Exhaustive.inputs in
+  let n = Aig.Network.num_nodes g in
+  let input_of = Array.make n (-1) in
+  Array.iteri (fun j x -> input_of.(x) <- j) inputs;
+  let bounded = Array.make n None in
+  let rec is_bounded x =
+    match bounded.(x) with
+    | Some b -> b
+    | None ->
+        let b =
+          input_of.(x) >= 0
+          || Aig.Network.is_and g x
+             && is_bounded (Aig.Lit.node (Aig.Network.fanin0 g x))
+             && is_bounded (Aig.Lit.node (Aig.Network.fanin1 g x))
+        in
+        bounded.(x) <- Some b;
+        b
+  in
+  let value pattern =
+    let memo = Array.make n None in
+    let rec v x =
+      if input_of.(x) >= 0 then (pattern lsr input_of.(x)) land 1 = 1
+      else
+        match memo.(x) with
+        | Some b -> b
+        | None ->
+            let lit l = v (Aig.Lit.node l) <> Aig.Lit.is_compl l in
+            let b = lit (Aig.Network.fanin0 g x) && lit (Aig.Network.fanin1 g x) in
+            memo.(x) <- Some b;
+            b
+    in
+    v
+  in
+  let rec go = function
+    | [] -> ()
+    | (p : Simsweep.Exhaustive.pair) :: rest ->
+        if is_bounded p.a && (p.b < 0 || is_bounded p.b) then begin
+          let first = ref None in
+          for pattern = (1 lsl Array.length inputs) - 1 downto 0 do
+            let v = value pattern in
+            let vb = p.b >= 0 && v p.b in
+            if v p.a <> (vb <> p.compl_) then first := Some pattern
+          done;
+          verdicts.(p.tag) <-
+            (match !first with
+            | None -> Simsweep.Exhaustive.Proved
+            | Some pattern -> Simsweep.Exhaustive.Mismatch { pattern; inputs });
+          go rest
+        end
+  in
+  go job.pairs
+
+(* Random jobs of at most 10 inputs, several pairs each.  Half the windows
+   hold every PI, so their cones are bounded and internal inputs put roots
+   inside the leaves; the other half are random node sets, often unbounded.
+   Pairs compare random nodes, a node with itself, or a node with the
+   constant. *)
+let gen_small_jobs =
+  QCheck.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* njobs = int_range 1 4 in
+    let* specs =
+      list_repeat njobs
+        (let* with_pis = bool in
+         let* extra = list_size (int_range 0 6) (int_range 0 1000) in
+         let* pairs =
+           list_size (int_range 1 4)
+             (let* a = int_range 0 1000 in
+              let* kind = int_range 0 2 in
+              let* b = int_range 0 1000 in
+              let* compl_ = bool in
+              return (a, kind, b, compl_))
+         in
+         return (with_pis, extra, pairs))
+    in
+    return (seed, specs))
+
+let prop_small_evaluator_matches_plain =
+  QCheck.Test.make ~name:"small-window evaluator matches a plain evaluator"
+    ~count:200
+    (QCheck.make gen_small_jobs) (fun (seed, specs) ->
+      let g = Util.random_network ~pis:6 ~nodes:60 ~pos:3 seed in
+      let n = Aig.Network.num_nodes g in
+      let pis = List.init (Aig.Network.num_pis g) (Aig.Network.pi g) in
+      let tag = ref 0 in
+      let jobs =
+        List.map
+          (fun (with_pis, extra, pairs) ->
+            let extra = List.map (fun x -> x mod n) extra in
+            let inputs =
+              List.sort_uniq compare ((if with_pis then pis else []) @ extra)
+              |> List.filteri (fun i _ -> i < 10)
+              |> Array.of_list
+            in
+            let inputs = if inputs = [||] then [| List.hd pis |] else inputs in
+            let pairs =
+              List.map
+                (fun (a, kind, b, compl_) ->
+                  let a = a mod n in
+                  let b = match kind with 0 -> b mod n | 1 -> a | _ -> -1 in
+                  incr tag;
+                  { Simsweep.Exhaustive.a; b; compl_; tag = !tag - 1 })
+                pairs
+            in
+            { Simsweep.Exhaustive.inputs; pairs })
+          specs
+      in
+      let num_tags = !tag in
+      let expected = Array.make num_tags Simsweep.Exhaustive.Invalid in
+      List.iter (fun job -> plain_window g job expected) jobs;
+      let stats = Simsweep.Exhaustive.new_stats () in
+      let got =
+        Util.with_pool (fun pool ->
+            Simsweep.Exhaustive.run g ~pool ~memory_words:(1 lsl 16) ~stats ~jobs
+              ~num_tags ())
+      in
+      (* One pair alone on its window: [prove_on_windows] says proved
+         exactly when the plain evaluator does. *)
+      let alone_agrees =
+        List.for_all
+          (fun (job : Simsweep.Exhaustive.job) ->
+            List.for_all
+              (fun (p : Simsweep.Exhaustive.pair) ->
+                let alone = Array.make num_tags Simsweep.Exhaustive.Invalid in
+                plain_window g { job with pairs = [ p ] } alone;
+                Simsweep.Exhaustive.prove_on_windows
+                  (Simsweep.Exhaustive.new_stats ())
+                  g ~windows:[ job.inputs ] ~a:p.a ~b:p.b ~compl_:p.compl_
+                = (alone.(p.tag) = Simsweep.Exhaustive.Proved))
+              job.pairs)
+          jobs
+      in
+      got = expected
+      && stats.Simsweep.Exhaustive.small_windows = List.length jobs
+      && alone_agrees)
+
 let () =
   Alcotest.run "exhaustive"
     [
@@ -327,5 +469,9 @@ let () =
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_matches_truth_tables; prop_budget_independent ] );
+          [
+            prop_matches_truth_tables;
+            prop_budget_independent;
+            prop_small_evaluator_matches_plain;
+          ] );
     ]
