@@ -190,7 +190,7 @@ let gadget_network seed =
   g
 
 let prop_matches_reference_pass =
-  QCheck.Test.make ~name:"in-place window checks match the buffered reference pass"
+  QCheck.Test.make ~name:"in-place pass matches buffered reference"
     ~count:25 Util.arb_seed (fun seed ->
       let g0 = gadget_network seed in
       let g = Aig.Miter.build g0 (Opt.Xorflip.run g0) in
