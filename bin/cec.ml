@@ -174,14 +174,14 @@ let stats_json =
 
 let shard_n =
   Arg.(value & opt int 0 & info [ "shard" ] ~docv:"N"
-         ~doc:"Select engine shard.N: check with N coordinated worker \
-               processes instead of a single in-process engine.  The \
-               miter is partitioned into shards (output-cone groups, \
-               large groups split at PO boundaries), workers pull shards \
-               work-stealing style and check each with the sweeping \
-               engine and its SAT fallback; each worker gets an equal \
-               share of the --domains budget.  Overrides --engine; 0 \
-               disables.")
+         ~doc:"Select engine shard.N: check with up to N coordinated \
+               worker processes instead of a single in-process engine.  \
+               The miter is partitioned into shards (output-cone groups, \
+               large groups split at PO boundaries when that copies \
+               little logic), one worker per shard at most pulls shards \
+               work-stealing style and checks each with the combined \
+               flow; the spawned workers share the --domains budget.  \
+               Overrides --engine; 0 disables.")
 
 let cmd =
   let doc = "simulation-based parallel sweeping equivalence checker" in

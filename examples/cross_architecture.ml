@@ -4,8 +4,8 @@
    against a Wallace-tree multiplier — is the hard version of CEC: the two
    circuits share almost no internal structure, so internal equivalences
    are scarce and the checker has to earn the proof.  The example also
-   shows output partitioning on a multi-unit design (two independent ALUs
-   checked as separate groups).
+   shows output partitioning on a multi-unit design (two independent ALUs,
+   two support groups, checked with the shard plan in-process).
 
        dune exec examples/cross_architecture.exe *)
 
@@ -39,12 +39,11 @@ let () =
   Printf.printf "dual ALU miter: %d outputs in %d support groups\n"
     (Aig.Network.num_pos miter) (List.length groups);
   let t0 = Unix.gettimeofday () in
-  let outcome, ngroups = Simsweep.Partition.check ~pool miter in
-  Printf.printf "partitioned check: %s across %d groups in %.3fs\n"
-    (match outcome with
-    | Simsweep.Engine.Proved -> "EQUIVALENT"
-    | Simsweep.Engine.Disproved _ -> "NOT EQUIVALENT"
-    | Simsweep.Engine.Undecided -> "UNDECIDED")
-    ngroups
+  let summary =
+    match Shell.Engines.run ~pool Shell.Engines.Partitioned miter with
+    | Ok r -> r.Shell.Engines.summary
+    | Error e -> e
+  in
+  Printf.printf "partitioned check: %s in %.3fs\n" summary
     (Unix.gettimeofday () -. t0);
   Par.Pool.shutdown pool

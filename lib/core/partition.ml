@@ -113,7 +113,6 @@ let cone_ands g pos =
 let split_group g ~max_ands pos =
   match pos with
   | [] | [ _ ] -> [ pos ]
-  | _ when max_ands <= 0 -> [ pos ]
   | _ ->
       (* Greedy PO chunking: walk the POs in order, growing the current
          chunk's cone with an explicit-stack DFS, and close the chunk once
@@ -122,6 +121,7 @@ let split_group g ~max_ands pos =
          chunk — each chunk gets its own copy of the shared cone.  A
          single PO whose cone alone exceeds the budget becomes its own
          oversized chunk. *)
+      let copied = ref 0 in
       let stamp = Array.make (Aig.Network.num_nodes g) (-1) in
       let chunk_id = ref 0 in
       let count = ref 0 in
@@ -152,6 +152,7 @@ let split_group g ~max_ands pos =
       let flush () =
         if !cur <> [] then begin
           chunks := List.rev !cur :: !chunks;
+          copied := !copied + !count;
           cur := [];
           incr chunk_id;
           count := 0
@@ -164,31 +165,6 @@ let split_group g ~max_ands pos =
           if !count >= max_ands then flush ())
         pos;
       flush ();
-      List.rev !chunks
-
-let check ?config ?sat_config ?cancel ~pool g =
-  let gs = groups g in
-  let num_groups = List.length gs in
-  let rec solve = function
-    | [] -> (Engine.Proved, num_groups)
-    | group :: rest -> (
-        if Par.Cancel.poll_opt cancel then (Engine.Undecided, num_groups)
-        else
-          match const_verdict g group with
-          | Some Engine.Proved -> solve rest
-          | Some v -> (v, num_groups)
-          | _ -> (
-              let sub, pi_origin = extract g group in
-              let combined =
-                Engine.check_with_fallback ?config ?sat_config ?cancel ~pool sub
-              in
-              match combined.Engine.final with
-              | Engine.Proved -> solve rest
-              | Engine.Disproved (sub_cex, sub_po) ->
-                  let cex =
-                    lift_cex ~pi_origin ~num_pis:(Aig.Network.num_pis g) sub_cex
-                  in
-                  (Engine.Disproved (cex, List.nth group sub_po), num_groups)
-              | Engine.Undecided -> (Engine.Undecided, num_groups)))
-  in
-  solve gs
+      (* Past 3/2 of the group's own cone, a split multiplies the work it
+         was meant to divide (a multiplier's cone lands in every chunk). *)
+      if 2 * !copied > 3 * cone_ands g pos then [ pos ] else List.rev !chunks

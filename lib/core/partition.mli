@@ -36,19 +36,6 @@ val cone_ands : Aig.Network.t -> int list -> int
     consecutive PO runs of roughly [max_ands] AND nodes each, for
     window-level sharding.  Logic shared between chunks is replicated into
     each; a single PO whose cone alone exceeds the budget gets its own
-    oversized chunk.  The chunking is deterministic. *)
+    oversized chunk.  When the chunks' cones would sum to more than 3/2
+    of the group's own, the group comes back whole.  Deterministic. *)
 val split_group : Aig.Network.t -> max_ands:int -> int list -> int list list
-
-(** [check ?config ?cancel ~pool miter] runs the engine (with SAT
-    fallback) on every support group independently and combines the
-    verdicts; a group's counter-example is lifted back to the full input
-    space.  Returns the outcome and the number of groups.  [cancel] is
-    threaded into every group's engines and polled between groups; a
-    cancelled check returns [Undecided]. *)
-val check :
-  ?config:Config.t ->
-  ?sat_config:Sat.Sweep.config ->
-  ?cancel:Cancel.t ->
-  pool:Par.Pool.t ->
-  Aig.Network.t ->
-  Engine.outcome * int

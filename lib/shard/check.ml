@@ -23,11 +23,12 @@ let default_config =
   }
 
 (* Shard size target: cap at [max_shard_ands] but aim for at least one
-   shard per worker, with a floor so tiny miters aren't shredded. *)
-let plan_max_ands config g =
-  let total = Aig.Network.num_ands g in
+   shard per worker, with a floor so tiny miters aren't shredded.  A group
+   that splitting would copy stays whole, so a plan may hold fewer. *)
+let plan ?(config = default_config) g =
   let floor = min 256 config.max_shard_ands in
-  max floor (min config.max_shard_ands (total / max 1 config.workers))
+  let per_worker = Aig.Network.num_ands g / max 1 config.workers in
+  Plan.build ~max_ands:(max floor (min config.max_shard_ands per_worker)) g
 
 (* --- coordinator state ------------------------------------------------ *)
 
@@ -70,7 +71,12 @@ let kill_and_reap w =
 
 let check ?(config = default_config) ?cancel g =
   let t_start = Unix.gettimeofday () in
-  let stats = Stats.create ~workers:(max 1 config.workers) in
+  let plan = plan ~config g in
+  (* Never more workers than shards.  The slots left unspawned lend their
+     domains: the spawned workers' shares sum to the whole budget. *)
+  let slots = max 1 config.workers in
+  let n_workers = min slots (List.length plan.Plan.shards) in
+  let stats = Stats.create ~workers:n_workers in
   let io = Simsweep.Telemetry.io_create () in
   let finish outcome =
     stats.wall_s <- Unix.gettimeofday () -. t_start;
@@ -80,7 +86,6 @@ let check ?(config = default_config) ?cancel g =
     stats.frames_rx <- io.Simsweep.Telemetry.io_frames_rx;
     (outcome, stats)
   in
-  let plan = Plan.build ~max_ands:(plan_max_ands config g) g in
   stats.groups <- plan.Plan.groups;
   stats.split_groups <- plan.Plan.split_groups;
   stats.shards <- List.length plan.Plan.shards;
@@ -118,8 +123,9 @@ let check ?(config = default_config) ?cancel g =
       in
       let requeue_front t = queue := t :: !queue in
       let exe = worker_exe config in
-      let domains = max 1 config.worker_domains in
-      let spawn () =
+      let budget = slots * max 1 config.worker_domains in
+      let spawn w_id =
+        let domains = (budget + n_workers - 1 - w_id) / n_workers in
         let pw = Proc.spawn ~exe ~domains in
         stats.workers_spawned <- stats.workers_spawned + 1;
         stats.worker_pids <- Proc.pid pw :: stats.worker_pids;
@@ -127,10 +133,10 @@ let check ?(config = default_config) ?cancel g =
       in
       (* Workers announce [Shard_ready] once up. *)
       let workers =
-        Array.init (max 1 config.workers) (fun w_id ->
+        Array.init n_workers (fun w_id ->
             {
               w_id;
-              w_conn = spawn ();
+              w_conn = spawn w_id;
               w_alive = true;
               w_ready = false;
               w_task = None;
@@ -142,7 +148,7 @@ let check ?(config = default_config) ?cancel g =
         if !respawns_left > 0 then begin
           decr respawns_left;
           stats.respawns <- stats.respawns + 1;
-          w.w_conn <- spawn ();
+          w.w_conn <- spawn w.w_id;
           w.w_alive <- true;
           w.w_ready <- false;
           w.w_task <- None
@@ -173,11 +179,7 @@ let check ?(config = default_config) ?cancel g =
           && Sim.Cex.check sr.sr.Plan.sub sub_cex po
         then begin
           settle sr ~worker ~via:"sweep" ~wall_s "disproved";
-          let cex =
-            Simsweep.Partition.lift_cex ~pi_origin:sr.sr.Plan.pi_origin
-              ~num_pis sub_cex
-          in
-          raise (Done (E.Disproved (cex, List.nth sr.sr.Plan.pos po)))
+          raise (Done (Plan.lift ~num_pis sr.sr sub_cex po))
         end
         else begin
           Printf.eprintf

@@ -1,15 +1,19 @@
 (** Multi-process sharded sweeping.
 
-    The coordinator plans shards ({!Plan}), spawns [workers] processes
+    The coordinator plans shards ({!Plan}), spawns worker processes
     (re-exec of the host binary, {!Worker}), and schedules shards with
     work-stealing: workers pull the next task whenever idle, so a slow
     shard never serialises the rest.  Verdicts stream back over
-    {!Protocol} shard frames.  Each worker checks its shard with
-    the sweeping engine and the sequential SAT sweeper to completion
-    ({!Worker}).  Counter-examples are validated against the shard and
-    lifted to the full input space before being reported, and a single
-    disproof stops the whole run (remaining workers are killed and
-    reaped).
+    {!Protocol} shard frames.  Each worker checks its shard with the
+    [combined] flow ({!Worker.check}).  Counter-examples are validated
+    against the shard and lifted to the full input space before being
+    reported, and a single disproof stops the whole run (remaining
+    workers are killed and reaped).
+
+    {b Sizing.}  A support group that would be copied many times over by
+    a split stays whole (see {!Plan}), so a plan may hold fewer shards
+    than [workers].  Only [min workers shards] workers are spawned, and
+    they share the whole [workers * worker_domains] domain budget.
 
     A crashed worker is reaped, its task re-queued, and a replacement
     spawned (up to [max_respawns]) — shards are never lost.  [deadline_s]
@@ -24,8 +28,8 @@
     every check ({!Proc}) and killed and reaped when it ends. *)
 
 type config = {
-  workers : int;  (** worker processes to spawn *)
-  worker_domains : int;  (** simulation domains per worker *)
+  workers : int;  (** worker slots: at most this many processes *)
+  worker_domains : int;  (** simulation domains per worker slot *)
   max_shard_ands : int;  (** target AND nodes per shard *)
   max_respawns : int;  (** replacement workers after crashes *)
   deadline_s : float option;  (** wall-clock budget for the whole check *)
@@ -45,6 +49,9 @@ val default_config : config
     would re-exec a program that runs its [main] instead of the worker
     loop. *)
 val can_spawn : config -> bool
+
+(** The plan {!check} runs: about [ands / workers] AND nodes a shard. *)
+val plan : ?config:config -> Aig.Network.t -> Plan.t
 
 (** [check ?config ?cancel g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic

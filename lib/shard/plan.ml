@@ -15,8 +15,9 @@ type t = {
   early : Simsweep.Engine.outcome option;
 }
 
-(* Pack small groups into shards of roughly [max_ands] AND nodes and split
-   groups larger than that at PO boundaries.  Constant groups are decided
+(* Pack small groups into shards of roughly [max_ands] AND nodes; a group
+   larger than that is split at PO boundaries when the split pays, and
+   otherwise becomes one oversized shard.  Constant groups are decided
    here: a constant-true PO settles the whole miter, constant-false POs
    simply drop out of the plan. *)
 let build ~max_ands g =
@@ -44,11 +45,10 @@ let build ~max_ands g =
         | None ->
             let ands = P.cone_ands g group in
             if ands > max_ands then begin
-              incr split_groups;
+              let split = P.split_group g ~max_ands group in
+              if List.compare_length_with split 1 > 0 then incr split_groups;
               flush ();
-              List.iter
-                (fun chunk -> chunks := chunk :: !chunks)
-                (P.split_group g ~max_ands group)
+              List.iter (fun chunk -> chunks := chunk :: !chunks) split
             end
             else begin
               cur := group :: !cur;
@@ -69,3 +69,8 @@ let build ~max_ands g =
                { id; pos; sub; pi_origin; ands = Aig.Network.num_ands sub })
       in
       { shards; groups = n_groups; split_groups = !split_groups; early = None }
+
+let lift ~num_pis sh sub_cex po =
+  Simsweep.Engine.Disproved
+    ( P.lift_cex ~pi_origin:sh.pi_origin ~num_pis sub_cex,
+      List.nth sh.pos po )

@@ -1,10 +1,11 @@
 (** Shard planning: cut one miter into worker-sized sub-miters.
 
     Support groups come from {!Simsweep.Partition.groups}.  Groups larger
-    than the shard budget are split at PO boundaries
-    ({!Simsweep.Partition.split_group}); groups smaller than it are packed
-    together so a doubled benchmark's thousands of tiny groups become a
-    few dozen extraction passes instead of one full-network scan each.
+    than the shard budget are split at PO boundaries where that copies
+    little logic ({!Simsweep.Partition.split_group}), else kept whole;
+    smaller groups are packed together so a doubled benchmark's thousands
+    of tiny groups become a few dozen extraction passes instead of one
+    full-network scan each.
     The plan depends only on the miter and [max_ands], never on worker
     count or scheduling. *)
 
@@ -28,3 +29,7 @@ type t = {
 (** [build ~max_ands g] plans the shards.  An all-constant-false miter
     yields an empty shard list and no early verdict (i.e. proved). *)
 val build : max_ands:int -> Aig.Network.t -> t
+
+(** [lift ~num_pis shard cex po]: a disproof of [shard] at its PO [po] as
+    the full miter's, [cex] lifted to the miter's [num_pis] inputs. *)
+val lift : num_pis:int -> shard -> Sim.Cex.t -> int -> Simsweep.Engine.outcome

@@ -35,7 +35,7 @@ let create ~workers =
     split_groups = 0;
     shards = 0;
     wall_s = 0.;
-    tasks = Array.make (max 1 workers) 0;
+    tasks = Array.make workers 0;
     conflicts = 0;
     workers_spawned = 0;
     workers_crashed = 0;

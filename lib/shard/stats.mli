@@ -15,7 +15,7 @@ type entry = {
 }
 
 type t = {
-  workers : int;
+  workers : int;  (** worker slots spawned: [min workers shards] *)
   mutable groups : int;
   mutable split_groups : int;
   mutable shards : int;

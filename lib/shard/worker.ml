@@ -5,18 +5,17 @@ let domains_env = "SIMSWEEP_SHARD_DOMAINS"
 
 (* --- Shard_check ------------------------------------------------------ *)
 
-(* The sweeping engine, then the SAT sweeper to completion on whatever the
-   engine left undecided. *)
+let check ?cancel ~pool g =
+  Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled
+    ~transfer_classes:true ?cancel ~pool g
+
 let run_check ~pool ~shard ~aiger ~deadline_in =
   let t0 = Unix.gettimeofday () in
   let g = Aig.Aiger_io.of_string aiger in
   let cancel =
     Option.map (fun d -> Par.Cancel.create ~deadline_in:d ()) deadline_in
   in
-  let c =
-    Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled ?cancel
-      ~pool:(Lazy.force pool) g
-  in
+  let c = check ?cancel ~pool:(Lazy.force pool) g in
   let verdict =
     match c.Simsweep.Engine.final with
     | Simsweep.Engine.Proved -> Pr.Sv_proved

@@ -7,14 +7,20 @@
     rides on the worker's stdin/stdout; stdout is immediately dup'ed away
     and redirected to stderr so stray prints cannot corrupt frames.
 
-    A worker handles one task at a time: [Shard_check] runs
-    {!Simsweep.Engine.check_with_fallback} — the sweeping engine, then the
-    SAT sweeper with its default configuration to completion — and
-    answers with a verdict.
+    A worker handles one task at a time: [Shard_check] runs {!check} on
+    the shard and answers with a verdict.
 
     AIGER payloads arrive as the frame's binary trailer; bytes that do
     not parse produce a framed [Shard_failed] reply, never a crash: the
     worker stays up for its next task. *)
+
+(** The flow every shard runs, the [combined] engine's: the sweeping
+    engine, then the SAT sweeper seeded with its equivalence classes. *)
+val check :
+  ?cancel:Par.Cancel.t ->
+  pool:Par.Pool.t ->
+  Aig.Network.t ->
+  Simsweep.Engine.combined
 
 (** Environment variable that turns a host binary into a worker ("1"). *)
 val mode_env : string

@@ -102,9 +102,21 @@ let run ?cancel ~pool engine g =
              | Some e -> Simsweep.Portfolio.engine_name e
              | None -> "none"))
   | Partitioned ->
-      let outcome, n = Simsweep.Partition.check ~config ?cancel ~pool g in
-      report ~stats:[ ("partition_groups", T.Int n) ] outcome
-        ~detail:(Printf.sprintf " (%d groups)" n)
+      (* The shard plan, each shard checked here with the workers' flow in
+         plan order; the first shard not proved settles the miter. *)
+      let { Shard.Plan.shards; groups; early; _ } = Shard.Check.plan g in
+      let rec solve = function
+        | [] -> E.Proved
+        | sh :: rest -> (
+            match (Shard.Worker.check ?cancel ~pool sh.Shard.Plan.sub).E.final with
+            | E.Proved -> solve rest
+            | E.Disproved (cex, po) ->
+                Shard.Plan.lift ~num_pis:(Aig.Network.num_pis g) sh cex po
+            | E.Undecided -> E.Undecided)
+      in
+      report ~stats:[ ("partition_groups", T.Int groups) ]
+        (match early with Some verdict -> verdict | None -> solve shards)
+        ~detail:(Printf.sprintf " (%d groups)" groups)
   | Shard workers ->
       let config =
         {

@@ -13,9 +13,9 @@
     satdirect       one monolithic SAT check per output, no sweeping
     bdd             the BDD engine
     portfolio       sim, BDD and SAT in sequence (Config.default)
-    partitioned     sim then SAT, per support-disjoint output group
-    shard[.N]       N worker processes (default 2), spawned for this
-                    check, each sweeping its shards
+    partitioned     shard's plan, checked in-process shard by shard
+    shard[.N]       up to N worker processes (default 2), one per
+                    shard at most, spawned for this check
     v} *)
 
 type t =
@@ -51,8 +51,8 @@ type report = {
 }
 
 (** [run ?cancel ~pool engine miter] checks [miter].  [pool] runs the
-    in-process engines; [shard.N] gives each of its N workers an equal
-    share of its domains (at least one).  [Error] only for [shard] in a
+    in-process engines; [shard.N]'s spawned workers share its domains
+    (at least one each).  [Error] only for [shard] in a
     program that cannot host shard workers ({!Shard.Check.can_spawn}); no
     process is spawned then. *)
 val run :

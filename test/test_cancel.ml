@@ -101,11 +101,14 @@ let test_portfolio_preset () =
 
 let test_partition_preset () =
   Util.with_pool @@ fun pool ->
-  let o, _ =
-    Simsweep.Partition.check ~cancel:(preset ()) ~pool (hard_miter ())
-  in
-  Alcotest.(check bool) "partition -> Undecided" true
-    (o = Simsweep.Engine.Undecided)
+  match
+    Shell.Engines.run ~cancel:(preset ()) ~pool Shell.Engines.Partitioned
+      (hard_miter ())
+  with
+  | Ok r ->
+      Alcotest.(check bool) "partition -> Undecided" true
+        (r.Shell.Engines.outcome = Simsweep.Engine.Undecided)
+  | Error e -> Alcotest.fail e
 
 let test_certificate_preset () =
   Util.with_pool @@ fun pool ->

@@ -36,11 +36,18 @@ let test_extract () =
     done
   done
 
+(* The [partitioned] engine's outcome and support-group count. *)
+let partitioned ?cancel ~pool m =
+  match Shell.Engines.run ?cancel ~pool Shell.Engines.Partitioned m with
+  | Ok { Shell.Engines.outcome; stats = [ ("partition_groups", Int n) ]; _ } ->
+      (outcome, n)
+  | _ -> Alcotest.fail "partitioned engine: unexpected report"
+
 let test_partition_check_equivalent () =
   Util.with_pool (fun pool ->
       let g = Gen.Double.double (Gen.Arith.multiplier ~bits:4) in
       let m = Aig.Miter.build g (Opt.Resyn.light g) in
-      let outcome, ngroups = Simsweep.Partition.check ~pool m in
+      let outcome, ngroups = partitioned ~pool m in
       Alcotest.(check bool) "proved" true (outcome = Simsweep.Engine.Proved);
       Alcotest.(check bool) "multiple groups" true (ngroups >= 2))
 
@@ -52,7 +59,7 @@ let test_partition_check_inequivalent () =
          validate on the full miter. *)
       Aig.Network.set_po bad 6 (Aig.Lit.neg (Aig.Network.po bad 6));
       let m = Aig.Miter.build g bad in
-      match Simsweep.Partition.check ~pool m with
+      match partitioned ~pool m with
       | Simsweep.Engine.Disproved (cex, po), _ ->
           Alcotest.(check int) "right PO" 6 po;
           Alcotest.(check bool) "lifted CEX valid" true (Sim.Cex.check m cex po)
@@ -69,7 +76,7 @@ let test_partition_check_cancelled_single_group () =
       Alcotest.(check int) "single group" 1
         (List.length (Simsweep.Partition.groups m));
       let cancel = Par.Cancel.create ~deadline_in:0.0 () in
-      let outcome, _ = Simsweep.Partition.check ~cancel ~pool m in
+      let outcome, _ = partitioned ~cancel ~pool m in
       Alcotest.(check bool) "undecided under expired deadline" true
         (outcome = Simsweep.Engine.Undecided))
 
@@ -96,7 +103,7 @@ let prop_partition_agrees =
           in
           let m = Aig.Miter.build g opt in
           let mono = (Simsweep.Engine.check_with_fallback ~pool m).Simsweep.Engine.final in
-          let part, _ = Simsweep.Partition.check ~pool m in
+          let part, _ = partitioned ~pool m in
           match (mono, part) with
           | Simsweep.Engine.Proved, Simsweep.Engine.Proved -> true
           | Simsweep.Engine.Disproved _, Simsweep.Engine.Disproved (cex, po) ->

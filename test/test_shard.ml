@@ -30,6 +30,22 @@ let disjoint_union m1 m2 =
   Array.iter (fun l -> Aig.Network.add_po g l) pos2;
   g
 
+(* One support group whose outputs share inputs but little logic: blocks
+   of random logic over overlapping PI windows, every output gated by PI
+   0, against its resynthesis.  Its POs can be chunked without copying
+   much of the cone, so the planner splits it. *)
+let chained_blocks ?(seed = 1) ~blocks () =
+  let g = Aig.Network.create () in
+  let pis = Array.init ((4 * blocks) + 4) (fun _ -> Aig.Network.add_pi g) in
+  let gate = pis.(0) in
+  for b = 0 to blocks - 1 do
+    let block = Util.random_network ~pis:8 ~nodes:60 ~pos:2 (seed + b) in
+    Array.iter
+      (fun l -> Aig.Network.add_po g (Aig.Network.add_and g l gate))
+      (Aig.Miter.append g block ~pi_map:(Array.sub pis (4 * b) 8))
+  done;
+  equiv_miter g
+
 let config ~workers =
   {
     Shard.Check.default_config with
@@ -219,13 +235,86 @@ let test_plan_pack_and_split () =
         (if const_false then 0 else 1)
         n)
     seen;
-  (* A single big support group must be split at PO boundaries. *)
-  let big = equiv_miter (mult ~bits:6) in
+  (* A single big support group whose POs share little logic must be
+     split at PO boundaries. *)
+  let big = chained_blocks ~blocks:12 () in
+  Alcotest.(check int) "one non-constant support group" 1
+    (List.length
+       (List.filter
+          (fun group -> Simsweep.Partition.const_verdict big group = None)
+          (Simsweep.Partition.groups big)));
   let plan2 = Shard.Plan.build ~max_ands:200 big in
   Alcotest.(check bool) "group split" true (plan2.Shard.Plan.split_groups >= 1);
   Alcotest.(check bool)
     "window shards" true
     (List.length plan2.Shard.Plan.shards > 1)
+
+let test_plan_keeps_multiplier_whole () =
+  (* Every PO of a multiplier reads most of its cone: chunking it would
+     copy the cone into every chunk, so the group stays one shard. *)
+  let m = equiv_miter (mult ~bits:6) in
+  let plan = Shard.Plan.build ~max_ands:200 m in
+  Alcotest.(check int) "one shard" 1 (List.length plan.Shard.Plan.shards);
+  Alcotest.(check int) "no split" 0 plan.Shard.Plan.split_groups
+
+(* Over random miters and budgets: a split group's shards hold at most
+   3/2 of the group's cone, and every non-constant PO lands in exactly
+   one shard. *)
+let prop_plan_bounded_split =
+  QCheck.Test.make ~name:"split shards within 3/2 of group"
+    ~count:100 Util.arb_seed (fun seed ->
+      let m =
+        match seed mod 3 with
+        | 0 -> chained_blocks ~seed ~blocks:(2 + (seed mod 7)) ()
+        | 1 -> equiv_miter (Util.random_network ~pis:8 ~nodes:120 ~pos:6 seed)
+        | _ ->
+            disjoint_union
+              (chained_blocks ~seed ~blocks:3 ())
+              (equiv_miter (mult ~bits:(3 + (seed mod 3))))
+      in
+      let max_ands = 16 + (seed mod 300) in
+      let plan = Shard.Plan.build ~max_ands m in
+      let owner = Array.make (Aig.Network.num_pos m) (-1) in
+      let once =
+        List.for_all
+          (fun sh ->
+            List.for_all
+              (fun po ->
+                let fresh = owner.(po) < 0 in
+                owner.(po) <- sh.Shard.Plan.id;
+                fresh)
+              sh.Shard.Plan.pos)
+          plan.Shard.Plan.shards
+      in
+      let covered =
+        List.for_all
+          (fun po ->
+            (owner.(po) >= 0)
+            = (Aig.Lit.node (Aig.Network.po m po) <> 0))
+          (List.init (Aig.Network.num_pos m) Fun.id)
+      in
+      let bounded =
+        List.for_all
+          (fun group ->
+            let ids =
+              List.sort_uniq compare
+                (List.filter_map
+                   (fun po -> if owner.(po) < 0 then None else Some owner.(po))
+                   group)
+            in
+            List.compare_length_with ids 1 <= 0
+            ||
+            let ands =
+              List.fold_left
+                (fun a sh ->
+                  if List.mem sh.Shard.Plan.id ids then a + sh.Shard.Plan.ands
+                  else a)
+                0 plan.Shard.Plan.shards
+            in
+            2 * ands <= 3 * Simsweep.Partition.cone_ands m group)
+          (Simsweep.Partition.groups m)
+      in
+      plan.Shard.Plan.early = None && once && covered && bounded)
 
 let test_lift_cex_unit () =
   let sub_cex = [| true; false; true |] in
@@ -297,6 +386,17 @@ let test_verdict_deterministic_across_worker_counts () =
       | _ -> Alcotest.fail (Printf.sprintf "inequivalent: %d workers" workers))
     [ 1; 2; 3 ]
 
+let test_one_shard_one_worker () =
+  (* A multiplier plans one shard: one worker is spawned for it, not one
+     per slot, and the stats count that one worker. *)
+  let m = equiv_miter (mult ~bits:5) in
+  let outcome, st = Shard.Check.check ~config:(config ~workers:2) m in
+  Alcotest.(check bool) "proved" true (outcome = Simsweep.Engine.Proved);
+  Alcotest.(check int) "one shard" 1 st.Shard.Stats.shards;
+  Alcotest.(check int) "one worker" 1 st.Shard.Stats.workers;
+  Alcotest.(check int) "one spawn" 1 st.Shard.Stats.workers_spawned;
+  Alcotest.(check (array int)) "its task" [| 1 |] st.Shard.Stats.tasks
+
 let test_crash_rescheduling () =
   let m = equiv_miter (mult ~bits:5) in
   let config =
@@ -314,11 +414,12 @@ let test_crash_rescheduling () =
   | _ -> Alcotest.fail "verdict lost with the killed worker"
 
 let test_deadline_kills_and_reaps () =
-  (* A miter the workers cannot finish in time (an 11-bit Wallace
-     multiplier) with a short deadline: the check must come back without
+  (* A miter the workers cannot finish in time (four copies of a 13-bit
+     Wallace multiplier, one shard each) with a short deadline: the check
+     must come back without
      a disproof and with every worker process gone — no zombies, no
      survivors. *)
-  let m = equiv_miter (Gen.Wallace.multiplier ~bits:11) in
+  let m = Gen.Double.times 2 (equiv_miter (Gen.Wallace.multiplier ~bits:13)) in
   let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 0.3 } in
   let outcome, st = Shard.Check.check ~config m in
   (match outcome with
@@ -388,7 +489,7 @@ let test_failed_payload_settles_undecided () =
   (* Every dispatch is rejected.  Re-sending the same bytes cannot help,
      so each shard must settle undecided after one attempt: the check
      ends Undecided long before its deadline, never Proved. *)
-  let m = equiv_miter (mult ~bits:5) in
+  let m = Gen.Double.double (equiv_miter (mult ~bits:5)) in
   let config = { (config ~workers:2) with Shard.Check.deadline_s = Some 30. } in
   let t0 = Unix.gettimeofday () in
   let outcome, st =
@@ -460,7 +561,10 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "pack and split" `Quick test_plan_pack_and_split;
+          Alcotest.test_case "multiplier stays whole" `Quick
+            test_plan_keeps_multiplier_whole;
           Alcotest.test_case "lift_cex unit" `Quick test_lift_cex_unit;
+          QCheck_alcotest.to_alcotest prop_plan_bounded_split;
         ] );
       ( "coordinator",
         [
@@ -468,6 +572,8 @@ let () =
             test_disproof_lifted_across_renumbering;
           Alcotest.test_case "worker-count determinism" `Slow
             test_verdict_deterministic_across_worker_counts;
+          Alcotest.test_case "one shard, one worker" `Quick
+            test_one_shard_one_worker;
           Alcotest.test_case "crash rescheduling" `Quick test_crash_rescheduling;
           Alcotest.test_case "deadline kill+reap" `Quick
             test_deadline_kills_and_reaps;
