@@ -76,11 +76,6 @@ let extract g pos =
     pos;
   (ng, Array.of_list (List.rev !pi_origin))
 
-let lift_cex ~pi_origin ~num_pis sub_cex =
-  let cex = Array.make num_pis false in
-  Array.iteri (fun j orig -> cex.(orig) <- sub_cex.(j)) pi_origin;
-  cex
-
 let const_verdict g pos =
   if List.for_all (fun i -> Aig.Lit.node (Aig.Network.po g i) = 0) pos then
     if List.for_all (fun i -> Aig.Network.po g i = Aig.Lit.const_false) pos then
@@ -110,9 +105,10 @@ let cone_ands g pos =
     !n
   end
 
-let split_group g ~max_ands pos =
+let split_group g ~max_ands ~ands pos =
   match pos with
   | [] | [ _ ] -> [ pos ]
+  | _ when max_ands <= 0 -> [ pos ]
   | _ ->
       (* Greedy PO chunking: walk the POs in order, growing the current
          chunk's cone with an explicit-stack DFS, and close the chunk once
@@ -167,4 +163,4 @@ let split_group g ~max_ands pos =
       flush ();
       (* Past 3/2 of the group's own cone, a split multiplies the work it
          was meant to divide (a multiplier's cone lands in every chunk). *)
-      if 2 * !copied > 3 * cone_ands g pos then [ pos ] else List.rev !chunks
+      if 2 * !copied > 3 * ands then [ pos ] else List.rev !chunks

@@ -17,11 +17,6 @@ val groups : Aig.Network.t -> int list list
     of its PIs, the original PI index. *)
 val extract : Aig.Network.t -> int list -> Aig.Network.t * int array
 
-(** [lift_cex ~pi_origin ~num_pis cex] maps a counter-example over an
-    extracted sub-network's PIs back to the full input space ([pi_origin]
-    as returned by {!extract}); unconstrained inputs are false. *)
-val lift_cex : pi_origin:int array -> num_pis:int -> Sim.Cex.t -> Sim.Cex.t
-
 (** [const_verdict g pos] decides a group whose POs are all constant:
     [Some Proved] when every PO is constant false, [Some (Disproved _)]
     (with the all-false assignment) when one is constant true, [None] when
@@ -32,10 +27,12 @@ val const_verdict : Aig.Network.t -> int list -> Engine.outcome option
     the listed POs — the size [extract] would produce. *)
 val cone_ands : Aig.Network.t -> int list -> int
 
-(** [split_group g ~max_ands pos] chunks one (large) support group into
-    consecutive PO runs of roughly [max_ands] AND nodes each, for
-    window-level sharding.  Logic shared between chunks is replicated into
-    each; a single PO whose cone alone exceeds the budget gets its own
-    oversized chunk.  When the chunks' cones would sum to more than 3/2
-    of the group's own, the group comes back whole.  Deterministic. *)
-val split_group : Aig.Network.t -> max_ands:int -> int list -> int list list
+(** [split_group g ~max_ands ~ands pos] chunks one (large) support group,
+    whose cone holds [ands] AND nodes ({!cone_ands}), into consecutive PO
+    runs of roughly [max_ands] AND nodes each, for window-level sharding.
+    Logic shared between chunks is replicated into each; a single PO whose
+    cone alone exceeds the budget gets its own oversized chunk.  The group
+    comes back whole when the chunks' cones would sum to more than 3/2 of
+    [ands], or when [max_ands <= 0].  Deterministic. *)
+val split_group :
+  Aig.Network.t -> max_ands:int -> ands:int -> int list -> int list list

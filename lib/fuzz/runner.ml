@@ -39,9 +39,10 @@ let shrink_failure ~engines ~pool ~budget ~miter failures =
 
 (* The multi-process shard coordinator as an oracle engine, cross-checked
    against the in-process engines on every generated miter.  A tiny shard
-   budget makes even fuzz-sized miters split into several shards, so the
-   plan/extract/lift path is exercised, and the deadline bounds a wedged
-   coordinator.
+   budget packs even fuzz-sized miters and splits the groups that split
+   cheaply (a group whose outputs share most of their logic stays whole),
+   so the plan/extract/lift path is exercised; the deadline bounds a
+   wedged coordinator.
    NOTE: any binary embedding this engine must call
    [Shard.Worker.maybe_become_worker] first thing in [main] — the
    coordinator re-execs the host executable to make workers. *)

@@ -23,9 +23,8 @@ let default_config =
   }
 
 (* Shard size target: cap at [max_shard_ands] but aim for at least one
-   shard per worker, with a floor so tiny miters aren't shredded.  A group
-   that splitting would copy stays whole, so a plan may hold fewer. *)
-let plan ?(config = default_config) g =
+   shard per worker, with a floor so tiny miters aren't shredded. *)
+let plan config g =
   let floor = min 256 config.max_shard_ands in
   let per_worker = Aig.Network.num_ands g / max 1 config.workers in
   Plan.build ~max_ands:(max floor (min config.max_shard_ands per_worker)) g
@@ -71,7 +70,7 @@ let kill_and_reap w =
 
 let check ?(config = default_config) ?cancel g =
   let t_start = Unix.gettimeofday () in
-  let plan = plan ~config g in
+  let plan = plan config g in
   (* Never more workers than shards.  The slots left unspawned lend their
      domains: the spawned workers' shares sum to the whole budget. *)
   let slots = max 1 config.workers in

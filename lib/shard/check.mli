@@ -10,10 +10,10 @@
     reported, and a single disproof stops the whole run (remaining
     workers are killed and reaped).
 
-    {b Sizing.}  A support group that would be copied many times over by
-    a split stays whole (see {!Plan}), so a plan may hold fewer shards
-    than [workers].  Only [min workers shards] workers are spawned, and
-    they share the whole [workers * worker_domains] domain budget.
+    {b Sizing.}  A group that a split would copy many times over stays
+    whole ({!Plan}), so a plan may hold fewer shards than [workers]: only
+    [min workers shards] workers are spawned, and they share the whole
+    [workers * worker_domains] domain budget.
 
     A crashed worker is reaped, its task re-queued, and a replacement
     spawned (up to [max_respawns]) — shards are never lost.  [deadline_s]
@@ -49,9 +49,6 @@ val default_config : config
     would re-exec a program that runs its [main] instead of the worker
     loop. *)
 val can_spawn : config -> bool
-
-(** The plan {!check} runs: about [ands / workers] AND nodes a shard. *)
-val plan : ?config:config -> Aig.Network.t -> Plan.t
 
 (** [check ?config ?cancel g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic

@@ -45,7 +45,7 @@ let build ~max_ands g =
         | None ->
             let ands = P.cone_ands g group in
             if ands > max_ands then begin
-              let split = P.split_group g ~max_ands group in
+              let split = P.split_group g ~max_ands ~ands group in
               if List.compare_length_with split 1 > 0 then incr split_groups;
               flush ();
               List.iter (fun chunk -> chunks := chunk :: !chunks) split
@@ -71,6 +71,6 @@ let build ~max_ands g =
       { shards; groups = n_groups; split_groups = !split_groups; early = None }
 
 let lift ~num_pis sh sub_cex po =
-  Simsweep.Engine.Disproved
-    ( P.lift_cex ~pi_origin:sh.pi_origin ~num_pis sub_cex,
-      List.nth sh.pos po )
+  let cex = Array.make num_pis false in
+  Array.iteri (fun j orig -> cex.(orig) <- sub_cex.(j)) sh.pi_origin;
+  Simsweep.Engine.Disproved (cex, List.nth sh.pos po)

@@ -3,9 +3,8 @@
     Support groups come from {!Simsweep.Partition.groups}.  Groups larger
     than the shard budget are split at PO boundaries where that copies
     little logic ({!Simsweep.Partition.split_group}), else kept whole;
-    smaller groups are packed together so a doubled benchmark's thousands
-    of tiny groups become a few dozen extraction passes instead of one
-    full-network scan each.
+    smaller groups are packed so a doubled benchmark's thousands of tiny
+    groups become a few dozen extraction passes, not one scan each.
     The plan depends only on the miter and [max_ands], never on worker
     count or scheduling. *)
 
@@ -31,5 +30,6 @@ type t = {
 val build : max_ands:int -> Aig.Network.t -> t
 
 (** [lift ~num_pis shard cex po]: a disproof of [shard] at its PO [po] as
-    the full miter's, [cex] lifted to the miter's [num_pis] inputs. *)
+    the full miter's, [cex] lifted to the miter's [num_pis] inputs (those
+    outside the shard read false). *)
 val lift : num_pis:int -> shard -> Sim.Cex.t -> int -> Simsweep.Engine.outcome

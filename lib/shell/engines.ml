@@ -102,9 +102,12 @@ let run ?cancel ~pool engine g =
              | Some e -> Simsweep.Portfolio.engine_name e
              | None -> "none"))
   | Partitioned ->
-      (* The shard plan, each shard checked here with the workers' flow in
+      (* Shards of up to the coordinator's cap (they run one after another
+         here, so no per-worker target), checked with the workers' flow in
          plan order; the first shard not proved settles the miter. *)
-      let { Shard.Plan.shards; groups; early; _ } = Shard.Check.plan g in
+      let { Shard.Plan.shards; groups; early; _ } =
+        Shard.Plan.build ~max_ands:Shard.Check.default_config.max_shard_ands g
+      in
       let rec solve = function
         | [] -> E.Proved
         | sh :: rest -> (

@@ -13,7 +13,7 @@
     satdirect       one monolithic SAT check per output, no sweeping
     bdd             the BDD engine
     portfolio       sim, BDD and SAT in sequence (Config.default)
-    partitioned     shard's plan, checked in-process shard by shard
+    partitioned     shard's planner, its shards checked in-process
     shard[.N]       up to N worker processes (default 2), one per
                     shard at most, spawned for this check
     v} *)

@@ -317,14 +317,25 @@ let prop_plan_bounded_split =
       plan.Shard.Plan.early = None && once && covered && bounded)
 
 let test_lift_cex_unit () =
-  let sub_cex = [| true; false; true |] in
-  let lifted =
-    Simsweep.Partition.lift_cex ~pi_origin:[| 5; 2; 9 |] ~num_pis:11 sub_cex
+  (* A shard over full-miter PIs 5, 2 and 9 and POs 4 and 7. *)
+  let sh =
+    {
+      Shard.Plan.id = 0;
+      pos = [ 4; 7 ];
+      sub = Aig.Network.create ();
+      pi_origin = [| 5; 2; 9 |];
+      ands = 0;
+    }
   in
-  Alcotest.(check int) "width" 11 (Array.length lifted);
-  Array.iteri
-    (fun i v -> Alcotest.(check bool) (Printf.sprintf "pi %d" i) (i = 5 || i = 9) v)
-    lifted
+  match Shard.Plan.lift ~num_pis:11 sh [| true; false; true |] 1 with
+  | Simsweep.Engine.Disproved (lifted, po) ->
+      Alcotest.(check int) "full-miter po" 7 po;
+      Alcotest.(check int) "width" 11 (Array.length lifted);
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check bool) (Printf.sprintf "pi %d" i) (i = 5 || i = 9) v)
+        lifted
+  | _ -> Alcotest.fail "lift is a disproof"
 
 (* --- end to end ------------------------------------------------------- *)
 
@@ -357,8 +368,10 @@ let entry_sig st =
 
 let test_verdict_deterministic_across_worker_counts () =
   (* Verdicts and the per-shard entries must be identical for 1-3
-     workers, and every shard is settled by its worker's sweep. *)
-  let eq = equiv_miter (mult ~bits:5) in
+     workers, and every shard is settled by its worker's sweep.  Four
+     copies of a multiplier plan four shards, so every worker count
+     spawns all its workers. *)
+  let eq = Gen.Double.times 2 (equiv_miter (mult ~bits:5)) in
   let adder = Gen.Arith.adder ~bits:6 in
   let ineq = Aig.Miter.build adder (faulty adder) in
   let reference = ref None in
@@ -368,6 +381,10 @@ let test_verdict_deterministic_across_worker_counts () =
       (match outcome with
       | Simsweep.Engine.Proved -> ()
       | _ -> Alcotest.fail (Printf.sprintf "equivalent: %d workers" workers));
+      Alcotest.(check bool) "several shards" true (st.Shard.Stats.shards >= 2);
+      Alcotest.(check int)
+        (Printf.sprintf "workers spawned (%d)" workers)
+        workers st.Shard.Stats.workers;
       (match !reference with
       | None -> reference := Some (entry_sig st)
       | Some r ->
@@ -398,7 +415,9 @@ let test_one_shard_one_worker () =
   Alcotest.(check (array int)) "its task" [| 1 |] st.Shard.Stats.tasks
 
 let test_crash_rescheduling () =
-  let m = equiv_miter (mult ~bits:5) in
+  (* Two copies of a multiplier, one shard each: worker 0 is killed
+     while its sibling works on the other shard. *)
+  let m = Gen.Double.double (equiv_miter (mult ~bits:5)) in
   let config =
     {
       (config ~workers:2) with
@@ -407,6 +426,8 @@ let test_crash_rescheduling () =
     }
   in
   let outcome, st = Shard.Check.check ~config m in
+  Alcotest.(check bool) "several shards" true (st.Shard.Stats.shards >= 2);
+  Alcotest.(check int) "two workers" 2 st.Shard.Stats.workers;
   Alcotest.(check bool) "a worker crashed" true (st.Shard.Stats.workers_crashed >= 1);
   Alcotest.(check bool) "a replacement spawned" true (st.Shard.Stats.respawns >= 1);
   match outcome with
