@@ -45,6 +45,11 @@ type prep = {
   mutable w_rounds : int;
 }
 
+(* Words of an [ni]-input truth table, and the mask of the patterns its
+   last word holds. *)
+let tt_words ni = if ni <= 6 then 1 else 1 lsl (ni - 6)
+let tail_mask ni = if ni >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl ni)) 1L
+
 let prepare g (job : job) =
   let roots =
     List.fold_left
@@ -104,10 +109,6 @@ let prepare g (job : job) =
         in
         level_start.(l) <- first level_start.(l - 1)
       done;
-      let tt_words = if ni <= 6 then 1 else 1 lsl (ni - 6) in
-      let tail_mask =
-        if ni >= 6 then -1L else Int64.sub (Int64.shift_left 1L (1 lsl ni)) 1L
-      in
       let ppairs =
         List.map
           (fun p ->
@@ -131,8 +132,8 @@ let prepare g (job : job) =
           f1_row;
           f1_mask;
           level_start;
-          tt_words;
-          tail_mask;
+          tt_words = tt_words ni;
+          tail_mask = tail_mask ni;
           ppairs;
           base = 0;
           w_words = 0;
@@ -141,6 +142,59 @@ let prepare g (job : job) =
 
 let ctz64 = Bv.Bits.ctz64
 
+(* The word kernel.  Rows are byte ranges of one [Bytes.t], and the loops
+   below access it without bounds checks: each caller checks once, per
+   window for the simulation table and per row for the small-window
+   evaluator, that the rows it passes lie inside the bytes.  A loop runs
+   over a whole row: a helper called per word that is too big to inline
+   boxes its int64 argument or result on every simulated word. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let check_range data ~off ~len =
+  if off < 0 || off + len > Bytes.length data then
+    invalid_arg "Exhaustive: row outside the simulation table"
+
+(* [dst <- (a xor m0) land (b xor m1)] over the [len] bytes at each offset. *)
+let and_rows data ~dst ~a ~m0 ~b ~m1 ~len =
+  let k = ref 0 in
+  while !k < len do
+    let x = get64u data (a + !k) and y = get64u data (b + !k) in
+    set64u data (dst + !k) Int64.(logand (logxor x m0) (logxor y m1));
+    k := !k + 8
+  done
+
+(* The lowest set bit of [(a xor (b land bm) xor cm) land tail] over the
+   [len] bytes at each offset, or [-1] when there is none.  [tail] masks
+   the padding patterns of a one-word table and is [-1L] for longer ones.
+   Most segments are equal, so the range is OR-reduced first and scanned
+   word by word only when it differs. *)
+let first_diff data ~a ~b ~bm ~cm ~tail ~len =
+  let acc = ref 0L and k = ref 0 in
+  while !k < len do
+    let x = get64u data (a + !k) and y = get64u data (b + !k) in
+    acc := Int64.(logor !acc (logxor cm (logxor x (logand y bm))));
+    k := !k + 8
+  done;
+  if Int64.(equal (logand !acc tail) 0L) then -1
+  else begin
+    let d = ref 0L in
+    k := -8;
+    while Int64.equal !d 0L do
+      k := !k + 8;
+      let x = get64u data (a + !k) and y = get64u data (b + !k) in
+      d := Int64.(logxor cm (logxor x (logand y bm)))
+    done;
+    (!k * 8) + ctz64 (Int64.logand !d tail)
+  end
+
+(* Words [w0, w0 + nw) of input [var]'s projection table, into the row at
+   byte offset [off]. *)
+let proj_row data ~off ~var ~w0 ~nw =
+  for lw = 0 to nw - 1 do
+    set64u data (off + (lw * 8)) (Bv.Tt.proj_word ~var (w0 + lw))
+  done
+
 (* Simulate one window completely (all rounds); verdicts written by tag.
    The window's rows live at word offset [prep.base] of [arena].
    [par_inner] enables level-wise parallel node evaluation and parallel
@@ -148,14 +202,12 @@ let ctz64 = Bv.Bits.ctz64
 let simulate_window ?cancel pool arena prep ~entry_words ~verdicts ~par_inner =
   let e = entry_words in
   let data = Arena.data arena in
-  let base_off = prep.base in
-  (* Byte offset of a row's segment.  The hot loops below index [data]
-     through per-row offsets hoisted out of the word loop rather than
-     through get/set helpers: a helper that is one arithmetic node too big
-     to inline boxes its int64 argument or result on EVERY simulated word
-     — an allocation storm that also stalls every other domain in minor-GC
-     rendezvous. *)
-  let row_off row = (base_off + (row * e)) * 8 in
+  (* Byte offset of a row's segment.  The window's one bounds check: its
+     [ni + nn] rows of [e] words lie inside the arena.  Every row index
+     below comes from [prepare] and every word index is below [e], so the
+     kernel's unchecked accesses stay inside them. *)
+  let row_off row = (prep.base + (row * e)) * 8 in
+  check_range data ~off:(row_off 0) ~len:((prep.ni + prep.nn) * e * 8);
   let rounds = (prep.tt_words + e - 1) / e in
   (* Pairs decided by the fused comparison decrement [active] from worker
      domains; the round loop exits as soon as none remain. *)
@@ -173,45 +225,30 @@ let simulate_window ?cancel pool arena prep ~entry_words ~verdicts ~par_inner =
     (* The last round of a window (or a window shorter than the chunk's
        entry size) computes only [nw <= e] words per row. *)
     prep.w_words <- prep.w_words + ((prep.ni + prep.nn) * nw);
-    (* Projection-table segments for the inputs. *)
+    (* Projection-table segments for the inputs.  [base] is a multiple of
+       [e], so an input below bit [6 + log2 e] has the same segment in
+       every round, and a higher one is constant over a round: round 0
+       writes every input row, a later round only those whose bit of
+       [base] changed. *)
+    let changed = base lxor (base - e) in
     for j = 0 to prep.ni - 1 do
-      let oj = row_off j in
-      for lw = 0 to nw - 1 do
-        Bytes.set_int64_ne data (oj + (lw * 8)) (Bv.Tt.proj_word ~var:j (base + lw))
-      done
+      if !r = 0 || (j >= 6 && (changed lsr (j - 6)) land 1 = 1) then
+        proj_row data ~off:(row_off j) ~var:j ~w0:base ~nw
     done;
-    (* Level-wise evaluation. *)
-    let eval_slot s =
-      let o0 = row_off prep.f0_row.(s)
-      and m0 = prep.f0_mask.(s)
-      and o1 = row_off prep.f1_row.(s)
-      and m1 = prep.f1_mask.(s) in
-      let dst = row_off (prep.ni + s) in
-      for lw = 0 to nw - 1 do
-        let k = lw * 8 in
-        Bytes.set_int64_ne data (dst + k)
-          (Int64.logand
-             (Int64.logxor (Bytes.get_int64_ne data (o0 + k)) m0)
-             (Int64.logxor (Bytes.get_int64_ne data (o1 + k)) m1))
-      done
+    (* Level-wise evaluation: words [lo, hi) of slot [s]. *)
+    let eval_slot_range s lo hi =
+      and_rows data
+        ~dst:(row_off (prep.ni + s) + (lo * 8))
+        ~a:(row_off prep.f0_row.(s) + (lo * 8))
+        ~m0:prep.f0_mask.(s)
+        ~b:(row_off prep.f1_row.(s) + (lo * 8))
+        ~m1:prep.f1_mask.(s)
+        ~len:((hi - lo) * 8)
     in
+    let eval_slot s = eval_slot_range s 0 nw in
     (* The first parallel dimension of Fig. 3 — words of one truth table —
        matters when a level holds few nodes but the tables are long; split
        each slot's word range into chunks and schedule (slot, chunk) pairs. *)
-    let eval_slot_range s lo hi =
-      let o0 = row_off prep.f0_row.(s)
-      and m0 = prep.f0_mask.(s)
-      and o1 = row_off prep.f1_row.(s)
-      and m1 = prep.f1_mask.(s) in
-      let dst = row_off (prep.ni + s) in
-      for lw = lo to hi - 1 do
-        let k = lw * 8 in
-        Bytes.set_int64_ne data (dst + k)
-          (Int64.logand
-             (Int64.logxor (Bytes.get_int64_ne data (o0 + k)) m0)
-             (Int64.logxor (Bytes.get_int64_ne data (o1 + k)) m1))
-      done
-    in
     if par_inner then begin
       let word_chunk = 4096 in
       let nchunks = (nw + word_chunk - 1) / word_chunk in
@@ -237,32 +274,22 @@ let simulate_window ?cancel pool arena prep ~entry_words ~verdicts ~par_inner =
        claims it, rather than sequentially on the calling domain after the
        barrier.  One pair is owned by exactly one loop index, so [decided]
        needs no synchronisation; only the shared [active] count is atomic.
-       The scan order over words is fixed, so the reported mismatch
-       pattern is identical to the sequential sweep's. *)
+       [first_diff] finds the lowest differing pattern, so the reported
+       mismatch is identical to the sequential sweep's. *)
     let compare_pair k =
       let p = prep.ppairs.(k) in
       if not p.decided then begin
-        let cmask = if p.pcompl then -1L else 0L in
         let oa = row_off p.a_row in
-        let ob = if p.b_row < 0 then -1 else row_off p.b_row in
-        let lw = ref 0 in
-        while !lw < nw && not p.decided do
-          let x = Bytes.get_int64_ne data (oa + (!lw * 8)) in
-          let y = if ob < 0 then 0L else Bytes.get_int64_ne data (ob + (!lw * 8)) in
-          let diff = Int64.logxor (Int64.logxor x y) cmask in
-          let diff =
-            if base + !lw = prep.tt_words - 1 then Int64.logand diff prep.tail_mask
-            else diff
-          in
-          if not (Int64.equal diff 0L) then begin
-            p.decided <- true;
-            Atomic.decr active;
-            verdicts.(p.ptag) <-
-              Mismatch
-                { pattern = ((base + !lw) * 64) + ctz64 diff; inputs = prep.inputs }
-          end;
-          incr lw
-        done
+        (* The constant-false target compares [a] with [a land 0]. *)
+        let ob = if p.b_row < 0 then oa else row_off p.b_row in
+        let bm = if p.b_row < 0 then 0L else -1L in
+        let cm = if p.pcompl then -1L else 0L in
+        let bit = first_diff data ~a:oa ~b:ob ~bm ~cm ~tail:prep.tail_mask ~len:(nw * 8) in
+        if bit >= 0 then begin
+          p.decided <- true;
+          Atomic.decr active;
+          verdicts.(p.ptag) <- Mismatch { pattern = (base * 64) + bit; inputs = prep.inputs }
+        end
       end
     in
     let np = Array.length prep.ppairs in
@@ -316,14 +343,19 @@ let scratch_key =
         nodes = 0;
       })
 
+(* A fresh row of the current window.  Its check covers every row below
+   it too, so the kernel's unchecked accesses to them stay inside
+   [sc.words]. *)
 let new_row sc =
   let r = sc.rows in
-  let need = (r + 1) * sc.nw * 8 in
+  let len = sc.nw * 8 in
+  let need = (r + 1) * len in
   if Bytes.length sc.words < need then begin
     let words = Bytes.create (max need (2 * Bytes.length sc.words)) in
-    Bytes.blit sc.words 0 words 0 (r * sc.nw * 8);
+    Bytes.blit sc.words 0 words 0 (r * len);
     sc.words <- words
   end;
+  check_range sc.words ~off:(r * len) ~len;
   sc.rows <- r + 1;
   r
 
@@ -339,15 +371,12 @@ let begin_window sc g inputs =
   sc.cur <- sc.cur + 1;
   let ni = Array.length inputs in
   sc.width <- ni;
-  sc.nw <- (if ni <= 6 then 1 else 1 lsl (ni - 6));
+  sc.nw <- tt_words ni;
   sc.rows <- 0;
   sc.nodes <- 0;
   for j = 0 to ni - 1 do
     let r = new_row sc in
-    let o = r * sc.nw * 8 in
-    for w = 0 to sc.nw - 1 do
-      Bytes.set_int64_ne sc.words (o + (w * 8)) (Bv.Tt.proj_word ~var:j w)
-    done;
+    proj_row sc.words ~off:(r * sc.nw * 8) ~var:j ~w0:0 ~nw:sc.nw;
     sc.stamp.(inputs.(j)) <- sc.cur;
     sc.row.(inputs.(j)) <- r
   done
@@ -367,17 +396,12 @@ let rec eval sc g n =
       if r1 < 0 then -1
       else begin
         let r = new_row sc in
-        let nw = sc.nw and data = sc.words in
-        let o0 = r0 * nw * 8 and o1 = r1 * nw * 8 and o = r * nw * 8 in
-        let m0 = if Aig.Lit.is_compl f0 then -1L else 0L in
-        let m1 = if Aig.Lit.is_compl f1 then -1L else 0L in
-        for k = 0 to nw - 1 do
-          let k = k * 8 in
-          Bytes.set_int64_ne data (o + k)
-            (Int64.logand
-               (Int64.logxor (Bytes.get_int64_ne data (o0 + k)) m0)
-               (Int64.logxor (Bytes.get_int64_ne data (o1 + k)) m1))
-        done;
+        let len = sc.nw * 8 in
+        and_rows sc.words ~dst:(r * len) ~a:(r0 * len)
+          ~m0:(if Aig.Lit.is_compl f0 then -1L else 0L)
+          ~b:(r1 * len)
+          ~m1:(if Aig.Lit.is_compl f1 then -1L else 0L)
+          ~len;
         sc.nodes <- sc.nodes + 1;
         sc.stamp.(n) <- sc.cur;
         sc.row.(n) <- r;
@@ -385,56 +409,30 @@ let rec eval sc g n =
       end
   end
 
-(* Trailing zeros of a non-zero int. *)
-let ctz_int x =
-  let n = ref 0 in
-  while (x lsr !n) land 1 = 0 do
-    incr n
-  done;
-  !n
-
 (* Outcome codes of [compare_pair]; a mismatch is its pattern, >= 0. *)
 let code_proved = -1
 let code_invalid = -2
 
 (* Compare [a] with [b] ([-1]: constant false), complemented when
-   [compl_], over the current window: the lowest differing pattern. *)
+   [compl_], over the current window: the lowest differing pattern.  Both
+   rows come from [new_row], which checked them. *)
 let compare_pair sc g ~a ~b ~compl_ =
   let ra = eval sc g a in
   let rb = if ra < 0 || b < 0 then -1 else eval sc g b in
   if ra < 0 || (b >= 0 && rb < 0) then code_invalid
   else begin
-    let nw = sc.nw and data = sc.words in
-    let tail_mask =
-      if sc.width >= 6 then -1L
-      else Int64.sub (Int64.shift_left 1L (1 lsl sc.width)) 1L
-    in
-    let cmask = if compl_ then -1L else 0L in
-    let res = ref code_proved and w = ref 0 in
-    while !res = code_proved && !w < nw do
-      let k = !w * 8 in
-      let x = Bytes.get_int64_ne data ((ra * nw * 8) + k) in
-      let y = if b < 0 then 0L else Bytes.get_int64_ne data ((rb * nw * 8) + k) in
-      let diff = Int64.logxor (Int64.logxor x y) cmask in
-      let diff = if !w = nw - 1 then Int64.logand diff tail_mask else diff in
-      if not (Int64.equal diff 0L) then begin
-        (* The lowest set bit, from the word's halves as ints: passing the
-           word to a function would box it. *)
-        let lo = Int64.to_int diff land 0xFFFF_FFFF in
-        let bit =
-          if lo <> 0 then ctz_int lo
-          else 32 + ctz_int (Int64.to_int (Int64.shift_right_logical diff 32))
-        in
-        res := (!w * 64) + bit
-      end;
-      incr w
-    done;
-    !res
+    let len = sc.nw * 8 in
+    (* [first_diff]'s "no difference" is [code_proved]. *)
+    first_diff sc.words ~a:(ra * len)
+      ~b:(if b < 0 then ra * len else rb * len)
+      ~bm:(if b < 0 then 0L else -1L)
+      ~cm:(if compl_ then -1L else 0L)
+      ~tail:(tail_mask sc.width) ~len
   end
 
 let count_small_window stats ~inputs ~nodes =
   let ni = Array.length inputs in
-  let nw = if ni <= 6 then 1 else 1 lsl (ni - 6) in
+  let nw = tt_words ni in
   stats.windows <- stats.windows + 1;
   stats.small_windows <- stats.small_windows + 1;
   stats.rounds <- stats.rounds + 1;

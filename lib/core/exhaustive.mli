@@ -6,7 +6,8 @@
     window row an entry of [E = 2^e] 64-bit words, with [E] chosen on the
     fly as the largest power of two such that the whole table fits in the
     [memory_words] budget; longer truth tables are simulated over multiple
-    rounds, re-deriving projection-table segments per round.
+    rounds.  An input's projection-table segment is written in the first
+    round and rewritten only in the rounds where it changes.
 
     Three dimensions of parallelism (paper Fig. 3) map onto the domain
     pool: multiple windows are simulated concurrently; inside a large

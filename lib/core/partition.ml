@@ -17,7 +17,9 @@ let union parent a b =
   let ra = find parent a and rb = find parent b in
   if ra <> rb then parent.(max ra rb) <- min ra rb
 
-let groups g =
+(* The union-find forest of [g]'s AND fanin edges, and the support groups
+   it induces on the POs. *)
+let forest g =
   let n = Aig.Network.num_nodes g in
   let parent = Array.init n Fun.id in
   Aig.Network.iter_ands g (fun id ->
@@ -39,7 +41,29 @@ let groups g =
   done;
   let gs = Hashtbl.fold (fun _ pos acc -> pos :: acc) by_root [] in
   let gs = List.sort compare gs in
-  if !const_group = [] then gs else !const_group :: gs
+  (parent, if !const_group = [] then gs else !const_group :: gs)
+
+let groups g = snd (forest g)
+
+(* A group's POs' cones lie inside its component and no other group's
+   cone reaches it, so the cone ANDs of every group are counted by one
+   TFI pass over all PO drivers, per component root. *)
+let sized_groups g =
+  let parent, gs = forest g in
+  let driver i = Aig.Lit.node (Aig.Network.po g i) in
+  let roots = List.init (Aig.Network.num_pos g) driver |> List.filter (( <> ) 0) in
+  let cone = Aig.Cone.tfi g ~roots:(Array.of_list roots) in
+  let count = Array.make (Aig.Network.num_nodes g) 0 in
+  Aig.Network.iter_ands g (fun id ->
+      if cone.(id) then
+        let r = find parent id in
+        count.(r) <- count.(r) + 1);
+  List.map
+    (fun pos ->
+      match pos with
+      | i :: _ when driver i <> 0 -> (pos, count.(find parent (driver i)))
+      | _ -> (pos, 0))
+    gs
 
 let extract g pos =
   let roots =

@@ -12,6 +12,10 @@
     present). *)
 val groups : Aig.Network.t -> int list list
 
+(** [sized_groups g] is [groups g] with each group's {!cone_ands},
+    counted in one pass over [g] for all groups. *)
+val sized_groups : Aig.Network.t -> (int list * int) list
+
 (** [extract g pos] builds the sub-network containing only the listed POs,
     its cone, and the PIs in that cone; returns the network and, for each
     of its PIs, the original PI index. *)

@@ -22,7 +22,7 @@ type t = {
    simply drop out of the plan. *)
 let build ~max_ands g =
   let max_ands = max 1 max_ands in
-  let gs = P.groups g in
+  let gs = P.sized_groups g in
   let n_groups = List.length gs in
   let early = ref None in
   let split_groups = ref 0 in
@@ -37,13 +37,12 @@ let build ~max_ands g =
     end
   in
   List.iter
-    (fun group ->
+    (fun (group, ands) ->
       if !early = None then
         match P.const_verdict g group with
         | Some Simsweep.Engine.Proved -> ()
         | Some verdict -> early := Some verdict
         | None ->
-            let ands = P.cone_ands g group in
             if ands > max_ands then begin
               let split = P.split_group g ~max_ands ~ands group in
               if List.compare_length_with split 1 > 0 then incr split_groups;

@@ -102,13 +102,16 @@ let test_root_is_input () =
   | _ -> Alcotest.fail "y != x over this cut"
 
 let test_multi_round_tiny_memory () =
-  (* A 9-input window has 8 truth-table words; a tiny budget forces
-     several rounds and the verdicts must not change. *)
-  let g = Gen.Arith.adder ~bits:4 in
+  (* A 12-input window goes to the simulation table, with 64 truth-table
+     words; a tiny budget forces several rounds per window and the
+     verdicts must not change. *)
+  let g = Gen.Arith.adder ~bits:6 in
   let opt = Opt.Xorflip.run g in
   let m = Aig.Miter.build g opt in
   let po_node i = Aig.Lit.node (Aig.Network.po m i) in
   let pis = Array.init (Aig.Network.num_pis m) (fun i -> Aig.Network.pi m i) in
+  Alcotest.(check bool) "table path" true
+    (Array.length pis > Simsweep.Exhaustive.small_inputs);
   let mk_jobs () =
     List.filter_map
       (fun i ->
@@ -129,9 +132,21 @@ let test_multi_round_tiny_memory () =
             })
       (List.init (Aig.Network.num_pos m) Fun.id)
   in
-  let big = run_jobs ~memory_words:(1 lsl 20) m (mk_jobs ()) (Aig.Network.num_pos m) in
-  let small = run_jobs ~memory_words:600 m (mk_jobs ()) (Aig.Network.num_pos m) in
+  let run memory_words =
+    let stats = Simsweep.Exhaustive.new_stats () in
+    let v =
+      Util.with_pool (fun pool ->
+          Simsweep.Exhaustive.run m ~pool ~memory_words ~stats ~jobs:(mk_jobs ())
+            ~num_tags:(Aig.Network.num_pos m) ())
+    in
+    (v, stats)
+  in
+  let big, _ = run (1 lsl 20) in
+  let small, stats = run 600 in
   Alcotest.(check bool) "same verdicts across budgets" true (big = small);
+  Alcotest.(check bool) "several rounds per window" true
+    (stats.Simsweep.Exhaustive.rounds > stats.Simsweep.Exhaustive.windows);
+  Alcotest.(check int) "no small windows" 0 stats.Simsweep.Exhaustive.small_windows;
   Array.iteri
     (fun i v ->
       if Aig.Network.po m i <> Aig.Lit.const_false then
@@ -454,6 +469,88 @@ let prop_small_evaluator_matches_plain =
       && stats.Simsweep.Exhaustive.small_windows = List.length jobs
       && alone_agrees)
 
+(* Jobs of 11 to 14 inputs, which the simulation table answers: every
+   PI of a 9-PI network plus internal nodes, so each cone is bounded and
+   some roots sit on the window's inputs.  Pairs compare random nodes, a
+   node with itself, or a node with the constant.  A window's rows are
+   its inputs and its cone, so [rows] sizes the budgets exactly. *)
+let gen_table_jobs =
+  QCheck.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* njobs = int_range 1 3 in
+    let* specs =
+      list_repeat njobs
+        (let* width = int_range 11 14 in
+         let* extra = list_repeat 12 (int_range 0 1000) in
+         let* pairs =
+           list_size (int_range 1 4)
+             (triple (int_range 0 1000) (int_range 0 2) (pair (int_range 0 1000) bool))
+         in
+         return (width, extra, pairs))
+    in
+    return (seed, specs))
+
+let prop_table_matches_plain =
+  QCheck.Test.make ~name:"table path matches a plain evaluator" ~count:25
+    (QCheck.make gen_table_jobs) (fun (seed, specs) ->
+      let g = Util.random_network ~pis:9 ~nodes:80 ~pos:3 seed in
+      let n = Aig.Network.num_nodes g in
+      let pis = List.init (Aig.Network.num_pis g) (Aig.Network.pi g) in
+      let tag = ref 0 in
+      let jobs =
+        List.map
+          (fun (width, extra, pairs) ->
+            (* Internal nodes only: PIs are already in, node 0 is the constant. *)
+            let extra =
+              List.map (fun x -> x mod n) extra
+              |> List.filter (fun x -> x > 0 && not (List.mem x pis))
+              |> List.sort_uniq compare
+            in
+            let inputs =
+              List.sort_uniq compare (pis @ List.filteri (fun i _ -> i < width - 9) extra)
+              |> Array.of_list
+            in
+            let pairs =
+              List.map
+                (fun (a, kind, (b, compl_)) ->
+                  (* Node 0, the constant, would leave the cone unbounded. *)
+                  let a = 1 + (a mod (n - 1)) in
+                  let b = match kind with 0 -> 1 + (b mod (n - 1)) | 1 -> a | _ -> -1 in
+                  incr tag;
+                  { Simsweep.Exhaustive.a; b; compl_; tag = !tag - 1 })
+                pairs
+            in
+            { Simsweep.Exhaustive.inputs; pairs })
+          specs
+      in
+      let num_tags = !tag in
+      let expected = Array.make num_tags Simsweep.Exhaustive.Invalid in
+      List.iter (fun job -> plain_window g job expected) jobs;
+      let rows (job : Simsweep.Exhaustive.job) =
+        let roots =
+          List.concat_map (fun (p : Simsweep.Exhaustive.pair) -> [ p.a; p.b ]) job.pairs
+          |> List.filter (fun x -> x > 0 && not (Array.mem x job.inputs))
+        in
+        match Aig.Cone.extract g ~roots:(Array.of_list roots) ~inputs:job.inputs with
+        | Some w -> Array.length w.Aig.Cone.inputs + Array.length w.Aig.Cone.nodes
+        | None -> 0
+      in
+      let total_rows = List.fold_left (fun acc job -> acc + rows job) 0 jobs in
+      (* Budget 1 runs each window alone with E = 1; 8 rows per window row
+         puts them in one chunk with E = 4; 2^22 holds every whole table. *)
+      List.for_all
+        (fun memory_words ->
+          let stats = Simsweep.Exhaustive.new_stats () in
+          let got =
+            Util.with_pool (fun pool ->
+                Simsweep.Exhaustive.run g ~pool ~memory_words ~stats ~jobs ~num_tags ())
+          in
+          got = expected
+          && stats.Simsweep.Exhaustive.small_windows = 0
+          && Array.for_all (fun (j : Simsweep.Exhaustive.job) -> Array.length j.inputs > 10)
+               (Array.of_list jobs))
+        [ 1; 8 * total_rows; 1 lsl 22 ])
+
 let () =
   Alcotest.run "exhaustive"
     [
@@ -473,5 +570,6 @@ let () =
             prop_matches_truth_tables;
             prop_budget_independent;
             prop_small_evaluator_matches_plain;
+            prop_table_matches_plain;
           ] );
     ]

@@ -16,6 +16,26 @@ let test_groups_cover_all () =
     (List.init (Aig.Network.num_pos g) Fun.id)
     all
 
+let test_sized_groups () =
+  (* A miter of several groups, plus an AND outside every cone, a PO on a
+     bare PI and a constant PO: the one-pass counts are each group's cone. *)
+  let g = Gen.Control.regfile ~regs:4 ~width:4 in
+  let m = Gen.Double.times 2 (Aig.Miter.build g (Opt.Resyn.light g)) in
+  let pi i = Aig.Lit.make (Aig.Network.pi m i) false in
+  ignore (Aig.Network.add_and_raw m (pi 0) (Aig.Lit.neg (pi 1)));
+  Aig.Network.add_po m (pi 0);
+  Aig.Network.add_po m Aig.Lit.const_false;
+  let sized = Simsweep.Partition.sized_groups m in
+  Alcotest.(check (list (list int))) "same groups" (Simsweep.Partition.groups m)
+    (List.map fst sized);
+  Alcotest.(check bool) "several groups" true (List.length sized >= 4);
+  Alcotest.(check int) "dangling AND in no cone" (Aig.Network.num_ands m - 1)
+    (List.fold_left (fun acc (_, ands) -> acc + ands) 0 sized);
+  List.iter
+    (fun (pos, ands) ->
+      Alcotest.(check int) "cone ands" (Simsweep.Partition.cone_ands m pos) ands)
+    sized
+
 let test_extract () =
   let g = Gen.Double.double (Gen.Arith.adder ~bits:3) in
   (* Extract only the second copy's outputs (POs 4..7). *)
@@ -169,6 +189,7 @@ let () =
         [
           Alcotest.test_case "groups doubled" `Quick test_groups_doubled;
           Alcotest.test_case "groups cover" `Quick test_groups_cover_all;
+          Alcotest.test_case "sized groups" `Quick test_sized_groups;
           Alcotest.test_case "extract" `Quick test_extract;
           Alcotest.test_case "check equivalent" `Quick test_partition_check_equivalent;
           Alcotest.test_case "check inequivalent" `Quick test_partition_check_inequivalent;
