@@ -4,6 +4,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type outcome = Proved | Disproved of Sim.Cex.t * int | Undecided
 
+let of_sat_outcome = function
+  | Sat.Sweep.Equivalent -> Proved
+  | Sat.Sweep.Inequivalent (cex, po) -> Disproved (cex, po)
+  | Sat.Sweep.Undecided -> Undecided
+
 type run_result = {
   outcome : outcome;
   reduced : Aig.Network.t;
@@ -423,8 +428,8 @@ type combined = {
   final : outcome;
 }
 
-let check_with_fallback ?config ?(sat_config = Sat.Sweep.default_config)
-    ?(transfer_classes = false) ?cancel ~pool miter =
+let check_with_fallback ?config ?(transfer_classes = false) ?cancel ~pool
+    miter =
   let engine = run ?config ?cancel ~pool miter in
   match engine.outcome with
   | Proved | Disproved _ ->
@@ -435,18 +440,11 @@ let check_with_fallback ?config ?(sat_config = Sat.Sweep.default_config)
   | Undecided ->
       let classes = if transfer_classes then engine.classes else None in
       let sat_outcome, sat_stats =
-        Sat.Sweep.check ~config:sat_config ?classes ?cancel ~pool
-          engine.reduced
-      in
-      let final =
-        match sat_outcome with
-        | Sat.Sweep.Equivalent -> Proved
-        | Sat.Sweep.Inequivalent (cex, po) -> Disproved (cex, po)
-        | Sat.Sweep.Undecided -> Undecided
+        Sat.Sweep.check ?classes ?cancel ~pool engine.reduced
       in
       {
         engine;
         sat_outcome = Some sat_outcome;
         sat_stats = Some sat_stats;
-        final;
+        final = of_sat_outcome sat_outcome;
       }

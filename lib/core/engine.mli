@@ -15,6 +15,9 @@ type outcome =
   | Disproved of Sim.Cex.t * int  (** CEX and the PO it sets *)
   | Undecided  (** engine finished without proving the miter *)
 
+(** The SAT sweeper's verdict as an engine outcome. *)
+val of_sat_outcome : Sat.Sweep.outcome -> outcome
+
 type run_result = {
   outcome : outcome;
   reduced : Aig.Network.t;  (** the miter after all reductions *)
@@ -72,7 +75,6 @@ type combined = {
     and returns [Undecided]. *)
 val check_with_fallback :
   ?config:Config.t ->
-  ?sat_config:Sat.Sweep.config ->
   ?transfer_classes:bool ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->

@@ -24,9 +24,8 @@ let conclusive = function
   | Engine.Proved | Engine.Disproved _ -> true
   | Engine.Undecided -> false
 
-let check ?(config = Config.default) ?(sat_config = Sat.Sweep.default_config)
-    ?(bdd_node_limit = 1 lsl 20) ?bdd_step_limit ?mode:(_ : mode = `Sequential)
-    ?cancel ~pool miter =
+let check ?(config = Config.default) ?(bdd_node_limit = 1 lsl 20)
+    ?bdd_step_limit ?mode:(_ : mode = `Sequential) ?cancel ~pool miter =
   let t0 = Unix.gettimeofday () in
   let per = ref [] in
   let timed e f =
@@ -71,12 +70,8 @@ let check ?(config = Config.default) ?(sat_config = Sat.Sweep.default_config)
            has no winner. *)
         let sat_outcome, sat_stats =
           timed Sat_engine (fun () ->
-              Sat.Sweep.check ~config:sat_config ?cancel ~pool
-                er.Engine.reduced)
+              Sat.Sweep.check ?cancel ~pool er.Engine.reduced)
         in
-        let finish = finish ~engine_stats ~sat_stats ~bdd_timeout in
-        match sat_outcome with
-        | Sat.Sweep.Equivalent -> finish Engine.Proved (Some Sat_engine)
-        | Sat.Sweep.Inequivalent (cex, po) ->
-            finish (Engine.Disproved (cex, po)) (Some Sat_engine)
-        | Sat.Sweep.Undecided -> finish Engine.Undecided None)
+        let outcome = Engine.of_sat_outcome sat_outcome in
+        finish ~engine_stats ~sat_stats ~bdd_timeout outcome
+          (if conclusive outcome then Some Sat_engine else None))

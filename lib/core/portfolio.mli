@@ -32,14 +32,13 @@ type result = {
       (** SAT-sweeper telemetry, when the sweeper ran *)
 }
 
-(** [check ?config ?sat_config ?bdd_node_limit ?bdd_step_limit ?mode
+(** [check ?config ?bdd_node_limit ?bdd_step_limit ?mode
     ?cancel ~pool miter].  [bdd_step_limit] defaults to
     [64 * bdd_node_limit] (see {!Bdd.check}); [mode] names the only
     schedule.  [cancel] bounds every member engine; a cancelled portfolio
     reports [Undecided] with no winner. *)
 val check :
   ?config:Config.t ->
-  ?sat_config:Sat.Sweep.config ->
   ?bdd_node_limit:int ->
   ?bdd_step_limit:int ->
   ?mode:mode ->

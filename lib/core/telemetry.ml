@@ -304,18 +304,6 @@ let string_member key j =
 let list_member key j =
   match member key j with Some (List l) -> Some l | _ -> None
 
-(* --- wire I/O counters ---------------------------------------------------- *)
-
-type io = {
-  mutable io_bytes_tx : int;
-  mutable io_bytes_rx : int;
-  mutable io_frames_tx : int;
-  mutable io_frames_rx : int;
-}
-
-let io_create () =
-  { io_bytes_tx = 0; io_bytes_rx = 0; io_frames_tx = 0; io_frames_rx = 0 }
-
 (* --- stat snapshots ------------------------------------------------------ *)
 
 let of_exhaustive (s : Exhaustive.stats) =
@@ -353,23 +341,6 @@ let of_pool (s : Par.Pool.stats) =
       ("region_jobs", Int s.region_jobs);
     ]
 
-let of_simplify (s : Sat.Simplify.stats) =
-  Obj
-    [
-      ("rounds", Int s.s_rounds);
-      ("units", Int s.s_units);
-      ("eliminated", Int s.s_eliminated);
-      ("subsumed", Int s.s_subsumed);
-      ("strengthened", Int s.s_strengthened);
-      ("equiv_lits", Int s.s_elit);
-      ("xor_rows", Int s.s_xor_rows);
-      ("xor_units", Int s.s_xor_units);
-      ("xor_equivs", Int s.s_xor_equivs);
-      ("probes", Int s.s_probes);
-      ("failed_lits", Int s.s_failed_lits);
-      ("cancelled", Bool s.s_cancelled);
-    ]
-
 let of_sat (s : Sat.Sweep.stats) =
   Obj
     [
@@ -382,12 +353,10 @@ let of_sat (s : Sat.Sweep.stats) =
       ("merged", Int s.merged);
       ("rounds", Int s.rounds);
       ("cex_count", Int s.cex_count);
-      ("rsim_splits", Int s.rsim_splits);
       ("cnf_loads", Int s.cnf_loads);
       ("restarts", Int s.restarts);
       ("reduce_dbs", Int s.reduce_dbs);
       ("learnts_removed", Int s.learnts_removed);
-      ("simplify", of_simplify s.simp);
     ]
 
 let of_engine_stats (s : Stats.t) =

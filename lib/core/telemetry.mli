@@ -43,21 +43,6 @@ val float_member : string -> json -> float option
 val string_member : string -> json -> string option
 val list_member : string -> json -> json list option
 
-(** {1 Wire I/O counters}
-
-    Mutable per-connection counters threaded through the frame layer
-    ([Shard.Protocol]): payload-inclusive bytes and frames in each
-    direction. *)
-
-type io = {
-  mutable io_bytes_tx : int;
-  mutable io_bytes_rx : int;
-  mutable io_frames_tx : int;
-  mutable io_frames_rx : int;
-}
-
-val io_create : unit -> io
-
 (** Pretty-printed snapshot written to [file], with a trailing newline. *)
 val write_file : string -> json -> unit
 
@@ -67,10 +52,6 @@ val of_exhaustive : Exhaustive.stats -> json
 val of_psim : Sim.Psim.stats -> json
 val of_pool : Par.Pool.stats -> json
 val of_sat : Sat.Sweep.stats -> json
-
-(** Preprocessing counters ({!Sat.Simplify.stats}); nested under
-    ["simplify"] inside {!of_sat} output. *)
-val of_simplify : Sat.Simplify.stats -> json
 val of_engine_stats : Stats.t -> json
 
 (** Lower-case outcome tag: ["equivalent"], ["not_equivalent"],

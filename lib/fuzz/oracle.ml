@@ -18,10 +18,8 @@ let of_engine_outcome = function
   | Simsweep.Engine.Disproved (cex, po) -> V_inequivalent (cex, po)
   | Simsweep.Engine.Undecided -> V_unknown "undecided"
 
-let of_sat_outcome = function
-  | Sat.Sweep.Equivalent -> V_equivalent
-  | Sat.Sweep.Inequivalent (cex, po) -> V_inequivalent (cex, po)
-  | Sat.Sweep.Undecided -> V_unknown "undecided"
+(* A direct SAT check, through the engines' verdict mapping. *)
+let of_sat_outcome o = of_engine_outcome (Simsweep.Engine.of_sat_outcome o)
 
 (* An engine of the shared table, under its oracle name. *)
 let of_table name engine =

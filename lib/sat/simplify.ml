@@ -84,20 +84,6 @@ let mk_stats () =
     s_cancelled = false;
   }
 
-let add_stats dst src =
-  dst.s_rounds <- dst.s_rounds + src.s_rounds;
-  dst.s_units <- dst.s_units + src.s_units;
-  dst.s_eliminated <- dst.s_eliminated + src.s_eliminated;
-  dst.s_subsumed <- dst.s_subsumed + src.s_subsumed;
-  dst.s_strengthened <- dst.s_strengthened + src.s_strengthened;
-  dst.s_elit <- dst.s_elit + src.s_elit;
-  dst.s_xor_rows <- dst.s_xor_rows + src.s_xor_rows;
-  dst.s_xor_units <- dst.s_xor_units + src.s_xor_units;
-  dst.s_xor_equivs <- dst.s_xor_equivs + src.s_xor_equivs;
-  dst.s_probes <- dst.s_probes + src.s_probes;
-  dst.s_failed_lits <- dst.s_failed_lits + src.s_failed_lits;
-  dst.s_cancelled <- dst.s_cancelled || src.s_cancelled
-
 type recon = R_clause of int array | R_subst of { v : int; lit : int }
 
 type result = {

@@ -11,7 +11,7 @@
     stack; given any model of the simplified clauses (over the
     non-eliminated variables), {!extend_model} fills in the eliminated
     variables so the result satisfies every original clause.  This is
-    what keeps `Sat.Sweep` counter-examples replayable after
+    what keeps `Sat.Sweep.check_direct` counter-examples replayable after
     simplification.
 
     {b Cancellation contract}: every pass polls [cancel] at its loop
@@ -51,9 +51,6 @@ type stats = {
 }
 
 val mk_stats : unit -> stats
-
-(** [add_stats dst src] accumulates [src] into [dst]. *)
-val add_stats : stats -> stats -> unit
 
 (** One model-reconstruction record.  [R_subst] binds an eliminated
     variable to a literal's value; [R_clause] (eliminated literal first)

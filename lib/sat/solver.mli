@@ -5,9 +5,12 @@
     learning, LBD-scored learnt-clause database reduction.  Supports
     incremental solving under assumptions and per-call conflict limits —
     the two features SAT sweeping relies on (the paper's baseline runs
-    ABC [&cec] with a conflict budget per call) — plus an optional
-    {!simplify} preprocessing call (BVE, subsumption, equivalent
-    literals, XOR/Gauss, failed-literal probing; see {!Simplify}). *)
+    ABC [&cec] with a conflict budget per call).  SAT sweeping uses the
+    solver plain.  An optional {!simplify} preprocessing call (BVE,
+    subsumption, equivalent literals, XOR/Gauss, failed-literal probing;
+    see {!Simplify}) serves the monolithic per-output check
+    ({!Sweep.check_direct}) and DIMACS solving, where it was measured to
+    pay. *)
 
 type t
 

@@ -1,21 +1,12 @@
-type config = {
-  conflict_limit : int;
-  sim_words : int;
-  seed : int64;
-  max_rounds : int;
-  cex_batch : int;
-  use_reverse_sim : bool;
-}
-
-let default_config =
-  {
-    conflict_limit = 1000;
-    sim_words = 4;
-    seed = 0x5eedL;
-    max_rounds = 30;
-    cex_batch = 48;
-    use_reverse_sim = false;
-  }
+(* The sweeping constants, ABC [&cec]-like: a conflict budget per
+   pair-proving SAT call ([-C]), 64-bit words per partial-simulation
+   signature, the simulation seed, a round cap, and the number of fresh
+   counter-examples after which a round stops to resimulate. *)
+let conflict_limit = 1000
+let sim_words = 4
+let seed = 0x5eedL
+let max_rounds = 30
+let cex_batch = 48
 
 type outcome = Equivalent | Inequivalent of Sim.Cex.t * int | Undecided
 
@@ -27,14 +18,12 @@ type stats = {
   mutable merged : int;
   mutable rounds : int;
   mutable cex_count : int;
-  mutable rsim_splits : int;
   mutable candidates : int;
   mutable conflicts : int;
   mutable cnf_loads : int;
   mutable restarts : int;
   mutable reduce_dbs : int;
   mutable learnts_removed : int;
-  simp : Simplify.stats;
 }
 
 let new_stats () =
@@ -46,43 +35,25 @@ let new_stats () =
     merged = 0;
     rounds = 0;
     cex_count = 0;
-    rsim_splits = 0;
     candidates = 0;
     conflicts = 0;
     cnf_loads = 0;
     restarts = 0;
     reduce_dbs = 0;
     learnts_removed = 0;
-    simp = Simplify.mk_stats ();
   }
 
-(* Fold one solver's search/preprocessing counters into sweep stats. *)
+(* Fold one solver's search counters into sweep stats. *)
 let absorb_solver stats solver =
   stats.conflicts <- stats.conflicts + Solver.num_conflicts solver;
   stats.restarts <- stats.restarts + Solver.num_restarts solver;
   stats.reduce_dbs <- stats.reduce_dbs + Solver.num_reduce_dbs solver;
   stats.learnts_removed <-
-    stats.learnts_removed + Solver.num_learnts_removed solver;
-  Simplify.add_stats stats.simp (Solver.simp_stats solver)
-
-(* Preprocess [solver] for PO checking on [g]: the unsolved PO node
-   variables are frozen (they are assumed one by one afterwards), every
-   other variable — PIs included — may be eliminated; counter-example
-   values for eliminated PIs come back through model reconstruction. *)
-let simplify_for_pos ?cancel solver g pos =
-  let frozen =
-    List.filter_map
-      (fun po ->
-        let l = Aig.Network.po g po in
-        if Aig.Network.is_const (Aig.Lit.node l) then None
-        else Some (Solver.var_of_lit (Cnf.lit l)))
-      pos
-  in
-  Solver.simplify ?cancel ~frozen solver
+    stats.learnts_removed + Solver.num_learnts_removed solver
 
 (* Prove [target = repr_lit] on [g] through two SAT calls; [solver] holds
    the CNF of [g].  Returns [`Proved], [`Cex assignment] or [`Unknown]. *)
-let prove_pair solver stats ~conflict_limit ?cancel g repr_lit target =
+let prove_pair solver stats ?cancel g repr_lit target =
   let a = Cnf.lit repr_lit and b = Cnf.lit target in
   let query assumptions =
     stats.sat_calls <- stats.sat_calls + 1;
@@ -126,21 +97,21 @@ let prove_pair solver stats ~conflict_limit ?cancel g repr_lit target =
    commits every verdict as it goes, until [cex_batch] fresh
    counter-examples call for resimulation.  Only partial simulation uses
    the pool, so the result is bit-identical for any pool size. *)
-let sweep_core ?(config = default_config) ?classes ?cancel ~pool ~stats g0 =
-  let rng = Sim.Rng.create ~seed:config.seed in
+let sweep_core ?classes ?cancel ~pool ~stats g0 =
+  let rng = Sim.Rng.create ~seed in
   let g = ref g0 in
   let carried_classes = ref classes in
   let pending_cexs = ref [] in
   let finished = ref false in
   let round = ref 0 in
   while
-    (not !finished) && !round < config.max_rounds
+    (not !finished) && !round < max_rounds
     && not (Par.Cancel.poll_opt cancel)
   do
     incr round;
     stats.rounds <- stats.rounds + 1;
     let sigs =
-      Sim.Psim.run !g ~nwords:config.sim_words ~rng ~pool ~embed:!pending_cexs
+      Sim.Psim.run !g ~nwords:sim_words ~rng ~pool ~embed:!pending_cexs
     in
     pending_cexs := [];
     let classes =
@@ -168,22 +139,9 @@ let sweep_core ?(config = default_config) ?classes ?cancel ~pool ~stats g0 =
         stats.cnf_loads <- stats.cnf_loads + 1;
         let loaded = Cnf.load solver cur in
         assert loaded;
-        (* Preprocess with every node variable the round may assume
-           frozen. *)
-        let frozen = ref [] in
-        Array.iter
-          (fun { Sim.Eclass.repr; other; _ } ->
-            if not (Aig.Network.is_const repr) then frozen := repr :: !frozen;
-            frozen := other :: !frozen)
-          pairs;
-        Solver.simplify ?cancel ~frozen:!frozen solver;
         let i = ref 0 in
-        (* [poll_opt], not [is_set_opt]: a pair decided by reverse
-           simulation makes no SAT call, so a run of such pairs would
-           otherwise never consult the clock and an expired deadline
-           would only latch at the next round boundary. *)
         while
-          !i < n && !fresh_cexs < config.cex_batch
+          !i < n && !fresh_cexs < cex_batch
           && not (Par.Cancel.poll_opt cancel)
         do
           let { Sim.Eclass.repr; other; compl_ } = pairs.(!i) in
@@ -197,24 +155,7 @@ let sweep_core ?(config = default_config) ?classes ?cancel ~pool ~stats g0 =
               stats.merged <- stats.merged + 1
             end
           in
-          (* Reverse simulation first: a justified distinguishing
-             pattern disproves the pair without any SAT effort. *)
-          let rsim_cex =
-            if not config.use_reverse_sim then None
-            else
-              match Sim.Rsim.justify_pair cur target repr_lit with
-              | Some c -> Some c
-              | None -> Sim.Rsim.justify_pair cur repr_lit target
-          in
-          (match
-             match rsim_cex with
-             | Some cex ->
-                 stats.rsim_splits <- stats.rsim_splits + 1;
-                 `Cex cex
-             | None ->
-                 prove_pair solver stats ~conflict_limit:config.conflict_limit
-                   ?cancel cur repr_lit target
-           with
+          (match prove_pair solver stats ?cancel cur repr_lit target with
           | `Proved -> merge ()
           | `Cex cex ->
               stats.cex_count <- stats.cex_count + 1;
@@ -235,9 +176,9 @@ let sweep_core ?(config = default_config) ?classes ?cancel ~pool ~stats g0 =
   done;
   !g
 
-let check ?(config = default_config) ?classes ?cancel ~pool g0 =
+let check ?classes ?cancel ~pool g0 =
   let stats = new_stats () in
-  let g = sweep_core ~config ?classes ?cancel ~pool ~stats g0 in
+  let g = sweep_core ?classes ?cancel ~pool ~stats g0 in
   (* Final PO checking on the reduced miter. *)
   let outcome =
     if Aig.Miter.solved g then Equivalent
@@ -249,7 +190,6 @@ let check ?(config = default_config) ?classes ?cancel ~pool g0 =
       if not loaded then Equivalent
       else begin
         let unsolved = Aig.Miter.unsolved_outputs g in
-        simplify_for_pos ?cancel solver g unsolved;
         let rec check_pos = function
           | [] -> Equivalent
           | po :: rest -> (
@@ -277,10 +217,10 @@ let check ?(config = default_config) ?classes ?cancel ~pool g0 =
   in
   (outcome, stats)
 
-let fraig ?(config = default_config) ?cancel ~pool g =
+let fraig ?cancel ~pool g =
   let stats = new_stats () in
   (* Work on a copy: sweeping mutates nothing, but Reduce renumbers. *)
-  let reduced = sweep_core ~config ?cancel ~pool ~stats (Aig.Network.copy g) in
+  let reduced = sweep_core ?cancel ~pool ~stats (Aig.Network.copy g) in
   (reduced, stats)
 
 let check_direct ?(simplify = true) ?(conflict_limit = max_int) ?cancel g =
@@ -290,7 +230,21 @@ let check_direct ?(simplify = true) ?(conflict_limit = max_int) ?cancel g =
     if not (Cnf.load solver g) then Equivalent
     else begin
       let unsolved = Aig.Miter.unsolved_outputs g in
-      if simplify then simplify_for_pos ?cancel solver g unsolved;
+      (* Preprocess with the unsolved PO variables frozen (they are
+         assumed one by one below); every other variable, PIs included,
+         may be eliminated, and counter-example values for eliminated PIs
+         come back through model reconstruction. *)
+      if simplify then begin
+        let frozen =
+          List.filter_map
+            (fun po ->
+              let l = Aig.Network.po g po in
+              if Aig.Network.is_const (Aig.Lit.node l) then None
+              else Some (Solver.var_of_lit (Cnf.lit l)))
+            unsolved
+        in
+        Solver.simplify ?cancel ~frozen solver
+      end;
       let rec go = function
         | [] -> Equivalent
         | po :: rest -> (

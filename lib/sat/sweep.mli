@@ -5,31 +5,18 @@
     candidate pairs are proved by incremental SAT under assumptions with a
     per-call conflict budget; counter-examples refine the classes; proved
     pairs are merged and the miter reduced; rounds repeat until a fixed
-    point, and finally the remaining POs are checked by SAT.  Every
-    solver is preprocessed ({!Solver.simplify}: BVE, subsumption,
-    equivalent literals, XOR/Gauss, probing) with the variables it will
-    be asked about frozen; counter-examples stay valid because eliminated
-    PI values are reconstructed into the model.
+    point, and finally the remaining POs are checked by SAT.  The solvers
+    are plain: no preprocessing, so every variable stays available to
+    the assumptions.  The sweep has no options; its constants (1000
+    conflicts per pair call, 4-word signatures, at most 30 rounds,
+    resimulation after 48 fresh counter-examples) are ABC-like.  Only
+    {!check_direct} preprocesses ({!Solver.simplify}).
 
     SAT is sequential: each round proves its pairs in pair-index order on
     one incremental solver and commits each verdict as it goes, so learnt
     clauses carry from pair to pair.  Only partial simulation runs on the
     pool; verdicts, merge counts, reduced networks and stats are
     bit-identical for any pool size. *)
-
-type config = {
-  conflict_limit : int;  (** budget per pair-proving SAT call (ABC's [-C]) *)
-  sim_words : int;  (** 64-bit words per partial-simulation signature *)
-  seed : int64;
-  max_rounds : int;
-  cex_batch : int;  (** resimulate after this many fresh counter-examples *)
-  use_reverse_sim : bool;
-      (** try backward justification ({!Sim.Rsim.justify_pair}) to disprove
-          a candidate pair before spending SAT effort on it (§V, after
-          Zhang et al.) *)
-}
-
-val default_config : config
 
 type outcome =
   | Equivalent
@@ -44,32 +31,29 @@ type stats = {
   mutable merged : int;
   mutable rounds : int;
   mutable cex_count : int;
-  mutable rsim_splits : int;  (** pairs disproved by reverse simulation *)
   mutable candidates : int;  (** candidate pairs attempted *)
   mutable conflicts : int;  (** CDCL conflicts, summed over all solvers *)
   mutable cnf_loads : int;  (** solver CNF loads (one per round with pairs) *)
   mutable restarts : int;  (** CDCL restarts, summed over all solvers *)
   mutable reduce_dbs : int;  (** learnt-database reductions *)
   mutable learnts_removed : int;  (** learnt clauses dropped by reductions *)
-  simp : Simplify.stats;  (** preprocessing counters, summed over solvers *)
 }
 
-(** [check ?config ?classes ?cancel ~pool miter] decides whether
+(** [check ?classes ?cancel ~pool miter] decides whether
     every PO of [miter] is constant false.  [classes] optionally seeds the
     equivalence classes (EC transfer from the simulation engine, paper
     §V); node ids in [classes] must refer to [miter].  [cancel] is polled
     at round boundaries, between pairs and inside the SAT search; a
     cancelled check returns [Undecided]. *)
 val check :
-  ?config:config ->
   ?classes:Sim.Eclass.t ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->
   outcome * stats
 
-(** Direct SAT check of every PO without sweeping (used by tests and as a
-    portfolio member on small miters).  [simplify] (default true)
+(** Direct SAT check of every PO without sweeping (the [satdirect]
+    engine, and a fuzz-oracle member).  [simplify] (default true)
     preprocesses the solver before the PO loop, with the PO variables
     frozen; [~simplify:false] gives the plain solver — the fuzz oracle
     cross-checks the two on every case. *)
@@ -86,7 +70,6 @@ val check_direct :
     check.  The result is functionally equivalent to the input and never
     larger. *)
 val fraig :
-  ?config:config ->
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->

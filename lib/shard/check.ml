@@ -76,13 +76,13 @@ let check ?(config = default_config) ?cancel g =
   let slots = max 1 config.workers in
   let n_workers = min slots (List.length plan.Plan.shards) in
   let stats = Stats.create ~workers:n_workers in
-  let io = Simsweep.Telemetry.io_create () in
+  let io = Pr.io_create () in
   let finish outcome =
     stats.wall_s <- Unix.gettimeofday () -. t_start;
-    stats.bytes_tx <- io.Simsweep.Telemetry.io_bytes_tx;
-    stats.bytes_rx <- io.Simsweep.Telemetry.io_bytes_rx;
-    stats.frames_tx <- io.Simsweep.Telemetry.io_frames_tx;
-    stats.frames_rx <- io.Simsweep.Telemetry.io_frames_rx;
+    stats.bytes_tx <- io.Pr.io_bytes_tx;
+    stats.bytes_rx <- io.Pr.io_bytes_rx;
+    stats.frames_tx <- io.Pr.io_frames_tx;
+    stats.frames_rx <- io.Pr.io_frames_rx;
     (outcome, stats)
   in
   stats.groups <- plan.Plan.groups;

@@ -7,7 +7,16 @@
    each [Shard_check] frame yields exactly one reply frame, in order. *)
 
 type json = Simsweep.Telemetry.json
-type io = Simsweep.Telemetry.io
+
+type io = {
+  mutable io_bytes_tx : int;
+  mutable io_bytes_rx : int;
+  mutable io_frames_tx : int;
+  mutable io_frames_rx : int;
+}
+
+let io_create () =
+  { io_bytes_tx = 0; io_bytes_rx = 0; io_frames_tx = 0; io_frames_rx = 0 }
 
 (* A frame larger than this is a protocol error, not an allocation.
    Shards are planned far below it; [set_max_frame] lowers it so the

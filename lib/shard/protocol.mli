@@ -9,7 +9,20 @@
     yields exactly one reply frame, in order. *)
 
 type json = Simsweep.Telemetry.json
-type io = Simsweep.Telemetry.io
+
+(** {1 Wire I/O counters}
+
+    Mutable per-connection counters threaded through the frame I/O
+    below: payload-inclusive bytes and frames in each direction. *)
+
+type io = {
+  mutable io_bytes_tx : int;
+  mutable io_bytes_rx : int;
+  mutable io_frames_tx : int;
+  mutable io_frames_rx : int;
+}
+
+val io_create : unit -> io
 
 (** {1 Frame size cap}
 

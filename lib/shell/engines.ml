@@ -56,11 +56,6 @@ type report = {
   stats : (string * T.json) list;
 }
 
-let of_sat_outcome = function
-  | Sat.Sweep.Equivalent -> E.Proved
-  | Sat.Sweep.Inequivalent (cex, po) -> E.Disproved (cex, po)
-  | Sat.Sweep.Undecided -> E.Undecided
-
 let run ?cancel ~pool engine g =
   let config = Simsweep.Config.scaled in
   let report ?(stats = []) ?(detail = "") outcome =
@@ -84,8 +79,8 @@ let run ?cancel ~pool engine g =
             Printf.sprintf " (%d SAT calls)" s.Sat.Sweep.sat_calls
         | _ -> ""
       in
-      report ~stats:[ ("sat", T.of_sat s) ] ~detail (of_sat_outcome o)
-  | Sat_direct -> report (of_sat_outcome (Sat.Sweep.check_direct ?cancel g))
+      report ~stats:[ ("sat", T.of_sat s) ] ~detail (E.of_sat_outcome o)
+  | Sat_direct -> report (E.of_sat_outcome (Sat.Sweep.check_direct ?cancel g))
   | Bdd -> (
       match Bdd.check ?cancel g with
       | `Equivalent -> report E.Proved

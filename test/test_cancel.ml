@@ -150,7 +150,7 @@ let same_network a b =
 
 let stats_tuple (s : Sat.Sweep.stats) =
   ( s.Sat.Sweep.sat_calls, s.sat_unsat, s.sat_sat, s.sat_unknown, s.merged,
-    s.rounds, s.cex_count, s.rsim_splits, s.candidates, s.conflicts,
+    s.rounds, s.cex_count, s.candidates, s.conflicts,
     s.cnf_loads )
 
 let with_n_domains n f =

@@ -1,4 +1,4 @@
-(* Output partitioning and reverse simulation. *)
+(* Output partitioning. *)
 
 let test_groups_doubled () =
   (* A doubled adder has two independent halves: exactly two groups. *)
@@ -130,60 +130,8 @@ let prop_partition_agrees =
               Sim.Cex.check m cex po
           | _ -> false))
 
-let test_justify () =
-  let g = Gen.Arith.adder ~bits:4 in
-  let rng = Sim.Rng.create ~seed:3L in
-  (* Justify the carry-out to 1 and to 0. *)
-  let carry = Aig.Network.po g 4 in
-  (match Sim.Rsim.justify g ~rng carry true with
-  | Some cex -> Alcotest.(check bool) "carry=1" true (Sim.Cex.eval_lit g cex carry)
-  | None -> Alcotest.fail "carry=1 should be justifiable");
-  match Sim.Rsim.justify g ~rng carry false with
-  | Some cex -> Alcotest.(check bool) "carry=0" false (Sim.Cex.eval_lit g cex carry)
-  | None -> Alcotest.fail "carry=0 should be justifiable"
-
-let test_justify_constant () =
-  let g = Aig.Network.create () in
-  let a = Aig.Network.add_pi g in
-  let z = Aig.Network.add_and g a (Aig.Lit.neg a) in
-  Aig.Network.add_po g z;
-  (* z is the constant node: it can never be 1. *)
-  Alcotest.(check bool) "const cannot be 1" true
-    (Sim.Rsim.justify g z true = None)
-
-let prop_justify_sound =
-  QCheck.Test.make ~name:"justified patterns set the literal" ~count:60
-    Util.arb_seed (fun seed ->
-      let g = Util.random_network ~pis:6 ~nodes:40 seed in
-      let rng = Sim.Rng.create ~seed:(Int64.of_int seed) in
-      let l = Aig.Network.po g 0 in
-      let ok v =
-        match Sim.Rsim.justify g ~rng l v with
-        | Some cex -> Sim.Cex.eval_lit g cex l = v
-        | None -> true (* incomplete is fine; wrong is not *)
-      in
-      ok true && ok false)
-
-let test_distinguishing () =
-  let g = Aig.Network.create () in
-  let a = Aig.Network.add_pi g and b = Aig.Network.add_pi g and c = Aig.Network.add_pi g in
-  let x = Aig.Network.add_and g a b in
-  let y = Aig.Network.add_and g a c in
-  Aig.Network.add_po g x;
-  Aig.Network.add_po g y;
-  let pats =
-    Sim.Rsim.distinguishing_patterns g ~a:(Aig.Lit.node x) ~b:(Aig.Lit.node y) 8
-  in
-  Alcotest.(check bool) "some patterns" true (pats <> []);
-  (* At least one pattern must actually distinguish a&b from a&c. *)
-  let distinguishes cex =
-    Sim.Cex.eval_lit g cex x <> Sim.Cex.eval_lit g cex y
-  in
-  Alcotest.(check bool) "a distinguishing pattern found" true
-    (List.exists distinguishes pats)
-
 let () =
-  Alcotest.run "partition-rsim"
+  Alcotest.run "partition"
     [
       ( "partition",
         [
@@ -196,13 +144,6 @@ let () =
           Alcotest.test_case "check cancelled (single group)" `Quick
             test_partition_check_cancelled_single_group;
         ] );
-      ( "rsim",
-        [
-          Alcotest.test_case "justify" `Quick test_justify;
-          Alcotest.test_case "justify constant" `Quick test_justify_constant;
-          Alcotest.test_case "distinguishing" `Quick test_distinguishing;
-        ] );
       ( "props",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_partition_agrees; prop_justify_sound ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_partition_agrees ] );
     ]

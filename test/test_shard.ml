@@ -94,8 +94,8 @@ let test_protocol_payload () =
      JSON escaping — and the io counters must account for them. *)
   let rd, wr = Unix.pipe () in
   let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
-  let tx = J.io_create () in
-  let rx = J.io_create () in
+  let tx = Pr.io_create () in
+  let rx = Pr.io_create () in
   let payload = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
   let hdr = J.Obj [ ("type", J.String "t") ] in
   Pr.write_frame ~io:tx ~payload oc hdr;
@@ -106,10 +106,10 @@ let test_protocol_payload () =
         (J.int_member "payload_len" inc.Pr.hdr = Some (String.length payload))
   | Error e -> Alcotest.failf "payload frame: %s" e);
   Alcotest.(check bool) "tx counted payload" true
-    (tx.J.io_bytes_tx > String.length payload);
-  Alcotest.(check int) "tx = rx bytes" tx.J.io_bytes_tx rx.J.io_bytes_rx;
-  Alcotest.(check int) "one frame out" 1 tx.J.io_frames_tx;
-  Alcotest.(check int) "one frame in" 1 rx.J.io_frames_rx;
+    (tx.Pr.io_bytes_tx > String.length payload);
+  Alcotest.(check int) "tx = rx bytes" tx.Pr.io_bytes_tx rx.Pr.io_bytes_rx;
+  Alcotest.(check int) "one frame out" 1 tx.Pr.io_frames_tx;
+  Alcotest.(check int) "one frame in" 1 rx.Pr.io_frames_rx;
   close_out oc;
   close_in ic
 

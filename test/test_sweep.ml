@@ -89,49 +89,6 @@ let test_check_direct () =
   | Sat.Sweep.Inequivalent _ -> ()
   | _ -> Alcotest.fail "expected inequivalent")
 
-let test_reverse_sim_splits () =
-  Util.with_pool (fun pool ->
-      (* A miter with spuriously-matching classes: reverse simulation must
-         disprove some candidate pairs without SAT calls. *)
-      let g1 = Util.random_network ~pis:8 ~nodes:120 ~pos:4 5 in
-      let g2 = Util.random_network ~pis:8 ~nodes:120 ~pos:4 6 in
-      let miter = Aig.Miter.build g1 g2 in
-      let config =
-        { Sat.Sweep.default_config with Sat.Sweep.use_reverse_sim = true; sim_words = 1 }
-      in
-      let outcome, stats = Sat.Sweep.check ~config ~pool miter in
-      (* The verdict must match the plain configuration... *)
-      let outcome', _ = Sat.Sweep.check ~pool (Aig.Miter.build g1 g2) in
-      let same =
-        match (outcome, outcome') with
-        | Sat.Sweep.Equivalent, Sat.Sweep.Equivalent -> true
-        | Sat.Sweep.Inequivalent _, Sat.Sweep.Inequivalent _ -> true
-        | Sat.Sweep.Undecided, Sat.Sweep.Undecided -> true
-        | _ -> false
-      in
-      Alcotest.(check bool) "same verdict" true same;
-      Alcotest.(check bool) "stat present" true (stats.Sat.Sweep.rsim_splits >= 0))
-
-let prop_reverse_sim_sound =
-  QCheck.Test.make ~name:"reverse-sim sweeping agrees with brute force"
-    ~count:20 Util.arb_seed (fun seed ->
-      Util.with_pool (fun pool ->
-          let g1 = Util.random_network ~pis:6 ~nodes:40 ~pos:3 seed in
-          let g2 =
-            if seed mod 2 = 0 then Opt.Xorflip.run g1
-            else Util.random_network ~pis:6 ~nodes:40 ~pos:3 (seed + 9)
-          in
-          let miter = Aig.Miter.build g1 g2 in
-          let config =
-            { Sat.Sweep.default_config with Sat.Sweep.use_reverse_sim = true }
-          in
-          let expect = Util.equivalent_brute g1 g2 in
-          match Sat.Sweep.check ~config ~pool miter with
-          | Sat.Sweep.Equivalent, _ -> expect
-          | Sat.Sweep.Inequivalent (cex, po), _ ->
-              (not expect) && Sim.Cex.check miter cex po
-          | Sat.Sweep.Undecided, _ -> false))
-
 let test_fraig_reduces_redundancy () =
   Util.with_pool (fun pool ->
       (* Two structurally different xor decompositions of the same signals
@@ -205,6 +162,40 @@ let prop_optimized_equivalence =
           let miter = Aig.Miter.build g opt in
           fst (Sat.Sweep.check ~pool miter) = Sat.Sweep.Equivalent))
 
+(* The sweep's work, pinned on three small generated miters: a change that
+   claims to leave the sweeping path's work alone must keep (outcome, SAT
+   calls, merges, rounds) as they are.  voter is control logic proved in
+   one round of pairs; log2 needs counter-examples to split its classes;
+   the third miter has one complemented AND fanin on its optimised side. *)
+let test_work_counters () =
+  let broken =
+    let g = Gen.Arith.multiplier ~bits:6 in
+    let opt = Opt.Resyn.resyn2 g in
+    let node = Aig.Network.num_nodes opt - 1 in
+    Aig.Miter.build g
+      (Fuzz.Mutate.apply opt (Fuzz.Mutate.Flip_fanin { node; right = false }))
+  in
+  let suite name = (Gen.Suite.build ~scale:0 name).Gen.Suite.miter in
+  Util.with_pool (fun pool ->
+      List.iter
+        (fun (name, miter, expected) ->
+          let outcome, s = Sat.Sweep.check ~pool miter in
+          let verdict =
+            match outcome with
+            | Sat.Sweep.Equivalent -> "equivalent"
+            | Sat.Sweep.Inequivalent (_, po) -> Printf.sprintf "inequivalent@%d" po
+            | Sat.Sweep.Undecided -> "undecided"
+          in
+          Alcotest.(check (pair string (list int)))
+            (name ^ ": outcome, SAT calls, merged, rounds")
+            expected
+            (verdict, [ s.Sat.Sweep.sat_calls; s.merged; s.rounds ]))
+        [
+          ("voter", suite "voter", ("equivalent", [ 252; 130; 2 ]));
+          ("log2", suite "log2", ("equivalent", [ 765; 363; 2 ]));
+          ("multiplier6~flip", broken, ("inequivalent@11", [ 339; 174; 2 ]));
+        ])
+
 let () =
   Alcotest.run "sweep"
     [
@@ -216,8 +207,8 @@ let () =
           Alcotest.test_case "subtle inequivalence" `Quick test_subtle_inequivalence;
           Alcotest.test_case "ec transfer" `Quick test_ec_transfer;
           Alcotest.test_case "check direct" `Quick test_check_direct;
-          Alcotest.test_case "reverse-sim splits" `Quick test_reverse_sim_splits;
           Alcotest.test_case "fraig reduces" `Quick test_fraig_reduces_redundancy;
+          Alcotest.test_case "sweep work counters" `Quick test_work_counters;
           Alcotest.test_case "cancelled before start" `Quick
             test_cancelled_before_start;
         ] );
@@ -226,7 +217,6 @@ let () =
           [
             prop_random_equivalence;
             prop_optimized_equivalence;
-            prop_reverse_sim_sound;
             prop_fraig_sound;
             prop_fraig_idempotent_size;
           ] );
