@@ -52,34 +52,24 @@ let run_ours ~pool miter =
         Simsweep.Engine.run ~config:Simsweep.Config.scaled ~pool
           (Aig.Network.copy miter))
   in
-  match r.Simsweep.Engine.outcome with
-  | Simsweep.Engine.Proved | Simsweep.Engine.Disproved _ ->
-      {
-        gpu_time;
-        reduced_percent = Simsweep.Engine.reduction_percent r;
-        sat_time = None;
-        total = gpu_time;
-        outcome = r.Simsweep.Engine.outcome;
-        engine_stats = r.Simsweep.Engine.stats;
-      }
-  | Simsweep.Engine.Undecided ->
-      let (sat_outcome, _), sat_time =
-        time (fun () -> Sat.Sweep.check ~pool r.Simsweep.Engine.reduced)
-      in
-      let outcome =
-        match sat_outcome with
-        | Sat.Sweep.Equivalent -> Simsweep.Engine.Proved
-        | Sat.Sweep.Inequivalent (cex, po) -> Simsweep.Engine.Disproved (cex, po)
-        | Sat.Sweep.Undecided -> Simsweep.Engine.Undecided
-      in
-      {
-        gpu_time;
-        reduced_percent = Simsweep.Engine.reduction_percent r;
-        sat_time = Some sat_time;
-        total = gpu_time +. sat_time;
-        outcome;
-        engine_stats = r.Simsweep.Engine.stats;
-      }
+  let outcome, sat_time =
+    match r.Simsweep.Engine.outcome with
+    | Simsweep.Engine.Proved | Simsweep.Engine.Disproved _ ->
+        (r.Simsweep.Engine.outcome, None)
+    | Simsweep.Engine.Undecided ->
+        let (sat_outcome, _), sat_time =
+          time (fun () -> Sat.Sweep.check ~pool r.Simsweep.Engine.reduced)
+        in
+        (Simsweep.Engine.of_sat_outcome sat_outcome, Some sat_time)
+  in
+  {
+    gpu_time;
+    reduced_percent = Simsweep.Engine.reduction_percent r;
+    sat_time;
+    total = gpu_time +. Option.value sat_time ~default:0.;
+    outcome;
+    engine_stats = r.Simsweep.Engine.stats;
+  }
 
 let run_sat_baseline ~pool miter =
   time (fun () -> fst (Sat.Sweep.check ~pool (Aig.Network.copy miter)))

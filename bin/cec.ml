@@ -88,26 +88,21 @@ let run_local engine name miter num_domains verbose certify stats_json =
       (if certify then
          match outcome with
          | Simsweep.Engine.Proved -> (
-             let _, cert =
-               Simsweep.Certificate.generate ~config:Simsweep.Config.scaled ~pool
-                 miter
-             in
-             if not cert.Simsweep.Certificate.claims_proved then
-               print_endline
-                 "certificate: engine alone could not complete a certificate \
-                  (SAT fallback was needed)"
-             else
-               match Simsweep.Certificate.validate miter cert with
-               | Ok _ ->
-                   Printf.printf "certificate: %d steps validated independently\n"
-                     (List.length cert.Simsweep.Certificate.steps)
-               | Error e -> Printf.printf "certificate INVALID: %s\n" e)
+             match snd (Simsweep.Certificate.certify ~pool miter) with
+             | Simsweep.Certificate.Validated steps ->
+                 Printf.printf "certificate: %d steps validated independently\n"
+                   steps
+             | Simsweep.Certificate.Incomplete ->
+                 print_endline
+                   "certificate: engine alone could not complete a certificate \
+                    (SAT fallback was needed)"
+             | Simsweep.Certificate.Invalid e ->
+                 Printf.printf "certificate INVALID: %s\n" e)
          | _ -> print_endline "certificate: only produced for proved miters");
       exit_code outcome
 
 let run_check engine file1 file2 suite scale post_double num_domains verbose
-    certify stats_json shard_n =
-  let engine = if shard_n > 0 then Shell.Engines.Shard shard_n else engine in
+    certify stats_json =
   match read_inputs file1 file2 suite scale post_double with
   | Error msg ->
       prerr_endline ("error: " ^ msg);
@@ -126,8 +121,8 @@ let engine =
                SAT fallback, the paper's Table II flow), sat (SAT \
                sweeping), satdirect (monolithic SAT per output), bdd, \
                portfolio, partitioned (sim + SAT per support-disjoint \
-               output group) or shard[.N] (N worker processes, default \
-               2).")
+               output group) or shard[.N] (up to N worker processes, \
+               default 2, sharing the --domains budget).")
 
 let file1 =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
@@ -150,8 +145,8 @@ let post_double =
   Arg.(value & opt int 0 & info [ "post-double" ] ~docv:"K"
          ~doc:"Enlarge the built miter by K doublings ($(b,2^K) disjoint \
                copies) before checking — the paper's enlargement method, \
-               applied to the miter itself; useful for exercising --shard \
-               on giant instances.")
+               applied to the miter itself; useful for exercising the \
+               shard engine on giant instances.")
 
 let num_domains =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N"
@@ -172,27 +167,16 @@ let stats_json =
                per-phase times, window/word counts, pool utilization, SAT \
                effort) to FILE as JSON.")
 
-let shard_n =
-  Arg.(value & opt int 0 & info [ "shard" ] ~docv:"N"
-         ~doc:"Select engine shard.N: check with up to N coordinated \
-               worker processes instead of a single in-process engine.  \
-               The miter is partitioned into shards (output-cone groups, \
-               large groups split at PO boundaries when that copies \
-               little logic), one worker per shard at most pulls shards \
-               work-stealing style and checks each with the combined \
-               flow; the spawned workers share the --domains budget.  \
-               Overrides --engine; 0 disables.")
-
 let cmd =
   let doc = "simulation-based parallel sweeping equivalence checker" in
   Cmd.v
     (Cmd.info "simsweep-cec" ~doc)
     Term.(
       const run_check $ engine $ file1 $ file2 $ suite $ scale $ post_double
-      $ num_domains $ verbose $ certify $ stats_json $ shard_n)
+      $ num_domains $ verbose $ certify $ stats_json)
 
 let () =
-  (* Re-exec'ed children of `--shard` coordinators become workers here. *)
+  (* Re-exec'ed children of shard coordinators become workers here. *)
   Shard.Worker.maybe_become_worker ();
   (* Usage errors Cmdliner reports itself (an unknown option, a FILE that
      does not exist, a bad engine name) exit 2 like every other error. *)

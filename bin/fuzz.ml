@@ -9,18 +9,16 @@
    Exit codes: 0 clean, 1 oracle failures found (repros written),
    4 self-test machinery failure. *)
 
-let run seed cases minutes aig_dir out_dir self_test num_domains bdd_node_limit
-    shrink_budget certify_every quiet =
+let run seed cases minutes aig_dir out_dir self_test num_domains shrink_budget
+    certify_every quiet =
   let pool = Par.Pool.create ?num_domains () in
   Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) @@ fun () ->
   let log line = if not quiet then print_endline line in
   let config =
     {
-      Fuzz.Runner.default_config with
       Fuzz.Runner.seed = Int64.of_int seed;
       cases;
       out_dir;
-      bdd_node_limit;
       shrink_budget;
       certify_every;
     }
@@ -95,10 +93,6 @@ let num_domains =
   Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N"
          ~doc:"Worker domains (default: machine-dependent).")
 
-let bdd_node_limit =
-  Arg.(value & opt int 200_000 & info [ "bdd-node-limit" ] ~docv:"N"
-         ~doc:"BDD engine node budget per case.")
-
 let shrink_budget =
   Arg.(value & opt int 400 & info [ "shrink-budget" ] ~docv:"N"
          ~doc:"Oracle evaluations the shrinker may spend per failure.")
@@ -116,7 +110,7 @@ let cmd =
     (Cmd.info "simsweep-fuzz" ~doc)
     Term.(
       const run $ seed $ cases $ minutes $ aig_dir $ out_dir $ self_test
-      $ num_domains $ bdd_node_limit $ shrink_budget $ certify_every $ quiet)
+      $ num_domains $ shrink_budget $ certify_every $ quiet)
 
 let () =
   (* The oracle's shard engine re-execs this binary to make its workers. *)

@@ -50,8 +50,6 @@ let create ?(node_limit = 2_000_000) ?(step_limit = max_int) ?cancel ~num_vars (
   m.hi.(1) <- 1;
   m
 
-let bdd_false _ = 0
-let bdd_true _ = 1
 let is_false _ n = n = 0
 let is_true _ n = n = 1
 let equal (a : node) b = a = b

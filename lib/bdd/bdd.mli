@@ -31,9 +31,6 @@ val create :
   ?node_limit:int -> ?step_limit:int -> ?cancel:Par.Cancel.t -> num_vars:int ->
   unit -> man
 
-val bdd_false : man -> node
-val bdd_true : man -> node
-
 (** The function of input variable [i]. *)
 val var : man -> int -> node
 

@@ -94,37 +94,6 @@ let and_maybe_not ~c0 a ~c1 b =
   end;
   r
 
-let blit_not ~src ~dst =
-  check_same_len src dst "Bits.blit_not";
-  let nw = num_words src in
-  for w = 0 to nw - 1 do
-    let off = w * 8 in
-    Bytes.set_int64_ne dst.data off
-      (Int64.lognot (Bytes.get_int64_ne src.data off))
-  done;
-  if nw > 0 then begin
-    let off = (nw - 1) * 8 in
-    Bytes.set_int64_ne dst.data off
-      (Int64.logand (Bytes.get_int64_ne dst.data off) (tail_mask src.len))
-  end
-
-let blit_and ~c0 a ~c1 b ~dst =
-  check_same_len a b "Bits.blit_and";
-  check_same_len a dst "Bits.blit_and";
-  let nw = num_words a in
-  let cm0 = if c0 then -1L else 0L and cm1 = if c1 then -1L else 0L in
-  for w = 0 to nw - 1 do
-    let off = w * 8 in
-    let x = Int64.logxor (Bytes.get_int64_ne a.data off) cm0 in
-    let y = Int64.logxor (Bytes.get_int64_ne b.data off) cm1 in
-    Bytes.set_int64_ne dst.data off (Int64.logand x y)
-  done;
-  if (c0 || c1) && nw > 0 then begin
-    let off = (nw - 1) * 8 in
-    Bytes.set_int64_ne dst.data off
-      (Int64.logand (Bytes.get_int64_ne dst.data off) (tail_mask a.len))
-  end
-
 let equal a b = a.len = b.len && Bytes.equal a.data b.data
 
 let equal_mod_compl a b =
@@ -231,17 +200,6 @@ let first_one v =
       if Int64.equal x 0L then go (w + 1) else Some ((w lsl 6) + ctz64 x)
   in
   go 0
-
-let randomize v rand64 =
-  let nw = num_words v in
-  for w = 0 to nw - 1 do
-    Bytes.set_int64_ne v.data (w * 8) (rand64 ())
-  done;
-  if nw > 0 then begin
-    let off = (nw - 1) * 8 in
-    Bytes.set_int64_ne v.data off
-      (Int64.logand (Bytes.get_int64_ne v.data off) (tail_mask v.len))
-  end
 
 let to_string v =
   String.init v.len (fun i -> if get v (v.len - 1 - i) then '1' else '0')

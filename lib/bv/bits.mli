@@ -50,11 +50,6 @@ val bxor : t -> t -> t
     step. *)
 val and_maybe_not : c0:bool -> t -> c1:bool -> t -> t
 
-(** In-place destination variants used by the simulators. *)
-val blit_not : src:t -> dst:t -> unit
-
-val blit_and : c0:bool -> t -> c1:bool -> t -> dst:t -> unit
-
 (** Logical equality. *)
 val equal : t -> t -> bool
 
@@ -88,9 +83,6 @@ val first_diff : t -> t -> int option
 
 (** Index of the first set bit, if any. *)
 val first_one : t -> int option
-
-(** [randomize v rand64] fills [v] with words drawn from [rand64]. *)
-val randomize : t -> (unit -> int64) -> unit
 
 (** [to_string v] prints in truth-table convention: most significant
     pattern first, i.e. bit [len-1] down to bit [0]. *)

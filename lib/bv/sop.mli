@@ -12,9 +12,6 @@ type t = { nvars : int; cubes : cube list }
 (** The cube containing no literal (constant true). *)
 val full_cube : cube
 
-(** Number of literals in a cube. *)
-val cube_literals : cube -> int
-
 (** Total number of literals in the SOP. *)
 val literals : t -> int
 

@@ -32,6 +32,5 @@ let alloc t words =
   off
 
 let data t = t.data
-let used_words t = t.off
 let hwm_words t = t.hwm
 let grows t = t.grows

@@ -15,9 +15,6 @@ type t
 (** [create ~words] allocates a [words]-word arena (8 bytes each). *)
 val create : words:int -> t
 
-(** Current capacity in words. *)
-val capacity_words : t -> int
-
 (** [ensure t words] grows the backing store to at least [words] words.
     Only legal while the arena is empty (just created or {!reset});
     raises [Invalid_argument] if any allocation is live, since slices
@@ -35,10 +32,7 @@ val alloc : t -> int -> int
 (** The backing store.  Only valid until the next {!ensure}. *)
 val data : t -> Bytes.t
 
-(** Words currently allocated. *)
-val used_words : t -> int
-
-(** Largest {!used_words} ever reached (across {!reset}s). *)
+(** Largest number of words ever allocated at once (across {!reset}s). *)
 val hwm_words : t -> int
 
 (** Times {!ensure} had to replace the backing store. *)

@@ -90,83 +90,15 @@ let validate ?(conflict_limit = max_int) miter cert =
   in
   replay cert.steps
 
-let phase_tag = function `P -> "P" | `G -> "G" | `L k -> "L" ^ string_of_int k
+type check = Validated of int | Incomplete | Invalid of string
 
-let to_string cert =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "certificate %s\n" (if cert.claims_proved then "proved" else "partial"));
-  List.iter
-    (fun (s : Engine.trace_step) ->
-      Buffer.add_string buf (phase_tag s.Engine.trace_phase);
-      List.iter (fun i -> Buffer.add_string buf (Printf.sprintf " o%d" i)) s.Engine.trace_pos;
-      List.iter
-        (fun (n, l) -> Buffer.add_string buf (Printf.sprintf " %d:%d" n l))
-        s.Engine.trace_merges;
-      Buffer.add_char buf '\n')
-    cert.steps;
-  Buffer.contents buf
-
-let of_string text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty certificate"
-  | header :: rest -> (
-      match String.split_on_char ' ' (String.trim header) with
-      | [ "certificate"; claim ] when claim = "proved" || claim = "partial" -> (
-          let parse_phase tag =
-            if tag = "P" then Ok `P
-            else if tag = "G" then Ok `G
-            else if String.length tag > 1 && tag.[0] = 'L' then
-              match int_of_string_opt (String.sub tag 1 (String.length tag - 1)) with
-              | Some k -> Ok (`L k)
-              | None -> Error ("bad phase tag " ^ tag)
-            else Error ("bad phase tag " ^ tag)
-          in
-          let parse_line line =
-            match String.split_on_char ' ' (String.trim line) with
-            | [] -> Error "empty step"
-            | tag :: items -> (
-                match parse_phase tag with
-                | Error e -> Error e
-                | Ok trace_phase ->
-                    let rec go pos merges = function
-                      | [] ->
-                          Ok
-                            {
-                              Engine.trace_phase;
-                              trace_pos = List.rev pos;
-                              trace_merges = List.rev merges;
-                            }
-                      | item :: rest ->
-                          if String.length item > 1 && item.[0] = 'o' then
-                            match
-                              int_of_string_opt
-                                (String.sub item 1 (String.length item - 1))
-                            with
-                            | Some i -> go (i :: pos) merges rest
-                            | None -> Error ("bad output item " ^ item)
-                          else begin
-                            match String.split_on_char ':' item with
-                            | [ n; l ] -> (
-                                match (int_of_string_opt n, int_of_string_opt l) with
-                                | Some n, Some l -> go pos ((n, l) :: merges) rest
-                                | _ -> Error ("bad merge item " ^ item))
-                            | _ -> Error ("bad item " ^ item)
-                          end
-                    in
-                    go [] [] items)
-          in
-          let rec all acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: rest -> (
-                match parse_line line with
-                | Ok s -> all (s :: acc) rest
-                | Error e -> Error e)
-          in
-          match all [] rest with
-          | Ok steps -> Ok { steps; claims_proved = claim = "proved" }
-          | Error e -> Error e)
-      | _ -> Error "bad certificate header")
+let certify ?cancel ~pool miter =
+  let run, cert = generate ~config:Config.scaled ?cancel ~pool miter in
+  ( run.Engine.outcome,
+    if not cert.claims_proved then Incomplete
+    else
+      match validate miter cert with
+      | Error e -> Invalid e
+      | Ok replayed when not (Aig.Miter.solved replayed) ->
+          Invalid "replayed miter not fully solved"
+      | Ok _ -> Validated (List.length cert.steps) )

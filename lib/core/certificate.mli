@@ -19,7 +19,7 @@ type t = {
     an [Undecided] result with [claims_proved = false]. *)
 val generate :
   ?config:Config.t ->
-  ?cancel:Cancel.t ->
+  ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->
   Engine.run_result * t
@@ -33,8 +33,18 @@ val generate :
 val validate :
   ?conflict_limit:int -> Aig.Network.t -> t -> (Aig.Network.t, string) result
 
-(** Text serialisation (one step per line) for storing certificates next
-    to netlists. *)
-val to_string : t -> string
+(** What {!certify} found: the engine's proof replayed independently in
+    that many steps; no proof to certify (the engine alone did not prove
+    the miter); or a claim that did not replay, or a replay that left the
+    miter unsolved. *)
+type check = Validated of int | Incomplete | Invalid of string
 
-val of_string : string -> (t, string) result
+(** [certify ?cancel ~pool miter] is the one certify path of the command
+    line, the shell and the fuzz oracle: {!generate} with
+    {!Config.scaled}, then {!validate} when the certificate claims a
+    proof.  Returns the engine's verdict with the check. *)
+val certify :
+  ?cancel:Par.Cancel.t ->
+  pool:Par.Pool.t ->
+  Aig.Network.t ->
+  Engine.outcome * check

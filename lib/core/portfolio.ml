@@ -24,8 +24,8 @@ let conclusive = function
   | Engine.Proved | Engine.Disproved _ -> true
   | Engine.Undecided -> false
 
-let check ?(config = Config.default) ?(bdd_node_limit = 1 lsl 20)
-    ?bdd_step_limit ?mode:(_ : mode = `Sequential) ?cancel ~pool miter =
+let check ?(bdd_node_limit = 1 lsl 20) ?bdd_step_limit
+    ?mode:(_ : mode = `Sequential) ?cancel ~pool miter =
   let t0 = Unix.gettimeofday () in
   let per = ref [] in
   let timed e f =
@@ -59,7 +59,8 @@ let check ?(config = Config.default) ?(bdd_node_limit = 1 lsl 20)
       let bdd_timeout = aborted = `Timeout in
       (* Engine 2: the simulation engine. *)
       let er =
-        timed Sim_engine (fun () -> Engine.run ~config ?cancel ~pool miter)
+        timed Sim_engine (fun () ->
+            Engine.run ~config:Config.default ?cancel ~pool miter)
       in
       let engine_stats = er.Engine.stats in
       if conclusive er.Engine.outcome then

@@ -32,17 +32,16 @@ type result = {
       (** SAT-sweeper telemetry, when the sweeper ran *)
 }
 
-(** [check ?config ?bdd_node_limit ?bdd_step_limit ?mode
-    ?cancel ~pool miter].  [bdd_step_limit] defaults to
-    [64 * bdd_node_limit] (see {!Bdd.check}); [mode] names the only
-    schedule.  [cancel] bounds every member engine; a cancelled portfolio
-    reports [Undecided] with no winner. *)
+(** [check ?bdd_node_limit ?bdd_step_limit ?mode ?cancel ~pool miter].
+    The simulation engine runs with {!Config.default}.  [bdd_step_limit]
+    defaults to [64 * bdd_node_limit] (see {!Bdd.check}); [mode] names
+    the only schedule.  [cancel] bounds every member engine; a cancelled
+    portfolio reports [Undecided] with no winner. *)
 val check :
-  ?config:Config.t ->
   ?bdd_node_limit:int ->
   ?bdd_step_limit:int ->
   ?mode:mode ->
-  ?cancel:Cancel.t ->
+  ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->
   Aig.Network.t ->
   result

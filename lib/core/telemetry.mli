@@ -48,11 +48,8 @@ val write_file : string -> json -> unit
 
 (** {1 Stat snapshots} *)
 
-val of_exhaustive : Exhaustive.stats -> json
-val of_psim : Sim.Psim.stats -> json
 val of_pool : Par.Pool.stats -> json
 val of_sat : Sat.Sweep.stats -> json
-val of_engine_stats : Stats.t -> json
 
 (** Lower-case outcome tag: ["equivalent"], ["not_equivalent"],
     ["undecided"]. *)

@@ -8,7 +8,7 @@
     The expected verdict is known by construction: optimisation pipelines
     preserve function, and injected faults are verified against the
     brute-force oracle at generation time (a masked fault is re-drawn).
-    All cases stay within {!Brute.max_pis} inputs so the exhaustive oracle
+    All cases stay within 16 inputs ({!Brute.supported}) so the exhaustive oracle
     participates in every differential comparison. *)
 
 type kind =

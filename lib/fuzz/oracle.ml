@@ -32,7 +32,12 @@ let of_table name engine =
         | Error e -> V_unknown e);
   }
 
-let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) () =
+(* Fuzz-sized budgets: the BDD engine's nodes and the direct SAT check's
+   conflicts per output. *)
+let bdd_nodes = 200_000
+let sat_conflicts = 10_000
+
+let default_engines =
   [
     {
       name = "brute";
@@ -51,7 +56,7 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
       name = "satdirect";
       run =
         (fun ~pool:_ m ->
-          of_sat_outcome (Sat.Sweep.check_direct ~conflict_limit:sat_conflict_limit m));
+          of_sat_outcome (Sat.Sweep.check_direct ~conflict_limit:sat_conflicts m));
     };
     {
       (* Same check with preprocessing off: cross-checks that BVE /
@@ -63,13 +68,13 @@ let default_engines ?(bdd_node_limit = 200_000) ?(sat_conflict_limit = 10_000) (
         (fun ~pool:_ m ->
           of_sat_outcome
             (Sat.Sweep.check_direct ~simplify:false
-               ~conflict_limit:sat_conflict_limit m));
+               ~conflict_limit:sat_conflicts m));
     };
     {
       name = "bdd";
       run =
         (fun ~pool:_ m ->
-          match Bdd.check ~node_limit:bdd_node_limit m with
+          match Bdd.check ~node_limit:bdd_nodes m with
           | `Equivalent -> V_equivalent
           | `Inequivalent (cex, po) -> V_inequivalent (cex, po)
           | `Node_limit -> V_unknown "node limit"
@@ -112,21 +117,8 @@ type outcome = {
   failures : failure list;
 }
 
-let certificate_failure ~pool m =
-  let run, cert = Simsweep.Certificate.generate ~config:Simsweep.Config.scaled ~pool m in
-  match run.Simsweep.Engine.outcome with
-  | Simsweep.Engine.Proved when not cert.Simsweep.Certificate.claims_proved ->
-      Some (Bad_certificate "proved run yielded a non-proving certificate")
-  | Simsweep.Engine.Proved -> (
-      match Simsweep.Certificate.validate m cert with
-      | Error e -> Some (Bad_certificate e)
-      | Ok replayed ->
-          if Aig.Miter.solved replayed then None
-          else Some (Bad_certificate "replayed miter not fully solved"))
-  | _ -> None
-
 let run ?engines ?expected ?(certify = false) ~pool miter =
-  let engines = match engines with Some e -> e | None -> default_engines () in
+  let engines = match engines with Some e -> e | None -> default_engines in
   let verdicts = List.map (fun e -> (e.name, e.run ~pool miter)) engines in
   let failures = ref [] in
   let add f = failures := f :: !failures in
@@ -172,6 +164,9 @@ let run ?engines ?expected ?(certify = false) ~pool miter =
           | _ -> ())
         verdicts);
   (* 4. A proof must survive independent certificate replay. *)
-  if certify && List.mem "sim" equiv then
-    Option.iter add (certificate_failure ~pool miter);
+  if certify && List.mem "sim" equiv then begin
+    match snd (Simsweep.Certificate.certify ~pool miter) with
+    | Simsweep.Certificate.Invalid e -> add (Bad_certificate e)
+    | Validated _ | Incomplete -> ()
+  end;
   { verdicts; failures = List.rev !failures }

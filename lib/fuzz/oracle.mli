@@ -3,16 +3,18 @@
 
     Cross-checked engines: the brute-force ground truth (≤ 16 PIs); the
     {!Shell.Engines} entries sim, combined, sat (as [satsweep]) and
-    portfolio, exactly as the front-ends run them; and, under fuzz-sized
-    budgets, the direct per-PO SAT check with and without preprocessing
-    and the BDD engine under a node budget.  A failure is one of:
+    portfolio, exactly as the front-ends run them; and, under fixed
+    fuzz-sized budgets, the direct per-PO SAT check with and without
+    preprocessing (10,000 conflicts per output) and the BDD engine
+    (200,000 nodes).  A failure is one of:
 
     - two engines returning conclusive opposite verdicts;
     - a counter-example that does not replay on the miter;
     - a conclusive verdict contradicting the generator's constructed
       expectation;
-    - a proof whose {!Simsweep.Certificate} does not validate or does not
-      replay to a solved miter. *)
+    - a proof whose {!Simsweep.Certificate.certify} check is [Invalid]:
+      a claim that does not validate or a replay that does not reach a
+      solved miter. *)
 
 type verdict =
   | V_equivalent
@@ -30,8 +32,9 @@ type engine = {
   run : pool:Par.Pool.t -> Aig.Network.t -> verdict;
 }
 
-val default_engines :
-  ?bdd_node_limit:int -> ?sat_conflict_limit:int -> unit -> engine list
+(** The oracle's engines, in log order.  The fuzz-sized budgets are
+    fixed: 200,000 BDD nodes and 10,000 SAT conflicts per output. *)
+val default_engines : engine list
 
 type failure =
   | Disagreement of { equiv : string list; inequiv : string list }

@@ -2,8 +2,6 @@ type config = {
   seed : int64;
   cases : int;
   out_dir : string;
-  bdd_node_limit : int;
-  sat_conflict_limit : int;
   certify_every : int;  (** certificate-replay every Nth case; 0 disables *)
   shrink_budget : int;
 }
@@ -13,8 +11,6 @@ let default_config =
     seed = 1L;
     cases = 100;
     out_dir = "fuzz-out";
-    bdd_node_limit = 200_000;
-    sat_conflict_limit = 10_000;
     certify_every = 10;
     shrink_budget = 400;
   }
@@ -66,11 +62,8 @@ let shard_engine =
         | Simsweep.Engine.Undecided, _ -> Oracle.V_unknown "undecided");
   }
 
-let engines_of config extra_engines =
-  Oracle.default_engines ~bdd_node_limit:config.bdd_node_limit
-    ~sat_conflict_limit:config.sat_conflict_limit ()
-  @ [ shard_engine ]
-  @ extra_engines
+let engines_of extra_engines =
+  Oracle.default_engines @ [ shard_engine ] @ extra_engines
 
 (* Shrink a failed miter and persist the repro — shared by the seeded
    stream, the wall-clock soak and the AIGER-directory modes. *)
@@ -110,7 +103,7 @@ let run_case ~log ~engines ~config ~id =
          outcome.Oracle.failures)
 
 let run ?(log = null_log) ?(extra_engines = []) ~pool cfg =
-  let engines = engines_of cfg extra_engines in
+  let engines = engines_of extra_engines in
   let config = { cfg; pool } in
   let failed = ref 0 in
   let repros = ref [] in
@@ -125,7 +118,7 @@ let run ?(log = null_log) ?(extra_engines = []) ~pool cfg =
 
 let run_soak ?(log = null_log) ?(progress = null_log) ?(extra_engines = [])
     ~pool ~minutes cfg =
-  let engines = engines_of cfg extra_engines in
+  let engines = engines_of extra_engines in
   let config = { cfg; pool } in
   let start = Unix.gettimeofday () in
   let deadline = start +. (60. *. minutes) in
@@ -154,7 +147,7 @@ let run_soak ?(log = null_log) ?(progress = null_log) ?(extra_engines = [])
   { cases_run = !id; failed_cases = !failed; repros = List.rev !repros }
 
 let run_dir ?(log = null_log) ?(extra_engines = []) ~pool ~dir cfg =
-  let engines = engines_of cfg extra_engines in
+  let engines = engines_of extra_engines in
   let config = { cfg; pool } in
   let files =
     Sys.readdir dir |> Array.to_list
@@ -353,7 +346,7 @@ let badpayload_stage log ~seed =
   let image =
     Aig.Aiger_io.to_binary_string (Aig.Miter.build left (Opt.Resyn.light left))
   in
-  let w = Shard.Proc.spawn ~exe:Sys.executable_name ~domains:1 in
+  let w = Shard.Proc.spawn ~domains:1 in
   Fun.protect ~finally:(fun () -> Shard.Proc.kill w) @@ fun () ->
   let ic = Shard.Proc.ic w and oc = Shard.Proc.oc w in
   let recv what =
@@ -432,7 +425,7 @@ let self_test ?(log = null_log) ~pool ~out_dir ~seed () =
   log
     (Printf.sprintf "self-test: injected %s into a %d-AND miter"
        (Mutate.describe fault) original_ands);
-  let engines = Oracle.default_engines () @ [ liar ] in
+  let engines = Oracle.default_engines @ [ liar ] in
   let outcome = Oracle.run ~engines ~pool miter in
   let liar_caught =
     List.exists

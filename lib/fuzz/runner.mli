@@ -9,8 +9,6 @@ type config = {
   seed : int64;
   cases : int;
   out_dir : string;  (** repro AIGER files are written here *)
-  bdd_node_limit : int;
-  sat_conflict_limit : int;
   certify_every : int;  (** certificate-replay every Nth case; 0 disables *)
   shrink_budget : int;  (** oracle evaluations per shrink *)
 }

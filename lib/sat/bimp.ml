@@ -33,9 +33,6 @@ let add_clause t a b =
   t.succ.(na) <- b :: t.succ.(na);
   t.succ.(nb) <- a :: t.succ.(nb)
 
-let successors t l = if l < t.nlits then t.succ.(l) else []
-let out_degree t l = List.length (successors t l)
-
 (* Iterative Tarjan.  Returns [comp] mapping each literal to a component
    id; literals with equal ids are equivalent.  The graph is skew-symmetric
    (edge u->v iff ¬v->¬u) so components pair up: the component of ¬l is

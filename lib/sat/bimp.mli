@@ -13,9 +13,6 @@ val create : ?nvars:int -> unit -> t
     ¬b → a.  Grows the graph as needed. *)
 val add_clause : t -> int -> int -> unit
 
-val successors : t -> int -> int list
-val out_degree : t -> int -> int
-
 (** [sccs t] = [(comp, ncomps)]: Tarjan strongly connected components.
     [comp.(l)] is the component id of literal [l]; equal ids mean the
     literals are equivalent in every model.  A variable whose two

@@ -12,8 +12,8 @@
    the CNF solver would need search to find: units (x = b), binary
    equivalences (x = y or x = ¬y), or outright UNSAT (empty row with
    rhs 1).  Facts are returned to the caller; soundness does not depend
-   on completeness, so rows that grow beyond [max_row] during merging may
-   be dropped. *)
+   on completeness, so rows that grow beyond [row_cap] variables during
+   merging may be dropped. *)
 
 type xor_row = {
   vars : int list;  (* strictly increasing variable ids *)
@@ -48,16 +48,16 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-(* [extract ?min_arity ?max_arity clauses] scans the clause list (arrays of
-   literals, duplicate-free, sorted or not) and returns the complete XOR
-   rows found.  Arity 2 XORs are just binary equivalences, which the
-   equivalent-literal pass already handles, so the default minimum is 3. *)
-let extract ?(min_arity = 3) ?(max_arity = 6) clauses =
+(* [extract ?max_arity clauses] scans the clause list (arrays of literals,
+   duplicate-free, sorted or not) and returns the complete XOR rows of
+   arity [3..max_arity] found.  Arity 2 XORs are just binary equivalences,
+   which the equivalent-literal pass already handles. *)
+let extract ?(max_arity = 6) clauses =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun lits ->
       let k = Array.length lits in
-      if k >= min_arity && k <= max_arity then begin
+      if k >= 3 && k <= max_arity then begin
         let key = clause_key lits in
         (* Duplicate variables would collapse the clause arity; skip. *)
         let distinct = ref true in
@@ -107,10 +107,13 @@ let xor_merge a b =
   in
   go a b []
 
+(* Merged-row growth cap: oversized rows are dropped (sound — we only lose
+   derivations). *)
+let row_cap = 24
+
 (* Eliminate with pivot = smallest variable of each row.  Returns the facts
-   implied by the system.  [max_row] caps merged-row growth: oversized
-   rows are dropped (sound — we only lose derivations). *)
-let eliminate ?(max_row = 24) rows =
+   implied by the system. *)
+let eliminate rows =
   let pivots : (int, xor_row) Hashtbl.t = Hashtbl.create 64 in
   let facts = ref [] in
   let unsat = ref false in
@@ -141,7 +144,7 @@ let eliminate ?(max_row = 24) rows =
         match Hashtbl.find_opt pivots p with
         | Some r ->
           let merged = { vars = xor_merge row.vars r.vars; rhs = row.rhs <> r.rhs } in
-          if List.length merged.vars <= max_row then insert merged
+          if List.length merged.vars <= row_cap then insert merged
         | None -> Hashtbl.add pivots p row)
   in
   List.iter

@@ -19,11 +19,11 @@ type fact =
   | Unsat  (** the XOR system is contradictory *)
 
 (** Scan clauses (duplicate-free literal arrays in solver encoding) for
-    complete XOR constraints of arity [min_arity..max_arity] (defaults
-    3..6 — arity 2 is the equivalent-literal pass's job). *)
-val extract : ?min_arity:int -> ?max_arity:int -> int array list -> xor_row list
+    complete XOR constraints of arity [3..max_arity] (default 6 — arity 2
+    is the equivalent-literal pass's job). *)
+val extract : ?max_arity:int -> int array list -> xor_row list
 
 (** Gaussian elimination with smallest-variable pivots.  Rows growing past
-    [max_row] (default 24) during merging are dropped, which only loses
+    24 variables during merging are dropped, which only loses
     derivations.  If [Unsat] is present it is the only element. *)
-val eliminate : ?max_row:int -> xor_row list -> fact list
+val eliminate : xor_row list -> fact list

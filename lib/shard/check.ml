@@ -7,7 +7,6 @@ type config = {
   max_shard_ands : int;
   max_respawns : int;
   deadline_s : float option;
-  worker_exe : string option;
   test_kill_worker : int option;
 }
 
@@ -18,7 +17,6 @@ let default_config =
     max_shard_ands = 20_000;
     max_respawns = 4;
     deadline_s = None;
-    worker_exe = None;
     test_kill_worker = None;
   }
 
@@ -47,17 +45,6 @@ type worker = {
 }
 
 exception Done of E.outcome
-
-let worker_exe config =
-  match config.worker_exe with
-  | Some exe -> exe
-  | None -> (
-      match Sys.getenv_opt "SIMSWEEP_SHARD_WORKER" with
-      | Some exe when exe <> "" -> exe
-      | _ -> Sys.executable_name)
-
-let can_spawn config =
-  worker_exe config <> Sys.executable_name || Worker.hosts_workers ()
 
 let kill_and_reap w =
   if w.w_alive then begin
@@ -121,11 +108,10 @@ let check ?(config = default_config) ?cancel g =
         | [] -> None
       in
       let requeue_front t = queue := t :: !queue in
-      let exe = worker_exe config in
       let budget = slots * max 1 config.worker_domains in
       let spawn w_id =
         let domains = (budget + n_workers - 1 - w_id) / n_workers in
-        let pw = Proc.spawn ~exe ~domains in
+        let pw = Proc.spawn ~domains in
         stats.workers_spawned <- stats.workers_spawned + 1;
         stats.worker_pids <- Proc.pid pw :: stats.worker_pids;
         pw

@@ -1,7 +1,9 @@
 (** Multi-process sharded sweeping.
 
     The coordinator plans shards ({!Plan}), spawns worker processes
-    (re-exec of the host binary, {!Worker}), and schedules shards with
+    (re-execs of this program, [Sys.executable_name], which therefore
+    must call {!Worker.maybe_become_worker} first thing; see
+    {!Worker.hosts_workers}), and schedules shards with
     work-stealing: workers pull the next task whenever idle, so a slow
     shard never serialises the rest.  Verdicts stream back over
     {!Protocol} shard frames.  Each worker checks its shard with the
@@ -33,22 +35,12 @@ type config = {
   max_shard_ands : int;  (** target AND nodes per shard *)
   max_respawns : int;  (** replacement workers after crashes *)
   deadline_s : float option;  (** wall-clock budget for the whole check *)
-  worker_exe : string option;
-      (** worker executable; defaults to [SIMSWEEP_SHARD_WORKER] or
-          [Sys.executable_name] *)
   test_kill_worker : int option;
       (** fault injection: SIGKILL this worker slot right after its first
           task assignment *)
 }
 
 val default_config : config
-
-(** Whether [config] names an executable that serves as a worker:
-    [worker_exe], [SIMSWEEP_SHARD_WORKER], or this program itself once
-    it has called {!Worker.maybe_become_worker}.  Otherwise {!check}
-    would re-exec a program that runs its [main] instead of the worker
-    loop. *)
-val can_spawn : config -> bool
 
 (** [check ?config ?cancel g] checks the miter [g] end to end.
     Verdict classes (proved / disproved / undecided) are deterministic

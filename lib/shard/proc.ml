@@ -24,7 +24,8 @@ let env ~domains =
         Printf.sprintf "%s=%d" Worker.domains_env (max 1 domains);
       ])
 
-let spawn ~exe ~domains =
+let spawn ~domains =
+  let exe = Sys.executable_name in
   let parent, child = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_close_on_exec parent;
   let pid =

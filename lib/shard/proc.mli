@@ -10,10 +10,11 @@ val fd : t -> Unix.file_descr
 val ic : t -> in_channel
 val oc : t -> out_channel
 
-(** Spawn a worker: re-exec [exe] with the worker-mode environment
-    ({!Worker.mode_env}, {!Worker.domains_env}) over a socketpair.  The
-    worker announces itself with [Shard_ready] once up. *)
-val spawn : exe:string -> domains:int -> t
+(** Spawn a worker: re-exec this program ([Sys.executable_name]) with the
+    worker-mode environment ({!Worker.mode_env}, {!Worker.domains_env})
+    over a socketpair.  The worker announces itself with [Shard_ready]
+    once up. *)
+val spawn : domains:int -> t
 
 (** SIGKILL + close + reap. *)
 val kill : t -> unit

@@ -180,23 +180,18 @@ let exec ?cancel st line =
     | [ "cec"; engine ] -> with_current st (fun g -> run_cec ?cancel st g engine)
     | [ "certify" ] ->
         with_current st (fun g ->
-            let pool = Lazy.force st.pool in
-            let result, cert =
-              Simsweep.Certificate.generate ~config:Simsweep.Config.scaled
-                ?cancel ~pool g
+            let outcome, check =
+              Simsweep.Certificate.certify ?cancel ~pool:(Lazy.force st.pool) g
             in
-            let verdict = Engines.outcome_string result.Simsweep.Engine.outcome in
-            if not cert.Simsweep.Certificate.claims_proved then
-              Ok (verdict ^ " (no full certificate)")
-            else begin
-              match Simsweep.Certificate.validate g cert with
-              | Ok _ ->
-                  Ok
-                    (Printf.sprintf "%s (certificate with %d steps validated)"
-                       verdict
-                       (List.length cert.Simsweep.Certificate.steps))
-              | Error e -> Error ("certificate INVALID: " ^ e)
-            end)
+            let verdict = Engines.outcome_string outcome in
+            match check with
+            | Simsweep.Certificate.Validated steps ->
+                Ok
+                  (Printf.sprintf "%s (certificate with %d steps validated)"
+                     verdict steps)
+            | Simsweep.Certificate.Incomplete ->
+                Ok (verdict ^ " (no full certificate)")
+            | Simsweep.Certificate.Invalid e -> Error ("certificate INVALID: " ^ e))
     | [ "sim"; n ] -> (
         match int_of_string_opt n with
         | Some k when k > 0 ->

@@ -123,7 +123,7 @@ let run ?cancel ~pool engine g =
           worker_domains = max 1 (Par.Pool.num_workers pool / workers);
         }
       in
-      if not (Shard.Check.can_spawn config) then
+      if not (Shard.Worker.hosts_workers ()) then
         Error "shard: this program cannot host shard worker processes"
       else
         let outcome, st = Shard.Check.check ~config ?cancel g in

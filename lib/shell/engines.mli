@@ -52,9 +52,9 @@ type report = {
 
 (** [run ?cancel ~pool engine miter] checks [miter].  [pool] runs the
     in-process engines; [shard.N]'s spawned workers share its domains
-    (at least one each).  [Error] only for [shard] in a
-    program that cannot host shard workers ({!Shard.Check.can_spawn}); no
-    process is spawned then. *)
+    (at least one each).  [Error] only for [shard] in a program that
+    cannot host shard workers ({!Shard.Worker.hosts_workers}); no process
+    is spawned then. *)
 val run :
   ?cancel:Par.Cancel.t ->
   pool:Par.Pool.t ->

@@ -30,14 +30,3 @@ let eval_lit g cex l =
   values.(Aig.Lit.node l) <> Aig.Lit.is_compl l
 
 let check g cex po = eval_lit g cex (Aig.Network.po g po)
-
-let minimize g cex po =
-  if not (check g cex po) then invalid_arg "Cex.minimize: not a failing assignment";
-  let cur = Array.copy cex in
-  for i = 0 to Array.length cur - 1 do
-    if cur.(i) then begin
-      cur.(i) <- false;
-      if not (check g cur po) then cur.(i) <- true
-    end
-  done;
-  cur

@@ -21,8 +21,3 @@ val check : Aig.Network.t -> t -> int -> bool
 
 (** Evaluate an arbitrary literal under a full assignment. *)
 val eval_lit : Aig.Network.t -> t -> Aig.Lit.t -> bool
-
-(** [minimize g cex po] greedily clears set bits of a failing assignment
-    while output [po] stays asserted — smaller witnesses are far easier to
-    debug.  The result still satisfies [check g _ po]. *)
-val minimize : Aig.Network.t -> t -> int -> t

@@ -36,7 +36,6 @@ let of_sigs g sigs ?(include_pis = false) () =
   let classes = List.sort (fun a b -> compare (fst a.(0)) (fst b.(0))) classes in
   { classes }
 
-let num_classes t = List.length t.classes
 let num_nodes t = List.fold_left (fun acc c -> acc + Array.length c) 0 t.classes
 let classes t = t.classes
 

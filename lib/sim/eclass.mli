@@ -20,9 +20,6 @@ type pair = {
     dropped. *)
 val of_sigs : Aig.Network.t -> Psim.sigs -> ?include_pis:bool -> unit -> t
 
-(** Number of (non-singleton) classes. *)
-val num_classes : t -> int
-
 (** Total number of nodes across classes (including representatives). *)
 val num_nodes : t -> int
 

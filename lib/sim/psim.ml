@@ -76,26 +76,6 @@ let run ?stats g ~nwords ~rng ~pool ~embed =
     batches;
   s
 
-let compare_nodes s n m =
-  let rec go w eq co =
-    if (not eq) && not co then `Diff
-    else if w = s.nwords then if eq then `Equal else `Compl
-    else
-      let x = word s n w and y = word s m w in
-      go (w + 1) (eq && Int64.equal x y) (co && Int64.equal x (Int64.lognot y))
-  in
-  go 0 true true
-
-let compare_const s n =
-  let rec go w eq co =
-    if (not eq) && not co then `Diff
-    else if w = s.nwords then if eq then `Equal else `Compl
-    else
-      let x = word s n w in
-      go (w + 1) (eq && Int64.equal x 0L) (co && Int64.equal x (-1L))
-  in
-  go 0 true true
-
 let phase s n = Int64.logand (word s n 0) 1L <> 0L
 
 let class_key s n =

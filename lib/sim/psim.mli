@@ -38,13 +38,6 @@ val run :
 (** [word s n w] is word [w] of node [n]'s signature. *)
 val word : sigs -> int -> int -> int64
 
-(** Compare two node signatures. *)
-val compare_nodes : sigs -> int -> int -> [ `Equal | `Compl | `Diff ]
-
-(** True when the node's signature is all zeros ([`Equal] to constant
-    false) or all ones ([`Compl]). *)
-val compare_const : sigs -> int -> [ `Equal | `Compl | `Diff ]
-
 (** Key for grouping nodes into candidate equivalence classes: the
     signature normalised so that pattern 0 is [false], serialised.  Nodes
     with equal keys are equal or complementary on all simulated patterns. *)

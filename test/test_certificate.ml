@@ -1,5 +1,5 @@
-(* Proof certificates: generation, independent SAT validation, tamper
-   detection and serialisation. *)
+(* Proof certificates: generation, independent SAT validation and tamper
+   detection. *)
 
 let gen_cert ?config miter =
   Util.with_pool (fun pool -> Simsweep.Certificate.generate ?config ~pool miter)
@@ -71,35 +71,21 @@ let test_wrong_claim_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "fake claim accepted"
 
-let test_serialisation_roundtrip () =
-  let g = Gen.Arith.multiplier ~bits:6 in
-  let miter = Aig.Miter.build g (Opt.Resyn.resyn2 g) in
-  let _, cert = gen_cert ~config:forced_internal_config miter in
-  let text = Simsweep.Certificate.to_string cert in
-  match Simsweep.Certificate.of_string text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok cert' -> (
-      Alcotest.(check bool) "same claim" cert.Simsweep.Certificate.claims_proved
-        cert'.Simsweep.Certificate.claims_proved;
-      Alcotest.(check int) "same step count"
-        (List.length cert.Simsweep.Certificate.steps)
-        (List.length cert'.Simsweep.Certificate.steps);
-      (* The parsed certificate must still validate. *)
-      match Simsweep.Certificate.validate miter cert' with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "parsed certificate invalid: %s" e)
-
-let test_parse_errors () =
-  let bad s =
-    match Simsweep.Certificate.of_string s with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "expected parse error for %S" s
-  in
-  bad "";
-  bad "nonsense header\n";
-  bad "certificate proved\nX 1:2\n";
-  bad "certificate proved\nG 1:\n";
-  bad "certificate proved\nP oX\n"
+let test_certify () =
+  Util.with_pool @@ fun pool ->
+  let g = Gen.Arith.adder ~bits:6 in
+  let miter = Aig.Miter.build g (Opt.Resyn.light g) in
+  (match Simsweep.Certificate.certify ~pool miter with
+  | Simsweep.Engine.Proved, Simsweep.Certificate.Validated steps ->
+      Alcotest.(check bool) "has steps" true (steps > 0)
+  | _ -> Alcotest.fail "proved miter not validated");
+  (* An inverted output: the engine disproves, so there is no proof to
+     certify. *)
+  let bad = Aig.Network.copy g in
+  Aig.Network.set_po bad 0 (Aig.Lit.neg (Aig.Network.po bad 0));
+  match Simsweep.Certificate.certify ~pool (Aig.Miter.build g bad) with
+  | Simsweep.Engine.Disproved _, Simsweep.Certificate.Incomplete -> ()
+  | _ -> Alcotest.fail "disproved miter not reported incomplete"
 
 let prop_certificates_validate =
   QCheck.Test.make ~name:"generated certificates always validate" ~count:12
@@ -123,8 +109,7 @@ let () =
           Alcotest.test_case "po steps" `Quick test_po_step_validates;
           Alcotest.test_case "tamper detection" `Quick test_tampered_certificate_rejected;
           Alcotest.test_case "wrong claim" `Quick test_wrong_claim_rejected;
-          Alcotest.test_case "serialisation" `Quick test_serialisation_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "certify" `Quick test_certify;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_certificates_validate ]);
     ]

@@ -41,43 +41,6 @@ let test_eval_and_check () =
   Alcotest.(check bool) "sum bit1" false (Sim.Cex.check g cex 1);
   Alcotest.(check bool) "sum bit2" true (Sim.Cex.check g cex 2)
 
-let test_minimize () =
-  (* f = (a & b) | (c & d): the all-ones witness must shrink to two set
-     bits. *)
-  let g = Aig.Network.create () in
-  let a = Aig.Network.add_pi g and b = Aig.Network.add_pi g in
-  let c = Aig.Network.add_pi g and d = Aig.Network.add_pi g in
-  Aig.Network.add_po g
-    (Aig.Network.add_or g (Aig.Network.add_and g a b) (Aig.Network.add_and g c d));
-  let full = [| true; true; true; true |] in
-  let m = Sim.Cex.minimize g full 0 in
-  Alcotest.(check bool) "still failing" true (Sim.Cex.check g m 0);
-  let set = Array.fold_left (fun acc v -> acc + Bool.to_int v) 0 m in
-  Alcotest.(check int) "two essential bits" 2 set;
-  Alcotest.check_raises "rejects passing assignment"
-    (Invalid_argument "Cex.minimize: not a failing assignment") (fun () ->
-      ignore (Sim.Cex.minimize g [| false; false; false; false |] 0))
-
-let prop_minimize_sound =
-  QCheck.Test.make ~name:"minimized witness still fails" ~count:40
-    Util.arb_seed (fun seed ->
-      let g = Util.random_network ~pis:6 ~nodes:40 ~pos:2 seed in
-      (* Find some failing assignment by scanning. *)
-      let found = ref None in
-      for m = 0 to 63 do
-        if !found = None then begin
-          let cex = Array.init 6 (fun i -> (m lsr i) land 1 = 1) in
-          if Sim.Cex.check g cex 0 then found := Some cex
-        end
-      done;
-      match !found with
-      | None -> true
-      | Some cex ->
-          let m = Sim.Cex.minimize g cex 0 in
-          Sim.Cex.check g m 0
-          && Array.for_all2 (fun a b -> (not a) || b) m cex
-          (* only clears bits, never sets *))
-
 let prop_eval_matches_tt =
   QCheck.Test.make ~name:"eval_lit matches global truth table" ~count:30
     Util.arb_seed (fun seed ->
@@ -101,9 +64,8 @@ let () =
             test_of_window_pattern_rejects_internal;
           Alcotest.test_case "distance one" `Quick test_distance_one;
           Alcotest.test_case "eval/check" `Quick test_eval_and_check;
-          Alcotest.test_case "minimize" `Quick test_minimize;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_eval_matches_tt; prop_minimize_sound ] );
+          [ prop_eval_matches_tt ] );
     ]

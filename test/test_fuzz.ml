@@ -103,7 +103,7 @@ let test_oracle_catches_liar () =
   let g = Util.random_network ~pis:7 ~nodes:60 ~pos:4 31 in
   let _, mutant = Fuzz.Gencase.inject rng ~left:g g in
   let m = Aig.Miter.build g mutant in
-  let engines = Fuzz.Oracle.default_engines () @ [ liar ] in
+  let engines = Fuzz.Oracle.default_engines @ [ liar ] in
   let o = Fuzz.Oracle.run ~engines ~pool m in
   let caught =
     List.exists
@@ -129,7 +129,7 @@ let test_oracle_catches_bad_cex () =
     }
   in
   let o =
-    Fuzz.Oracle.run ~engines:(Fuzz.Oracle.default_engines () @ [ bogus ]) ~pool m
+    Fuzz.Oracle.run ~engines:(Fuzz.Oracle.default_engines @ [ bogus ]) ~pool m
   in
   let caught =
     List.exists

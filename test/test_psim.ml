@@ -51,8 +51,8 @@ let test_const_row () =
       let g = Util.random_network 2 in
       let rng = Sim.Rng.create ~seed:5L in
       let sigs = Sim.Psim.run g ~nwords:2 ~rng ~pool ~embed:[] in
-      Alcotest.(check bool) "const node all-zero" true
-        (Sim.Psim.compare_const sigs 0 = `Equal))
+      Alcotest.(check (list int64)) "const node all-zero" [ 0L; 0L ]
+        (List.init (Sim.Psim.nwords sigs) (Sim.Psim.word sigs 0)))
 
 let test_compare_nodes () =
   Util.with_pool (fun pool ->
@@ -66,8 +66,8 @@ let test_compare_nodes () =
       Aig.Network.add_po g y;
       let rng = Sim.Rng.create ~seed:9L in
       let sigs = Sim.Psim.run g ~nwords:4 ~rng ~pool ~embed:[] in
-      Alcotest.(check bool) "x equals y" true
-        (Sim.Psim.compare_nodes sigs (Aig.Lit.node x) (Aig.Lit.node y) = `Equal);
+      let signature l = List.init 4 (Sim.Psim.word sigs (Aig.Lit.node l)) in
+      Alcotest.(check (list int64)) "x equals y" (signature x) (signature y);
       Alcotest.(check bool) "same class key" true
         (Sim.Psim.class_key sigs (Aig.Lit.node x)
         = Sim.Psim.class_key sigs (Aig.Lit.node y)))
