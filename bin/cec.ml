@@ -120,8 +120,8 @@ let engine =
          ~doc:"Checking engine: sim (simulation-based), combined (sim + \
                SAT fallback, the paper's Table II flow), sat (SAT \
                sweeping), satdirect (monolithic SAT per output), bdd, \
-               portfolio, partitioned (sim + SAT per support-disjoint \
-               output group) or shard[.N] (up to N worker processes, \
+               portfolio, partitioned (the shard planner's shards, checked \
+               in process) or shard[.N] (up to N worker processes, \
                default 2, sharing the --domains budget).")
 
 let file1 =

@@ -57,13 +57,18 @@ let run seed cases minutes aig_dir out_dir self_test num_domains shrink_budget
 
 open Cmdliner
 
+(* The flags default to the runner's own defaults. *)
+let default = Fuzz.Runner.default_config
+
 let seed =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
+  Arg.(value & opt int (Int64.to_int default.Fuzz.Runner.seed)
+       & info [ "seed" ] ~docv:"N"
          ~doc:"Run seed. Every case, verdict and shrink step derives from it \
                deterministically, so any failure replays from this one number.")
 
 let cases =
-  Arg.(value & opt int 100 & info [ "cases" ] ~docv:"N" ~doc:"Number of fuzz cases.")
+  Arg.(value & opt int default.Fuzz.Runner.cases
+       & info [ "cases" ] ~docv:"N" ~doc:"Number of fuzz cases.")
 
 let minutes =
   Arg.(value & opt (some float) None & info [ "minutes" ] ~docv:"MIN"
@@ -79,7 +84,8 @@ let aig_dir =
                of generating cases. Overrides --cases and --minutes.")
 
 let out_dir =
-  Arg.(value & opt string "fuzz-out" & info [ "out" ] ~docv:"DIR"
+  Arg.(value & opt string default.Fuzz.Runner.out_dir
+       & info [ "out" ] ~docv:"DIR"
          ~doc:"Directory for shrunk AIGER reproducers.")
 
 let self_test =
@@ -94,11 +100,13 @@ let num_domains =
          ~doc:"Worker domains (default: machine-dependent).")
 
 let shrink_budget =
-  Arg.(value & opt int 400 & info [ "shrink-budget" ] ~docv:"N"
+  Arg.(value & opt int default.Fuzz.Runner.shrink_budget
+       & info [ "shrink-budget" ] ~docv:"N"
          ~doc:"Oracle evaluations the shrinker may spend per failure.")
 
 let certify_every =
-  Arg.(value & opt int 10 & info [ "certify-every" ] ~docv:"N"
+  Arg.(value & opt int default.Fuzz.Runner.certify_every
+       & info [ "certify-every" ] ~docv:"N"
          ~doc:"Replay a proof certificate on every Nth case (0 disables).")
 
 let quiet =

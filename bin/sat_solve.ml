@@ -24,16 +24,26 @@ let solve_file path conflict_limit dump no_simplify =
     0
   end
   else begin
-    let solver = Sat.Solver.create () in
-    match Sat.Dimacs.load solver text with
+    let loaded =
+      if no_simplify then begin
+        let solver = Sat.Solver.create () in
+        let model () =
+          Array.init (Sat.Solver.num_vars solver) (Sat.Solver.model_value solver)
+        in
+        Result.map (fun _ -> (solver, model)) (Sat.Dimacs.load solver text)
+      end
+      else
+        Result.map
+          (fun (nvars, clauses) ->
+            let r = Sat.Simplify.run ~nvars ~frozen:[] clauses in
+            (r.Sat.Simplify.solver, fun () -> Sat.Simplify.model r))
+          (Sat.Dimacs.cnf text)
+    in
+    match loaded with
     | Error e ->
         Printf.eprintf "error: %s\n" e;
         2
-    | Ok false ->
-        print_endline "s UNSATISFIABLE";
-        20
-    | Ok true -> (
-        if not no_simplify then Sat.Solver.simplify solver;
+    | Ok (solver, model) -> (
         match Sat.Solver.solve ~conflict_limit solver with
         | Sat.Solver.Unsat ->
             print_endline "s UNSATISFIABLE";
@@ -44,10 +54,9 @@ let solve_file path conflict_limit dump no_simplify =
         | Sat.Solver.Sat ->
             print_endline "s SATISFIABLE";
             print_string "v";
-            for v = 0 to Sat.Solver.num_vars solver - 1 do
-              Printf.printf " %d"
-                (if Sat.Solver.model_value solver v then v + 1 else -(v + 1))
-            done;
+            Array.iteri
+              (fun v b -> Printf.printf " %d" (if b then v + 1 else -(v + 1)))
+              (model ());
             print_endline " 0";
             10)
   end

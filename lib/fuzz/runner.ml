@@ -194,8 +194,8 @@ let run_dir ?(log = null_log) ?(extra_engines = []) ~pool ~dir cfg =
 let liar = { Oracle.name = "liar"; run = (fun ~pool:_ _ -> Oracle.V_equivalent) }
 
 (* Broken model reconstruction: a direct per-PO SAT check that runs the
-   preprocessor but reads counter-example PI values from the raw search
-   model ({!Sat.Solver.model_value_raw}) instead of the reconstructed one.
+   preprocessor but reads counter-example PI values from the simplified
+   solver's model, skipping {!Sat.Simplify.extend_model}.
    When preprocessing eliminates a PI that matters, the CEX is garbage —
    the failure class the oracle's replay stage exists to catch. *)
 let badrecon =
@@ -203,44 +203,41 @@ let badrecon =
     Oracle.name = "badrecon";
     run =
       (fun ~pool:_ m ->
-        let solver = Sat.Solver.create () in
-        if not (Sat.Cnf.load solver m) then Oracle.V_equivalent
-        else begin
-          let pos = Aig.Miter.unsolved_outputs m in
-          let frozen =
-            List.filter_map
-              (fun po ->
-                let l = Aig.Network.po m po in
-                if Aig.Network.is_const (Aig.Lit.node l) then None
-                else Some (Sat.Solver.var_of_lit (Sat.Cnf.lit l)))
-              pos
-          in
-          Sat.Solver.simplify ~frozen solver;
-          let rec go = function
-            | [] -> Oracle.V_equivalent
-            | po :: rest -> (
-                let l = Aig.Network.po m po in
-                if Aig.Network.is_const (Aig.Lit.node l) then
-                  if Aig.Lit.is_compl l then go rest
-                  else
-                    Oracle.V_inequivalent
-                      (Array.make (Aig.Network.num_pis m) false, po)
+        let pos = Aig.Miter.unsolved_outputs m in
+        let frozen =
+          List.filter_map
+            (fun po ->
+              let l = Aig.Network.po m po in
+              if Aig.Network.is_const (Aig.Lit.node l) then None
+              else Some (Sat.Solver.var_of_lit (Sat.Cnf.lit l)))
+            pos
+        in
+        let solver =
+          (Sat.Simplify.run ~nvars:(Aig.Network.num_nodes m) ~frozen
+             (Sat.Cnf.clauses m))
+            .Sat.Simplify.solver
+        in
+        let rec go = function
+          | [] -> Oracle.V_equivalent
+          | po :: rest -> (
+              let l = Aig.Network.po m po in
+              if Aig.Network.is_const (Aig.Lit.node l) then
+                if Aig.Lit.is_compl l then go rest
                 else
-                  match
-                    Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit l ]
-                      ~conflict_limit:10_000 solver
-                  with
-                  | Sat.Solver.Unsat -> go rest
-                  | Sat.Solver.Unknown -> Oracle.V_unknown "budget"
-                  | Sat.Solver.Sat ->
-                      let cex =
-                        Array.init (Aig.Network.num_pis m) (fun i ->
-                            Sat.Solver.model_value_raw solver (Aig.Network.pi m i))
-                      in
-                      Oracle.V_inequivalent (cex, po))
-          in
-          go pos
-        end);
+                  Oracle.V_inequivalent
+                    (Array.make (Aig.Network.num_pis m) false, po)
+              else
+                match
+                  Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit l ]
+                    ~conflict_limit:10_000 solver
+                with
+                | Sat.Solver.Unsat -> go rest
+                | Sat.Solver.Unknown -> Oracle.V_unknown "budget"
+                | Sat.Solver.Sat ->
+                    Oracle.V_inequivalent
+                      (Sat.Cnf.cex m (Sat.Solver.model_value solver), po))
+        in
+        go pos);
   }
 
 (* Broken-reconstruction stage: generate injected-fault miters until the

@@ -61,37 +61,29 @@ let to_string ~nvars clauses =
     clauses;
   Buffer.contents buf
 
+let cnf text =
+  Result.map
+    (fun (nvars, clauses) ->
+      (nvars, List.map (List.map (fun l -> Solver.mklit (abs l - 1) (l < 0))) clauses))
+    (parse text)
+
 let load solver text =
-  match parse text with
-  | Error e -> Error e
-  | Ok (nvars, clauses) ->
+  Result.map
+    (fun (nvars, clauses) ->
       for _ = 1 to nvars do
         ignore (Solver.new_var solver)
       done;
-      let ok =
-        List.for_all
-          (fun clause ->
-            Solver.add_clause solver
-              (List.map (fun l -> Solver.mklit (abs l - 1) (l < 0)) clause))
-          clauses
-      in
-      Ok ok
+      List.for_all (Solver.add_clause solver) clauses)
+    (cnf text)
 
 let of_miter g =
-  let clauses = ref [] in
-  let add c = clauses := c :: !clauses in
   (* Node i maps to DIMACS variable i+1. *)
-  let dlit (l : Aig.Lit.t) =
-    let v = Aig.Lit.node l + 1 in
-    if Aig.Lit.is_compl l then -v else v
+  let dlit l =
+    let v = Solver.var_of_lit l + 1 in
+    if l land 1 = 1 then -v else v
   in
-  add [ -1 ] (* the constant node is false *);
-  Aig.Network.iter_ands g (fun n ->
-      let f0 = Aig.Network.fanin0 g n and f1 = Aig.Network.fanin1 g n in
-      let vn = n + 1 in
-      add [ -vn; dlit f0 ];
-      add [ -vn; dlit f1 ];
-      add [ vn; -dlit f0; -dlit f1 ]);
+  let clauses = ref [] in
+  Cnf.iter_clauses g (fun c -> clauses := List.map dlit c :: !clauses);
   (* Some output must be set: UNSAT iff the miter is proved. *)
-  add (Array.to_list (Array.map dlit (Aig.Network.pos g)));
-  to_string ~nvars:(Aig.Network.num_nodes g) (List.rev !clauses)
+  let outputs = Array.map (fun l -> dlit (Cnf.lit l)) (Aig.Network.pos g) in
+  to_string ~nvars:(Aig.Network.num_nodes g) (List.rev (Array.to_list outputs :: !clauses))

@@ -12,6 +12,10 @@ val parse : string -> (int * int list list, string) result
 (** Render a CNF in DIMACS format. *)
 val to_string : nvars:int -> int list list -> string
 
+(** [cnf text] is [parse text] with each literal in the solver encoding
+    (DIMACS variable [v] is solver variable [v-1]). *)
+val cnf : string -> (int * Solver.lit list list, string) result
+
 (** [load solver text] parses and adds the formula, allocating variables;
     returns [Ok false] when the formula is trivially unsatisfiable at the
     root level. *)

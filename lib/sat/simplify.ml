@@ -3,11 +3,13 @@
    binary implication graph, and XOR extraction with GF(2) elimination.
 
    The pipeline works on a standalone clause database (occurrence lists
-   per variable, lazy deletion, level-0 unit propagation) and returns the
-   simplified clauses together with a {e reconstruction stack} that maps
-   any model of the simplified formula back to a model of the original
-   one — the contract `Sat.Sweep` depends on, since every counter-example
-   it reports is replayed on the miter by the fuzz oracle.
+   per variable, lazy deletion, level-0 unit propagation), loads the
+   simplified clauses into a fresh plain solver, probes failed literals
+   there, and returns the solver together with a {e reconstruction stack}
+   that maps any model of the simplified formula back to a model of the
+   original one — the contract `Sat.Sweep.check_direct` depends on, since
+   every counter-example it reports is replayed on the miter by the fuzz
+   oracle.
 
    Reconstruction follows MiniSat's SimpSolver: eliminating variable v
    stores the smaller phase's clauses (v's literal rotated to the front)
@@ -24,73 +26,20 @@
 
 let neg l = l lxor 1
 
-type config = {
-  bve : bool;  (* bounded variable elimination *)
-  bve_grow : int;  (* resolvent count may exceed removed count by this *)
-  bve_max_occ : int;  (* skip vars with more total occurrences *)
-  bve_resolvent_max : int;  (* abort elimination on longer resolvents *)
-  subsume : bool;  (* subsumption + self-subsuming resolution *)
-  elit : bool;  (* equivalent-literal substitution (binary SCCs) *)
-  xor_ : bool;  (* XOR extraction + Gaussian elimination *)
-  xor_max_arity : int;
-  probe : bool;  (* failed-literal probing (run by the solver) *)
-  probe_limit : int;  (* max probes per simplify call *)
-  rounds : int;  (* pipeline rounds (stops early at fixpoint) *)
-}
-
-let default_config =
-  {
-    bve = true;
-    bve_grow = 0;
-    bve_max_occ = 20;
-    bve_resolvent_max = 20;
-    subsume = true;
-    elit = true;
-    xor_ = true;
-    xor_max_arity = 6;
-    probe = true;
-    probe_limit = 2000;
-    rounds = 3;
-  }
-
-type stats = {
-  mutable s_rounds : int;
-  mutable s_units : int;  (* level-0 assignments fixed (incl. input units) *)
-  mutable s_eliminated : int;  (* vars removed by BVE *)
-  mutable s_subsumed : int;  (* clauses deleted by subsumption *)
-  mutable s_strengthened : int;  (* literals removed by self-subsumption *)
-  mutable s_elit : int;  (* vars substituted by an equivalent literal *)
-  mutable s_xor_rows : int;  (* XOR constraints mined from clauses *)
-  mutable s_xor_units : int;  (* units derived by Gaussian elimination *)
-  mutable s_xor_equivs : int;  (* equivalences derived by Gaussian elim. *)
-  mutable s_probes : int;  (* failed-literal probes attempted *)
-  mutable s_failed_lits : int;  (* probes that failed (forced a unit) *)
-  mutable s_cancelled : bool;
-}
-
-let mk_stats () =
-  {
-    s_rounds = 0;
-    s_units = 0;
-    s_eliminated = 0;
-    s_subsumed = 0;
-    s_strengthened = 0;
-    s_elit = 0;
-    s_xor_rows = 0;
-    s_xor_units = 0;
-    s_xor_equivs = 0;
-    s_probes = 0;
-    s_failed_lits = 0;
-    s_cancelled = false;
-  }
+(* The pipeline's constants: BVE skips variables with more than
+   [bve_max_occ] occurrences and gives up on a resolvent longer than
+   [bve_resolvent_max] literals or on more resolvents than the clauses it
+   removes; [rounds] caps the pipeline rounds, which stop early at a
+   fixpoint. *)
+let bve_max_occ = 20
+let bve_resolvent_max = 20
+let rounds = 3
 
 type recon = R_clause of int array | R_subst of { v : int; lit : int }
 
-type result = {
-  clauses : int array list;
-  units : int list;
+type t = {
+  solver : Solver.t;
   recon : recon list;  (* most recent record first *)
-  unsat : bool;
   eliminated : bool array;
 }
 
@@ -131,7 +80,6 @@ let iv_push v x =
   v.n <- v.n + 1
 
 type db = {
-  cfg : config;
   nvars : int;
   frozen : bool array;  (* never eliminated or substituted *)
   value : int array;  (* per var: 0 unknown, 1 true, -1 false *)
@@ -147,7 +95,7 @@ type db = {
   mutable recon : recon list;
   mutable unsat : bool;
   mutable halted : bool;  (* cancellation observed *)
-  st : stats;
+  mutable changes : int;  (* units, removals and substitutions so far *)
 }
 
 let lit_val db l =
@@ -257,7 +205,7 @@ let propagate db =
     end
     else begin
       db.value.(v) <- want;
-      db.st.s_units <- db.st.s_units + 1;
+      db.changes <- db.changes + 1;
       let o = db.occ.(v) in
       let n = o.n in
       let i = ref 0 in
@@ -296,10 +244,7 @@ let subsumes c d =
   go 0 0 None
 
 let poll_cancel db cancel =
-  if (not db.halted) && Par.Cancel.poll_opt cancel then begin
-    db.halted <- true;
-    db.st.s_cancelled <- true
-  end
+  if (not db.halted) && Par.Cancel.poll_opt cancel then db.halted <- true
 
 (* Drain the touched queue: each queued clause is checked against the
    occurrence list of its least-occurring variable for clauses it subsumes
@@ -341,9 +286,9 @@ let subsume_pass db cancel =
             | No -> ()
             | Sub ->
               kill db cj;
-              db.st.s_subsumed <- db.st.s_subsumed + 1
+              db.changes <- db.changes + 1
             | Str l ->
-              db.st.s_strengthened <- db.st.s_strengthened + 1;
+              db.changes <- db.changes + 1;
               remove_lit db cj (neg l)
         done
       end
@@ -358,7 +303,7 @@ let subsume_pass db cancel =
 let subst_var db u rl =
   db.recon <- R_subst { v = u; lit = rl } :: db.recon;
   db.eliminated.(u) <- true;
-  db.st.s_elit <- db.st.s_elit + 1;
+  db.changes <- db.changes + 1;
   let o = db.occ.(u) in
   let n = o.n in
   for i = 0 to n - 1 do
@@ -431,23 +376,19 @@ let xor_pass db =
   if not (db.unsat || db.halted) then begin
     let cs = ref [] in
     for ci = db.ncls - 1 downto 0 do
-      if not db.dead.(ci) then begin
-        let len = Array.length db.cls.(ci) in
-        if len >= 3 && len <= db.cfg.xor_max_arity then cs := db.cls.(ci) :: !cs
-      end
+      if not db.dead.(ci) then cs := db.cls.(ci) :: !cs
     done;
-    let rows = Xor.extract ~max_arity:db.cfg.xor_max_arity !cs in
-    db.st.s_xor_rows <- db.st.s_xor_rows + List.length rows;
+    let rows = Xor.extract !cs in
     if rows <> [] then begin
       List.iter
         (fun fact ->
           match fact with
           | Xor.Unsat -> db.unsat <- true
           | Xor.Unit (v, b) ->
-            db.st.s_xor_units <- db.st.s_xor_units + 1;
+            db.changes <- db.changes + 1;
             Queue.push ((v lsl 1) lor if b then 0 else 1) db.uq
           | Xor.Equiv (x, y, s) ->
-            db.st.s_xor_equivs <- db.st.s_xor_equivs + 1;
+            db.changes <- db.changes + 1;
             let ly = (y lsl 1) lor if s then 1 else 0 in
             add_lits db [ (x lsl 1) lor 1; ly ];
             add_lits db [ x lsl 1; neg ly ])
@@ -494,7 +435,7 @@ let try_eliminate db v =
             incr nn
           end
     done;
-    if !np + !nn <= db.cfg.bve_max_occ then begin
+    if !np + !nn <= bve_max_occ then begin
       match
         let resolvents = ref [] in
         let count = ref 0 in
@@ -506,10 +447,10 @@ let try_eliminate db v =
                    match resolve db p n v with
                    | None -> ()
                    | Some r ->
-                     if List.length r > db.cfg.bve_resolvent_max then
+                     if List.length r > bve_resolvent_max then
                        raise_notrace Too_big;
                      incr count;
-                     if !count > !np + !nn + db.cfg.bve_grow then
+                     if !count > !np + !nn then
                        raise_notrace Too_big;
                      resolvents := r :: !resolvents)
                  !nps)
@@ -539,7 +480,7 @@ let try_eliminate db v =
         List.iter (kill db) !pos;
         List.iter (kill db) !nps;
         db.eliminated.(v) <- true;
-        db.st.s_eliminated <- db.st.s_eliminated + 1;
+        db.changes <- db.changes + 1;
         List.iter (add_lits db) resolvents;
         propagate db
     end
@@ -555,12 +496,36 @@ let bve_pass db cancel =
 
 (* --- driver ------------------------------------------------------------ *)
 
-let run ?(config = default_config) ?cancel ~stats ~nvars ~frozen ~units clauses =
+(* Load the simplified database into a fresh solver.  Level-0 values
+   become unit clauses, eliminated variables are fixed false (the value
+   [extend_model] starts from) so the search never branches on them, and
+   the branching order then keeps only the free variables. *)
+let load db =
+  let solver = Solver.create () in
+  for _ = 1 to db.nvars do
+    ignore (Solver.new_var solver)
+  done;
+  if db.unsat then ignore (Solver.add_clause solver [])
+  else begin
+    for v = 0 to db.nvars - 1 do
+      if db.value.(v) <> 0 then
+        ignore (Solver.add_clause solver [ Solver.mklit v (db.value.(v) < 0) ])
+      else if db.eliminated.(v) then
+        ignore (Solver.add_clause solver [ Solver.mklit v true ])
+    done;
+    for ci = 0 to db.ncls - 1 do
+      if not db.dead.(ci) then
+        ignore (Solver.add_clause solver (Array.to_list db.cls.(ci)))
+    done;
+    Solver.rebuild_order solver
+  end;
+  solver
+
+let run ?cancel ~nvars ~frozen clauses =
   let db =
     {
-      cfg = config;
       nvars;
-      frozen;
+      frozen = Array.make (max 1 nvars) false;
       value = Array.make (max 1 nvars) 0;
       eliminated = Array.make (max 1 nvars) false;
       cls = Array.make 16 [||];
@@ -574,49 +539,44 @@ let run ?(config = default_config) ?cancel ~stats ~nvars ~frozen ~units clauses 
       recon = [];
       unsat = false;
       halted = false;
-      st = stats;
+      changes = 0;
     }
   in
-  List.iter (fun l -> Queue.push l db.uq) units;
-  List.iter (fun c -> add_lits db (Array.to_list c)) clauses;
+  List.iter (fun v -> if v >= 0 && v < nvars then db.frozen.(v) <- true) frozen;
+  List.iter (add_lits db) clauses;
   propagate db;
   poll_cancel db cancel;
-  let progress () =
-    stats.s_units + stats.s_eliminated + stats.s_subsumed + stats.s_strengthened
-    + stats.s_elit + stats.s_xor_units + stats.s_xor_equivs
-  in
   let round = ref 0 in
   let last = ref (-1) in
-  while (not (db.unsat || db.halted)) && !round < config.rounds && progress () <> !last
-  do
-    last := progress ();
+  while (not (db.unsat || db.halted)) && !round < rounds && db.changes <> !last do
+    last := db.changes;
     incr round;
-    stats.s_rounds <- stats.s_rounds + 1;
-    if config.elit then elit_pass db cancel;
+    elit_pass db cancel;
     poll_cancel db cancel;
-    if config.subsume then subsume_pass db cancel;
+    subsume_pass db cancel;
     poll_cancel db cancel;
-    if config.xor_ then xor_pass db;
+    xor_pass db;
     poll_cancel db cancel;
-    if config.bve then bve_pass db cancel;
+    bve_pass db cancel;
     poll_cancel db cancel;
     propagate db
   done;
   (* Drain any pending units even on early exit so the result is closed. *)
   propagate db;
-  let clauses = ref [] in
-  for ci = db.ncls - 1 downto 0 do
-    if not db.dead.(ci) then clauses := db.cls.(ci) :: !clauses
-  done;
-  let units = ref [] in
-  for v = nvars - 1 downto 0 do
-    if db.value.(v) <> 0 then
-      units := ((v lsl 1) lor if db.value.(v) > 0 then 0 else 1) :: !units
-  done;
-  {
-    clauses = !clauses;
-    units = !units;
-    recon = db.recon;
-    unsat = db.unsat;
-    eliminated = db.eliminated;
-  }
+  let solver = load db in
+  if not (db.unsat || Par.Cancel.poll_opt cancel) then begin
+    (* Probe from the roots of the binary implication graph: their
+       propagation covers the most consequences. *)
+    let bimp = Bimp.create ~nvars () in
+    for ci = 0 to db.ncls - 1 do
+      let c = db.cls.(ci) in
+      if (not db.dead.(ci)) && Array.length c = 2 then Bimp.add_clause bimp c.(0) c.(1)
+    done;
+    Solver.probe ?cancel solver (Bimp.probe_candidates bimp)
+  end;
+  { solver; recon = db.recon; eliminated = db.eliminated }
+
+let model r =
+  let m = Array.init (Solver.num_vars r.solver) (Solver.model_value r.solver) in
+  extend_model r.recon m;
+  m

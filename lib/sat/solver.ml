@@ -39,7 +39,6 @@ type t = {
   mutable activity : float array;  (* per var *)
   mutable polarity : bool array;  (* per var: saved phase *)
   order : Heap.t;  (* branching order: max-heap on activity *)
-  mutable elim : bool array;  (* per var: eliminated by preprocessing *)
   mutable trail : int array;  (* assigned literals in order *)
   mutable trail_n : int;
   mutable trail_lim : int array;  (* decision-level boundaries *)
@@ -48,9 +47,7 @@ type t = {
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable ok : bool;  (* false once level-0 conflict found *)
-  mutable model : bool array;  (* after reconstruction of eliminated vars *)
-  mutable raw_model : bool array;  (* before reconstruction *)
-  mutable recon : Simplify.recon list;  (* model-reconstruction stack *)
+  mutable model : bool array;
   mutable conflicts : int;
   mutable propagations : int;
   mutable seen : bool array;  (* scratch for analyze *)
@@ -61,7 +58,6 @@ type t = {
   mutable restarts : int;
   mutable reduce_dbs : int;
   mutable learnts_removed : int;
-  simp_stats : Simplify.stats;
 }
 
 let create () =
@@ -76,7 +72,6 @@ let create () =
     activity = [||];
     polarity = [||];
     order = Heap.create ();
-    elim = [||];
     trail = [||];
     trail_n = 0;
     trail_lim = [||];
@@ -86,8 +81,6 @@ let create () =
     cla_inc = 1.0;
     ok = true;
     model = [||];
-    raw_model = [||];
-    recon = [];
     conflicts = 0;
     propagations = 0;
     seen = [||];
@@ -98,7 +91,6 @@ let create () =
     restarts = 0;
     reduce_dbs = 0;
     learnts_removed = 0;
-    simp_stats = Simplify.mk_stats ();
   }
 
 let num_vars t = t.nvars
@@ -118,10 +110,8 @@ let grow_arrays t n =
     t.reasons <- copy_m1 t.reasons;
     t.activity <- copy_f t.activity;
     t.polarity <- copy_b t.polarity;
-    t.elim <- copy_b t.elim;
     t.seen <- copy_b t.seen;
     t.model <- copy_b t.model;
-    t.raw_model <- copy_b t.raw_model;
     t.lbd_stamp <- copy_int t.lbd_stamp;
     let trail = Array.make cap 0 in
     Array.blit t.trail 0 trail 0 t.trail_n;
@@ -153,7 +143,6 @@ let new_var t =
   t.values.(v) <- 0;
   t.reasons.(v) <- -1;
   t.polarity.(v) <- false;
-  t.elim.(v) <- false;
   heap_insert t v;
   v
 
@@ -503,7 +492,7 @@ let pick_branch t =
     if Heap.is_empty t.order then -1
     else
       let v = heap_pop t in
-      if t.values.(v) = 0 && not t.elim.(v) then v else go ()
+      if t.values.(v) = 0 then v else go ()
   in
   go ()
 
@@ -594,11 +583,6 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?cancel t =
             for i = 0 to t.nvars - 1 do
               t.model.(i) <- t.values.(i) > 0
             done;
-            Array.blit t.model 0 t.raw_model 0 t.nvars;
-            (* Map the model of the simplified formula back onto the
-               eliminated variables so callers (CEX replay!) see a model
-               of the original clauses. *)
-            if t.recon <> [] then Simplify.extend_model t.recon t.model;
             result := Some Sat
           end
           else begin
@@ -613,116 +597,46 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?cancel t =
   end
 
 let model_value t v = t.model.(v)
-let model_value_raw t v = t.raw_model.(v)
-let is_eliminated t v = t.elim.(v)
 let num_restarts t = t.restarts
 let num_reduce_dbs t = t.reduce_dbs
 let num_learnts_removed t = t.learnts_removed
-let simp_stats t = t.simp_stats
 
-(* --- preprocessing ----------------------------------------------------- *)
+(* --- level-0 primitives for preprocessing ------------------------------ *)
+
+(* MiniSat's rebuildOrderHeap: the branching order keeps only the
+   unassigned variables, in index order. *)
+let rebuild_order t =
+  assert (decision_level t = 0);
+  Heap.clear t.order;
+  for v = 0 to t.nvars - 1 do
+    if t.values.(v) = 0 then heap_insert t v
+  done
+
+let probe_budget = 2000
 
 (* Failed-literal probing: assume a candidate literal at a fresh decision
-   level and propagate; a conflict proves its negation at level 0.
-   Candidates are the roots of the binary implication graph (their
-   propagation covers the most consequences). *)
-let probe t (config : Simplify.config) cancel =
-  let bimp = Bimp.create ~nvars:t.nvars () in
-  for ci = 0 to t.nclauses - 1 do
-    let c = t.clauses.(ci) in
-    if Array.length c.lits = 2 then Bimp.add_clause bimp c.lits.(0) c.lits.(1)
-  done;
-  let budget = ref config.probe_limit in
-  let stop = ref false in
-  let k = ref 0 in
-  List.iter
-    (fun l ->
-      if (not !stop) && !budget > 0 && t.ok then begin
-        incr k;
-        if !k land 15 = 0 && Par.Cancel.poll_opt cancel then begin
-          stop := true;
-          t.simp_stats.s_cancelled <- true
-        end
-        else if lit_value t l = 0 then begin
-          decr budget;
-          t.simp_stats.s_probes <- t.simp_stats.s_probes + 1;
-          new_decision_level t;
-          enqueue t l (-1);
-          let confl = propagate t in
-          cancel_until t 0;
-          if confl >= 0 then begin
-            t.simp_stats.s_failed_lits <- t.simp_stats.s_failed_lits + 1;
-            enqueue t (neg l) (-1);
-            if propagate t >= 0 then begin
-              t.ok <- false;
-              stop := true
-            end
-          end
-        end
-      end)
-    (Bimp.probe_candidates bimp)
-
-let simplify ?(config = Simplify.default_config) ?cancel ?(frozen = []) t =
+   level and propagate; a conflict proves its negation at level 0. *)
+let probe ?cancel t candidates =
   assert (decision_level t = 0);
   if t.ok && propagate t >= 0 then t.ok <- false;
-  if t.ok then begin
-    let frozen_arr = Array.make (max 1 t.nvars) false in
-    List.iter (fun v -> if v >= 0 && v < t.nvars then frozen_arr.(v) <- true) frozen;
-    (* Variables eliminated by an earlier call occur in no clause; keep
-       the passes away from them so no second reconstruction record is
-       pushed. *)
-    for v = 0 to t.nvars - 1 do
-      if t.elim.(v) then frozen_arr.(v) <- true
-    done;
-    let units = ref [] in
-    for i = t.trail_n - 1 downto 0 do
-      units := t.trail.(i) :: !units
-    done;
-    let cls = ref [] in
-    for ci = t.nclauses - 1 downto 0 do
-      let c = t.clauses.(ci) in
-      (* Learnt clauses are consequences: dropping them is sound, and it
-         frees the passes from tracking them through eliminations. *)
-      if (not c.learnt) && not (Array.exists (fun l -> lit_value t l > 0) c.lits)
-      then
-        cls :=
-          Array.of_list
-            (List.filter (fun l -> lit_value t l = 0) (Array.to_list c.lits))
-          :: !cls
-    done;
-    let res =
-      Simplify.run ~config ?cancel ~stats:t.simp_stats ~nvars:t.nvars
-        ~frozen:frozen_arr ~units:!units !cls
-    in
-    if res.unsat then t.ok <- false
-    else begin
-      (* Rebuild the solver around the simplified database. *)
-      t.nclauses <- 0;
-      t.nlearnts <- 0;
-      for l = 0 to (2 * t.nvars) - 1 do
-        t.watches.(l).n <- 0
-      done;
-      t.trail_n <- 0;
-      t.trail_lim_n <- 0;
-      t.qhead <- 0;
-      for v = 0 to t.nvars - 1 do
-        t.values.(v) <- 0;
-        t.reasons.(v) <- -1;
-        if res.eliminated.(v) then t.elim.(v) <- true
-      done;
-      List.iter (fun l -> if lit_value t l = 0 then enqueue t l (-1)) res.units;
-      List.iter
-        (fun lits ->
-          let ci = push_clause t { lits; learnt = false; act = 0.; lbd = 0 } in
-          watch_clause t ci)
-        res.clauses;
-      t.recon <- res.recon @ t.recon;
-      Heap.clear t.order;
-      for v = 0 to t.nvars - 1 do
-        if (not t.elim.(v)) && t.values.(v) = 0 then heap_insert t v
-      done;
-      if propagate t >= 0 then t.ok <- false;
-      if t.ok && config.probe && not (Par.Cancel.poll_opt cancel) then
-        probe t config cancel
-    end
-  end
+  let budget = ref probe_budget in
+  let rec go k = function
+    | l :: rest when t.ok && !budget > 0 ->
+        if k land 15 = 0 && Par.Cancel.poll_opt cancel then ()
+        else begin
+          if lit_value t l = 0 then begin
+            decr budget;
+            new_decision_level t;
+            enqueue t l (-1);
+            let confl = propagate t in
+            cancel_until t 0;
+            if confl >= 0 then begin
+              enqueue t (neg l) (-1);
+              if propagate t >= 0 then t.ok <- false
+            end
+          end;
+          go (k + 1) rest
+        end
+    | _ -> ()
+  in
+  go 1 candidates

@@ -5,12 +5,11 @@
     learning, LBD-scored learnt-clause database reduction.  Supports
     incremental solving under assumptions and per-call conflict limits —
     the two features SAT sweeping relies on (the paper's baseline runs
-    ABC [&cec] with a conflict budget per call).  SAT sweeping uses the
-    solver plain.  An optional {!simplify} preprocessing call (BVE,
-    subsumption, equivalent literals, XOR/Gauss, failed-literal probing;
-    see {!Simplify}) serves the monolithic per-output check
-    ({!Sweep.check_direct}) and DIMACS solving, where it was measured to
-    pay. *)
+    ABC [&cec] with a conflict budget per call).  The solver has no
+    preprocessor of its own: {!Simplify} runs in front of it, loads the
+    simplified CNF into a fresh solver and extends its models to the
+    eliminated variables itself.  From here it only needs two level-0 primitives,
+    {!rebuild_order} and failed-literal {!probe}. *)
 
 type t
 
@@ -46,38 +45,21 @@ val add_clause : t -> lit list -> bool
 val solve :
   ?assumptions:lit list -> ?conflict_limit:int -> ?cancel:Par.Cancel.t -> t -> result
 
-(** Value of a variable in the last model (valid only after [Sat]).
-    Covers {e every} variable: values of variables eliminated by
-    {!simplify} are reconstructed from the stored elimination records, so
-    the model always satisfies the original clauses. *)
+(** Value of a variable in the last model (valid only after [Sat]). *)
 val model_value : t -> int -> bool
 
-(** Like {!model_value} but {e without} reconstruction of eliminated
-    variables (their entries are whatever the search left behind).  Only
-    for tests that need to observe the difference — e.g. the fuzzer's
-    deliberately-broken reconstruction stub. *)
-val model_value_raw : t -> int -> bool
+(** [rebuild_order t] drops the variables assigned at level 0 from the
+    branching order and re-enters the others in index order (MiniSat's
+    [rebuildOrderHeap]).  A loader that fixes variables at level 0 calls
+    it once, before the first [solve]. *)
+val rebuild_order : t -> unit
 
-(** [simplify ?config ?cancel ?frozen t] preprocesses the clause database
-    at decision level 0: bounded variable elimination, subsumption +
-    self-subsuming resolution, equivalent-literal substitution, XOR
-    extraction with Gaussian elimination, then failed-literal probing.
-    Variables listed in [frozen] are never eliminated nor substituted —
-    callers MUST freeze every variable they will later pass in
-    [assumptions] (eliminated variables no longer constrain the search,
-    so assuming them would be meaningless).  Adding a clause over an
-    eliminated variable afterwards is likewise invalid; check
-    {!is_eliminated} when in doubt.  Learnt clauses are dropped.  Polls
-    [cancel] throughout; a cancelled call leaves a partially simplified
-    but equisatisfiable solver. *)
-val simplify :
-  ?config:Simplify.config -> ?cancel:Par.Cancel.t -> ?frozen:int list -> t -> unit
-
-(** Was this variable eliminated by {!simplify}? *)
-val is_eliminated : t -> int -> bool
-
-(** Cumulative preprocessing statistics for this solver. *)
-val simp_stats : t -> Simplify.stats
+(** [probe ?cancel t candidates] is failed-literal probing at level 0:
+    each candidate that is still unassigned (at most 2000 of them) is
+    assumed at a fresh decision level and propagated, and a conflict
+    asserts its negation at level 0.  Polls [cancel] every 16
+    candidates. *)
+val probe : ?cancel:Par.Cancel.t -> t -> lit list -> unit
 
 (** Total conflicts since creation (statistics). *)
 val num_conflicts : t -> int

@@ -63,7 +63,7 @@ let prove_pair solver stats ?cancel g repr_lit target =
         `Unsat
     | Solver.Sat ->
         stats.sat_sat <- stats.sat_sat + 1;
-        `Sat (Cnf.model_cex solver g)
+        `Sat (Cnf.cex g (Solver.model_value solver))
     | Solver.Unknown ->
         stats.sat_unknown <- stats.sat_unknown + 1;
         `Unknown
@@ -176,6 +176,32 @@ let sweep_core ?classes ?cancel ~pool ~stats g0 =
   done;
   !g
 
+(* The final per-output check: one SAT call per PO of [pos] under the
+   assumption that it is true, in order.  The first SAT answer is a
+   counter-example, read from the variable values [model ()] returns; an
+   Unknown ends the check undecided.  Counts the calls in [stats] and absorbs the solver's
+   counters. *)
+let check_pos ?(conflict_limit = max_int) ?cancel ~stats ~model solver g pos =
+  let rec go = function
+    | [] -> Equivalent
+    | po :: rest -> (
+        stats.sat_calls <- stats.sat_calls + 1;
+        let l = Cnf.lit (Aig.Network.po g po) in
+        match Solver.solve ~assumptions:[ l ] ~conflict_limit ?cancel solver with
+        | Solver.Unsat ->
+            stats.sat_unsat <- stats.sat_unsat + 1;
+            go rest
+        | Solver.Sat ->
+            stats.sat_sat <- stats.sat_sat + 1;
+            Inequivalent (Cnf.cex g (model ()), po)
+        | Solver.Unknown ->
+            stats.sat_unknown <- stats.sat_unknown + 1;
+            Undecided)
+  in
+  let r = go pos in
+  absorb_solver stats solver;
+  r
+
 let check ?classes ?cancel ~pool g0 =
   let stats = new_stats () in
   let g = sweep_core ?classes ?cancel ~pool ~stats g0 in
@@ -186,33 +212,11 @@ let check ?classes ?cancel ~pool g0 =
     else begin
       let solver = Solver.create () in
       stats.cnf_loads <- stats.cnf_loads + 1;
-      let loaded = Cnf.load solver g in
-      if not loaded then Equivalent
-      else begin
-        let unsolved = Aig.Miter.unsolved_outputs g in
-        let rec check_pos = function
-          | [] -> Equivalent
-          | po :: rest -> (
-              let l = Aig.Network.po g po in
-              if l = Aig.Lit.const_false then check_pos rest
-              else begin
-                stats.sat_calls <- stats.sat_calls + 1;
-                match Solver.solve ~assumptions:[ Cnf.lit l ] ?cancel solver with
-                | Solver.Unsat ->
-                    stats.sat_unsat <- stats.sat_unsat + 1;
-                    check_pos rest
-                | Solver.Sat ->
-                    stats.sat_sat <- stats.sat_sat + 1;
-                    Inequivalent (Cnf.model_cex solver g, po)
-                | Solver.Unknown ->
-                    stats.sat_unknown <- stats.sat_unknown + 1;
-                    Undecided
-              end)
-        in
-        let r = check_pos unsolved in
-        absorb_solver stats solver;
-        r
-      end
+      if not (Cnf.load solver g) then Equivalent
+      else
+        check_pos ?cancel ~stats
+          ~model:(fun () -> Solver.model_value solver)
+          solver g (Aig.Miter.unsolved_outputs g)
     end
   in
   (outcome, stats)
@@ -223,39 +227,34 @@ let fraig ?cancel ~pool g =
   let reduced = sweep_core ?cancel ~pool ~stats (Aig.Network.copy g) in
   (reduced, stats)
 
-let check_direct ?(simplify = true) ?(conflict_limit = max_int) ?cancel g =
+let check_direct ?(simplify = true) ?conflict_limit ?cancel g =
   if Aig.Miter.solved g then Equivalent
   else begin
-    let solver = Solver.create () in
-    if not (Cnf.load solver g) then Equivalent
-    else begin
-      let unsolved = Aig.Miter.unsolved_outputs g in
-      (* Preprocess with the unsolved PO variables frozen (they are
-         assumed one by one below); every other variable, PIs included,
-         may be eliminated, and counter-example values for eliminated PIs
-         come back through model reconstruction. *)
+    let pos = Aig.Miter.unsolved_outputs g in
+    let solver, model =
       if simplify then begin
+        (* Preprocess with the unsolved PO variables frozen (they are
+           assumed one by one); every other variable, PIs included, may be
+           eliminated, and counter-example values for eliminated PIs come
+           back through model reconstruction. *)
         let frozen =
           List.filter_map
             (fun po ->
               let l = Aig.Network.po g po in
               if Aig.Network.is_const (Aig.Lit.node l) then None
               else Some (Solver.var_of_lit (Cnf.lit l)))
-            unsolved
+            pos
         in
-        Solver.simplify ?cancel ~frozen solver
-      end;
-      let rec go = function
-        | [] -> Equivalent
-        | po :: rest -> (
-            let l = Aig.Network.po g po in
-            match
-              Solver.solve ~assumptions:[ Cnf.lit l ] ~conflict_limit ?cancel solver
-            with
-            | Solver.Unsat -> go rest
-            | Solver.Sat -> Inequivalent (Cnf.model_cex solver g, po)
-            | Solver.Unknown -> Undecided)
-      in
-      go unsolved
-    end
+        let r =
+          Simplify.run ?cancel ~nvars:(Aig.Network.num_nodes g) ~frozen (Cnf.clauses g)
+        in
+        (r.Simplify.solver, fun () -> Array.get (Simplify.model r))
+      end
+      else begin
+        let solver = Solver.create () in
+        ignore (Cnf.load solver g);
+        (solver, fun () -> Solver.model_value solver)
+      end
+    in
+    check_pos ?conflict_limit ?cancel ~stats:(new_stats ()) ~model solver g pos
   end

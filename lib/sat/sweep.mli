@@ -10,7 +10,10 @@
     the assumptions.  The sweep has no options; its constants (1000
     conflicts per pair call, 4-word signatures, at most 30 rounds,
     resimulation after 48 fresh counter-examples) are ABC-like.  Only
-    {!check_direct} preprocesses ({!Solver.simplify}).
+    {!check_direct} preprocesses: {!Simplify.run} hands it a solver
+    over the simplified CNF.  {!check}'s final PO check and
+    {!check_direct} share one per-output loop: one SAT call per
+    unsolved PO, stopping at the first counter-example or [Unknown].
 
     SAT is sequential: each round proves its pairs in pair-index order on
     one incremental solver and commits each verdict as it goes, so learnt
@@ -53,10 +56,11 @@ val check :
   outcome * stats
 
 (** Direct SAT check of every PO without sweeping (the [satdirect]
-    engine, and a fuzz-oracle member).  [simplify] (default true)
-    preprocesses the solver before the PO loop, with the PO variables
-    frozen; [~simplify:false] gives the plain solver — the fuzz oracle
-    cross-checks the two on every case. *)
+    engine, and a fuzz-oracle member).  [simplify] (default true) runs
+    the miter's CNF through {!Simplify.run} before the PO loop, with the
+    PO variables frozen, and reads counter-examples from the
+    reconstructed model; [~simplify:false] loads a plain solver — the
+    fuzz oracle cross-checks the two on every case. *)
 val check_direct :
   ?simplify:bool ->
   ?conflict_limit:int ->

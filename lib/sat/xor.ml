@@ -48,11 +48,14 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-(* [extract ?max_arity clauses] scans the clause list (arrays of literals,
+(* Largest XOR arity mined: a k-ary XOR takes 2^(k-1) clauses. *)
+let max_arity = 6
+
+(* [extract clauses] scans the clause list (arrays of literals,
    duplicate-free, sorted or not) and returns the complete XOR rows of
    arity [3..max_arity] found.  Arity 2 XORs are just binary equivalences,
    which the equivalent-literal pass already handles. *)
-let extract ?(max_arity = 6) clauses =
+let extract clauses =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun lits ->

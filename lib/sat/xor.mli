@@ -19,9 +19,9 @@ type fact =
   | Unsat  (** the XOR system is contradictory *)
 
 (** Scan clauses (duplicate-free literal arrays in solver encoding) for
-    complete XOR constraints of arity [3..max_arity] (default 6 — arity 2
-    is the equivalent-literal pass's job). *)
-val extract : ?max_arity:int -> int array list -> xor_row list
+    complete XOR constraints of arity 3 to 6 (arity 2 is the
+    equivalent-literal pass's job); other clauses are ignored. *)
+val extract : int array list -> xor_row list
 
 (** Gaussian elimination with smallest-variable pivots.  Rows growing past
     24 variables during merging are dropped, which only loses

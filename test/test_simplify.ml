@@ -90,67 +90,74 @@ let prop_heap_model =
 
 (* --- full-pipeline round trip on random CNFs ---------------------------- *)
 
+(* The literals fixing every variable [not eliminated] to its value in
+   [model]. *)
+let assignment ?(eliminated = [||]) model =
+  List.filter_map
+    (fun v ->
+      if v < Array.length eliminated && eliminated.(v) then None
+      else Some (Sat.Solver.mklit v (not model.(v))))
+    (List.init (Array.length model) Fun.id)
+
+(* Every assignment over [nvars] variables. *)
+let assignments nvars =
+  List.init (1 lsl nvars) (fun m -> Array.init nvars (fun i -> (m lsr i) land 1 = 1))
+
 (* Simplify.run must (a) preserve satisfiability and (b) return a
    reconstruction stack that extends any model of the simplified CNF to a
-   model of the original one. *)
+   model of the original one.  The simplified CNF's models are enumerated
+   through its solver, assuming each assignment of the variables that
+   were not eliminated. *)
 let prop_simplify_roundtrip =
   QCheck.Test.make ~name:"simplify round-trip vs brute force" ~count:150
     Util.arb_seed (fun seed ->
       let rng = mk_rng seed in
       let nvars = 4 + (bits rng 8 mod 5) in
       let cnf = random_cnf rng ~nvars ~nclauses:(2 + (bits rng 8 mod 14)) in
-      let frozen = Array.init nvars (fun _ -> bits rng 2 = 0) in
-      let stats = Sat.Simplify.mk_stats () in
-      let res =
-        Sat.Simplify.run ~stats ~nvars ~frozen ~units:[]
-          (List.map Array.of_list cnf)
+      let frozen = List.filter (fun _ -> bits rng 2 = 0) (List.init nvars Fun.id) in
+      let r = Sat.Simplify.run ~nvars ~frozen cnf in
+      let eliminated = r.Sat.Simplify.eliminated in
+      let simp_sols =
+        List.filter_map
+          (fun m ->
+            match
+              Sat.Solver.solve ~assumptions:(assignment ~eliminated m)
+                r.Sat.Simplify.solver
+            with
+            | Sat.Solver.Sat -> Some (Sat.Simplify.model r)
+            | Sat.Solver.Unsat | Sat.Solver.Unknown -> None)
+          (assignments nvars)
       in
       let orig_sols = brute_solutions ~nvars cnf in
-      if res.Sat.Simplify.unsat then orig_sols = []
-      else begin
-        let simplified =
-          List.map Array.to_list res.Sat.Simplify.clauses
-          @ List.map (fun u -> [ u ]) res.Sat.Simplify.units
-        in
-        let simp_sols = brute_solutions ~nvars simplified in
-        (* Equisatisfiable... *)
-        (orig_sols = []) = (simp_sols = [])
-        (* ...and every simplified model reconstructs to an original one. *)
-        && List.for_all
-             (fun m ->
-               let model = Array.copy m in
-               Sat.Simplify.extend_model res.Sat.Simplify.recon model;
-               cnf_sat model cnf)
-             simp_sols
-      end)
+      (* Equisatisfiable... *)
+      (orig_sols = []) = (simp_sols = [])
+      (* ...and every simplified model reconstructs to an original one. *)
+      && List.for_all (fun model -> cnf_sat model cnf) simp_sols)
 
-(* Same contract end-to-end through the solver: simplify, solve, and the
-   (reconstructed) model must satisfy every original clause; the verdict
-   must match brute force. *)
+(* Solve a CNF through the preprocessor; the verdict must match brute
+   force and the reconstructed model must satisfy every original
+   clause. *)
+let simplified_verdict_ok ?cancel ~nvars cnf =
+  let r = Sat.Simplify.run ?cancel ~nvars ~frozen:[] cnf in
+  let brute_sat = brute_solutions ~nvars cnf <> [] in
+  match Sat.Solver.solve r.Sat.Simplify.solver with
+  | Sat.Solver.Unsat -> not brute_sat
+  | Sat.Solver.Unknown -> false
+  | Sat.Solver.Sat -> brute_sat && cnf_sat (Sat.Simplify.model r) cnf
+
 let prop_solver_simplify_verdict =
   QCheck.Test.make ~name:"solver simplify: verdict and model vs brute force"
     ~count:150 Util.arb_seed (fun seed ->
       let rng = mk_rng seed in
       let nvars = 4 + (bits rng 8 mod 5) in
       let cnf = random_cnf rng ~nvars ~nclauses:(2 + (bits rng 8 mod 14)) in
-      let s = Sat.Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Sat.Solver.new_var s)
-      done;
-      let root_ok = List.for_all (Sat.Solver.add_clause s) cnf in
-      if root_ok then Sat.Solver.simplify s;
-      let brute_sat = brute_solutions ~nvars cnf <> [] in
-      match (root_ok, if root_ok then Sat.Solver.solve s else Sat.Solver.Unsat) with
-      | false, _ | _, Sat.Solver.Unsat -> not brute_sat
-      | _, Sat.Solver.Unknown -> false
-      | _, Sat.Solver.Sat ->
-          brute_sat
-          && cnf_sat (Array.init nvars (Sat.Solver.model_value s)) cnf)
+      simplified_verdict_ok ~nvars cnf)
 
 (* --- subsumption -------------------------------------------------------- *)
 
-(* With only subsumption + self-subsuming resolution enabled (no variable
-   ever leaves the formula), simplification must preserve logical
+(* With every variable frozen, no variable leaves the formula (no
+   elimination, no substitution), so simplification — subsumption and
+   self-subsuming resolution, XOR facts, probing — must preserve logical
    equivalence, assignment by assignment. *)
 let prop_subsumption_equivalent =
   QCheck.Test.make ~name:"subsumption preserves logical equivalence"
@@ -158,33 +165,15 @@ let prop_subsumption_equivalent =
       let rng = mk_rng seed in
       let nvars = 4 + (bits rng 8 mod 4) in
       let cnf = random_cnf rng ~nvars ~nclauses:(4 + (bits rng 8 mod 12)) in
-      let config =
-        {
-          Sat.Simplify.default_config with
-          bve = false;
-          elit = false;
-          xor_ = false;
-          probe = false;
-        }
-      in
-      let stats = Sat.Simplify.mk_stats () in
-      let res =
-        Sat.Simplify.run ~config ~stats ~nvars
-          ~frozen:(Array.make nvars false) ~units:[]
-          (List.map Array.of_list cnf)
-      in
-      let simplified =
-        List.map Array.to_list res.Sat.Simplify.clauses
-        @ List.map (fun u -> [ u ]) res.Sat.Simplify.units
-      in
-      let ok = ref true in
-      for m = 0 to (1 lsl nvars) - 1 do
-        let model = Array.init nvars (fun i -> (m lsr i) land 1 = 1) in
-        let a = cnf_sat model cnf in
-        let b = if res.Sat.Simplify.unsat then false else cnf_sat model simplified in
-        if a <> b then ok := false
-      done;
-      !ok)
+      let r = Sat.Simplify.run ~nvars ~frozen:(List.init nvars Fun.id) cnf in
+      (not (Array.exists Fun.id r.Sat.Simplify.eliminated))
+      && r.Sat.Simplify.recon = []
+      && List.for_all
+           (fun model ->
+             cnf_sat model cnf
+             = (Sat.Solver.solve ~assumptions:(assignment model) r.Sat.Simplify.solver
+               = Sat.Solver.Sat))
+           (assignments nvars))
 
 (* --- XOR extraction and Gaussian elimination ---------------------------- *)
 
@@ -217,20 +206,7 @@ let prop_xor_chain =
         if a <> b && b <> c && a <> c then
           cnf := xor3_clauses a b c (bits rng 1 = 1) @ !cnf
       done;
-      let cnf = !cnf in
-      let s = Sat.Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Sat.Solver.new_var s)
-      done;
-      let root_ok = List.for_all (Sat.Solver.add_clause s) cnf in
-      if root_ok then Sat.Solver.simplify s;
-      let brute_sat = brute_solutions ~nvars cnf <> [] in
-      match (root_ok, if root_ok then Sat.Solver.solve s else Sat.Solver.Unsat) with
-      | false, _ | _, Sat.Solver.Unsat -> not brute_sat
-      | _, Sat.Solver.Unknown -> false
-      | _, Sat.Solver.Sat ->
-          brute_sat
-          && cnf_sat (Array.init nvars (Sat.Solver.model_value s)) cnf)
+      simplified_verdict_ok ~nvars !cnf)
 
 let test_xor_extract () =
   (* x0^x1^x2 = 1 and x1^x2^x3 = 0, explicitly. *)
@@ -304,43 +280,43 @@ let prop_gauss_facts_sound =
 let test_elit_substitution () =
   (* a <-> b (binary implication cycle) plus ternary clauses so nothing
      propagates to units before the SCC pass: the equivalence must be
-     substituted away and counted, and any model must still set a = b
+     substituted away and recorded, and any model must still set a = b
      (reconstruction included). *)
-  let s = Sat.Solver.create () in
-  let a = Sat.Solver.new_var s in
-  let b = Sat.Solver.new_var s in
-  let c = Sat.Solver.new_var s in
-  let d = Sat.Solver.new_var s in
-  ignore (Sat.Solver.add_clause s [ nl a; l b ]);
-  ignore (Sat.Solver.add_clause s [ nl b; l a ]);
-  ignore (Sat.Solver.add_clause s [ l a; l c; l d ]);
-  ignore (Sat.Solver.add_clause s [ nl c; nl d; l b ]);
-  Sat.Solver.simplify s;
-  Alcotest.(check bool) "elit counted" true
-    ((Sat.Solver.simp_stats s).Sat.Simplify.s_elit >= 1);
-  match Sat.Solver.solve s with
+  let a = 0 and b = 1 and c = 2 and d = 3 in
+  let r =
+    Sat.Simplify.run ~nvars:4 ~frozen:[]
+      [ [ nl a; l b ]; [ nl b; l a ]; [ l a; l c; l d ]; [ nl c; nl d; l b ] ]
+  in
+  Alcotest.(check bool) "substitution recorded" true
+    (List.exists
+       (function Sat.Simplify.R_subst _ -> true | Sat.Simplify.R_clause _ -> false)
+       r.Sat.Simplify.recon);
+  match Sat.Solver.solve r.Sat.Simplify.solver with
   | Sat.Solver.Sat ->
-      Alcotest.(check bool) "a = b" (Sat.Solver.model_value s a)
-        (Sat.Solver.model_value s b)
+      let model = Sat.Simplify.model r in
+      Alcotest.(check bool) "a = b" model.(a) model.(b)
   | _ -> Alcotest.fail "expected SAT"
 
 let test_probe_failed_literal () =
-  (* a -> b and a -> not b: probing must derive the unit (not a). *)
-  let s = Sat.Solver.create () in
-  let a = Sat.Solver.new_var s in
-  let b = Sat.Solver.new_var s in
-  let c = Sat.Solver.new_var s in
-  ignore (Sat.Solver.add_clause s [ nl a; l b ]);
-  ignore (Sat.Solver.add_clause s [ nl a; nl b ]);
-  ignore (Sat.Solver.add_clause s [ l a; l c; l b ]);
-  (* keep the instance from being trivially solved before probing *)
-  let config =
-    { Sat.Simplify.default_config with bve = false; xor_ = false }
+  (* a -> b, a -> c and (not b or not c): a fails, but no clause pass
+     derives (not a) — it takes two resolution steps — so only probing
+     can fix it at level 0, where an assumption of a fails without a
+     single conflict. *)
+  let a = 0 and b = 1 and c = 2 and d = 3 and e = 4 in
+  let r =
+    Sat.Simplify.run ~nvars:5 ~frozen:[ a; b; c; d; e ]
+      [
+        [ nl a; l b ];
+        [ nl a; l c ];
+        [ nl b; nl c; l d ];
+        [ nl b; nl c; nl d ];
+        [ l a; l d; l e ];
+      ]
   in
-  Sat.Solver.simplify ~config ~frozen:[ a; b; c ] s;
-  (match Sat.Solver.solve ~assumptions:[ l a ] s with
+  let s = r.Sat.Simplify.solver in
+  (match Sat.Solver.solve ~assumptions:[ l a ] ~conflict_limit:0 s with
   | Sat.Solver.Unsat -> ()
-  | _ -> Alcotest.fail "assuming a must now be UNSAT");
+  | _ -> Alcotest.fail "assuming a must fail at level 0");
   match Sat.Solver.solve s with
   | Sat.Solver.Sat ->
       Alcotest.(check bool) "a false" false (Sat.Solver.model_value s a)
@@ -359,19 +335,7 @@ let prop_cancelled_simplify_sound =
       let cnf = random_cnf rng ~nvars ~nclauses:(2 + (bits rng 8 mod 14)) in
       let cancel = Par.Cancel.create () in
       Par.Cancel.set cancel;
-      let s = Sat.Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Sat.Solver.new_var s)
-      done;
-      let root_ok = List.for_all (Sat.Solver.add_clause s) cnf in
-      if root_ok then Sat.Solver.simplify ~cancel s;
-      let brute_sat = brute_solutions ~nvars cnf <> [] in
-      match (root_ok, if root_ok then Sat.Solver.solve s else Sat.Solver.Unsat) with
-      | false, _ | _, Sat.Solver.Unsat -> not brute_sat
-      | _, Sat.Solver.Unknown -> false
-      | _, Sat.Solver.Sat ->
-          brute_sat
-          && cnf_sat (Array.init nvars (Sat.Solver.model_value s)) cnf)
+      simplified_verdict_ok ~cancel ~nvars cnf)
 
 (* --- frozen variables under assumptions --------------------------------- *)
 
@@ -385,26 +349,17 @@ let prop_frozen_assumptions =
       let nvars = 4 + (bits rng 8 mod 4) in
       let cnf = random_cnf rng ~nvars ~nclauses:(2 + (bits rng 8 mod 10)) in
       let fv = bits rng 8 mod nvars in
-      let s = Sat.Solver.create () in
-      for _ = 1 to nvars do
-        ignore (Sat.Solver.new_var s)
-      done;
-      let root_ok = List.for_all (Sat.Solver.add_clause s) cnf in
-      if not root_ok then true
-      else begin
-        Sat.Solver.simplify ~frozen:[ fv ] s;
-        (not (Sat.Solver.is_eliminated s fv))
-        &&
-        let assumption = Sat.Solver.mklit fv false in
-        let with_assumption = [ assumption ] :: cnf in
-        let brute_sat = brute_solutions ~nvars with_assumption <> [] in
-        match Sat.Solver.solve ~assumptions:[ assumption ] s with
-        | Sat.Solver.Unsat -> not brute_sat
-        | Sat.Solver.Unknown -> false
-        | Sat.Solver.Sat ->
-            brute_sat
-            && cnf_sat (Array.init nvars (Sat.Solver.model_value s)) with_assumption
-      end)
+      let r = Sat.Simplify.run ~nvars ~frozen:[ fv ] cnf in
+      (not r.Sat.Simplify.eliminated.(fv))
+      &&
+      let assumption = Sat.Solver.mklit fv false in
+      let with_assumption = [ assumption ] :: cnf in
+      let brute_sat = brute_solutions ~nvars with_assumption <> [] in
+      match Sat.Solver.solve ~assumptions:[ assumption ] r.Sat.Simplify.solver with
+      | Sat.Solver.Unsat -> not brute_sat
+      | Sat.Solver.Unknown -> false
+      | Sat.Solver.Sat ->
+          brute_sat && cnf_sat (Sat.Simplify.model r) with_assumption)
 
 let () =
   Alcotest.run "simplify"
