@@ -53,3 +53,25 @@ let tfi g ~roots =
   in
   drain ();
   mem
+
+let restrict g pos =
+  let npos = Network.num_pos g in
+  List.iter
+    (fun i -> if i < 0 || i >= npos then invalid_arg "Cone.restrict: PO out of range")
+    pos;
+  let roots = Array.of_list (List.map (fun i -> Lit.node (Network.po g i)) pos) in
+  let cone = tfi g ~roots in
+  let h = Network.create () in
+  let map = Array.make (Network.num_nodes g) Lit.const_false in
+  let tr l = Lit.xor_compl map.(Lit.node l) (Lit.is_compl l) in
+  let pi_origin = ref [] in
+  Network.iter_nodes g (fun id ->
+      if cone.(id) then
+        if Network.is_pi g id then begin
+          map.(id) <- Network.add_pi h;
+          pi_origin := Network.pi_index g id :: !pi_origin
+        end
+        else if Network.is_and g id then
+          map.(id) <- Network.add_and h (tr (Network.fanin0 g id)) (tr (Network.fanin1 g id)));
+  List.iter (fun i -> Network.add_po h (tr (Network.po g i))) pos;
+  (h, Array.of_list (List.rev !pi_origin))

@@ -19,3 +19,10 @@ val extract : Network.t -> roots:int array -> inputs:int array -> window option
 (** TFI node set of the given roots (all nodes, including PIs), as a
     membership array of size [num_nodes]. *)
 val tfi : Network.t -> roots:int array -> bool array
+
+(** [restrict g pos] is the sub-network of the listed POs (in the given
+    order, repeats kept): their TFI rebuilt in node order through
+    {!Network.add_and}, and only the PIs in that cone, with the original
+    PI index of each sub-PI.  Raises [Invalid_argument] when a PO index
+    is out of range. *)
+val restrict : Network.t -> int list -> Network.t * int array

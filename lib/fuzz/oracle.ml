@@ -1,25 +1,14 @@
-type verdict =
-  | V_equivalent
-  | V_inequivalent of Sim.Cex.t * int
-  | V_unknown of string
+module E = Simsweep.Engine
 
 let verdict_token = function
-  | V_equivalent -> "EQ"
-  | V_inequivalent _ -> "INEQ"
-  | V_unknown _ -> "?"
+  | E.Proved -> "EQ"
+  | E.Disproved _ -> "INEQ"
+  | E.Undecided -> "?"
 
 type engine = {
   name : string;
-  run : pool:Par.Pool.t -> Aig.Network.t -> verdict;
+  run : pool:Par.Pool.t -> Aig.Network.t -> E.outcome;
 }
-
-let of_engine_outcome = function
-  | Simsweep.Engine.Proved -> V_equivalent
-  | Simsweep.Engine.Disproved (cex, po) -> V_inequivalent (cex, po)
-  | Simsweep.Engine.Undecided -> V_unknown "undecided"
-
-(* A direct SAT check, through the engines' verdict mapping. *)
-let of_sat_outcome o = of_engine_outcome (Simsweep.Engine.of_sat_outcome o)
 
 (* An engine of the shared table, under its oracle name. *)
 let of_table name engine =
@@ -28,8 +17,8 @@ let of_table name engine =
     run =
       (fun ~pool m ->
         match Shell.Engines.run ~pool engine m with
-        | Ok r -> of_engine_outcome r.Shell.Engines.outcome
-        | Error e -> V_unknown e);
+        | Ok r -> r.Shell.Engines.outcome
+        | Error _ -> E.Undecided);
   }
 
 (* Fuzz-sized budgets: the BDD engine's nodes and the direct SAT check's
@@ -43,11 +32,11 @@ let default_engines =
       name = "brute";
       run =
         (fun ~pool:_ m ->
-          if not (Brute.supported m) then V_unknown "too many PIs"
+          if not (Brute.supported m) then E.Undecided
           else
             match Brute.check_miter m with
-            | `Equivalent -> V_equivalent
-            | `Inequivalent (cex, po) -> V_inequivalent (cex, po));
+            | `Equivalent -> E.Proved
+            | `Inequivalent (cex, po) -> E.Disproved (cex, po));
     };
     of_table "sim" Shell.Engines.Sim;
     of_table "combined" Shell.Engines.Combined;
@@ -56,7 +45,7 @@ let default_engines =
       name = "satdirect";
       run =
         (fun ~pool:_ m ->
-          of_sat_outcome (Sat.Sweep.check_direct ~conflict_limit:sat_conflicts m));
+          E.of_sat_outcome (Sat.Sweep.check_direct ~conflict_limit:sat_conflicts m));
     };
     {
       (* Same check with preprocessing off: cross-checks that BVE /
@@ -66,7 +55,7 @@ let default_engines =
       name = "satdirect-nosimp";
       run =
         (fun ~pool:_ m ->
-          of_sat_outcome
+          E.of_sat_outcome
             (Sat.Sweep.check_direct ~simplify:false
                ~conflict_limit:sat_conflicts m));
     };
@@ -75,10 +64,9 @@ let default_engines =
       run =
         (fun ~pool:_ m ->
           match Bdd.check ~node_limit:bdd_nodes m with
-          | `Equivalent -> V_equivalent
-          | `Inequivalent (cex, po) -> V_inequivalent (cex, po)
-          | `Node_limit -> V_unknown "node limit"
-          | `Timeout -> V_unknown "timeout");
+          | `Equivalent -> E.Proved
+          | `Inequivalent (cex, po) -> E.Disproved (cex, po)
+          | `Node_limit | `Timeout -> E.Undecided);
     };
     of_table "portfolio" Shell.Engines.Portfolio;
   ]
@@ -86,7 +74,7 @@ let default_engines =
 type failure =
   | Disagreement of { equiv : string list; inequiv : string list }
   | Bad_cex of { engine : string; po : int }
-  | Wrong_verdict of { engine : string; verdict : verdict }
+  | Wrong_verdict of { engine : string; verdict : E.outcome }
   | Bad_certificate of string
 
 let failure_token = function
@@ -113,7 +101,7 @@ let similar a b =
   | _ -> false
 
 type outcome = {
-  verdicts : (string * verdict) list;  (** in engine order — deterministic *)
+  verdicts : (string * E.outcome) list;  (** in engine order — deterministic *)
   failures : failure list;
 }
 
@@ -127,7 +115,7 @@ let run ?engines ?expected ?(certify = false) ~pool miter =
   List.iter
     (fun (name, v) ->
       match v with
-      | V_inequivalent (cex, po) ->
+      | E.Disproved (cex, po) ->
           if
             po >= 0
             && po < Aig.Network.num_pos miter
@@ -139,13 +127,13 @@ let run ?engines ?expected ?(certify = false) ~pool miter =
     verdicts;
   (* 2. Conclusive verdicts must agree with each other... *)
   let equiv =
-    List.filter_map (fun (n, v) -> if v = V_equivalent then Some n else None) verdicts
+    List.filter_map (fun (n, v) -> if v = E.Proved then Some n else None) verdicts
   in
   let inequiv =
     List.filter_map
       (fun (n, v) ->
         match v with
-        | V_inequivalent _ when Hashtbl.mem valid_cex n -> Some n
+        | E.Disproved _ when Hashtbl.mem valid_cex n -> Some n
         | _ -> None)
       verdicts
   in
@@ -157,9 +145,9 @@ let run ?engines ?expected ?(certify = false) ~pool miter =
       List.iter
         (fun (name, v) ->
           match (exp, v) with
-          | `Equivalent, V_inequivalent _ when Hashtbl.mem valid_cex name ->
+          | `Equivalent, E.Disproved _ when Hashtbl.mem valid_cex name ->
               add (Wrong_verdict { engine = name; verdict = v })
-          | `Inequivalent, V_equivalent ->
+          | `Inequivalent, E.Proved ->
               add (Wrong_verdict { engine = name; verdict = v })
           | _ -> ())
         verdicts);

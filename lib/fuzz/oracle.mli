@@ -6,7 +6,10 @@
     portfolio, exactly as the front-ends run them; and, under fixed
     fuzz-sized budgets, the direct per-PO SAT check with and without
     preprocessing (10,000 conflicts per output) and the BDD engine
-    (200,000 nodes).  A failure is one of:
+    (200,000 nodes).  Every engine answers with a
+    {!Simsweep.Engine.outcome}; [Undecided] (a spent budget, too many PIs
+    for brute force, an engine error) is never a failure.  A failure is
+    one of:
 
     - two engines returning conclusive opposite verdicts;
     - a counter-example that does not replay on the miter;
@@ -16,20 +19,15 @@
       a claim that does not validate or a replay that does not reach a
       solved miter. *)
 
-type verdict =
-  | V_equivalent
-  | V_inequivalent of Sim.Cex.t * int
-  | V_unknown of string  (** undecided / budget exceeded — never a failure *)
-
 (** ["EQ"], ["INEQ"] or ["?"] — the deterministic log token. *)
-val verdict_token : verdict -> string
+val verdict_token : Simsweep.Engine.outcome -> string
 
 (** A named engine adapter.  The self-test injects a deliberately lying
     adapter through this interface to prove the oracle catches silent
     miscompares. *)
 type engine = {
   name : string;
-  run : pool:Par.Pool.t -> Aig.Network.t -> verdict;
+  run : pool:Par.Pool.t -> Aig.Network.t -> Simsweep.Engine.outcome;
 }
 
 (** The oracle's engines, in log order.  The fuzz-sized budgets are
@@ -39,7 +37,7 @@ val default_engines : engine list
 type failure =
   | Disagreement of { equiv : string list; inequiv : string list }
   | Bad_cex of { engine : string; po : int }
-  | Wrong_verdict of { engine : string; verdict : verdict }
+  | Wrong_verdict of { engine : string; verdict : Simsweep.Engine.outcome }
   | Bad_certificate of string
 
 (** Deterministic one-token rendering, e.g.
@@ -52,7 +50,7 @@ val failure_token : failure -> string
 val similar : failure -> failure -> bool
 
 type outcome = {
-  verdicts : (string * verdict) list;  (** in engine order — deterministic *)
+  verdicts : (string * Simsweep.Engine.outcome) list;  (** in engine order — deterministic *)
   failures : failure list;
 }
 

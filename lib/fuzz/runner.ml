@@ -55,11 +55,7 @@ let shard_engine =
             deadline_s = Some 120.;
           }
         in
-        match Shard.Check.check ~config m with
-        | Simsweep.Engine.Proved, _ -> Oracle.V_equivalent
-        | Simsweep.Engine.Disproved (cex, po), _ ->
-            Oracle.V_inequivalent (cex, po)
-        | Simsweep.Engine.Undecided, _ -> Oracle.V_unknown "undecided");
+        fst (Shard.Check.check ~config m));
   }
 
 let engines_of extra_engines =
@@ -191,7 +187,7 @@ let run_dir ?(log = null_log) ?(extra_engines = []) ~pool ~dir cfg =
 
 (* The liar: an engine with a silent miscompare, the exact failure class
    the harness exists to catch. *)
-let liar = { Oracle.name = "liar"; run = (fun ~pool:_ _ -> Oracle.V_equivalent) }
+let liar = { Oracle.name = "liar"; run = (fun ~pool:_ _ -> Simsweep.Engine.Proved) }
 
 (* Broken model reconstruction: a direct per-PO SAT check that runs the
    preprocessor but reads counter-example PI values from the simplified
@@ -218,13 +214,13 @@ let badrecon =
             .Sat.Simplify.solver
         in
         let rec go = function
-          | [] -> Oracle.V_equivalent
+          | [] -> Simsweep.Engine.Proved
           | po :: rest -> (
               let l = Aig.Network.po m po in
               if Aig.Network.is_const (Aig.Lit.node l) then
                 if Aig.Lit.is_compl l then go rest
                 else
-                  Oracle.V_inequivalent
+                  Simsweep.Engine.Disproved
                     (Array.make (Aig.Network.num_pis m) false, po)
               else
                 match
@@ -232,9 +228,9 @@ let badrecon =
                     ~conflict_limit:10_000 solver
                 with
                 | Sat.Solver.Unsat -> go rest
-                | Sat.Solver.Unknown -> Oracle.V_unknown "budget"
+                | Sat.Solver.Unknown -> Simsweep.Engine.Undecided
                 | Sat.Solver.Sat ->
-                    Oracle.V_inequivalent
+                    Simsweep.Engine.Disproved
                       (Sat.Cnf.cex m (Sat.Solver.model_value solver), po))
         in
         go pos);
@@ -260,7 +256,7 @@ let badrecon_stage log ~pool ~seed =
       let _fault, mutant = Gencase.inject rng ~left right in
       let miter = Aig.Miter.build left mutant in
       match badrecon.Oracle.run ~pool miter with
-      | Oracle.V_inequivalent (cex, po) when not (Sim.Cex.check miter cex po) ->
+      | Simsweep.Engine.Disproved (cex, po) when not (Sim.Cex.check miter cex po) ->
           let o = Oracle.run ~engines:[ badrecon ] ~pool miter in
           let flagged =
             List.exists
@@ -345,29 +341,17 @@ let badpayload_stage log ~seed =
   in
   let w = Shard.Proc.spawn ~domains:1 in
   Fun.protect ~finally:(fun () -> Shard.Proc.kill w) @@ fun () ->
-  let ic = Shard.Proc.ic w and oc = Shard.Proc.oc w in
   let recv what =
-    match Pr.read_frame ic with
-    | Error e ->
-        Error (Printf.sprintf "self-test: bad payload (%s): frame error: %s" what e)
-    | Ok inc -> (
-        match Pr.shard_reply_of_frame inc with
-        | Error e ->
-            Error
-              (Printf.sprintf "self-test: bad payload (%s): bad reply: %s" what e)
-        | Ok r -> Ok r)
+    match Pr.recv_reply (Shard.Proc.ic w) with
+    | Ok r -> Ok r
+    | Error Pr.Eof ->
+        Error (Printf.sprintf "self-test: bad payload (%s): worker closed the stream" what)
+    | Error (Pr.Bad e) ->
+        Error (Printf.sprintf "self-test: bad payload (%s): bad reply: %s" what e)
   in
   let dispatch aiger =
-    let hdr, payload =
-      Pr.shard_task_to_frame
-        (Pr.Shard_check
-           {
-             shard = 0;
-             aiger;
-             deadline_in = Some 60.;
-           })
-    in
-    Pr.write_frame ~payload oc hdr
+    Pr.send_task (Shard.Proc.oc w)
+      (Pr.Shard_check { shard = 0; aiger; deadline_in = Some 60. })
   in
   let ( let* ) = Result.bind in
   let* () =
@@ -398,7 +382,7 @@ let badpayload_stage log ~seed =
   (* The same connection must still be serviceable. *)
   dispatch image;
   match recv "valid image" with
-  | Ok (Pr.Shard_verdict { verdict = Pr.Sv_proved; _ }) ->
+  | Ok (Pr.Shard_verdict { verdict = Simsweep.Engine.Proved; _ }) ->
       log "self-test: bad payload stage OK (worker survived and then proved)";
       Ok ()
   | Ok _ ->

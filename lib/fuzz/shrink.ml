@@ -19,6 +19,7 @@ let check budget fails g =
   end
 
 let size g = Aig.Network.num_ands g
+let restrict g keep = fst (Aig.Cone.restrict g keep)
 
 let try_po_drop budget fails g =
   let npos = Aig.Network.num_pos g in
@@ -28,7 +29,7 @@ let try_po_drop budget fails g =
     (* Single POs first: the biggest possible cut. *)
     let po = ref 0 in
     while !result = None && !po < npos do
-      let cand = Surgery.restrict_pos g ~keep:[ !po ] in
+      let cand = restrict g [ !po ] in
       if check budget fails cand then result := Some cand;
       incr po
     done;
@@ -40,7 +41,7 @@ let try_po_drop budget fails g =
       while !i < npos do
         if List.length !keep > 1 && List.mem !i !keep then begin
           let cand_keep = List.filter (fun j -> j <> !i) !keep in
-          let cand = Surgery.restrict_pos g ~keep:cand_keep in
+          let cand = restrict g cand_keep in
           if check budget fails cand then begin
             keep := cand_keep;
             changed := true
@@ -48,7 +49,7 @@ let try_po_drop budget fails g =
         end;
         incr i
       done;
-      if !changed then result := Some (Surgery.restrict_pos g ~keep:!keep)
+      if !changed then result := Some (restrict g !keep)
     end;
     !result
   end
@@ -101,8 +102,7 @@ let shrink ?(budget = 400) ~fails g =
       | None -> ());
       (* Prune logic orphaned by substitutions and PO drops. *)
       let pruned =
-        Surgery.restrict_pos !cur
-          ~keep:(List.init (Aig.Network.num_pos !cur) Fun.id)
+        restrict !cur (List.init (Aig.Network.num_pos !cur) Fun.id)
       in
       if size pruned < size !cur && check b fails pruned then begin
         cur := pruned;

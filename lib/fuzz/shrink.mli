@@ -1,7 +1,7 @@
 (** Delta-debugging shrinker for failing miters.
 
     Reduction moves: drop POs, re-extract the cone of the kept outputs
-    (via {!Aig.Cone.tfi}), and forward internal AND nodes to a fanin or a
+    ({!Aig.Cone.restrict}), and forward internal AND nodes to a fanin or a
     constant — each candidate accepted only when it is strictly smaller
     {e and} the failure predicate still holds, so the final network still
     reproduces the original disagreement. *)

@@ -38,30 +38,3 @@ let rewrite g ~edit_of =
   h
 
 let substitute g ~node ~by = rewrite g ~edit_of:(fun n -> if n = node then Replace_with by else Keep)
-
-let restrict_pos g ~keep =
-  let npos = Aig.Network.num_pos g in
-  List.iter
-    (fun i -> if i < 0 || i >= npos then invalid_arg "Surgery.restrict_pos: PO out of range")
-    keep;
-  let roots =
-    Array.of_list (List.map (fun i -> Aig.Lit.node (Aig.Network.po g i)) keep)
-  in
-  let mem = Aig.Cone.tfi g ~roots in
-  let h = Aig.Network.create () in
-  let map = Array.make (Aig.Network.num_nodes g) Aig.Lit.const_false in
-  Aig.Network.iter_nodes g (fun n ->
-      if mem.(n) && not (Aig.Network.is_const n) then
-        if Aig.Network.is_pi g n then map.(n) <- Aig.Network.add_pi h
-        else
-          let ml l = Aig.Lit.xor_compl map.(Aig.Lit.node l) (Aig.Lit.is_compl l) in
-          map.(n) <-
-            Aig.Network.add_and h
-              (ml (Aig.Network.fanin0 g n))
-              (ml (Aig.Network.fanin1 g n)));
-  List.iter
-    (fun i ->
-      let l = Aig.Network.po g i in
-      Aig.Network.add_po h (Aig.Lit.xor_compl map.(Aig.Lit.node l) (Aig.Lit.is_compl l)))
-    keep;
-  h

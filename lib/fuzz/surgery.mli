@@ -1,4 +1,6 @@
 (** Whole-network surgical edits for fault injection and shrinking.
+    The shrinker's other cut, keeping a subset of the POs, is
+    {!Aig.Cone.restrict}.
 
     All operations rebuild the network through {!Aig.Network.add_and}, so
     structural hashing and constant propagation re-normalise the result:
@@ -20,8 +22,3 @@ val rewrite : Aig.Network.t -> edit_of:(int -> edit) -> Aig.Network.t
 (** [substitute g ~node ~by] forwards a single node to [by] (a constant, a
     fanin, or any older literal). *)
 val substitute : Aig.Network.t -> node:int -> by:Aig.Lit.t -> Aig.Network.t
-
-(** [restrict_pos g ~keep] keeps only the listed POs (in the given order)
-    and the cone of logic feeding them; PIs outside the cone are dropped,
-    compacting PI indices. *)
-val restrict_pos : Aig.Network.t -> keep:int list -> Aig.Network.t

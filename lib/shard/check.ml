@@ -32,7 +32,7 @@ let plan config g =
 type srun = {
   sr : Plan.shard;
   mutable sr_aiger : string option;  (* cached wire form of [sr.sub] *)
-  mutable sr_done : string option;  (* verdict tag once settled *)
+  mutable sr_done : E.outcome option;  (* the shard's verdict once settled *)
   mutable sr_t0 : float;  (* first assignment time *)
 }
 
@@ -139,8 +139,8 @@ let check ?(config = default_config) ?cancel g =
           w.w_task <- None
         end
       in
-      let settle sr ~worker ~via ~wall_s verdict_tag =
-        sr.sr_done <- Some verdict_tag;
+      let settle sr ~worker ~via ~wall_s verdict =
+        sr.sr_done <- Some verdict;
         stats.entries <-
           {
             Stats.e_shard = sr.sr.Plan.id;
@@ -149,29 +149,22 @@ let check ?(config = default_config) ?cancel g =
             e_worker = worker;
             e_wall_s = wall_s;
             e_via = via;
-            e_verdict = verdict_tag;
+            e_verdict =
+              (match verdict with
+              | E.Proved -> "proved"
+              | E.Disproved _ -> "disproved"
+              | E.Undecided -> "undecided");
           }
           :: stats.entries
       in
       (* A worker's disproof is validated before it is trusted or
          recorded: a CEX that does not replay settles the shard
          undecided. *)
-      let disprove sr ~worker ~wall_s sub_cex po =
-        if
-          0 <= po
-          && po < List.length sr.sr.Plan.pos
-          && Array.length sub_cex = Aig.Network.num_pis sr.sr.Plan.sub
-          && Sim.Cex.check sr.sr.Plan.sub sub_cex po
-        then begin
-          settle sr ~worker ~via:"sweep" ~wall_s "disproved";
-          raise (Done (Plan.lift ~num_pis sr.sr sub_cex po))
-        end
-        else begin
-          Printf.eprintf
-            "shard: worker returned an invalid counter-example for shard %d\n%!"
-            sr.sr.Plan.id;
-          settle sr ~worker ~via:"sweep" ~wall_s "undecided"
-        end
+      let replays sr sub_cex po =
+        0 <= po
+        && po < List.length sr.sr.Plan.pos
+        && Array.length sub_cex = Aig.Network.num_pis sr.sr.Plan.sub
+        && Sim.Cex.check sr.sr.Plan.sub sub_cex po
       in
       let on_crash w =
         if w.w_alive then begin
@@ -197,11 +190,6 @@ let check ?(config = default_config) ?cancel g =
               sr.sr_aiger <- Some a;
               a
         in
-        let hdr, payload =
-          Pr.shard_task_to_frame
-            (Pr.Shard_check
-               { shard = sr.sr.Plan.id; aiger; deadline_in = remaining () })
-        in
         (* Fault injection: kill this slot at its first assignment,
            before the task hits the wire.  Once [Unix.kill] returns the
            SIGKILLed worker can never run user code again, so it cannot
@@ -214,7 +202,11 @@ let check ?(config = default_config) ?cancel g =
             (try Unix.kill (Proc.pid w.w_conn) Sys.sigkill
              with Unix.Unix_error _ -> ())
         | _ -> ());
-        match Pr.write_frame ~io ~payload (Proc.oc w.w_conn) hdr with
+        match
+          Pr.send_task ~io (Proc.oc w.w_conn)
+            (Pr.Shard_check
+               { shard = sr.sr.Plan.id; aiger; deadline_in = remaining () })
+        with
         | () -> w.w_task <- Some sr
         | exception _ ->
             requeue_front sr;
@@ -235,18 +227,22 @@ let check ?(config = default_config) ?cancel g =
             if sr.sr_done = None then
               settle sr ~worker:w.w_id ~via:"failed"
                 ~wall_s:(Unix.gettimeofday () -. sr.sr_t0)
-                "undecided"
+                E.Undecided
         | Some sr, Pr.Shard_verdict { shard; verdict; wall_s; conflicts }
           when shard = sr.sr.Plan.id -> (
             stats.conflicts <- stats.conflicts + conflicts;
             stats.tasks.(w.w_id) <- stats.tasks.(w.w_id) + 1;
-            let worker = w.w_id in
+            let settle = settle sr ~worker:w.w_id ~via:"sweep" ~wall_s in
             match verdict with
-            | Pr.Sv_proved -> settle sr ~worker ~via:"sweep" ~wall_s "proved"
-            | Pr.Sv_undecided ->
-                settle sr ~worker ~via:"sweep" ~wall_s "undecided"
-            | Pr.Sv_disproved { cex; po } ->
-                disprove sr ~worker ~wall_s (Pr.bits_to_cex cex) po)
+            | E.Disproved (cex, po) when replays sr cex po ->
+                settle verdict;
+                raise (Done (Plan.lift ~num_pis sr.sr cex po))
+            | E.Disproved _ ->
+                Printf.eprintf
+                  "shard: worker returned an invalid counter-example for shard %d\n%!"
+                  sr.sr.Plan.id;
+                settle E.Undecided
+            | E.Proved | E.Undecided -> settle verdict)
         | _ ->
             Printf.eprintf "shard: protocol confusion from worker %d, killing it\n%!"
               w.w_id;
@@ -259,20 +255,18 @@ let check ?(config = default_config) ?cancel g =
             respawn w
       in
       let handle_readable w =
-        match Pr.read_frame ~io (Proc.ic w.w_conn) with
-        | Error _ -> on_crash w
-        | Ok inc -> (
-            match Pr.shard_reply_of_frame inc with
-            | Error e ->
-                Printf.eprintf "shard: bad reply from worker %d: %s\n%!" w.w_id e;
-                on_crash w
-            | Ok reply ->
-                let t = w.w_task in
-                w.w_task <- None;
-                handle_reply w t reply)
+        match Pr.recv_reply ~io (Proc.ic w.w_conn) with
+        | Error Pr.Eof -> on_crash w
+        | Error (Pr.Bad e) ->
+            Printf.eprintf "shard: bad reply from worker %d: %s\n%!" w.w_id e;
+            on_crash w
+        | Ok reply ->
+            let t = w.w_task in
+            w.w_task <- None;
+            handle_reply w t reply
       in
       let outcome_of_sruns () =
-        if Array.for_all (fun sr -> sr.sr_done = Some "proved") sruns then
+        if Array.for_all (fun sr -> sr.sr_done = Some E.Proved) sruns then
           E.Proved
         else E.Undecided
       in

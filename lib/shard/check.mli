@@ -5,12 +5,13 @@
     must call {!Worker.maybe_become_worker} first thing; see
     {!Worker.hosts_workers}), and schedules shards with
     work-stealing: workers pull the next task whenever idle, so a slow
-    shard never serialises the rest.  Verdicts stream back over
-    {!Protocol} shard frames.  Each worker checks its shard with the
-    [combined] flow ({!Worker.check}).  Counter-examples are validated
-    against the shard and lifted to the full input space before being
-    reported, and a single disproof stops the whole run (remaining
-    workers are killed and reaped).
+    shard never serialises the rest.  Each worker checks its shard with
+    the [combined] flow ({!Worker.check}) and sends back the
+    {!Simsweep.Engine.outcome} over {!Protocol}; the coordinator keeps one
+    outcome per settled shard.  Counter-examples are validated against
+    the shard and lifted to the full input space before being reported,
+    and a single disproof stops the whole run (remaining workers are
+    killed and reaped).
 
     {b Sizing.}  A group that a split would copy many times over stays
     whole ({!Plan}), so a plan may hold fewer shards than [workers]: only

@@ -1,12 +1,17 @@
 (** Shard planning: cut one miter into worker-sized sub-miters.
 
-    Support groups come from {!Simsweep.Partition.groups}.  Groups larger
-    than the shard budget are split at PO boundaries where that copies
-    little logic ({!Simsweep.Partition.split_group}), else kept whole;
-    smaller groups are packed so a doubled benchmark's thousands of tiny
-    groups become a few dozen extraction passes, not one scan each.
-    The plan depends only on the miter and [max_ands], never on worker
-    count or scheduling. *)
+    Industrial checkers split a miter into independent sub-problems by
+    grouping outputs whose support cones overlap: doubled benchmarks (the
+    paper's enlargement method) and multi-unit designs decompose
+    completely.  Support groups come from a union-find over the AND
+    fanin edges, and one TFI pass sizes every group's cone ({!groups}).
+    A group larger than the shard budget is split at PO boundaries when
+    the chunks' cones sum to at most 3/2 of the group's cone, else kept
+    whole as one oversized shard; smaller groups are packed so a doubled
+    benchmark's thousands of tiny groups become a few dozen extraction
+    passes, not one scan each.  Each shard is extracted with
+    {!Aig.Cone.restrict}.  The plan depends only on the miter and
+    [max_ands], never on worker count or scheduling. *)
 
 type shard = {
   id : int;
@@ -33,3 +38,9 @@ val build : max_ands:int -> Aig.Network.t -> t
     the full miter's, [cex] lifted to the miter's [num_pis] inputs (those
     outside the shard read false). *)
 val lift : num_pis:int -> shard -> Sim.Cex.t -> int -> Simsweep.Engine.outcome
+
+(** [groups g] partitions [g]'s POs by overlapping structural support,
+    each group with the number of AND nodes in its POs' combined cone.
+    Constant POs form one group of size 0, first when present; the other
+    groups are in ascending order of their PO lists. *)
+val groups : Aig.Network.t -> (int list * int) list

@@ -16,20 +16,18 @@ let run_check ~pool ~shard ~aiger ~deadline_in =
     Option.map (fun d -> Par.Cancel.create ~deadline_in:d ()) deadline_in
   in
   let c = check ?cancel ~pool:(Lazy.force pool) g in
-  let verdict =
-    match c.Simsweep.Engine.final with
-    | Simsweep.Engine.Proved -> Pr.Sv_proved
-    | Simsweep.Engine.Disproved (cex, po) ->
-        Pr.Sv_disproved { cex = Pr.cex_to_bits cex; po }
-    | Simsweep.Engine.Undecided -> Pr.Sv_undecided
-  in
   let conflicts =
     match c.Simsweep.Engine.sat_stats with
     | Some s -> s.Sat.Sweep.conflicts
     | None -> 0
   in
   Pr.Shard_verdict
-    { shard; verdict; wall_s = Unix.gettimeofday () -. t0; conflicts }
+    {
+      shard;
+      verdict = c.Simsweep.Engine.final;
+      wall_s = Unix.gettimeofday () -. t0;
+      conflicts;
+    }
 
 (* --- protocol loop ---------------------------------------------------- *)
 
@@ -43,27 +41,17 @@ let handle ~pool (Pr.Shard_check { shard; aiger; deadline_in }) =
 
 let serve ?(num_domains = 1) ic oc =
   let pool = lazy (Par.Pool.create ~num_domains ()) in
-  Pr.write_frame oc (fst (Pr.shard_reply_to_frame Pr.Shard_ready));
-  let write_reply reply =
-    let hdr, payload = Pr.shard_reply_to_frame reply in
-    Pr.write_frame ~payload oc hdr
-  in
+  Pr.send_reply oc Pr.Shard_ready;
   let rec loop () =
-    match Pr.read_frame ic with
-    | Error e when String.starts_with ~prefix:"eof" e ->
-        () (* coordinator gone *)
-    | Error e ->
-        (* Framing is length-prefixed, so a bad header is survivable. *)
-        Printf.eprintf "shard worker: bad frame: %s\n%!" e;
+    match Pr.recv_task ic with
+    | Error Pr.Eof -> () (* coordinator gone *)
+    | Error (Pr.Bad e) ->
+        (* Framing is length-prefixed, so a bad frame is survivable. *)
+        Printf.eprintf "shard worker: bad task: %s\n%!" e;
         loop ()
-    | Ok inc -> (
-        match Pr.shard_task_of_frame inc with
-        | Error e ->
-            Printf.eprintf "shard worker: bad task: %s\n%!" e;
-            loop ()
-        | Ok task ->
-            write_reply (handle ~pool task);
-            loop ())
+    | Ok task ->
+        Pr.send_reply oc (handle ~pool task);
+        loop ()
   in
   loop ();
   if Lazy.is_val pool then Par.Pool.shutdown (Lazy.force pool)

@@ -8,7 +8,8 @@
     and redirected to stderr so stray prints cannot corrupt frames.
 
     A worker handles one task at a time: [Shard_check] runs {!check} on
-    the shard and answers with a verdict.
+    the shard and answers with its final {!Simsweep.Engine.outcome} as
+    it is.
 
     AIGER payloads arrive as the frame's binary trailer; bytes that do
     not parse produce a framed [Shard_failed] reply, never a crash: the
@@ -38,8 +39,7 @@ val maybe_become_worker : unit -> unit
     the program's [main] again. *)
 val hosts_workers : unit -> bool
 
-(** The protocol loop itself: read {!Protocol.shard_task} frames,
-    answer each with one {!Protocol.shard_reply} frame, return at
-    end-of-stream.
+(** The protocol loop itself: receive {!Protocol.shard_task}s, answer
+    each with one {!Protocol.shard_reply}, return at clean end-of-stream.
     [num_domains] sizes the worker's simulation pool (default 1). *)
 val serve : ?num_domains:int -> in_channel -> out_channel -> unit

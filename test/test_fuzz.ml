@@ -41,13 +41,6 @@ let test_surgery_identity () =
   let h = Fuzz.Surgery.rewrite g ~edit_of:(fun _ -> Fuzz.Surgery.Keep) in
   Alcotest.(check bool) "identity rewrite equivalent" true (Util.equivalent_brute g h)
 
-let test_surgery_restrict () =
-  let g = Util.random_network ~pis:6 ~nodes:50 ~pos:4 19 in
-  let h = Fuzz.Surgery.restrict_pos g ~keep:[ 2 ] in
-  Alcotest.(check int) "one po" 1 (Aig.Network.num_pos h);
-  Alcotest.(check bool) "no bigger" true (Aig.Network.num_ands h <= Aig.Network.num_ands g);
-  Alcotest.(check (result unit string)) "well-formed" (Ok ()) (Aig.Network.check h)
-
 let test_mutate_changes_function () =
   (* inject is brute-verified: the mutant must differ from the base. *)
   let rng = Sim.Rng.create ~seed:99L in
@@ -86,7 +79,7 @@ let test_gencase_expected_matches_brute () =
       (brute = (c.Fuzz.Gencase.expected :> [ `Equivalent | `Inequivalent ]))
   done
 
-let liar = { Fuzz.Oracle.name = "liar"; run = (fun ~pool:_ _ -> Fuzz.Oracle.V_equivalent) }
+let liar = { Fuzz.Oracle.name = "liar"; run = (fun ~pool:_ _ -> Simsweep.Engine.Proved) }
 
 let test_oracle_clean_case () =
   Util.with_pool @@ fun pool ->
@@ -125,7 +118,7 @@ let test_oracle_catches_bad_cex () =
       Fuzz.Oracle.name = "bogus";
       run =
         (fun ~pool:_ m ->
-          Fuzz.Oracle.V_inequivalent (Array.make (Aig.Network.num_pis m) false, 0));
+          Simsweep.Engine.Disproved (Array.make (Aig.Network.num_pis m) false, 0));
     }
   in
   let o =
@@ -233,7 +226,6 @@ let () =
         [
           Alcotest.test_case "substitute" `Quick test_surgery_substitute;
           Alcotest.test_case "identity rewrite" `Quick test_surgery_identity;
-          Alcotest.test_case "restrict pos" `Quick test_surgery_restrict;
         ] );
       ( "generator",
         [

@@ -1,4 +1,4 @@
-(* Multi-process sharded sweeping: the frame protocol and its codecs,
+(* Multi-process sharded sweeping: the wire protocol's messages and bytes,
    plan shape, counter-example lifting across shard PI renumbering,
    verdict determinism for any worker count, crash rescheduling, deadline
    kill+reap (no zombies), rejected payloads and rejected disproofs. *)
@@ -57,56 +57,58 @@ let config ~workers =
 (* --- protocol --------------------------------------------------------- *)
 
 module Pr = Shard.Protocol
-module J = Simsweep.Telemetry
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-let test_protocol_frames () =
+let pipe () =
   let rd, wr = Unix.pipe () in
-  let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
-  let j1, _ = Pr.shard_reply_to_frame Pr.Shard_ready in
-  let j2, _ =
-    Pr.shard_reply_to_frame
-      (Pr.Shard_failed { shard = 3; msg = "x \"esc\\\"ape\"" })
-  in
-  Pr.write_frame oc j1;
-  Pr.write_frame oc j2;
-  (match Pr.read_frame ic with
-  | Ok inc ->
-      Alcotest.(check bool) "frame 1" true (inc.Pr.hdr = j1);
-      Alcotest.(check string) "frame 1 no payload" "" inc.Pr.payload
-  | Error e -> Alcotest.failf "frame 1: %s" e);
-  (match Pr.read_frame ic with
-  | Ok inc -> Alcotest.(check bool) "frame 2" true (inc.Pr.hdr = j2)
-  | Error e -> Alcotest.failf "frame 2: %s" e);
+  (Unix.in_channel_of_descr rd, Unix.out_channel_of_descr wr)
+
+(* A frame written byte by byte: 4-byte big-endian length, then [body]. *)
+let raw_frame oc body =
+  let len = Bytes.create 4 in
+  Bytes.set_int32_be len 0 (Int32.of_int (String.length body));
+  output_bytes oc len;
+  output_string oc body;
+  flush oc
+
+let test_protocol_frames () =
+  let ic, oc = pipe () in
+  let failed = Pr.Shard_failed { shard = 3; msg = "x \"esc\\\"ape\"" } in
+  Pr.send_reply oc Pr.Shard_ready;
+  Pr.send_reply oc failed;
+  (match Pr.recv_reply ic with
+  | Ok Pr.Shard_ready -> ()
+  | _ -> Alcotest.fail "message 1");
+  (match Pr.recv_reply ic with
+  | Ok r -> Alcotest.(check bool) "message 2" true (r = failed)
+  | Error _ -> Alcotest.fail "message 2");
   close_out oc;
-  (match Pr.read_frame ic with
-  | Error "eof" -> ()
+  (match Pr.recv_reply ic with
+  | Error Pr.Eof -> ()
   | Ok _ -> Alcotest.fail "expected eof"
-  | Error e -> Alcotest.failf "expected eof, got: %s" e);
+  | Error (Pr.Bad e) -> Alcotest.failf "expected eof, got: %s" e);
   close_in ic
 
 let test_protocol_payload () =
   (* Binary trailers must survive byte-exactly — every byte value, no
      JSON escaping — and the io counters must account for them. *)
-  let rd, wr = Unix.pipe () in
-  let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
+  let ic, oc = pipe () in
   let tx = Pr.io_create () in
   let rx = Pr.io_create () in
-  let payload = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
-  let hdr = J.Obj [ ("type", J.String "t") ] in
-  Pr.write_frame ~io:tx ~payload oc hdr;
-  (match Pr.read_frame ~io:rx ic with
-  | Ok inc ->
-      Alcotest.(check string) "payload intact" payload inc.Pr.payload;
-      Alcotest.(check bool) "payload_len in header" true
-        (J.int_member "payload_len" inc.Pr.hdr = Some (String.length payload))
-  | Error e -> Alcotest.failf "payload frame: %s" e);
-  Alcotest.(check bool) "tx counted payload" true
-    (tx.Pr.io_bytes_tx > String.length payload);
+  let aiger = String.init 4096 (fun i -> Char.chr (i * 31 mod 256)) in
+  Pr.send_task ~io:tx oc (Pr.Shard_check { shard = 1; aiger; deadline_in = None });
+  (match Pr.recv_task ~io:rx ic with
+  | Ok (Pr.Shard_check t) -> Alcotest.(check string) "payload intact" aiger t.aiger
+  | Error _ -> Alcotest.fail "payload frame");
+  (* The header announces the trailer: 4 + header + payload bytes. *)
+  let hdr = {|{"type":"shard-check","shard":1,"payload_len":4096}|} in
+  Alcotest.(check int) "tx counted header and payload"
+    (4 + String.length hdr + String.length aiger)
+    tx.Pr.io_bytes_tx;
   Alcotest.(check int) "tx = rx bytes" tx.Pr.io_bytes_tx rx.Pr.io_bytes_rx;
   Alcotest.(check int) "one frame out" 1 tx.Pr.io_frames_tx;
   Alcotest.(check int) "one frame in" 1 rx.Pr.io_frames_rx;
@@ -124,20 +126,20 @@ let test_protocol_frame_cap () =
      fill a pipe's buffer and deadlock this single-threaded test. *)
   let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let ic = Unix.in_channel_of_descr rd and oc = Unix.out_channel_of_descr wr in
-  let hdr = J.Obj [ ("type", J.String "t") ] in
+  let task aiger = Pr.Shard_check { shard = 0; aiger; deadline_in = None } in
   let hdr_len =
-    String.length (J.to_string hdr) + String.length ",\"payload_len\":65536"
+    String.length {|{"type":"shard-check","shard":0,"payload_len":65536}|}
   in
   (* Exactly at the cap: passes. *)
   let at_cap = String.make (65536 - hdr_len) 'x' in
-  Pr.write_frame ~payload:at_cap oc hdr;
-  (match Pr.read_frame ic with
-  | Ok inc ->
+  Pr.send_task oc (task at_cap);
+  (match Pr.recv_task ic with
+  | Ok (Pr.Shard_check t) ->
       Alcotest.(check int) "at-cap payload arrives" (String.length at_cap)
-        (String.length inc.Pr.payload)
-  | Error e -> Alcotest.failf "at-cap frame: %s" e);
+        (String.length t.aiger)
+  | Error _ -> Alcotest.fail "at-cap frame");
   (* One byte over: the writer refuses before touching the socket. *)
-  (match Pr.write_frame ~payload:(String.make 65537 'x') oc hdr with
+  (match Pr.send_task oc (task (String.make (65536 - hdr_len + 1) 'x')) with
   | () -> Alcotest.fail "over-cap write accepted"
   | exception Invalid_argument _ -> ());
   (* An oversized length prefix is rejected reader-side without
@@ -147,67 +149,95 @@ let test_protocol_frame_cap () =
   output_bytes oc bogus;
   flush oc;
   close_out oc;
-  (match Pr.read_frame ic with
-  | Error e -> Alcotest.(check bool) "oversized rejected" true (contains e "length")
-  | Ok _ -> Alcotest.fail "oversized frame accepted");
+  (match Pr.recv_task ic with
+  | Error (Pr.Bad e) -> Alcotest.(check bool) "oversized rejected" true (contains e "length")
+  | _ -> Alcotest.fail "oversized frame accepted");
   close_in ic
 
-(* Every task and reply constructor survives encode, framing and decode;
-   AIGER images and CEX bits ride the binary trailer. *)
+(* Every task and reply survives a send and a receive; AIGER images and
+   CEX bits ride the binary trailer. *)
 let test_protocol_codecs () =
   let aiger = Aig.Aiger_io.to_binary_string (equiv_miter (mult ~bits:3)) in
-  let through_frame (hdr, payload) =
-    let rd, wr = Unix.pipe () in
-    let ic = Unix.in_channel_of_descr rd
-    and oc = Unix.out_channel_of_descr wr in
+  let through send recv msg =
+    let ic, oc = pipe () in
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    Pr.write_frame ~payload oc hdr;
+    send oc msg;
     close_out oc;
-    match Pr.read_frame ic with
-    | Ok inc -> inc
-    | Error e -> Alcotest.failf "frame did not roundtrip: %s" e
+    match recv ic with
+    | Ok m -> m
+    | Error _ -> Alcotest.fail "message did not roundtrip"
   in
   List.iter
     (fun task ->
-      match Pr.shard_task_of_frame (through_frame (Pr.shard_task_to_frame task)) with
-      | Ok t -> Alcotest.(check bool) "task roundtrips" true (t = task)
-      | Error e -> Alcotest.failf "task did not decode: %s" e)
+      Alcotest.(check bool) "task roundtrips" true
+        (through (Pr.send_task ?io:None) (Pr.recv_task ?io:None) task = task))
     [
       Pr.Shard_check { shard = 0; aiger; deadline_in = None };
       Pr.Shard_check { shard = 7; aiger; deadline_in = Some 2.5 };
     ];
-  (* No quit task exists: workers end at end-of-stream. *)
-  Alcotest.(check bool) "shard-quit is not a task" true
-    (Result.is_error
-       (Pr.shard_task_of_frame
-          { Pr.hdr = Simsweep.Telemetry.Obj [ ("type", String "shard-quit") ];
-            payload = "" }));
-  let cex = Pr.cex_to_bits [| true; false; false; true; true |] in
-  Alcotest.(check string) "cex bits" "10011" cex;
-  Alcotest.(check bool) "bits_to_cex inverts" true
-    (Pr.bits_to_cex cex = [| true; false; false; true; true |]);
   List.iter
     (fun reply ->
-      match
-        Pr.shard_reply_of_frame (through_frame (Pr.shard_reply_to_frame reply))
-      with
-      | Ok r -> Alcotest.(check bool) "reply roundtrips" true (r = reply)
-      | Error e -> Alcotest.failf "reply did not decode: %s" e)
+      Alcotest.(check bool) "reply roundtrips" true
+        (through (Pr.send_reply ?io:None) (Pr.recv_reply ?io:None) reply = reply))
     [
       Pr.Shard_ready;
       Pr.Shard_verdict
-        { shard = 1; verdict = Pr.Sv_proved; wall_s = 0.125; conflicts = 0 };
+        { shard = 1; verdict = Simsweep.Engine.Proved; wall_s = 0.125; conflicts = 0 };
       Pr.Shard_verdict
-        { shard = 2; verdict = Pr.Sv_undecided; wall_s = 1.5; conflicts = 42 };
+        { shard = 2; verdict = Simsweep.Engine.Undecided; wall_s = 1.5; conflicts = 42 };
       Pr.Shard_verdict
         {
           shard = 3;
-          verdict = Pr.Sv_disproved { cex; po = 4 };
+          verdict = Simsweep.Engine.Disproved ([| true; false; false; true; true |], 4);
           wall_s = 0.25;
           conflicts = 9;
         };
       Pr.Shard_failed { shard = 5; msg = "bad aiger: \"quoted\"" };
     ]
+
+(* The bytes on the wire: a disproof's header and its CEX bits as a
+   '0'/'1' trailer; and frames that are no message — a truncated frame,
+   bad JSON, and a [shard-quit] (no quit task exists: workers end at
+   end-of-stream). *)
+let test_protocol_raw_bytes () =
+  let ic, oc = pipe () in
+  Pr.send_reply oc
+    (Pr.Shard_verdict
+       {
+         shard = 3;
+         verdict = Simsweep.Engine.Disproved ([| true; false; false; true; true |], 4);
+         wall_s = 0.25;
+         conflicts = 9;
+       });
+  close_out oc;
+  let bytes = In_channel.input_all ic in
+  close_in ic;
+  let hdr =
+    {|{"type":"shard-verdict","shard":3,"wall_s":0.25,"conflicts":9,"verdict":"disproved","po":4,"payload_len":5}|}
+  in
+  Alcotest.(check int) "length prefix" (String.length hdr)
+    (Int32.to_int (String.get_int32_be bytes 0));
+  Alcotest.(check string) "header and cex bits" (hdr ^ "10011")
+    (String.sub bytes 4 (String.length bytes - 4));
+  let bad name write recv =
+    let ic, oc = pipe () in
+    write oc;
+    close_out oc;
+    (match recv ic with
+    | Error (Pr.Bad _) -> ()
+    | Error Pr.Eof -> Alcotest.failf "%s: reported as a clean end-of-stream" name
+    | Ok () -> Alcotest.failf "%s: accepted" name);
+    close_in ic
+  in
+  let task ic = Result.map ignore (Pr.recv_task ic) in
+  let reply ic = Result.map ignore (Pr.recv_reply ic) in
+  bad "truncated frame"
+    (fun oc ->
+      output_string oc "\000\000\000\020{\"type\":";
+      flush oc)
+    reply;
+  bad "bad json" (fun oc -> raw_frame oc "{\"type\": shard-ready}") reply;
+  bad "shard-quit" (fun oc -> raw_frame oc {|{"type":"shard-quit"}|}) task
 
 (* --- plan ------------------------------------------------------------- *)
 
@@ -241,8 +271,9 @@ let test_plan_pack_and_split () =
   Alcotest.(check int) "one non-constant support group" 1
     (List.length
        (List.filter
-          (fun group -> Simsweep.Partition.const_verdict big group = None)
-          (Simsweep.Partition.groups big)));
+          (fun (group, _) ->
+            List.exists (fun po -> Aig.Lit.node (Aig.Network.po big po) <> 0) group)
+          (Shard.Plan.groups big)));
   let plan2 = Shard.Plan.build ~max_ands:200 big in
   Alcotest.(check bool) "group split" true (plan2.Shard.Plan.split_groups >= 1);
   Alcotest.(check bool)
@@ -311,8 +342,8 @@ let prop_plan_bounded_split =
                   else a)
                 0 plan.Shard.Plan.shards
             in
-            2 * ands <= 3 * Simsweep.Partition.cone_ands m group)
-          (Simsweep.Partition.groups m)
+            2 * ands <= 3 * Aig.Network.num_ands (fst (Aig.Cone.restrict m group)))
+          (List.map fst (Shard.Plan.groups m))
       in
       plan.Shard.Plan.early = None && once && covered && bounded)
 
@@ -473,31 +504,29 @@ let failing_worker mode =
   let oc = Unix.out_channel_of_descr Unix.stdout in
   set_binary_mode_in ic true;
   set_binary_mode_out oc true;
-  let reply r =
-    let hdr, payload = Pr.shard_reply_to_frame r in
-    Pr.write_frame ~payload oc hdr
-  in
-  reply Pr.Shard_ready;
+  Pr.send_reply oc Pr.Shard_ready;
   let disproof shard aiger po =
     (* Every test miter is equivalent, so no assignment replays. *)
     let num_pis = Aig.Network.num_pis (Aig.Aiger_io.of_string aiger) in
-    let cex = Pr.cex_to_bits (Array.make num_pis false) in
     Pr.Shard_verdict
-      { shard; verdict = Pr.Sv_disproved { cex; po }; wall_s = 0.; conflicts = 0 }
+      {
+        shard;
+        verdict = Simsweep.Engine.Disproved (Array.make num_pis false, po);
+        wall_s = 0.;
+        conflicts = 0;
+      }
   in
   let rec loop () =
-    match Pr.read_frame ic with
-    | Error _ -> ()
-    | Ok inc -> (
-        match Pr.shard_task_of_frame inc with
-        | Ok (Pr.Shard_check { shard; aiger; _ }) ->
-            reply
-              (match mode with
-              | "bad-cex" -> disproof shard aiger 0
-              | "bad-po" -> disproof shard aiger (-1)
-              | _ -> Pr.Shard_failed { shard; msg = "rejected by the test worker" });
-            loop ()
-        | Error _ -> loop ())
+    match Pr.recv_task ic with
+    | Error Pr.Eof -> ()
+    | Error (Pr.Bad _) -> loop ()
+    | Ok (Pr.Shard_check { shard; aiger; _ }) ->
+        Pr.send_reply oc
+          (match mode with
+          | "bad-cex" -> disproof shard aiger 0
+          | "bad-po" -> disproof shard aiger (-1)
+          | _ -> Pr.Shard_failed { shard; msg = "rejected by the test worker" });
+        loop ()
   in
   loop ();
   exit 0
@@ -578,6 +607,7 @@ let () =
           Alcotest.test_case "frame cap boundary" `Quick
             test_protocol_frame_cap;
           Alcotest.test_case "codec roundtrip" `Quick test_protocol_codecs;
+          Alcotest.test_case "raw bytes" `Quick test_protocol_raw_bytes;
         ] );
       ( "plan",
         [

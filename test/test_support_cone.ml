@@ -90,6 +90,69 @@ let test_tfi () =
   Alcotest.(check bool) "root in tfi" true mem.(po0);
   Alcotest.(check bool) "unrelated pi out" false mem.(Aig.Network.pi g 7)
 
+(* [restrict g pos]: the sub-network of the listed POs, with each sub-PI's
+   original PI index. *)
+let test_restrict () =
+  let g = Gen.Double.double (Gen.Arith.adder ~bits:3) in
+  (* Only the second copy's outputs (POs 4..7). *)
+  let sub, origin = Aig.Cone.restrict g [ 4; 5; 6; 7 ] in
+  Alcotest.(check int) "pis" 6 (Aig.Network.num_pis sub);
+  Alcotest.(check int) "pos" 4 (Aig.Network.num_pos sub);
+  (* Original PI indices of the second copy are 6..11. *)
+  Alcotest.(check (list int)) "origin" [ 6; 7; 8; 9; 10; 11 ] (Array.to_list origin);
+  (* The extracted network computes the same functions. *)
+  for m = 0 to 63 do
+    let sub_cex = Array.init 6 (fun i -> (m lsr i) land 1 = 1) in
+    let full_cex = Array.make 12 false in
+    Array.iteri (fun j orig -> full_cex.(orig) <- sub_cex.(j)) origin;
+    for k = 0 to 3 do
+      if Sim.Cex.check sub sub_cex k <> Sim.Cex.check g full_cex (4 + k) then
+        Alcotest.failf "restrict mismatch m=%d k=%d" m k
+    done
+  done;
+  let g = Util.random_network ~pis:6 ~nodes:50 ~pos:4 19 in
+  let h, _ = Aig.Cone.restrict g [ 2 ] in
+  Alcotest.(check int) "one po" 1 (Aig.Network.num_pos h);
+  Alcotest.(check bool) "no bigger" true (Aig.Network.num_ands h <= Aig.Network.num_ands g);
+  Alcotest.(check (result unit string)) "well-formed" (Ok ()) (Aig.Network.check h);
+  List.iter
+    (fun pos ->
+      match Aig.Cone.restrict g pos with
+      | _ -> Alcotest.failf "PO list [%s] accepted" (String.concat ";" (List.map string_of_int pos))
+      | exception Invalid_argument _ -> ())
+    [ [ 4 ]; [ -1 ]; [ 0; 4 ] ]
+
+(* Over random miters with a constant PO appended, and random PO subsets
+   that hold the constant PO and one index twice: every sub-PO equals its
+   original PO on random patterns lifted through the PI map. *)
+let prop_restrict_keeps_functions =
+  QCheck.Test.make ~name:"restrict keeps every listed PO's function" ~count:50
+    Util.arb_seed (fun seed ->
+      let rng = Sim.Rng.create ~seed:(Int64.of_int seed) in
+      let side k =
+        Gen.Control.random_logic ~pis:10 ~nodes:80 ~pos:5 ~seed:(Int64.of_int (seed + k))
+      in
+      let m = Aig.Miter.build (side 0) (side 1) in
+      Aig.Network.add_po m
+        (if seed mod 2 = 0 then Aig.Lit.const_false else Aig.Lit.const_true);
+      let npos = Aig.Network.num_pos m in
+      let picked = List.init (1 + Sim.Rng.int rng 4) (fun _ -> Sim.Rng.int rng npos) in
+      let pos = (npos - 1) :: List.hd picked :: picked in
+      let sub, origin = Aig.Cone.restrict m pos in
+      Aig.Network.num_pos sub = List.length pos
+      && Aig.Network.check sub = Ok ()
+      && List.for_all
+           (fun _ ->
+             let full =
+               Array.init (Aig.Network.num_pis m) (fun _ -> Sim.Rng.int rng 2 = 1)
+             in
+             let lifted = Array.map (fun orig -> full.(orig)) origin in
+             List.for_all Fun.id
+               (List.mapi
+                  (fun k po -> Sim.Cex.check sub lifted k = Sim.Cex.check m full po)
+                  pos))
+           (List.init 32 Fun.id))
+
 let prop_window_nodes_topological =
   QCheck.Test.make ~name:"window nodes are topologically ordered" ~count:50
     Util.arb_seed (fun seed ->
@@ -118,6 +181,7 @@ let () =
           Alcotest.test_case "union cap boundary" `Quick test_union_cap_boundary;
           Alcotest.test_case "window extraction" `Quick test_window_extraction;
           Alcotest.test_case "tfi" `Quick test_tfi;
+          Alcotest.test_case "restrict" `Quick test_restrict;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
@@ -125,5 +189,6 @@ let () =
             prop_capped_matches_exact;
             prop_union_capped;
             prop_window_nodes_topological;
+            prop_restrict_keeps_functions;
           ] );
     ]
