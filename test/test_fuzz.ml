@@ -41,6 +41,14 @@ let test_surgery_identity () =
   let h = Fuzz.Surgery.rewrite g ~edit_of:(fun _ -> Fuzz.Surgery.Keep) in
   Alcotest.(check bool) "identity rewrite equivalent" true (Util.equivalent_brute g h)
 
+(* The shrinker's one-PO cut, through [Aig.Cone.restrict]. *)
+let test_surgery_restrict () =
+  let g = Util.random_network ~pis:6 ~nodes:50 ~pos:4 19 in
+  let h, _ = Aig.Cone.restrict g [ 2 ] in
+  Alcotest.(check int) "one po" 1 (Aig.Network.num_pos h);
+  Alcotest.(check bool) "no bigger" true (Aig.Network.num_ands h <= Aig.Network.num_ands g);
+  Alcotest.(check (result unit string)) "well-formed" (Ok ()) (Aig.Network.check h)
+
 let test_mutate_changes_function () =
   (* inject is brute-verified: the mutant must differ from the base. *)
   let rng = Sim.Rng.create ~seed:99L in
@@ -226,6 +234,7 @@ let () =
         [
           Alcotest.test_case "substitute" `Quick test_surgery_substitute;
           Alcotest.test_case "identity rewrite" `Quick test_surgery_identity;
+          Alcotest.test_case "restrict pos" `Quick test_surgery_restrict;
         ] );
       ( "generator",
         [

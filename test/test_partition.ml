@@ -43,6 +43,28 @@ let test_sized_groups () =
         ands)
     sized
 
+(* [Aig.Cone.restrict], as the planner extracts one group's sub-miter: the
+   sub-network of the listed POs, with each sub-PI's original PI index. *)
+let test_extract () =
+  let g = Gen.Double.double (Gen.Arith.adder ~bits:3) in
+  (* Extract only the second copy's outputs (POs 4..7). *)
+  let sub, origin = Aig.Cone.restrict g [ 4; 5; 6; 7 ] in
+  Alcotest.(check int) "pis" 6 (Aig.Network.num_pis sub);
+  Alcotest.(check int) "pos" 4 (Aig.Network.num_pos sub);
+  (* Original PI indices of the second copy are 6..11. *)
+  Alcotest.(check (list int)) "origin" [ 6; 7; 8; 9; 10; 11 ]
+    (Array.to_list origin);
+  (* The extracted network computes the same functions. *)
+  for m = 0 to 63 do
+    let sub_cex = Array.init 6 (fun i -> (m lsr i) land 1 = 1) in
+    let full_cex = Array.make 12 false in
+    Array.iteri (fun j orig -> full_cex.(orig) <- sub_cex.(j)) origin;
+    for k = 0 to 3 do
+      if Sim.Cex.check sub sub_cex k <> Sim.Cex.check g full_cex (4 + k) then
+        Alcotest.failf "extract mismatch m=%d k=%d" m k
+    done
+  done
+
 (* The [partitioned] engine's outcome and support-group count. *)
 let partitioned ?cancel ~pool m =
   match Shell.Engines.run ?cancel ~pool Shell.Engines.Partitioned m with
@@ -125,6 +147,7 @@ let () =
           Alcotest.test_case "groups doubled" `Quick test_groups_doubled;
           Alcotest.test_case "groups cover" `Quick test_groups_cover_all;
           Alcotest.test_case "sized groups" `Quick test_sized_groups;
+          Alcotest.test_case "extract" `Quick test_extract;
           Alcotest.test_case "check equivalent" `Quick test_partition_check_equivalent;
           Alcotest.test_case "check inequivalent" `Quick test_partition_check_inequivalent;
           Alcotest.test_case "check cancelled (single group)" `Quick
