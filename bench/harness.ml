@@ -35,8 +35,8 @@ let calibrate () =
   ignore (Sys.opaque_identity !acc);
   t
 
-(* The combined "ours" flow of Table II: engine first, SAT sweeper on the
-   remainder; returns per-column data. *)
+(* The combined "ours" flow of Table II, [Engine.check_with_fallback]:
+   engine first, SAT sweeper on the remainder; returns per-column data. *)
 type ours = {
   gpu_time : float;  (** simulation-engine time (the paper's "GPU (s)") *)
   reduced_percent : float;
@@ -47,32 +47,26 @@ type ours = {
 }
 
 let run_ours ~pool miter =
-  let r, gpu_time =
+  let c, total =
     time (fun () ->
-        Simsweep.Engine.run ~config:Simsweep.Config.scaled ~pool
-          (Aig.Network.copy miter))
+        Simsweep.Engine.check_with_fallback ~config:Simsweep.Config.scaled ~pool
+          miter)
   in
-  let outcome, sat_time =
-    match r.Simsweep.Engine.outcome with
-    | Simsweep.Engine.Proved | Simsweep.Engine.Disproved _ ->
-        (r.Simsweep.Engine.outcome, None)
-    | Simsweep.Engine.Undecided ->
-        let (sat_outcome, _), sat_time =
-          time (fun () -> Sat.Sweep.check ~pool r.Simsweep.Engine.reduced)
-        in
-        (Simsweep.Engine.of_sat_outcome sat_outcome, Some sat_time)
+  let sat_time =
+    Option.map (fun s -> s.Simsweep.Engine.sat_s) c.Simsweep.Engine.sat
   in
+  let r = c.Simsweep.Engine.engine in
   {
-    gpu_time;
+    gpu_time = total -. Option.value sat_time ~default:0.;
     reduced_percent = Simsweep.Engine.reduction_percent r;
     sat_time;
-    total = gpu_time +. Option.value sat_time ~default:0.;
-    outcome;
+    total;
+    outcome = c.Simsweep.Engine.final;
     engine_stats = r.Simsweep.Engine.stats;
   }
 
 let run_sat_baseline ~pool miter =
-  time (fun () -> fst (Sat.Sweep.check ~pool (Aig.Network.copy miter)))
+  time (fun () -> fst (Sat.Sweep.check ~pool miter))
 
 let run_portfolio ~pool miter =
-  time (fun () -> Simsweep.Portfolio.check ~pool (Aig.Network.copy miter))
+  time (fun () -> Simsweep.Portfolio.check ~pool miter)

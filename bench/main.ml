@@ -316,11 +316,8 @@ let fig7 () =
       let m = Cases.prepare case in
       let _, t_alone = Harness.run_sat_baseline ~pool m in
       let reduced_after stop_after =
-        let r =
-          Simsweep.Engine.run ~config:Simsweep.Config.scaled ?stop_after ~pool
-            (Aig.Network.copy m)
-        in
-        r.Simsweep.Engine.reduced
+        (Simsweep.Engine.run ~config:Simsweep.Config.scaled ?stop_after ~pool m)
+          .Simsweep.Engine.reduced
       in
       let sat_time_on g =
         if Aig.Miter.solved g then 0.
@@ -348,10 +345,7 @@ let ablation_passes () =
       let m = Cases.prepare (Cases.find name) in
       let run passes =
         let cfg = { Simsweep.Config.scaled with Simsweep.Config.passes } in
-        let r =
-          Simsweep.Engine.run ~config:cfg ~pool (Aig.Network.copy m)
-        in
-        Simsweep.Engine.reduction_percent r
+        Simsweep.Engine.reduction_percent (Simsweep.Engine.run ~config:cfg ~pool m)
       in
       let p1 = run [ Cuts.Criteria.Fanout_first ] in
       let p2 = run [ Cuts.Criteria.Small_level_first ] in
@@ -374,9 +368,7 @@ let ablation_merge () =
           { Simsweep.Config.scaled with Simsweep.Config.window_merging }
         in
         let r, t =
-          Harness.time (fun () ->
-              Simsweep.Engine.run ~config:cfg ~pool
-                (Aig.Network.copy m))
+          Harness.time (fun () -> Simsweep.Engine.run ~config:cfg ~pool m)
         in
         (r.Simsweep.Engine.stats.Simsweep.Stats.exhaustive, t)
       in
@@ -404,10 +396,7 @@ let ablation_similarity () =
             max_local_phases = 4;
           }
         in
-        let r =
-          Simsweep.Engine.run ~config:cfg ~pool (Aig.Network.copy m)
-        in
-        Simsweep.Engine.reduction_percent r
+        Simsweep.Engine.reduction_percent (Simsweep.Engine.run ~config:cfg ~pool m)
       in
       pr "%-11s %15.1f%% %15.1f%%\n%!" name (run true) (run false))
     [ "multiplier"; "square"; "voter" ]

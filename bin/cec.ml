@@ -149,8 +149,16 @@ let post_double =
                shard engine on giant instances.")
 
 let num_domains =
-  Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N"
-         ~doc:"Worker domains (default: machine-dependent).")
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None
+       & info [ "j"; "domains" ] ~docv:"N"
+         ~doc:"Worker domains, at least 1 (default: machine-dependent).")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ]

@@ -29,7 +29,7 @@ let () =
     | Simsweep.Engine.Undecided -> "UNDECIDED")
     (Unix.gettimeofday () -. t0)
     (Simsweep.Engine.reduction_percent c.Simsweep.Engine.engine)
-    (if c.Simsweep.Engine.sat_outcome = None then "not needed" else "finished the rest");
+    (if c.Simsweep.Engine.sat = None then "not needed" else "finished the rest");
 
   (* 2. Output partitioning on a two-unit design: the summary counts the
      support groups. *)

@@ -32,63 +32,44 @@ let sat_equal solver ~conflict_limit a_lit b_lit =
       | `Unsat -> `Proved)
 
 let validate ?(conflict_limit = max_int) miter cert =
-  let g = ref (Aig.Network.copy miter) in
-  let step_no = ref 0 in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec replay = function
+  let rec replay step_no g = function
     | [] ->
-        if cert.claims_proved && not (Aig.Miter.solved (Aig.Reduce.sweep !g).Aig.Reduce.network)
+        if
+          cert.claims_proved
+          && not (Aig.Miter.solved (Aig.Reduce.sweep g).Aig.Reduce.network)
         then fail "certificate claims a proof but the replayed miter is unsolved"
-        else Ok !g
+        else Ok g
     | (step : Engine.trace_step) :: rest -> (
-        incr step_no;
         let solver = Sat.Solver.create () in
-        if not (Sat.Cnf.load solver !g) then
-          fail "step %d: intermediate miter has contradictory CNF" !step_no
+        let refuted a b = sat_equal solver ~conflict_limit a b <> `Proved in
+        if not (Sat.Cnf.load solver g) then
+          fail "step %d: intermediate miter has contradictory CNF" step_no
         else
-          (* Validate the step's claims on the current miter. *)
-          let bad_po =
+          (* Re-prove the step's claims on the current miter, then apply it
+             as the engine did. *)
+          match
             List.find_opt
               (fun i ->
-                let l = Aig.Network.po !g i in
-                l <> Aig.Lit.const_false
-                && sat_equal solver ~conflict_limit l Aig.Lit.const_false
-                   <> `Proved)
+                let l = Aig.Network.po g i in
+                l <> Aig.Lit.const_false && refuted l Aig.Lit.const_false)
               step.Engine.trace_pos
-          in
-          match bad_po with
-          | Some i -> fail "step %d: PO %d is not constant false" !step_no i
+          with
+          | Some i -> fail "step %d: PO %d is not constant false" step_no i
           | None -> (
-              let bad_merge =
+              match
                 List.find_opt
-                  (fun (n, l) ->
-                    sat_equal solver ~conflict_limit (Aig.Lit.make n false) l
-                    <> `Proved)
+                  (fun (n, l) -> refuted (Aig.Lit.make n false) l)
                   step.Engine.trace_merges
-              in
-              match bad_merge with
+              with
               | Some (n, l) ->
                   fail "step %d: node %d is not equivalent to literal %d"
-                    !step_no n l
+                    step_no n l
               | None ->
-                  (* Apply the step's reduction exactly as the engine did. *)
-                  (match step.Engine.trace_phase with
-                  | `P ->
-                      List.iter
-                        (fun i -> Aig.Network.set_po !g i Aig.Lit.const_false)
-                        step.Engine.trace_pos;
-                      g := (Aig.Reduce.sweep !g).Aig.Reduce.network
-                  | `G | `L _ ->
-                      let repl =
-                        Array.make (Aig.Network.num_nodes !g) None
-                      in
-                      List.iter
-                        (fun (n, l) -> repl.(n) <- Some l)
-                        step.Engine.trace_merges;
-                      g := (Aig.Reduce.apply !g ~repl).Aig.Reduce.network);
-                  replay rest))
+                  replay (step_no + 1)
+                    (Engine.apply_step g step).Aig.Reduce.network rest))
   in
-  replay cert.steps
+  replay 1 (Aig.Network.copy miter) cert.steps
 
 type check = Validated of int | Incomplete | Invalid of string
 

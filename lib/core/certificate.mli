@@ -5,7 +5,8 @@
     records every reduction step (PO proofs and node merges, via
     {!Engine.run}'s [trace]) and {!validate} replays them on the original
     miter, re-proving each individual claim with the SAT solver — a much
-    smaller trusted core.  Each step's claims are local and cheap compared
+    smaller trusted core — and reducing the miter after each step with
+    {!Engine.apply_step}, the function the engine itself reduces with.  Each step's claims are local and cheap compared
     to the original problem, which is the same reason the engine is fast:
     the certificate externalises that decomposition. *)
 
@@ -27,7 +28,7 @@ val generate :
 (** [validate ?conflict_limit miter cert] replays the certificate on the
     original miter: every merge [n -> l] is re-proved equivalent by SAT on
     the current intermediate miter and every P-step output re-proved
-    constant false, then the step's reduction is applied.  Returns the
+    constant false, then the step is applied with {!Engine.apply_step}.  Returns the
     final replayed miter, which is fully solved when [claims_proved] held
     honestly.  On any failed claim, [Error] describes the offending step. *)
 val validate :

@@ -30,6 +30,53 @@ let reduction_percent r =
     100.
     *. (1. -. (float_of_int r.reduced_size /. float_of_int r.initial_size))
 
+(* --- committing proofs ----------------------------------------------------- *)
+
+let apply_step g step =
+  match step.trace_phase with
+  | `P ->
+      List.iter
+        (fun i -> Aig.Network.set_po g i Aig.Lit.const_false)
+        step.trace_pos;
+      Aig.Reduce.sweep g
+  | `G | `L _ ->
+      let repl = Array.make (Aig.Network.num_nodes g) None in
+      List.iter (fun (n, l) -> repl.(n) <- Some l) step.trace_merges;
+      Aig.Reduce.apply g ~repl
+
+(* The step of a G or L phase: every node of [repl] merged, in node
+   order. *)
+let merge_step phase repl =
+  let merges = ref [] in
+  for n = Array.length repl - 1 downto 0 do
+    Option.iter (fun l -> merges := (n, l) :: !merges) repl.(n)
+  done;
+  { trace_phase = phase; trace_pos = []; trace_merges = !merges }
+
+(* Every phase commits its proofs the same way: report the step to [trace],
+   apply it, and return the reduced miter with the map that carries the
+   equivalence classes over to it. *)
+let commit ~trace g step =
+  Option.iter (fun f -> f step) trace;
+  let r = apply_step g step in
+  let remap classes =
+    Sim.Eclass.map_nodes classes (fun n ->
+        let l = r.Aig.Reduce.node_map.(n) in
+        if l < 0 then None else Some l)
+  in
+  (r.Aig.Reduce.network, remap)
+
+(* Check single-pair windows, each given by its inputs and its pair, in one
+   window-merged exhaustive batch. *)
+let check_windows (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel
+    ~k_s ~num_tags g windows =
+  let jobs =
+    List.map (fun (inputs, pair) -> { Exhaustive.inputs; pairs = [ pair ] }) windows
+  in
+  let jobs = if cfg.window_merging then Wmerge.merge ~k_s jobs else jobs in
+  Exhaustive.run g ~pool ~memory_words:cfg.memory_words ~arena
+    ~stats:stats.Stats.exhaustive ?cancel ~jobs ~num_tags ()
+
 (* --- P phase: PO checking ------------------------------------------------ *)
 
 (* Returns [Ok g'] (reduced miter) or [Error cex_po]. *)
@@ -71,64 +118,45 @@ let po_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~trace g =
     Log.debug (fun m ->
         m "P phase: %d of %d POs simulatable (one-shot: %b)"
           (List.length selected) num_pos all_simulatable);
-    let jobs =
-      List.map
-        (fun (i, s) ->
-          let l = Aig.Network.po g i in
-          {
-            Exhaustive.inputs = s;
-            pairs =
-              [
-                {
-                  Exhaustive.a = Aig.Lit.node l;
-                  b = -1;
-                  compl_ = Aig.Lit.is_compl l;
-                  tag = i;
-                };
-              ];
-          })
-        selected
-    in
-    let jobs = if cfg.window_merging then Wmerge.merge ~k_s jobs else jobs in
     let verdicts =
-      Exhaustive.run g ~pool ~memory_words:cfg.memory_words ~arena
-        ~stats:stats.Stats.exhaustive ?cancel ~jobs ~num_tags:num_pos ()
+      check_windows cfg ~pool ~arena ~stats ?cancel ~k_s ~num_tags:num_pos g
+        (List.map
+           (fun (i, s) ->
+             let l = Aig.Network.po g i in
+             ( s,
+               {
+                 Exhaustive.a = Aig.Lit.node l;
+                 b = -1;
+                 compl_ = Aig.Lit.is_compl l;
+                 tag = i;
+               } ))
+           selected)
     in
     (* A mismatch on a PO is a real counter-example. *)
-    let cex = ref None in
-    List.iter
-      (fun (i, _) ->
-        match verdicts.(i) with
-        | Exhaustive.Mismatch { pattern; inputs } when !cex = None ->
-            cex := Some (Sim.Cex.of_window_pattern g ~inputs ~pattern, i)
-        | _ -> ())
-      selected;
-    match !cex with
+    let cex =
+      List.find_map
+        (fun (i, _) ->
+          match verdicts.(i) with
+          | Exhaustive.Mismatch { pattern; inputs } ->
+              Some (Sim.Cex.of_window_pattern g ~inputs ~pattern, i)
+          | _ -> None)
+        selected
+    in
+    match cex with
     | Some (c, i) -> Error (c, i)
     | None ->
-        let proved = ref 0 in
-        List.iter
-          (fun (i, _) ->
-            match verdicts.(i) with
-            | Exhaustive.Proved ->
-                incr proved;
-                Aig.Network.set_po g i Aig.Lit.const_false
-            | _ -> ())
-          selected;
-        stats.Stats.pos_proved <- stats.Stats.pos_proved + !proved;
-        Log.debug (fun m -> m "P phase: proved %d POs" !proved);
-        (match trace with
-        | Some f when !proved > 0 ->
-            let pos =
-              List.filter_map
-                (fun (i, _) ->
-                  match verdicts.(i) with Exhaustive.Proved -> Some i | _ -> None)
-                selected
-            in
-            f { trace_phase = `P; trace_pos = pos; trace_merges = [] }
-        | _ -> ());
-        if !proved = 0 then Ok g
-        else Ok (Aig.Reduce.sweep g).Aig.Reduce.network
+        let pos =
+          List.filter_map
+            (fun (i, _) ->
+              match verdicts.(i) with Exhaustive.Proved -> Some i | _ -> None)
+            selected
+        in
+        stats.Stats.pos_proved <- stats.Stats.pos_proved + List.length pos;
+        Log.debug (fun m -> m "P phase: proved %d POs" (List.length pos));
+        if pos = [] then Ok g
+        else
+          let step = { trace_phase = `P; trace_pos = pos; trace_merges = [] } in
+          Ok (fst (commit ~trace g step))
   end
 
 (* --- G phase: global function checking ----------------------------------- *)
@@ -146,20 +174,19 @@ let stopping ?cancel ~(stats : Stats.t) () =
 (* Returns the reduced miter and the carried classes. *)
 let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
     ~trace g =
-  let g = ref g in
   let sigs =
-    Sim.Psim.run ~stats:stats.Stats.psim !g ~nwords:cfg.sim_words ~rng ~pool
+    Sim.Psim.run ~stats:stats.Stats.psim g ~nwords:cfg.sim_words ~rng ~pool
       ~embed:[]
   in
-  let classes = ref (Sim.Eclass.of_sigs !g sigs ()) in
-  let repl = Array.make (Aig.Network.num_nodes !g) None in
+  let classes = ref (Sim.Eclass.of_sigs g sigs ()) in
+  let repl = Array.make (Aig.Network.num_nodes g) None in
   let merged = ref 0 in
   let continue_ = ref true in
   let iterations = ref 0 in
   while !continue_ && !iterations < 64 && not (stopping ?cancel ~stats ()) do
     incr iterations;
     stats.Stats.g_iterations <- stats.Stats.g_iterations + 1;
-    let supports = Aig.Support.capped !g ~cap:cfg.k_g in
+    let supports = Aig.Support.capped g ~cap:cfg.k_g in
     let candidates =
       Sim.Eclass.pairs !classes
       |> List.filter_map (fun { Sim.Eclass.repr; other; compl_ } ->
@@ -188,53 +215,37 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
       let base = ref 0 in
       let stopped = ref false in
       while !base < n && not !stopped do
-        let hi = min n (!base + max 1 batch_cap) in
-        let jobs =
-          List.init (hi - !base) (fun k ->
-              let tag = !base + k in
-              let repr, other, compl_, u = candidates.(tag) in
-              {
-                Exhaustive.inputs = u;
-                pairs =
-                  [
-                    {
-                      Exhaustive.a = other;
-                      b = (if repr = 0 then -1 else repr);
-                      compl_;
-                      tag;
-                    };
-                  ];
-              })
-        in
-        let jobs =
-          if cfg.window_merging then Wmerge.merge ~k_s:cfg.k_g jobs else jobs
-        in
+        let hi = min n (!base + batch_cap) in
         let batch =
-          Exhaustive.run !g ~pool ~memory_words:cfg.memory_words ~arena
-            ~stats:stats.Stats.exhaustive ?cancel ~jobs ~num_tags:n ()
+          check_windows cfg ~pool ~arena ~stats ?cancel ~k_s:cfg.k_g
+            ~num_tags:n g
+            (List.init (hi - !base) (fun k ->
+                 let tag = !base + k in
+                 let repr, other, compl_, u = candidates.(tag) in
+                 ( u,
+                   {
+                     Exhaustive.a = other;
+                     b = (if repr = 0 then -1 else repr);
+                     compl_;
+                     tag;
+                   } )))
         in
-        for tag = !base to hi - 1 do
-          verdicts.(tag) <- batch.(tag)
-        done;
+        Array.blit batch !base verdicts !base (hi - !base);
         base := hi;
         if !base < n && stopping ?cancel ~stats () then stopped := true
       done;
       let cexs = ref [] in
       Array.iteri
         (fun tag verdict ->
-          let repr, other, compl_, u = candidates.(tag) in
+          let repr, other, compl_, _ = candidates.(tag) in
           match verdict with
           | Exhaustive.Proved ->
               if repl.(other) = None then begin
-                repl.(other) <-
-                  Some
-                    (if repr = 0 then Aig.Lit.xor_compl Aig.Lit.const_false compl_
-                     else Aig.Lit.make repr compl_);
+                repl.(other) <- Some (Aig.Lit.make repr compl_);
                 incr merged
               end
           | Exhaustive.Mismatch { pattern; inputs } ->
-              ignore u;
-              let cex = Sim.Cex.of_window_pattern !g ~inputs ~pattern in
+              let cex = Sim.Cex.of_window_pattern g ~inputs ~pattern in
               cexs := cex :: !cexs;
               if cfg.distance_one_cex then
                 cexs := Sim.Cex.distance_one ~limit:8 cex @ !cexs
@@ -246,7 +257,7 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
         (* Refine the classes with the counter-example patterns. *)
         stats.Stats.g_refinements <- stats.Stats.g_refinements + 1;
         let sigs =
-          Sim.Psim.run ~stats:stats.Stats.psim !g ~nwords:cfg.sim_words ~rng
+          Sim.Psim.run ~stats:stats.Stats.psim g ~nwords:cfg.sim_words ~rng
             ~pool ~embed:!cexs
         in
         classes := Sim.Eclass.refine !classes sigs
@@ -256,24 +267,10 @@ let global_phase (cfg : Config.t) ~pool ~arena ~(stats : Stats.t) ?cancel ~rng
   stats.Stats.pairs_proved_global <- stats.Stats.pairs_proved_global + !merged;
   Log.debug (fun m ->
       m "G phase: %d pairs merged in %d refinement iterations" !merged !iterations);
-  if !merged = 0 then (!g, !classes)
-  else begin
-    (match trace with
-    | Some f ->
-        let merges = ref [] in
-        Array.iteri
-          (fun n t -> match t with Some l -> merges := (n, l) :: !merges | None -> ())
-          repl;
-        f { trace_phase = `G; trace_pos = []; trace_merges = List.rev !merges }
-    | None -> ());
-    let r = Aig.Reduce.apply !g ~repl in
-    let classes' =
-      Sim.Eclass.map_nodes !classes (fun n ->
-          let l = r.Aig.Reduce.node_map.(n) in
-          if l < 0 then None else Some l)
-    in
-    (r.Aig.Reduce.network, classes')
-  end
+  if !merged = 0 then (g, !classes)
+  else
+    let g, remap = commit ~trace g (merge_step `G repl) in
+    (g, remap !classes)
 
 (* --- L phases: repeated local function checking --------------------------- *)
 
@@ -327,25 +324,9 @@ let local_phases (cfg : Config.t) ~pool ~(stats : Stats.t) ?cancel ~rng
           (Aig.Network.num_ands !g));
     if !merged = 0 then progress := false
     else begin
-      (match trace with
-      | Some f ->
-          let merges = ref [] in
-          Array.iteri
-            (fun n t -> match t with Some l -> merges := (n, l) :: !merges | None -> ())
-            repl;
-          f
-            {
-              trace_phase = `L !phase;
-              trace_pos = [];
-              trace_merges = List.rev !merges;
-            }
-      | None -> ());
-      let r = Aig.Reduce.apply !g ~repl in
-      g := r.Aig.Reduce.network;
-      classes :=
-        Sim.Eclass.map_nodes !classes (fun n ->
-            let l = r.Aig.Reduce.node_map.(n) in
-            if l < 0 then None else Some l);
+      let g', remap = commit ~trace !g (merge_step (`L !phase) repl) in
+      g := g';
+      classes := remap !classes;
       (* §V extension: a light rewriting round between phases changes the
          cut structures available to the next phase; the classes are
          rebuilt by fresh partial simulation on the rewritten miter. *)
@@ -385,66 +366,59 @@ let run ?(config = Config.default) ?stop_after ?trace ?cancel ~pool miter =
       reduced_size = (if outcome = Proved then 0 else Aig.Network.num_ands g);
     }
   in
-  if Aig.Miter.solved miter then
-    (* Every PO is already constant false. *)
-    finish Proved (Aig.Reduce.sweep miter).Aig.Reduce.network
-  else
-  (* P phase. *)
-  let p_result =
-    Stats.timed stats Stats.Po_check (fun () ->
-        po_phase config ~pool ~arena ~stats ?cancel ~trace miter)
+  let proved g = finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network in
+  (* Every phase ends the same way: a solved miter is proved, the
+     [stop_after] phase ends the flow undecided, and otherwise [next]
+     runs the rest of it. *)
+  let after phase ?classes g next =
+    if Aig.Miter.solved g then proved g
+    else if stop_after = Some phase then finish ?classes Undecided g
+    else next ()
   in
-  match p_result with
-  | Error (cex, po) -> finish (Disproved (cex, po)) miter
-  | Ok g ->
-      if Aig.Miter.solved g then finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network
-      else if stop_after = Some `P then finish Undecided g
-      else begin
-        (* G phase. *)
+  if Aig.Miter.solved miter then proved miter
+  else
+    match
+      Stats.timed stats Stats.Po_check (fun () ->
+          po_phase config ~pool ~arena ~stats ?cancel ~trace miter)
+    with
+    | Error (cex, po) -> finish (Disproved (cex, po)) miter
+    | Ok g ->
+        after `P g @@ fun () ->
         let g, classes =
           Stats.timed stats Stats.Global_check (fun () ->
               global_phase config ~pool ~arena ~stats ?cancel ~rng ~trace g)
         in
-        if Aig.Miter.solved g then
-          finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network
-        else if stop_after = Some `G then finish ~classes Undecided g
-        else begin
-          (* L phases. *)
-          let g, classes =
-            Stats.timed stats Stats.Local_check (fun () ->
-                local_phases config ~pool ~stats ?cancel ~rng ~trace g
-                  classes)
-          in
-          if Aig.Miter.solved g then
-            finish Proved (Aig.Reduce.sweep g).Aig.Reduce.network
-          else finish ~classes Undecided g
-        end
-      end
+        after `G ~classes g @@ fun () ->
+        let g, classes =
+          Stats.timed stats Stats.Local_check (fun () ->
+              local_phases config ~pool ~stats ?cancel ~rng ~trace g classes)
+        in
+        after `L ~classes g @@ fun () -> finish ~classes Undecided g
 
-type combined = {
-  engine : run_result;
-  sat_outcome : Sat.Sweep.outcome option;
-  sat_stats : Sat.Sweep.stats option;
-  final : outcome;
+type sat_leg = {
+  sat_outcome : Sat.Sweep.outcome;
+  sat_stats : Sat.Sweep.stats;
+  sat_s : float;
 }
+
+type combined = { engine : run_result; sat : sat_leg option; final : outcome }
 
 let check_with_fallback ?config ?(transfer_classes = false) ?cancel ~pool
     miter =
   let engine = run ?config ?cancel ~pool miter in
   match engine.outcome with
-  | Proved | Disproved _ ->
-      { engine; sat_outcome = None; sat_stats = None; final = engine.outcome }
-  | Undecided when Par.Cancel.is_set_opt cancel ->
-      (* A cancelled engine run must not start the SAT fallback. *)
-      { engine; sat_outcome = None; sat_stats = None; final = Undecided }
-  | Undecided ->
+  | Undecided when not (Par.Cancel.is_set_opt cancel) ->
+      (* The SAT sweeper finishes the reduced miter.  A cancelled engine
+         run never starts it. *)
       let classes = if transfer_classes then engine.classes else None in
+      let t0 = Unix.gettimeofday () in
       let sat_outcome, sat_stats =
         Sat.Sweep.check ?classes ?cancel ~pool engine.reduced
       in
+      let sat_s = Unix.gettimeofday () -. t0 in
       {
         engine;
-        sat_outcome = Some sat_outcome;
-        sat_stats = Some sat_stats;
+        sat = Some { sat_outcome; sat_stats; sat_s };
         final = of_sat_outcome sat_outcome;
       }
+  | outcome -> { engine; sat = None; final = outcome }

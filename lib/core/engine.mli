@@ -31,17 +31,25 @@ type run_result = {
 (** Reduction ratio in percent (the "Reduced (%)" column of Table II). *)
 val reduction_percent : run_result -> float
 
-(** One reduction step of the flow, reported to the [trace] callback: the
-    POs proved constant-false (P phase) or the node merges applied (G/L
-    phases), with node ids referring to the miter {e as it was before this
-    step's reduction}.  Replaying the same reductions in order reproduces
-    the engine's intermediate miters exactly — the basis of
-    {!Certificate}. *)
+(** One reduction step of the flow: the POs proved constant false (P
+    phase) or the node merges proved (G and L phases), with node ids
+    referring to the miter {e as it was before the step}.  Each phase
+    hands its step to [run]'s [trace] callback and then reduces the
+    miter with {!apply_step}, so replaying the steps in order with that
+    function reproduces the engine's intermediate miters exactly — the
+    basis of {!Certificate}. *)
 type trace_step = {
   trace_phase : [ `P | `G | `L of int ];
   trace_pos : int list;  (** PO indices proved constant false *)
   trace_merges : (int * Aig.Lit.t) list;  (** node, replacement literal *)
 }
+
+(** [apply_step g step] is the miter manager's reduction of one step
+    (paper §III-A).  A P step sets its POs of [g] to constant false, in
+    place, and sweeps; a G or L step merges its nodes with
+    {!Aig.Reduce.apply}.  The result's [node_map] carries node ids of [g]
+    over to the reduced network. *)
+val apply_step : Aig.Network.t -> trace_step -> Aig.Reduce.result
 
 (** [run ?config ?stop_after ?trace ?cancel ~pool miter] executes
     the engine.  [stop_after] truncates the flow after the named phase
@@ -61,18 +69,28 @@ val run :
   Aig.Network.t ->
   run_result
 
+(** The SAT sweeper's leg of {!check_with_fallback}. *)
+type sat_leg = {
+  sat_outcome : Sat.Sweep.outcome;
+  sat_stats : Sat.Sweep.stats;
+  sat_s : float;  (** the sweep's wall-clock seconds *)
+}
+
 type combined = {
   engine : run_result;
-  sat_outcome : Sat.Sweep.outcome option;  (** [None] when not needed *)
-  sat_stats : Sat.Sweep.stats option;
+  sat : sat_leg option;
+      (** the SAT sweeper's leg; [None] when the engine decided alone or
+          was cancelled *)
   final : outcome;
 }
 
-(** The paper's integrated flow: the simulation engine first, then the SAT
-    sweeper on the reduced miter when the engine leaves it undecided.
-    [transfer_classes] forwards the engine's equivalence classes to the
-    sweeper (§V extension).  A cancelled engine run skips the SAT fallback
-    and returns [Undecided]. *)
+(** The paper's integrated flow (Table II's GPU+ABC column): the
+    simulation engine first, then the SAT sweeper on the reduced miter
+    when the engine leaves it undecided.  It is the one engine-then-SAT
+    cascade: the portfolio, Table II's bench and every shard worker run
+    it.  [transfer_classes] forwards the engine's equivalence classes to
+    the sweeper (§V extension).  A cancelled engine run skips the SAT
+    fallback and returns [Undecided]. *)
 val check_with_fallback :
   ?config:Config.t ->
   ?transfer_classes:bool ->

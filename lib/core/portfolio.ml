@@ -27,52 +27,48 @@ let conclusive = function
 let check ?(bdd_node_limit = 1 lsl 20) ?bdd_step_limit
     ?mode:(_ : mode = `Sequential) ?cancel ~pool miter =
   let t0 = Unix.gettimeofday () in
-  let per = ref [] in
-  let timed e f =
-    let s = Unix.gettimeofday () in
-    let r = f () in
-    per := (e, Unix.gettimeofday () -. s) :: !per;
-    r
+  (* Member 1: BDD with node and step budgets — cheap on control logic,
+     aborts fast on arithmetic. *)
+  let bdd =
+    Bdd.check ~node_limit:bdd_node_limit ?step_limit:bdd_step_limit ?cancel
+      miter
   in
-  let finish ?engine_stats ?sat_stats ?(bdd_timeout = false) outcome winner =
+  let t_bdd = Unix.gettimeofday () in
+  let finish ?(flow = []) ?engine_stats ?sat_stats ?(bdd_timeout = false)
+      outcome winner =
     {
       outcome;
       winner;
       time = Unix.gettimeofday () -. t0;
-      per_engine_time = List.rev !per;
+      per_engine_time = (Bdd_engine, t_bdd -. t0) :: flow;
       bdd_timeout;
       engine_stats;
       sat_stats;
     }
   in
-  (* Engine 1: BDD with node and step budgets — cheap on control logic,
-     aborts fast on arithmetic. *)
-  match
-    timed Bdd_engine (fun () ->
-        Bdd.check ~node_limit:bdd_node_limit ?step_limit:bdd_step_limit ?cancel
-          miter)
-  with
+  match bdd with
   | `Equivalent -> finish Engine.Proved (Some Bdd_engine)
   | `Inequivalent (cex, po) ->
       finish (Engine.Disproved (cex, po)) (Some Bdd_engine)
-  | (`Node_limit | `Timeout) as aborted -> (
-      let bdd_timeout = aborted = `Timeout in
-      (* Engine 2: the simulation engine. *)
-      let er =
-        timed Sim_engine (fun () ->
-            Engine.run ~config:Config.default ?cancel ~pool miter)
+  | (`Node_limit | `Timeout) as aborted ->
+      (* Then the flow: the simulation engine, and SAT sweeping on the
+         miter it leaves undecided.  The winner is the member that
+         produced the final verdict; an undecided portfolio has none. *)
+      let c =
+        Engine.check_with_fallback ~config:Config.default ?cancel ~pool miter
       in
-      let engine_stats = er.Engine.stats in
-      if conclusive er.Engine.outcome then
-        finish ~engine_stats ~bdd_timeout er.Engine.outcome (Some Sim_engine)
-      else
-        (* Engine 3: SAT sweeping on the reduced miter.  The winner is the
-           engine that produced the final verdict — an undecided portfolio
-           has no winner. *)
-        let sat_outcome, sat_stats =
-          timed Sat_engine (fun () ->
-              Sat.Sweep.check ?cancel ~pool er.Engine.reduced)
-        in
-        let outcome = Engine.of_sat_outcome sat_outcome in
-        finish ~engine_stats ~sat_stats ~bdd_timeout outcome
-          (if conclusive outcome then Some Sat_engine else None))
+      let flow_s = Unix.gettimeofday () -. t_bdd in
+      let last, flow =
+        match c.Engine.sat with
+        | None -> (Sim_engine, [ (Sim_engine, flow_s) ])
+        | Some s ->
+            ( Sat_engine,
+              [
+                (Sim_engine, flow_s -. s.Engine.sat_s);
+                (Sat_engine, s.Engine.sat_s);
+              ] )
+      in
+      finish ~flow ~engine_stats:c.Engine.engine.Engine.stats
+        ?sat_stats:(Option.map (fun s -> s.Engine.sat_stats) c.Engine.sat)
+        ~bdd_timeout:(aborted = `Timeout) c.Engine.final
+        (if conclusive c.Engine.final then Some last else None)

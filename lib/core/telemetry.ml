@@ -401,7 +401,7 @@ let of_combined (c : Engine.combined) =
       ("outcome", String (outcome_string c.final));
       ("engine", of_run c.engine);
       ( "sat_fallback",
-        match c.sat_stats with None -> Null | Some s -> of_sat s );
+        match c.sat with None -> Null | Some s -> of_sat s.sat_stats );
     ]
 
 let of_portfolio (r : Portfolio.result) =

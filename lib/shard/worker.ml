@@ -17,8 +17,8 @@ let run_check ~pool ~shard ~aiger ~deadline_in =
   in
   let c = check ?cancel ~pool:(Lazy.force pool) g in
   let conflicts =
-    match c.Simsweep.Engine.sat_stats with
-    | Some s -> s.Sat.Sweep.conflicts
+    match c.Simsweep.Engine.sat with
+    | Some s -> s.Simsweep.Engine.sat_stats.Sat.Sweep.conflicts
     | None -> 0
   in
   Pr.Shard_verdict

@@ -68,51 +68,61 @@ let run_cec ?cancel st g name =
       Engines.run ?cancel ~pool:(Lazy.force st.pool) engine g
       |> Result.map (fun r -> r.Engines.summary)
 
-(* Tokenize one command line ABC-style: words split on blanks; double or
+(* The shell's one scanner, ABC-style.  A script splits into commands at
+   newlines and at [;], and a command into words at blanks.  Double or
    single quotes group a word, so filenames may contain blanks, [;] or
-   [#]; a [#] starts a comment only at the start of the line or after a
-   blank — [read foo#1.aig] names a file, [read x  # note] carries a
-   comment. *)
-let tokenize line =
-  let n = String.length line in
-  let words = ref [] in
-  let buf = Buffer.create 16 in
-  let in_word = ref false in
-  let flush () =
+   [#].  A [#] starts a comment, which runs to the end of its line, only
+   at the start of a word: [read foo#1.aig] names a file, [read x  # note]
+   carries a comment.  Each command comes with its text, comment
+   included, and its words or its scan error. *)
+let scan text =
+  let n = String.length text in
+  let cmds = ref [] and words = ref [] and err = ref None in
+  let word = Buffer.create 16 in
+  let in_word = ref false and start = ref 0 in
+  let end_word () =
     if !in_word then begin
-      words := Buffer.contents buf :: !words;
-      Buffer.clear buf;
+      words := Buffer.contents word :: !words;
+      Buffer.clear word;
       in_word := false
     end
   in
-  let err = ref None in
+  let end_command stop =
+    end_word ();
+    let scanned =
+      match !err with Some e -> Error e | None -> Ok (List.rev !words)
+    in
+    cmds := (String.sub text !start (stop - !start), scanned) :: !cmds;
+    words := [];
+    start := stop + 1
+  in
   let i = ref 0 in
-  while !err = None && !i < n do
-    (match line.[!i] with
-    | ' ' | '\t' | '\r' -> flush ()
+  while !i < n do
+    (match text.[!i] with
+    | '\n' | ';' -> end_command !i
+    | ' ' | '\t' | '\r' -> end_word ()
     | ('"' | '\'') as q -> (
-        match String.index_from_opt line (!i + 1) q with
+        match String.index_from_opt text (!i + 1) q with
         | Some j ->
-            Buffer.add_string buf (String.sub line (!i + 1) (j - !i - 1));
+            Buffer.add_string word (String.sub text (!i + 1) (j - !i - 1));
             in_word := true;
             i := j
-        | None -> err := Some (Printf.sprintf "unterminated %c quote" q))
-    | '#' when not !in_word -> i := n
+        | None ->
+            err := Some (Printf.sprintf "unterminated %c quote" q);
+            i := n)
+    | '#' when not !in_word -> (
+        match String.index_from_opt text !i '\n' with
+        | Some j -> i := j - 1
+        | None -> i := n)
     | c ->
-        Buffer.add_char buf c;
+        Buffer.add_char word c;
         in_word := true);
     incr i
   done;
-  match !err with
-  | Some e -> Error e
-  | None ->
-      flush ();
-      Ok (List.rev !words)
+  end_command n;
+  List.rev !cmds
 
-let exec ?cancel st line =
-  match tokenize line with
-  | Error e -> Error e
-  | Ok words ->
+let exec_words ?cancel st words =
   let set g out =
     st.current <- Some g;
     Ok out
@@ -231,71 +241,28 @@ let exec ?cancel st line =
   | Sys_error e -> Error e
   | Invalid_argument e -> Error e
 
-(* Split a script into commands at newlines and at [;] — but not inside
-   quotes (so [read "a;b.aig"] is one command) and not inside a comment
-   (which runs to the end of its line). *)
-let split_commands text =
-  let cmds = ref [] in
-  let buf = Buffer.create 64 in
-  let flush () =
-    cmds := Buffer.contents buf :: !cmds;
-    Buffer.clear buf
+(* Run the commands of [text] in order, stopping at the first error.
+   Returns their non-empty outputs, or the failing command's 1-based index
+   (blank commands are not counted), its text and its error. *)
+let run_commands ?cancel st text =
+  let rec go idx outs = function
+    | [] -> Ok (List.rev outs)
+    | (cmd, words) :: rest -> (
+        let idx = if String.trim cmd = "" then idx else idx + 1 in
+        match Result.bind words (exec_words ?cancel st) with
+        | Ok "" -> go idx outs rest
+        | Ok out -> go idx (out :: outs) rest
+        | Error e -> Error (idx, cmd, e))
   in
-  let n = String.length text in
-  let quote = ref None in
-  let in_word = ref false in
-  let in_comment = ref false in
-  for i = 0 to n - 1 do
-    let c = text.[i] in
-    if !in_comment then begin
-      if c = '\n' then begin
-        in_comment := false;
-        in_word := false;
-        flush ()
-      end
-      else Buffer.add_char buf c
-    end
-    else
-      match !quote with
-      | Some q ->
-          Buffer.add_char buf c;
-          if c = q then quote := None
-      | None -> (
-          match c with
-          | '\n' | ';' ->
-              in_word := false;
-              flush ()
-          | ' ' | '\t' | '\r' ->
-              in_word := false;
-              Buffer.add_char buf c
-          | ('"' | '\'') as q ->
-              quote := Some q;
-              in_word := true;
-              Buffer.add_char buf c
-          | '#' when not !in_word ->
-              in_comment := true;
-              Buffer.add_char buf c
-          | c ->
-              in_word := true;
-              Buffer.add_char buf c)
-  done;
-  flush ();
-  List.rev !cmds
+  go 0 [] (scan text)
+
+let exec ?cancel st line =
+  match run_commands ?cancel st line with
+  | Ok outs -> Ok (String.concat "\n" outs)
+  | Error (_, _, e) -> Error e
 
 let exec_script ?cancel st text =
-  let buf = Buffer.create 256 in
-  let rec go idx = function
-    | [] -> Ok (Buffer.contents buf)
-    | cmd :: rest -> (
-        let blank = String.trim cmd = "" in
-        let idx = if blank then idx else idx + 1 in
-        match exec ?cancel st cmd with
-        | Ok "" -> go idx rest
-        | Ok out ->
-            Buffer.add_string buf out;
-            Buffer.add_char buf '\n';
-            go idx rest
-        | Error e ->
-            Error (Printf.sprintf "command %d (%s): %s" idx (String.trim cmd) e))
-  in
-  go 0 (split_commands text)
+  match run_commands ?cancel st text with
+  | Ok outs -> Ok (String.concat "" (List.map (fun out -> out ^ "\n") outs))
+  | Error (idx, cmd, e) ->
+      Error (Printf.sprintf "command %d (%s): %s" idx (String.trim cmd) e)

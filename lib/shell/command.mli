@@ -43,10 +43,12 @@ val create : ?pool:Par.Pool.t -> unit -> state
 
 (** [exec ?cancel state line] runs one command; returns its printable
     output or an error message.  Blank lines and comments yield [Ok ""].
-    A [#] starts a comment only at the start of the line or after a
-    blank, so [read foo#1.aig] names a file.  Double or single quotes
-    group a word ([read "my file.aig"]).  [cancel] is forwarded to the
-    long-running commands ([cec], [fraig]). *)
+    A [#] starts a comment only at the start of a word, so
+    [read foo#1.aig] names a file.  Double or single quotes group a word
+    ([read "my file.aig"]).  The line is scanned as a script is, so [;]
+    separates commands here too: they run in order up to the first
+    error, and their outputs are joined by newlines.  [cancel] is
+    forwarded to the long-running commands ([cec], [fraig]). *)
 val exec : ?cancel:Par.Cancel.t -> state -> string -> (string, string) result
 
 (** Run a whole script, stopping at the first error; returns the

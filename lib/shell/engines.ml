@@ -57,19 +57,16 @@ type report = {
 }
 
 let run ?cancel ~pool engine g =
-  let config = Simsweep.Config.scaled in
   let report ?(stats = []) ?(detail = "") outcome =
     Ok { outcome; summary = outcome_string outcome ^ detail; stats }
   in
   match engine with
   | Sim ->
-      let r = E.run ~config ?cancel ~pool g in
+      let r = E.run ~config:Simsweep.Config.scaled ?cancel ~pool g in
       report ~stats:[ ("run", T.of_run r) ] r.E.outcome
         ~detail:(Printf.sprintf " (reduced %.1f%%)" (E.reduction_percent r))
   | Combined ->
-      let c =
-        E.check_with_fallback ~config ~transfer_classes:true ?cancel ~pool g
-      in
+      let c = Shard.Worker.check ?cancel ~pool g in
       report ~stats:[ ("combined", T.of_combined c) ] c.E.final
   | Sat ->
       let o, s = Sat.Sweep.check ?cancel ~pool g in

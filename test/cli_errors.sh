@@ -4,8 +4,8 @@
 # on a missing script, must each print `error: ...` and exit 2 (usage or
 # I/O error), never die on an uncaught exception.  Usage errors the
 # command-line parser reports itself (an unknown option, a missing FILE,
-# an unknown engine name, the removed --shard flag) must exit 2 with a
-# message on stderr.
+# an unknown engine name, the removed --shard flag, a worker-domain count
+# below 1) must exit 2 with a message on stderr.
 #
 #   sh cli_errors.sh path/to/cec.exe path/to/shell_main.exe A.aag B.aag
 # where A.aag and B.aag are well-formed AIGER files with different PI
@@ -54,4 +54,5 @@ expect_usage "cec on a missing FILE" "$cec" missing.aag
 expect_usage "cec with the removed portfolio.race engine" "$cec" \
   -e portfolio.race --suite voter --scale 0
 expect_usage "cec with the removed --shard flag" "$cec" --shard 2 --suite voter --scale 0
+expect_usage "cec with zero worker domains" "$cec" -j 0 --suite voter --scale 0
 exit $status

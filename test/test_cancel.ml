@@ -89,7 +89,7 @@ let test_combined_preset () =
   Alcotest.(check bool) "combined -> Undecided" true
     (c.Simsweep.Engine.final = Simsweep.Engine.Undecided);
   Alcotest.(check bool) "no sat fallback" true
-    (c.Simsweep.Engine.sat_outcome = None)
+    (c.Simsweep.Engine.sat = None)
 
 let test_portfolio_preset () =
   (* The portfolio threads the request token into each member engine. *)

@@ -29,6 +29,38 @@ let test_generate_and_validate () =
   | Ok final -> Alcotest.(check bool) "replayed to solved" true (Aig.Miter.solved final)
   | Error e -> Alcotest.failf "validation failed: %s" e
 
+(* Replaying a trace with [Engine.apply_step] rebuilds the engine's own
+   miter, byte for byte, whichever phase the flow stops after. *)
+let test_replay_rebuilds_reduced () =
+  Util.with_pool @@ fun pool ->
+  List.iter
+    (fun (name, g) ->
+      let miter = Aig.Miter.build g (Opt.Resyn.resyn2 g) in
+      List.iter
+        (fun (stop_name, stop_after) ->
+          let steps = ref [] in
+          let r =
+            Simsweep.Engine.run ~config:forced_internal_config ?stop_after
+              ~trace:(fun s -> steps := s :: !steps)
+              ~pool miter
+          in
+          let cert =
+            { Simsweep.Certificate.steps = List.rev !steps; claims_proved = false }
+          in
+          match Simsweep.Certificate.validate miter cert with
+          | Ok replayed ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, stop after %s" name stop_name)
+                (Aig.Aiger_io.to_binary_string r.Simsweep.Engine.reduced)
+                (Aig.Aiger_io.to_binary_string replayed)
+          | Error e -> Alcotest.failf "%s, stop after %s: %s" name stop_name e)
+        [ ("P", Some `P); ("G", Some `G); ("L", None) ])
+    [
+      ("multiplier6", Gen.Arith.multiplier ~bits:6);
+      ("sqrt12", Gen.Arith.sqrt ~bits:12);
+      ("hypot6", Gen.Arith.hypot ~bits:6);
+    ]
+
 let test_po_step_validates () =
   (* A P-phase-only certificate (wide thresholds). *)
   let g = Gen.Arith.adder ~bits:6 in
@@ -110,6 +142,8 @@ let () =
           Alcotest.test_case "tamper detection" `Quick test_tampered_certificate_rejected;
           Alcotest.test_case "wrong claim" `Quick test_wrong_claim_rejected;
           Alcotest.test_case "certify" `Quick test_certify;
+          Alcotest.test_case "replay rebuilds the reduced miter" `Quick
+            test_replay_rebuilds_reduced;
         ] );
       ("props", [ QCheck_alcotest.to_alcotest prop_certificates_validate ]);
     ]

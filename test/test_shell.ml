@@ -218,6 +218,16 @@ let test_quoted_filenames () =
               Alcotest.(check bool) "reloaded" true (contains out "pi=5")
           | Error e -> Alcotest.failf "script failed: %s" e))
 
+(* A line is scanned as a script is: [;] separates commands, which run in
+   order up to the first error. *)
+let test_line_of_commands () =
+  with_state (fun st ->
+      let out = exec_ok st "gen adder 4; stats  # both" in
+      Alcotest.(check int) "two outputs" 2
+        (List.length (String.split_on_char '\n' out));
+      Alcotest.(check bool) "unknown command" true
+        (contains (exec_err st "stats; frobnicate; stats") "unknown command"))
+
 (* Script errors name the offending command and its 1-based index. *)
 let test_script_error_index () =
   with_state (fun st ->
@@ -301,5 +311,6 @@ let () =
           Alcotest.test_case "script error index" `Quick test_script_error_index;
           Alcotest.test_case "concurrent sessions" `Quick
             test_concurrent_sessions;
+          Alcotest.test_case "line of commands" `Quick test_line_of_commands;
         ] );
     ]
