@@ -149,14 +149,7 @@ let post_double =
                shard engine on giant instances.")
 
 let num_domains =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
-  in
-  Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None
+  Arg.(value & opt (some Cli.positive_int) None
        & info [ "j"; "domains" ] ~docv:"N"
          ~doc:"Worker domains, at least 1 (default: machine-dependent).")
 
@@ -186,7 +179,6 @@ let cmd =
 let () =
   (* Re-exec'ed children of shard coordinators become workers here. *)
   Shard.Worker.maybe_become_worker ();
-  (* Usage errors Cmdliner reports itself (an unknown option, a FILE that
-     does not exist, a bad engine name) exit 2 like every other error. *)
-  let code = Cmd.eval' cmd in
-  exit (if code = Cmd.Exit.cli_error then 2 else code)
+  (* Usage errors (an unknown option, a FILE that does not exist, a bad
+     engine name) exit 2 like every other error. *)
+  exit (Cli.eval cmd)

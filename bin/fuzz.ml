@@ -7,7 +7,7 @@
    sequence are identical run-to-run.
 
    Exit codes: 0 clean, 1 oracle failures found (repros written),
-   4 self-test machinery failure. *)
+   2 usage error, 4 self-test machinery failure. *)
 
 let run seed cases minutes aig_dir out_dir self_test num_domains shrink_budget
     certify_every quiet =
@@ -96,8 +96,9 @@ let self_test =
                nodes, with the written repro still reproducing.")
 
 let num_domains =
-  Arg.(value & opt (some int) None & info [ "j"; "domains" ] ~docv:"N"
-         ~doc:"Worker domains (default: machine-dependent).")
+  Arg.(value & opt (some Cli.positive_int) None
+       & info [ "j"; "domains" ] ~docv:"N"
+         ~doc:"Worker domains, at least 1 (default: machine-dependent).")
 
 let shrink_budget =
   Arg.(value & opt int default.Fuzz.Runner.shrink_budget
@@ -123,4 +124,4 @@ let cmd =
 let () =
   (* The oracle's shard engine re-execs this binary to make its workers. *)
   Shard.Worker.maybe_become_worker ();
-  exit (Cmd.eval' cmd)
+  exit (Cli.eval cmd)

@@ -13,13 +13,16 @@ type man = {
   mutable lo : int array;
   mutable hi : int array;
   mutable n : int;
-  unique : (int, int) Hashtbl.t;  (* packed (var,lo,hi) -> node *)
+  mutable unique : int array;
+      (* open-addressing table of node ids hashed on (var, lo, hi);
+         0 marks an empty slot (ids 0 and 1 are the terminals, never
+         stored).  Its length is a power of two, at least twice the
+         number of stored nodes. *)
   cache_and : (int, int) Hashtbl.t;
   cache_xor : (int, int) Hashtbl.t;
   cache_not : (int, int) Hashtbl.t;
 }
 
-let pack3 a b c = ((a * 0x1f_ffff) + b) * 0x1f_ffff + c
 (* Injective for node ids below 2^24 (the node limit is capped below). *)
 let pack2 a b = (a lsl 24) lor b
 
@@ -37,7 +40,7 @@ let create ?(node_limit = 2_000_000) ?(step_limit = max_int) ?cancel ~num_vars (
       lo = Array.make cap 0;
       hi = Array.make cap 0;
       n = 2;
-      unique = Hashtbl.create 4096;
+      unique = Array.make 4096 0;
       cache_and = Hashtbl.create 4096;
       cache_xor = Hashtbl.create 4096;
       cache_not = Hashtbl.create 1024;
@@ -56,6 +59,53 @@ let equal (a : node) b = a = b
 let size m = m.n
 let steps m = m.steps
 
+let hash v lo hi =
+  let h = (((v * 0x9e3779b1) + lo) * 0x85ebca77 + hi) * 0xc2b2ae3d in
+  h lxor (h lsr 29)
+
+(* The slot of node (v, lo, hi) in the unique table or, when it is not
+   stored, the empty slot where it belongs (linear probing). *)
+let find_slot m v lo hi =
+  let table = m.unique in
+  let mask = Array.length table - 1 in
+  let i = ref (hash v lo hi land mask) in
+  while
+    let id = table.(!i) in
+    id <> 0 && not (m.var_.(id) = v && m.lo.(id) = lo && m.hi.(id) = hi)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Double the unique table and re-insert every stored node. *)
+let grow_unique m =
+  m.unique <- Array.make (2 * Array.length m.unique) 0;
+  for id = 2 to m.n - 1 do
+    m.unique.(find_slot m m.var_.(id) m.lo.(id) m.hi.(id)) <- id
+  done
+
+let add_node m v lo hi i =
+  if m.n >= m.node_limit then raise Node_limit;
+  if m.n = Array.length m.var_ then begin
+    let cap = 2 * m.n in
+    let grow a def =
+      let b = Array.make cap def in
+      Array.blit a 0 b 0 m.n;
+      b
+    in
+    m.var_ <- grow m.var_ m.num_vars;
+    m.lo <- grow m.lo 0;
+    m.hi <- grow m.hi 0
+  end;
+  let id = m.n in
+  m.n <- id + 1;
+  m.var_.(id) <- v;
+  m.lo.(id) <- lo;
+  m.hi.(id) <- hi;
+  m.unique.(i) <- id;
+  if 2 * (m.n - 2) > Array.length m.unique then grow_unique m;
+  id
+
 (* The step budget counts every [mk] call — cache hits included — because
    a pathological variable order can spend unbounded time re-traversing
    memoised structure without allocating a single fresh node, which the
@@ -68,36 +118,9 @@ let mk m v lo hi =
   | _ -> ());
   if lo = hi then lo
   else begin
-    let key = pack3 v lo hi in
-    (* Collisions are resolved by verifying fields. *)
-    let rec find = function
-      | [] -> None
-      | id :: rest ->
-          if m.var_.(id) = v && m.lo.(id) = lo && m.hi.(id) = hi then Some id
-          else find rest
-    in
-    match find (Hashtbl.find_all m.unique key) with
-    | Some id -> id
-    | None ->
-        if m.n >= m.node_limit then raise Node_limit;
-        if m.n = Array.length m.var_ then begin
-          let cap = 2 * m.n in
-          let grow a def =
-            let b = Array.make cap def in
-            Array.blit a 0 b 0 m.n;
-            b
-          in
-          m.var_ <- grow m.var_ m.num_vars;
-          m.lo <- grow m.lo 0;
-          m.hi <- grow m.hi 0
-        end;
-        let id = m.n in
-        m.n <- id + 1;
-        m.var_.(id) <- v;
-        m.lo.(id) <- lo;
-        m.hi.(id) <- hi;
-        Hashtbl.add m.unique key id;
-        id
+    let i = find_slot m v lo hi in
+    let id = m.unique.(i) in
+    if id <> 0 then id else add_node m v lo hi i
   end
 
 let var m i =
@@ -199,25 +222,36 @@ let eval m f a =
   let rec go f = if f <= 1 then f = 1 else if a.(m.var_.(f)) then go m.hi.(f) else go m.lo.(f) in
   go f
 
-let of_output m g po =
-  let map = Array.make (Aig.Network.num_nodes g) (-1) in
+(* [lit_bdd m g] maps literals of [g] to their BDDs in [m].  It keeps
+   one node -> BDD map (-1 = not built) across calls, and each call walks
+   the literal's cone with an explicit stack that stops at mapped nodes:
+   every AND becomes a BDD once, however many outputs share it, and no
+   walk leaves the cone. *)
+let lit_bdd m g =
+  let module N = Aig.Network in
+  let map = Array.make (N.num_nodes g) (-1) in
   map.(0) <- 0;
-  (* Build only the cone of the requested output. *)
-  let cone = Aig.Cone.tfi g ~roots:[| Aig.Lit.node (Aig.Network.po g po) |] in
-  Aig.Network.iter_nodes g (fun n ->
-      if cone.(n) then
-        if Aig.Network.is_pi g n then map.(n) <- var m (Aig.Network.pi_index g n)
-        else if Aig.Network.is_and g n then begin
-          let f0 = Aig.Network.fanin0 g n and f1 = Aig.Network.fanin1 g n in
-          let b0 = map.(Aig.Lit.node f0) in
-          let b0 = if Aig.Lit.is_compl f0 then bdd_not m b0 else b0 in
-          let b1 = map.(Aig.Lit.node f1) in
-          let b1 = if Aig.Lit.is_compl f1 then bdd_not m b1 else b1 in
-          map.(n) <- bdd_and m b0 b1
-        end);
-  let l = Aig.Network.po g po in
-  let b = map.(Aig.Lit.node l) in
-  if Aig.Lit.is_compl l then bdd_not m b else b
+  let of_lit l =
+    let b = map.(Aig.Lit.node l) in
+    if Aig.Lit.is_compl l then bdd_not m b else b
+  in
+  fun l ->
+    let stack = Stack.create () in
+    Stack.push (Aig.Lit.node l) stack;
+    while not (Stack.is_empty stack) do
+      let n = Stack.top stack in
+      if map.(n) >= 0 then ignore (Stack.pop stack)
+      else if N.is_pi g n then map.(n) <- var m (N.pi_index g n)
+      else begin
+        let f0 = N.fanin0 g n and f1 = N.fanin1 g n in
+        if map.(Aig.Lit.node f0) < 0 then Stack.push (Aig.Lit.node f0) stack
+        else if map.(Aig.Lit.node f1) < 0 then Stack.push (Aig.Lit.node f1) stack
+        else map.(n) <- bdd_and m (of_lit f0) (of_lit f1)
+      end
+    done;
+    of_lit l
+
+let of_output m g po = lit_bdd m g (Aig.Network.po g po)
 
 let check ?(node_limit = 2_000_000) ?step_limit ?cancel g =
   (* The default step budget scales with the node budget: a manager that
@@ -229,11 +263,12 @@ let check ?(node_limit = 2_000_000) ?step_limit ?cancel g =
   if Par.Cancel.poll_opt cancel then `Timeout
   else
   let m = create ~node_limit ~step_limit ?cancel ~num_vars:(Aig.Network.num_pis g) () in
+  let bdd_of = lit_bdd m g in
   try
     let rec go = function
       | [] -> `Equivalent
       | po :: rest -> (
-          let b = of_output m g po in
+          let b = bdd_of (Aig.Network.po g po) in
           match any_sat m b with
           | None -> go rest
           | Some cex -> `Inequivalent (cex, po))

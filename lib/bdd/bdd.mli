@@ -63,8 +63,8 @@ val count_sat : man -> node -> float
 val eval : man -> node -> bool array -> bool
 
 (** [of_output m g po] builds the BDD of output [po] of an AIG, mapping PI
-    index [i] to manager variable [i].  Raises {!Node_limit} when the
-    manager budget is exceeded. *)
+    index [i] to manager variable [i].  It walks only the output's cone.
+    Raises {!Node_limit} when the manager budget is exceeded. *)
 val of_output : man -> Aig.Network.t -> int -> node
 
 (** Equivalence check of a miter: [check g ~node_limit] is [`Equivalent],
@@ -72,7 +72,15 @@ val of_output : man -> Aig.Network.t -> int -> node
     up, or [`Timeout] when the step budget is exhausted or [cancel]
     fires.  [step_limit] defaults to [64 * node_limit], so even the
     default configuration cannot stall indefinitely on a pathological
-    variable order. *)
+    variable order.
+
+    Unsolved outputs are built in PO order in one manager, with the walk
+    of {!of_output} over one node -> BDD map kept for the whole miter:
+    each AND becomes a BDD once, however many outputs share it, and the
+    walks together visit each node of the miter once.  The
+    answer is the one a fresh manager per output would give: BDDs are
+    canonical under the fixed variable order, so [po] is the first
+    failing output and [cex] is {!any_sat} of its BDD. *)
 val check :
   ?node_limit:int ->
   ?step_limit:int ->

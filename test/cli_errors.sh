@@ -5,9 +5,11 @@
 # I/O error), never die on an uncaught exception.  Usage errors the
 # command-line parser reports itself (an unknown option, a missing FILE,
 # an unknown engine name, the removed --shard flag, a worker-domain count
-# below 1) must exit 2 with a message on stderr.
+# below 1 for `cec` or `simsweep-fuzz`) must exit 2 with a message on
+# stderr.
 #
-#   sh cli_errors.sh path/to/cec.exe path/to/shell_main.exe A.aag B.aag
+#   sh cli_errors.sh path/to/cec.exe path/to/shell_main.exe A.aag B.aag \
+#     path/to/fuzz.exe
 # where A.aag and B.aag are well-formed AIGER files with different PI
 # counts.
 set -u
@@ -15,6 +17,7 @@ cec=$(realpath "$1")
 shell=$(realpath "$2")
 left=$(realpath "$3")
 right=$(realpath "$4")
+fuzz=$(realpath "$5")
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 cd "$dir" || exit 1
@@ -55,4 +58,5 @@ expect_usage "cec with the removed portfolio.race engine" "$cec" \
   -e portfolio.race --suite voter --scale 0
 expect_usage "cec with the removed --shard flag" "$cec" --shard 2 --suite voter --scale 0
 expect_usage "cec with zero worker domains" "$cec" -j 0 --suite voter --scale 0
+expect_usage "fuzz with zero worker domains" "$fuzz" -j 0 --cases 1
 exit $status

@@ -102,6 +102,66 @@ let prop_matches_brute =
           (not (Util.equivalent_brute g1 g2)) && Sim.Cex.check miter cex po
       | `Node_limit | `Timeout -> false)
 
+(* One manager holds every output of a 6-bit multiplier and of its
+   optimised copy: ~20k nodes, four doublings of the unique table from
+   its initial 4,096 slots.  Canonicity survives the resizes: each pair
+   of outputs is one handle, and building the first circuit again adds
+   no node, so no duplicate survived a rehash. *)
+let test_unique_table () =
+  let g = Gen.Arith.multiplier ~bits:6 in
+  let h = Opt.Resyn.light g in
+  let m = Bdd.create ~num_vars:(Aig.Network.num_pis g) () in
+  let build g = Array.init (Aig.Network.num_pos g) (Bdd.of_output m g) in
+  let a = build g in
+  let b = build h in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check bool) (Printf.sprintf "po %d same handle" i) true
+        (Bdd.equal x b.(i)))
+    a;
+  let size = Bdd.size m in
+  Alcotest.(check bool) "four resizes" true (size > 4 * 4096);
+  let a' = build g in
+  Alcotest.(check bool) "rebuild, same handles" true (Array.for_all2 Bdd.equal a a');
+  Alcotest.(check int) "rebuild adds no node" size (Bdd.size m)
+
+(* What [Bdd.check] must answer: each unsolved output built in a fresh
+   manager of its own, in PO order. *)
+let reference miter =
+  let num_vars = Aig.Network.num_pis miter in
+  let rec go = function
+    | [] -> `Equivalent
+    | po :: rest -> (
+        let m = Bdd.create ~num_vars () in
+        match Bdd.any_sat m (Bdd.of_output m miter po) with
+        | None -> go rest
+        | Some cex -> `Inequivalent (cex, po))
+  in
+  go (Aig.Miter.unsolved_outputs miter)
+
+(* [Bdd.check] shares one node map across outputs; that must not change
+   the verdict, the PO or the CEX.  Miters are equivalent, inequivalent
+   on one output, or of two unrelated networks, and each gets a constant
+   PO and a second PO on the literal of PO 1. *)
+let prop_shared_map =
+  QCheck.Test.make ~name:"shared node map matches one manager per output"
+    ~count:60 Util.arb_seed (fun seed ->
+      let g1 = Util.random_network ~pis:6 ~nodes:40 ~pos:4 seed in
+      let g2 =
+        match seed mod 3 with
+        | 0 -> Opt.Resyn.light g1
+        | 1 ->
+            let g = Opt.Resyn.light g1 in
+            Aig.Network.set_po g 2 (Aig.Lit.neg (Aig.Network.po g 2));
+            g
+        | _ -> Util.random_network ~pis:6 ~nodes:40 ~pos:4 (seed + 7)
+      in
+      let miter = Aig.Miter.build g1 g2 in
+      Aig.Network.add_po miter
+        (if seed land 4 = 0 then Aig.Lit.const_false else Aig.Lit.const_true);
+      Aig.Network.add_po miter (Aig.Network.po miter 1);
+      Bdd.check miter = reference miter)
+
 let () =
   Alcotest.run "bdd"
     [
@@ -114,6 +174,11 @@ let () =
           Alcotest.test_case "check" `Quick test_check_equivalence;
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "voter friendly" `Quick test_voter_friendly;
+          Alcotest.test_case "unique table" `Quick test_unique_table;
         ] );
-      ("props", [ QCheck_alcotest.to_alcotest prop_matches_brute ]);
+      ( "props",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_brute;
+          QCheck_alcotest.to_alcotest prop_shared_map;
+        ] );
     ]
