@@ -1,65 +1,70 @@
 (* simsweep-sat: standalone DIMACS SAT solver on the CDCL core.
 
      dune exec bin/sat_solve.exe -- problem.cnf
-     dune exec bin/sat_solve.exe -- --miter design.aag   # export/check a miter
+     dune exec bin/sat_solve.exe -- miter.aag              # solve a miter
+     dune exec bin/sat_solve.exe -- --dump-cnf miter.aag   # export it
 
    Prints the conventional "s SATISFIABLE"/"s UNSATISFIABLE" verdict and a
    model line; exit codes follow the SAT-competition convention
-   (10 = SAT, 20 = UNSAT). *)
+   (10 = SAT, 20 = UNSAT).  A file that does not parse and a usage error
+   print a message on stderr and exit 2. *)
+
+(* The DIMACS text of [path]: a .cnf file as it is, anything else
+   converted as an AIGER miter. *)
+let read_cnf path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  if Filename.check_suffix path ".cnf" then Ok text
+  else
+    match Aig.Aiger_io.of_string text with
+    | g -> Ok (Sat.Dimacs.of_miter g)
+    | exception Aig.Aiger_io.Parse_error e -> Error ("parse error: " ^ e)
+
+let solve_cnf text conflict_limit no_simplify =
+  let loaded =
+    if no_simplify then begin
+      let solver = Sat.Solver.create () in
+      let model () =
+        Array.init (Sat.Solver.num_vars solver) (Sat.Solver.model_value solver)
+      in
+      Result.map (fun _ -> (solver, model)) (Sat.Dimacs.load solver text)
+    end
+    else
+      Result.map
+        (fun (nvars, clauses) ->
+          let r = Sat.Simplify.run ~nvars ~frozen:[] clauses in
+          (r.Sat.Simplify.solver, fun () -> Sat.Simplify.model r))
+        (Sat.Dimacs.cnf text)
+  in
+  match loaded with
+  | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      2
+  | Ok (solver, model) -> (
+      match Sat.Solver.solve ~conflict_limit solver with
+      | Sat.Solver.Unsat ->
+          print_endline "s UNSATISFIABLE";
+          20
+      | Sat.Solver.Unknown ->
+          print_endline "s UNKNOWN";
+          0
+      | Sat.Solver.Sat ->
+          print_endline "s SATISFIABLE";
+          print_string "v";
+          Array.iteri
+            (fun v b -> Printf.printf " %d" (if b then v + 1 else -(v + 1)))
+            (model ());
+          print_endline " 0";
+          10)
 
 let solve_file path conflict_limit dump no_simplify =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let text =
-    if Filename.check_suffix path ".cnf" then text
-    else begin
-      (* Treat anything else as an AIGER miter to convert. *)
-      let g = Aig.Aiger_io.of_string text in
-      Sat.Dimacs.of_miter g
-    end
-  in
-  if dump then begin
-    print_string text;
-    0
-  end
-  else begin
-    let loaded =
-      if no_simplify then begin
-        let solver = Sat.Solver.create () in
-        let model () =
-          Array.init (Sat.Solver.num_vars solver) (Sat.Solver.model_value solver)
-        in
-        Result.map (fun _ -> (solver, model)) (Sat.Dimacs.load solver text)
-      end
-      else
-        Result.map
-          (fun (nvars, clauses) ->
-            let r = Sat.Simplify.run ~nvars ~frozen:[] clauses in
-            (r.Sat.Simplify.solver, fun () -> Sat.Simplify.model r))
-          (Sat.Dimacs.cnf text)
-    in
-    match loaded with
-    | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        2
-    | Ok (solver, model) -> (
-        match Sat.Solver.solve ~conflict_limit solver with
-        | Sat.Solver.Unsat ->
-            print_endline "s UNSATISFIABLE";
-            20
-        | Sat.Solver.Unknown ->
-            print_endline "s UNKNOWN";
-            0
-        | Sat.Solver.Sat ->
-            print_endline "s SATISFIABLE";
-            print_string "v";
-            Array.iteri
-              (fun v b -> Printf.printf " %d" (if b then v + 1 else -(v + 1)))
-              (model ());
-            print_endline " 0";
-            10)
-  end
+  match read_cnf path with
+  | Error e ->
+      Printf.eprintf "error: %s\n" e;
+      2
+  | Ok text when dump ->
+      print_string text;
+      0
+  | Ok text -> solve_cnf text conflict_limit no_simplify
 
 open Cmdliner
 
@@ -86,4 +91,4 @@ let cmd =
   Cmd.v (Cmd.info "simsweep-sat" ~doc)
     Term.(const solve_file $ path $ conflict_limit $ dump $ no_simplify)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cli.eval cmd)

@@ -349,6 +349,7 @@ let of_sat (s : Sat.Sweep.stats) =
       ("sat_sat", Int s.sat_sat);
       ("sat_unknown", Int s.sat_unknown);
       ("conflicts", Int s.conflicts);
+      ("propagations", Int s.propagations);
       ("candidates", Int s.candidates);
       ("merged", Int s.merged);
       ("rounds", Int s.rounds);

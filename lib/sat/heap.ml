@@ -1,11 +1,14 @@
 (* Indexed binary max-heap over small non-negative integers.
 
-   The heap does not own the priorities: every mutating operation takes a
-   [less] comparison so the caller can keep priorities in its own (possibly
-   reallocated) arrays.  [less u v] must mean "u has strictly higher
-   priority than v"; the element with the highest priority sits at the
-   top.  After an element's priority changes, [update] restores the heap
-   property from that element alone in O(log n). *)
+   The heap does not own the priorities: every operation that compares
+   takes the caller's activity array, so the caller may reallocate it
+   between operations.  The element with the highest activity sits at
+   the top.  Sifting moves a hole instead of swapping pairs; it places
+   every element exactly where the pairwise-swap version would, ties
+   included, because each step compares against the element being
+   sifted just as the swap version compares against the element it has
+   swapped into place.  After an element's activity changes, [update]
+   restores the heap property from that element alone in O(log n). *)
 
 type t = {
   mutable heap : int array;  (* elements, heap-ordered *)
@@ -36,73 +39,78 @@ let reserve t e =
 
 let mem t e = e < Array.length t.pos && t.pos.(e) >= 0
 
-let swap t i j =
-  let u = t.heap.(i) and v = t.heap.(j) in
-  t.heap.(i) <- v;
-  t.heap.(j) <- u;
-  t.pos.(v) <- i;
-  t.pos.(u) <- j
+(* Move the element at [i] up while it beats its parent. *)
+let sift_up t (act : float array) i =
+  let heap = t.heap and pos = t.pos in
+  let x = heap.(i) in
+  let ax = act.(x) in
+  let i = ref i in
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    ax > act.(heap.(p))
+  do
+    let p = (!i - 1) / 2 in
+    let y = heap.(p) in
+    heap.(!i) <- y;
+    pos.(y) <- !i;
+    i := p
+  done;
+  heap.(!i) <- x;
+  pos.(x) <- !i
 
-let rec sift_up ~less t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if less t.heap.(i) t.heap.(p) then begin
-      swap t i p;
-      sift_up ~less t p
+(* Move the element at [i] down while a child beats it: the left child
+   when it beats the element, then the right child when it beats the
+   winner so far. *)
+let sift_down t (act : float array) i =
+  let heap = t.heap and pos = t.pos and n = t.n in
+  let x = heap.(i) in
+  let ax = act.(x) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let best = if l < n && act.(heap.(l)) > ax then l else -1 in
+    let best =
+      if r < n && act.(heap.(r)) > (if best < 0 then ax else act.(heap.(l))) then r
+      else best
+    in
+    if best < 0 then moving := false
+    else begin
+      let y = heap.(best) in
+      heap.(!i) <- y;
+      pos.(y) <- !i;
+      i := best
     end
-  end
+  done;
+  heap.(!i) <- x;
+  pos.(x) <- !i
 
-let rec sift_down ~less t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.n && less t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.n && less t.heap.(r) t.heap.(!best) then best := r;
-  if !best <> i then begin
-    swap t i !best;
-    sift_down ~less t !best
-  end
-
-let insert ~less t e =
+let insert t act e =
   reserve t e;
   if t.pos.(e) < 0 then begin
     t.heap.(t.n) <- e;
     t.pos.(e) <- t.n;
     t.n <- t.n + 1;
-    sift_up ~less t t.pos.(e)
+    sift_up t act (t.n - 1)
   end
 
-let top t = if t.n = 0 then None else Some t.heap.(0)
-
-let pop ~less t =
+let pop t act =
   let e = t.heap.(0) in
   t.n <- t.n - 1;
   t.pos.(e) <- -1;
   if t.n > 0 then begin
     t.heap.(0) <- t.heap.(t.n);
     t.pos.(t.heap.(0)) <- 0;
-    sift_down ~less t 0
+    sift_down t act 0
   end;
   e
 
-(* Restore the heap property around [e] after its priority changed in
-   either direction.  No-op when [e] is not in the heap. *)
-let update ~less t e =
+let update t act e =
   if mem t e then begin
-    sift_up ~less t t.pos.(e);
-    sift_down ~less t t.pos.(e)
-  end
-
-let remove ~less t e =
-  if mem t e then begin
-    let i = t.pos.(e) in
-    t.n <- t.n - 1;
-    t.pos.(e) <- -1;
-    if i < t.n then begin
-      t.heap.(i) <- t.heap.(t.n);
-      t.pos.(t.heap.(i)) <- i;
-      sift_up ~less t i;
-      sift_down ~less t i
-    end
+    sift_up t act t.pos.(e);
+    sift_down t act t.pos.(e)
   end
 
 let clear t =

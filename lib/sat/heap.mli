@@ -1,13 +1,16 @@
 (** Indexed binary max-heap over small non-negative integers.
 
     The branching-order heap of the CDCL solver: elements are variable
-    ids, priorities live in the caller's activity array.  Every mutating
-    operation takes the [less] comparison explicitly ([less u v] = "u has
-    strictly higher priority"), so the caller's priority store may be
-    swapped or regrown without notifying the heap — only the next
-    operation needs the fresh comparison.  [update] implements
-    increase/decrease-key in O(log n) after an external priority
-    change. *)
+    ids, priorities live in the caller's activity array.  Every
+    operation that compares takes that array ([act]) explicitly, so the
+    caller may regrow it without notifying the heap — only the next
+    operation needs the fresh array — and no comparison closure is built
+    per call.  An element with a strictly higher activity sits higher.
+    Sifting moves a hole rather than swapping pairs, and leaves every
+    element exactly where the pairwise-swap heap would, ties included:
+    the branching order of the solver depends on that layout.  [update]
+    implements increase/decrease-key in O(log n) after an external
+    priority change. *)
 
 type t
 
@@ -18,24 +21,18 @@ val is_empty : t -> bool
 (** [mem t e] — is [e] currently in the heap? *)
 val mem : t -> int -> bool
 
-(** Insert [e]; no-op when already present.  Grows internal storage as
-    needed. *)
-val insert : less:(int -> int -> bool) -> t -> int -> unit
+(** [insert t act e] inserts [e]; no-op when already present.  Grows
+    internal storage as needed. *)
+val insert : t -> float array -> int -> unit
 
-(** Highest-priority element, or [None] when empty. *)
-val top : t -> int option
+(** [pop t act] removes and returns the element of highest activity.  The
+    heap must not be empty. *)
+val pop : t -> float array -> int
 
-(** Remove and return the highest-priority element.  The heap must not be
-    empty. *)
-val pop : less:(int -> int -> bool) -> t -> int
-
-(** Restore the heap property around [e] after its priority changed in
-    either direction (increase- or decrease-key).  No-op when [e] is not
-    in the heap. *)
-val update : less:(int -> int -> bool) -> t -> int -> unit
-
-(** Remove [e] from any position; no-op when absent. *)
-val remove : less:(int -> int -> bool) -> t -> int -> unit
+(** [update t act e] restores the heap property around [e] after its
+    activity changed in either direction (increase- or decrease-key).
+    No-op when [e] is not in the heap. *)
+val update : t -> float array -> int -> unit
 
 (** Empty the heap (keeps storage). *)
 val clear : t -> unit

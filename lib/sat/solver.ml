@@ -6,34 +6,48 @@ let var_of_lit l = l lsr 1
 
 type result = Sat | Unsat | Unknown
 
-(* Variable values: 0 = unassigned, 1 = true, -1 = false. *)
+(* Literal values: 0 = unassigned, 1 = true, -1 = false.  Both
+   polarities of a variable are set and cleared together, so the value of
+   a literal is one array load.
+
+   Clause literals live in one arena: a clause of length [len] occupies
+   [len + 1] slots, its length followed by its literals, and [off] is the
+   index of the first literal.  The arena holds the clauses in clause
+   order; [reduce_db] compacts it and keeps that order. *)
 
 type clause = {
-  lits : int array;
+  mutable off : int;  (* arena index of the first literal *)
   learnt : bool;
   mutable act : float;
   mutable lbd : int;  (* literal block distance at learn time *)
 }
 
+(* A watch list holds watchers of two ints each: a tag word and the
+   clause index.  The tag of a binary clause's watcher is
+   [2 * other + 1], where [other] is the clause's other literal; the tag
+   of a longer clause's watcher is [2 * off]. *)
 type ivec = { mutable a : int array; mutable n : int }
 
 let ivec_make () = { a = Array.make 4 0; n = 0 }
 
-let ivec_push v x =
-  if v.n = Array.length v.a then begin
-    let a = Array.make (2 * v.n) 0 in
+let ivec_push2 v x y =
+  if v.n + 2 > Array.length v.a then begin
+    let a = Array.make (2 * Array.length v.a) 0 in
     Array.blit v.a 0 a 0 v.n;
     v.a <- a
   end;
   v.a.(v.n) <- x;
-  v.n <- v.n + 1
+  v.a.(v.n + 1) <- y;
+  v.n <- v.n + 2
 
 type t = {
   mutable nvars : int;
   mutable clauses : clause array;  (* clause database *)
   mutable nclauses : int;
-  mutable watches : ivec array;  (* per literal: clause indices watching it *)
-  mutable values : int array;  (* per var *)
+  mutable arena : int array;  (* every clause's length and literals *)
+  mutable arena_n : int;
+  mutable watches : ivec array;  (* per literal: watchers of the clauses watching it *)
+  mutable values : int array;  (* per literal *)
   mutable levels : int array;  (* per var *)
   mutable reasons : int array;  (* per var: clause index or -1 *)
   mutable activity : float array;  (* per var *)
@@ -63,8 +77,10 @@ type t = {
 let create () =
   {
     nvars = 0;
-    clauses = Array.make 16 { lits = [||]; learnt = false; act = 0.; lbd = 0 };
+    clauses = Array.make 16 { off = 0; learnt = false; act = 0.; lbd = 0 };
     nclauses = 0;
+    arena = Array.make 64 0;
+    arena_n = 0;
     watches = Array.init 16 (fun _ -> ivec_make ());
     values = [||];
     levels = [||];
@@ -98,14 +114,16 @@ let num_conflicts t = t.conflicts
 let num_propagations t = t.propagations
 
 let grow_arrays t n =
-  let old = Array.length t.values in
+  let old = Array.length t.levels in
   if n > old then begin
     let cap = max n (max 16 (2 * old)) in
     let copy_int src = let a = Array.make cap 0 in Array.blit src 0 a 0 old; a in
     let copy_m1 src = let a = Array.make cap (-1) in Array.blit src 0 a 0 old; a in
     let copy_f src = let a = Array.make cap 0. in Array.blit src 0 a 0 old; a in
     let copy_b src = let a = Array.make cap false in Array.blit src 0 a 0 old; a in
-    t.values <- copy_int t.values;
+    let values = Array.make (2 * cap) 0 in
+    Array.blit t.values 0 values 0 (2 * old);
+    t.values <- values;
     t.levels <- copy_int t.levels;
     t.reasons <- copy_m1 t.reasons;
     t.activity <- copy_f t.activity;
@@ -129,18 +147,18 @@ let grow_arrays t n =
 
 (* --- variable-order heap (max-heap on activity) --- *)
 
-(* The comparison closes over [t], not over the activity array itself, so
-   it stays valid across [grow_arrays] reallocations. *)
-let heap_less t u v = t.activity.(u) > t.activity.(v)
-let heap_insert t v = Heap.insert ~less:(heap_less t) t.order v
-let heap_pop t = Heap.pop ~less:(heap_less t) t.order
-let heap_bump t v = Heap.update ~less:(heap_less t) t.order v
+(* Each call reads [t.activity] afresh, so the heap always sees the array
+   [grow_arrays] last allocated. *)
+let heap_insert t v = Heap.insert t.order t.activity v
+let heap_pop t = Heap.pop t.order t.activity
+let heap_bump t v = Heap.update t.order t.activity v
 
 let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
   grow_arrays t t.nvars;
-  t.values.(v) <- 0;
+  t.values.(2 * v) <- 0;
+  t.values.((2 * v) + 1) <- 0;
   t.reasons.(v) <- -1;
   t.polarity.(v) <- false;
   heap_insert t v;
@@ -148,21 +166,36 @@ let new_var t =
 
 (* --- values --- *)
 
-let lit_value t l =
-  let v = t.values.(l lsr 1) in
-  if v = 0 then 0 else if l land 1 = 1 then -v else v
+let lit_value t l = t.values.(l)
 
 let decision_level t = t.trail_lim_n
 
 let enqueue t l reason =
   let v = l lsr 1 in
-  t.values.(v) <- (if l land 1 = 1 then -1 else 1);
+  t.values.(l) <- 1;
+  t.values.(l lxor 1) <- -1;
   t.levels.(v) <- decision_level t;
   t.reasons.(v) <- reason;
   t.trail.(t.trail_n) <- l;
   t.trail_n <- t.trail_n + 1
 
 (* --- clause management --- *)
+
+(* Copy [lits] to the end of the arena; returns their offset. *)
+let alloc_lits t lits =
+  let len = Array.length lits in
+  let need = t.arena_n + len + 1 in
+  if need > Array.length t.arena then begin
+    let a = Array.make (max need (2 * Array.length t.arena)) 0 in
+    Array.blit t.arena 0 a 0 t.arena_n;
+    t.arena <- a
+  end;
+  t.arena.(t.arena_n) <- len;
+  Array.blit lits 0 t.arena (t.arena_n + 1) len;
+  t.arena_n <- need;
+  need - len
+
+let clause_len t c = t.arena.(c.off - 1)
 
 let push_clause t c =
   if t.nclauses = Array.length t.clauses then begin
@@ -175,9 +208,16 @@ let push_clause t c =
   t.nclauses - 1
 
 let watch_clause t ci =
-  let c = t.clauses.(ci).lits in
-  ivec_push t.watches.(c.(0)) ci;
-  ivec_push t.watches.(c.(1)) ci
+  let c = t.clauses.(ci) in
+  let l0 = t.arena.(c.off) and l1 = t.arena.(c.off + 1) in
+  if clause_len t c = 2 then begin
+    ivec_push2 t.watches.(l0) ((l1 lsl 1) lor 1) ci;
+    ivec_push2 t.watches.(l1) ((l0 lsl 1) lor 1) ci
+  end
+  else begin
+    ivec_push2 t.watches.(l0) (c.off lsl 1) ci;
+    ivec_push2 t.watches.(l1) (c.off lsl 1) ci
+  end
 
 (* Clauses may only be added at decision level 0 (between [solve] calls). *)
 let add_clause t lits =
@@ -196,7 +236,7 @@ let add_clause t lits =
           enqueue t l (-1);
           true
       | lits ->
-          let c = { lits = Array.of_list lits; learnt = false; act = 0.; lbd = 0 } in
+          let c = { off = alloc_lits t (Array.of_list lits); learnt = false; act = 0.; lbd = 0 } in
           let ci = push_clause t c in
           watch_clause t ci;
           true
@@ -205,7 +245,16 @@ let add_clause t lits =
 
 (* --- propagation --- *)
 
+(* The watch list of the literal that just became false is walked in
+   order.  A binary clause [other; np] is settled by the value of
+   [other] alone; its watchers never move, and its literals are written
+   in that order only when it implies [other] or conflicts, because
+   [analyze] reads the order of a reason or conflict clause and nothing
+   else does.  A longer clause is read from the arena at its watcher's
+   offset: its false watched literal goes to position 1, and the watcher
+   moves to the first later literal that is not false. *)
 let propagate t =
+  let values = t.values and arena = t.arena in
   let conflict = ref (-1) in
   while !conflict < 0 && t.qhead < t.trail_n do
     let p = t.trail.(t.qhead) in
@@ -213,52 +262,70 @@ let propagate t =
     t.propagations <- t.propagations + 1;
     let np = p lxor 1 in
     let ws = t.watches.(np) in
+    let a = ws.a and n = ws.n in
     let i = ref 0 and j = ref 0 in
-    while !i < ws.n do
-      let ci = ws.a.(!i) in
-      incr i;
-      let lits = t.clauses.(ci).lits in
-      (* Ensure the false literal np is at position 1. *)
-      if lits.(0) = np then begin
-        lits.(0) <- lits.(1);
-        lits.(1) <- np
-      end;
-      if lit_value t lits.(0) > 0 then begin
-        (* Clause already satisfied: keep the watch. *)
-        ws.a.(!j) <- ci;
-        incr j
+    while !i < n && !conflict < 0 do
+      let w = a.(!i) and ci = a.(!i + 1) in
+      i := !i + 2;
+      if w land 1 = 1 then begin
+        let other = w lsr 1 in
+        a.(!j) <- w;
+        a.(!j + 1) <- ci;
+        j := !j + 2;
+        let v = values.(other) in
+        if v <= 0 then begin
+          let off = t.clauses.(ci).off in
+          arena.(off) <- other;
+          arena.(off + 1) <- np;
+          if v < 0 then conflict := ci else enqueue t other ci
+        end
       end
       else begin
-        (* Look for a new literal to watch. *)
-        let len = Array.length lits in
-        let k = ref 2 in
-        while !k < len && lit_value t lits.(!k) < 0 do
-          incr k
-        done;
-        if !k < len then begin
-          let l = lits.(!k) in
-          lits.(!k) <- lits.(1);
-          lits.(1) <- l;
-          ivec_push t.watches.(l) ci
+        let off = w lsr 1 in
+        (* Ensure the false literal np is at position 1. *)
+        if arena.(off) = np then begin
+          arena.(off) <- arena.(off + 1);
+          arena.(off + 1) <- np
+        end;
+        let first = arena.(off) in
+        if values.(first) > 0 then begin
+          (* Clause already satisfied: keep the watch. *)
+          a.(!j) <- w;
+          a.(!j + 1) <- ci;
+          j := !j + 2
         end
         else begin
-          (* Unit or conflicting. *)
-          ws.a.(!j) <- ci;
-          incr j;
-          if lit_value t lits.(0) < 0 then begin
-            conflict := ci;
-            (* Copy the remaining watches back. *)
-            while !i < ws.n do
-              ws.a.(!j) <- ws.a.(!i);
-              incr j;
-              incr i
-            done;
-            t.qhead <- t.trail_n
+          (* Look for a new literal to watch. *)
+          let stop = off + arena.(off - 1) in
+          let k = ref (off + 2) in
+          while !k < stop && values.(arena.(!k)) < 0 do
+            incr k
+          done;
+          if !k < stop then begin
+            let l = arena.(!k) in
+            arena.(!k) <- np;
+            arena.(off + 1) <- l;
+            ivec_push2 t.watches.(l) w ci
           end
-          else enqueue t lits.(0) ci
+          else begin
+            (* Unit or conflicting. *)
+            a.(!j) <- w;
+            a.(!j + 1) <- ci;
+            j := !j + 2;
+            if values.(first) < 0 then conflict := ci else enqueue t first ci
+          end
         end
       end
     done;
+    if !conflict >= 0 then begin
+      (* Copy the remaining watches back. *)
+      while !i < n do
+        a.(!j) <- a.(!i);
+        incr j;
+        incr i
+      done;
+      t.qhead <- t.trail_n
+    end;
     ws.n <- !j
   done;
   !conflict
@@ -300,7 +367,8 @@ let cancel_until t level =
     for i = t.trail_n - 1 downto bound do
       let l = t.trail.(i) in
       let v = l lsr 1 in
-      t.values.(v) <- 0;
+      t.values.(l) <- 0;
+      t.values.(l lxor 1) <- 0;
       t.polarity.(v) <- l land 1 = 0;
       t.reasons.(v) <- -1;
       heap_insert t v
@@ -322,10 +390,10 @@ let analyze t confl =
   while !continue_ do
     let c = t.clauses.(!confl) in
     if c.learnt then clause_bump t c;
-    let lits = c.lits in
+    let arena = t.arena and off = c.off in
     let start = if !p = -1 then 0 else 1 in
-    for k = start to Array.length lits - 1 do
-      let q = lits.(k) in
+    for k = off + start to off + arena.(off - 1) - 1 do
+      let q = arena.(k) in
       let v = q lsr 1 in
       if (not t.seen.(v)) && t.levels.(v) > 0 then begin
         t.seen.(v) <- true;
@@ -398,7 +466,7 @@ let record_learnt t lits =
         arr.(1) <- arr.(!best);
         arr.(!best) <- tmp
       end;
-      let c = { lits = arr; learnt = true; act = 0.; lbd } in
+      let c = { off = alloc_lits t arr; learnt = true; act = 0.; lbd } in
       clause_bump t c;
       let ci = push_clause t c in
       watch_clause t ci;
@@ -438,7 +506,7 @@ let reduce_db t =
       if
         !dropped < ndrop
         && (not is_reason.(ci))
-        && Array.length c.lits > 2
+        && clause_len t c > 2
         && c.lbd > 2
       then begin
         drop.(ci) <- true;
@@ -448,17 +516,24 @@ let reduce_db t =
   t.reduce_dbs <- t.reduce_dbs + 1;
   t.learnts_removed <- t.learnts_removed + !dropped;
   t.nlearnts <- t.nlearnts - !dropped;
-  (* Compact. *)
+  (* Compact the database and the arena; both keep clause order, so every
+     kept clause moves towards the front of the arena. *)
   let remap = Array.make t.nclauses (-1) in
-  let n = ref 0 in
+  let n = ref 0 and top = ref 0 in
   for ci = 0 to t.nclauses - 1 do
     if not drop.(ci) then begin
       remap.(ci) <- !n;
-      t.clauses.(!n) <- t.clauses.(ci);
+      let c = t.clauses.(ci) in
+      let len = clause_len t c in
+      Array.blit t.arena (c.off - 1) t.arena !top (len + 1);
+      c.off <- !top + 1;
+      top := !top + len + 1;
+      t.clauses.(!n) <- c;
       incr n
     end
   done;
   t.nclauses <- !n;
+  t.arena_n <- !top;
   for v = 0 to t.nvars - 1 do
     let r = t.reasons.(v) in
     if r >= 0 then t.reasons.(v) <- remap.(r)
@@ -492,7 +567,7 @@ let pick_branch t =
     if Heap.is_empty t.order then -1
     else
       let v = heap_pop t in
-      if t.values.(v) = 0 then v else go ()
+      if t.values.(2 * v) = 0 then v else go ()
   in
   go ()
 
@@ -581,7 +656,7 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?cancel t =
           let v = pick_branch t in
           if v < 0 then begin
             for i = 0 to t.nvars - 1 do
-              t.model.(i) <- t.values.(i) > 0
+              t.model.(i) <- t.values.(2 * i) > 0
             done;
             result := Some Sat
           end
@@ -609,7 +684,7 @@ let rebuild_order t =
   assert (decision_level t = 0);
   Heap.clear t.order;
   for v = 0 to t.nvars - 1 do
-    if t.values.(v) = 0 then heap_insert t v
+    if t.values.(2 * v) = 0 then heap_insert t v
   done
 
 let probe_budget = 2000

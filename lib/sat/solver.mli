@@ -9,7 +9,20 @@
     preprocessor of its own: {!Simplify} runs in front of it, loads the
     simplified CNF into a fresh solver and extends its models to the
     eliminated variables itself.  From here it only needs two level-0 primitives,
-    {!rebuild_order} and failed-literal {!probe}. *)
+    {!rebuild_order} and failed-literal {!probe}.
+
+    Layout.  Values are indexed by literal, so a literal's value is one
+    array load.  Every clause's literals sit in one arena, a length word
+    before each clause, in clause order; learnt-database reduction
+    compacts it.  A watcher is two ints: a binary clause's carries the
+    clause's other literal, so a satisfied binary clause costs one value
+    load and no clause access; a longer clause's carries its arena
+    offset.  Binary watchers never move, so every watch list keeps the
+    order it would have with clause indices alone.  The branching heap
+    reads the activity array directly.  These choices change the cost of
+    each step, not the steps: decisions, propagation order, learnt
+    clauses, restarts, reductions and models are those of the plain
+    two-watched-literal solver with clause-index watch lists. *)
 
 type t
 

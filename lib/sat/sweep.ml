@@ -20,6 +20,7 @@ type stats = {
   mutable cex_count : int;
   mutable candidates : int;
   mutable conflicts : int;
+  mutable propagations : int;
   mutable cnf_loads : int;
   mutable restarts : int;
   mutable reduce_dbs : int;
@@ -37,6 +38,7 @@ let new_stats () =
     cex_count = 0;
     candidates = 0;
     conflicts = 0;
+    propagations = 0;
     cnf_loads = 0;
     restarts = 0;
     reduce_dbs = 0;
@@ -46,6 +48,7 @@ let new_stats () =
 (* Fold one solver's search counters into sweep stats. *)
 let absorb_solver stats solver =
   stats.conflicts <- stats.conflicts + Solver.num_conflicts solver;
+  stats.propagations <- stats.propagations + Solver.num_propagations solver;
   stats.restarts <- stats.restarts + Solver.num_restarts solver;
   stats.reduce_dbs <- stats.reduce_dbs + Solver.num_reduce_dbs solver;
   stats.learnts_removed <-

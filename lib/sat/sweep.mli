@@ -36,6 +36,9 @@ type stats = {
   mutable cex_count : int;
   mutable candidates : int;  (** candidate pairs attempted *)
   mutable conflicts : int;  (** CDCL conflicts, summed over all solvers *)
+  mutable propagations : int;
+      (** literals taken off the trail by unit propagation, summed over all
+          solvers *)
   mutable cnf_loads : int;  (** solver CNF loads (one per round with pairs) *)
   mutable restarts : int;  (** CDCL restarts, summed over all solvers *)
   mutable reduce_dbs : int;  (** learnt-database reductions *)

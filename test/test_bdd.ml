@@ -103,15 +103,43 @@ let prop_matches_brute =
       | `Node_limit | `Timeout -> false)
 
 (* One manager holds every output of a 6-bit multiplier and of its
-   optimised copy: ~20k nodes, four doublings of the unique table from
-   its initial 4,096 slots.  Canonicity survives the resizes: each pair
-   of outputs is one handle, and building the first circuit again adds
-   no node, so no duplicate survived a rehash. *)
+   optimised copy: tens of thousands of nodes, several doublings of the
+   unique table from its initial 4,096 slots.  Canonicity survives the
+   resizes: each pair of outputs is one handle, and building the first
+   circuit again adds no node.  Those rebuilds are answered by the
+   computed tables before [mk] looks anything up, so the circuits are
+   first built an AND at a time, and after each AND every BDD the step
+   used or made — the AND's and its fanins', complements included — is
+   rebuilt as [(f xor v) xor v] for the last variable [v].  The XOR
+   table is cold for [f], so every node of [f] reaches [mk] again before
+   the table can double again, and [mk] must find it rather than add a
+   duplicate. *)
 let test_unique_table () =
+  let module N = Aig.Network in
   let g = Gen.Arith.multiplier ~bits:6 in
   let h = Opt.Resyn.light g in
-  let m = Bdd.create ~num_vars:(Aig.Network.num_pis g) () in
-  let build g = Array.init (Aig.Network.num_pos g) (Bdd.of_output m g) in
+  let m = Bdd.create ~num_vars:(N.num_pis g) () in
+  let v = Bdd.var m (N.num_pis g - 1) in
+  let found_again f = Bdd.equal f (Bdd.bdd_xor m (Bdd.bdd_xor m f v) v) in
+  let walk name g =
+    let bdd = Array.make (N.num_nodes g) (Bdd.bdd_xor m v v) in
+    for i = 0 to N.num_pis g - 1 do
+      bdd.(N.pi g i) <- Bdd.var m i
+    done;
+    let of_lit l =
+      let b = bdd.(Aig.Lit.node l) in
+      if Aig.Lit.is_compl l then Bdd.bdd_not m b else b
+    in
+    let ok = ref true in
+    N.iter_ands g (fun n ->
+        let f0 = of_lit (N.fanin0 g n) and f1 = of_lit (N.fanin1 g n) in
+        bdd.(n) <- Bdd.bdd_and m f0 f1;
+        ok := !ok && found_again bdd.(n) && found_again f0 && found_again f1);
+    Alcotest.(check bool) (name ^ ": every BDD found again after its step") true !ok
+  in
+  walk "multiplier" g;
+  walk "optimised copy" h;
+  let build g = Array.init (N.num_pos g) (Bdd.of_output m g) in
   let a = build g in
   let b = build h in
   Array.iteri

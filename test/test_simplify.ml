@@ -46,7 +46,6 @@ let prop_heap_model =
       let rng = mk_rng seed in
       let n = 24 in
       let prio = Array.init n (fun _ -> float_of_int (bits rng 16)) in
-      let less u v = prio.(u) > prio.(v) in
       let h = Sat.Heap.create ~capacity:n () in
       let in_model = Array.make n false in
       let ok = ref true in
@@ -56,16 +55,16 @@ let prop_heap_model =
         match bits rng 8 mod 4 with
         | 0 ->
             if not in_model.(v) then begin
-              Sat.Heap.insert ~less h v;
+              Sat.Heap.insert h prio v;
               in_model.(v) <- true
             end
         | 1 ->
             (* decrease- or increase-key: change priority, re-sift. *)
             prio.(v) <- float_of_int (bits rng 16);
-            if in_model.(v) then Sat.Heap.update ~less h v
+            if in_model.(v) then Sat.Heap.update h prio v
         | 2 ->
             if Array.exists Fun.id in_model then begin
-              let top = Sat.Heap.pop ~less h in
+              let top = Sat.Heap.pop h prio in
               check in_model.(top);
               Array.iteri
                 (fun u inside ->
@@ -82,11 +81,106 @@ let prop_heap_model =
       (* Draining yields non-increasing priorities. *)
       let last = ref infinity in
       while not (Sat.Heap.is_empty h) do
-        let v = Sat.Heap.pop ~less h in
+        let v = Sat.Heap.pop h prio in
         check (prio.(v) <= !last);
         last := prio.(v)
       done;
       !ok)
+
+(* The pairwise-swap heap the branching order was first built on: a child
+   replaces its parent only when strictly better, and of two children the
+   right one wins only when strictly better than the left.  It is the
+   reference for the hole-sifting [Sat.Heap], whose layout — and so the
+   solver's branching order — must match it exactly, ties included. *)
+module Swap_heap = struct
+  type t = { heap : int array; mutable n : int; pos : int array }
+
+  let create n = { heap = Array.make n 0; n = 0; pos = Array.make n (-1) }
+
+  let swap t i j =
+    let u = t.heap.(i) and v = t.heap.(j) in
+    t.heap.(i) <- v;
+    t.heap.(j) <- u;
+    t.pos.(v) <- i;
+    t.pos.(u) <- j
+
+  let rec sift_up less t i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if less t.heap.(i) t.heap.(p) then begin
+        swap t i p;
+        sift_up less t p
+      end
+    end
+
+  let rec sift_down less t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = ref i in
+    if l < t.n && less t.heap.(l) t.heap.(!best) then best := l;
+    if r < t.n && less t.heap.(r) t.heap.(!best) then best := r;
+    if !best <> i then begin
+      swap t i !best;
+      sift_down less t !best
+    end
+
+  let insert less t e =
+    if t.pos.(e) < 0 then begin
+      t.heap.(t.n) <- e;
+      t.pos.(e) <- t.n;
+      t.n <- t.n + 1;
+      sift_up less t (t.n - 1)
+    end
+
+  let pop less t =
+    let e = t.heap.(0) in
+    t.n <- t.n - 1;
+    t.pos.(e) <- -1;
+    if t.n > 0 then begin
+      t.heap.(0) <- t.heap.(t.n);
+      t.pos.(t.heap.(0)) <- 0;
+      sift_down less t 0
+    end;
+    e
+
+  let update less t e =
+    if t.pos.(e) >= 0 then begin
+      sift_up less t t.pos.(e);
+      sift_down less t t.pos.(e)
+    end
+end
+
+(* Priorities drawn from four levels, so most comparisons are ties: every
+   pop of a random insert/update/pop trace, and the final drain, must
+   return the element the swap heap returns. *)
+let prop_heap_ties =
+  QCheck.Test.make ~name:"heap pops like the swap heap on tied priorities"
+    ~count:200 Util.arb_seed (fun seed ->
+      let rng = mk_rng seed in
+      let n = 32 in
+      let prio = Array.init n (fun _ -> float_of_int (bits rng 2)) in
+      let less u v = prio.(u) > prio.(v) in
+      let h = Sat.Heap.create ~capacity:4 () and r = Swap_heap.create n in
+      let got = ref [] and want = ref [] in
+      let pop () =
+        got := Sat.Heap.pop h prio :: !got;
+        want := Swap_heap.pop less r :: !want
+      in
+      for _ = 1 to 300 do
+        let v = bits rng 16 mod n in
+        match bits rng 8 mod 3 with
+        | 0 ->
+            Sat.Heap.insert h prio v;
+            Swap_heap.insert less r v
+        | 1 ->
+            prio.(v) <- float_of_int (bits rng 2);
+            Sat.Heap.update h prio v;
+            Swap_heap.update less r v
+        | _ -> if r.Swap_heap.n > 0 then pop ()
+      done;
+      while r.Swap_heap.n > 0 do
+        pop ()
+      done;
+      Sat.Heap.is_empty h && !got = !want)
 
 (* --- full-pipeline round trip on random CNFs ---------------------------- *)
 
@@ -375,6 +469,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_heap_model;
+            prop_heap_ties;
             prop_simplify_roundtrip;
             prop_solver_simplify_verdict;
             prop_subsumption_equivalent;

@@ -160,6 +160,81 @@ let test_stats () =
   Alcotest.(check bool) "propagations counted" true (Sat.Solver.num_propagations s > 0);
   Alcotest.(check bool) "vars" true (Sat.Solver.num_vars s = 20)
 
+(* --- pinned search ------------------------------------------------------ *)
+
+(* What one solve did: its result; the solver's running conflict,
+   propagation, restart, reduction and dropped-learnt counts; and the MD5
+   of its model's bits (of "" unless [Sat]). *)
+let search_signature ?assumptions s =
+  let result = Sat.Solver.solve ?assumptions s in
+  let model =
+    if result <> Sat.Solver.Sat then ""
+    else
+      String.init (Sat.Solver.num_vars s) (fun v ->
+          if Sat.Solver.model_value s v then '1' else '0')
+  in
+  ( (match result with
+    | Sat.Solver.Sat -> "sat"
+    | Sat.Solver.Unsat -> "unsat"
+    | Sat.Solver.Unknown -> "unknown"),
+    [
+      Sat.Solver.num_conflicts s;
+      Sat.Solver.num_propagations s;
+      Sat.Solver.num_restarts s;
+      Sat.Solver.num_reduce_dbs s;
+      Sat.Solver.num_learnts_removed s;
+    ],
+    Digest.to_hex (Digest.string model) )
+
+let random_3sat ~seed ~nvars ~nclauses =
+  let rng = Sim.Rng.create ~seed:(Int64.of_int seed) in
+  let s = Sat.Solver.create () in
+  for _ = 1 to nvars do
+    ignore (Sat.Solver.new_var s)
+  done;
+  for _ = 1 to nclauses do
+    ignore
+      (Sat.Solver.add_clause s
+         (List.init 3 (fun _ ->
+              Sat.Solver.mklit (Sim.Rng.int rng nvars) (Sim.Rng.bool rng))))
+  done;
+  (s, rng)
+
+let no_model = Digest.to_hex (Digest.string "")
+
+(* The search is pinned: a change to the kernel that claims to make the
+   same decisions, propagations, learnt clauses, restarts and database
+   reductions must reproduce every count and model below.  php(8,7) runs
+   4005 conflicts through 21 restarts; the random 3-SAT instance (180
+   variables, 740 clauses) is solved six times on one solver under two
+   random assumptions each, mixes SAT and UNSAT answers and reduces its
+   learnt database once. *)
+let test_pinned_search () =
+  let signature = Alcotest.(triple string (list int) string) in
+  Alcotest.check signature "php(8,7)"
+    ("unsat", [ 4005; 52109; 21; 0; 0 ], no_model)
+    (search_signature (pigeonhole 8 7));
+  let nvars = 180 in
+  let s, rng = random_3sat ~seed:5 ~nvars ~nclauses:740 in
+  List.iteri
+    (fun k expected ->
+      let assumptions =
+        List.init 2 (fun _ ->
+            Sat.Solver.mklit (Sim.Rng.int rng nvars) (Sim.Rng.bool rng))
+      in
+      Alcotest.check signature
+        (Printf.sprintf "3-SAT call %d" k)
+        expected
+        (search_signature ~assumptions s))
+    [
+      ("sat", [ 1164; 43800; 6; 0; 0 ], "10c5b5f8161885d331aa0008c496a6a3");
+      ("sat", [ 1164; 43980; 6; 0; 0 ], "10c5b5f8161885d331aa0008c496a6a3");
+      ("sat", [ 1164; 44160; 6; 0; 0 ], "10c5b5f8161885d331aa0008c496a6a3");
+      ("sat", [ 1164; 44340; 6; 0; 0 ], "10c5b5f8161885d331aa0008c496a6a3");
+      ("unsat", [ 2470; 90654; 14; 0; 0 ], no_model);
+      ("sat", [ 5128; 187291; 28; 1; 2000 ], "8ffb0e1e7f6b87986e4e6afaa82be811");
+    ]
+
 let () =
   Alcotest.run "solver"
     [
@@ -172,6 +247,7 @@ let () =
           Alcotest.test_case "conflict limit" `Quick test_conflict_limit;
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "pinned search" `Quick test_pinned_search;
         ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest [ prop_random_3sat; prop_incremental ] );

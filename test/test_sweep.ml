@@ -164,9 +164,11 @@ let prop_optimized_equivalence =
 
 (* The sweep's work, pinned on three small generated miters: a change that
    claims to leave the sweeping path's work alone must keep (outcome, SAT
-   calls, merges, rounds) as they are.  voter is control logic proved in
-   one round of pairs; log2 needs counter-examples to split its classes;
-   the third miter has one complemented AND fanin on its optimised side. *)
+   calls, merges, rounds) as they are, and one that claims to leave the
+   SAT search alone must also keep its conflicts and propagations.  voter
+   is control logic proved in one round of pairs; log2 needs
+   counter-examples to split its classes; the third miter has one
+   complemented AND fanin on its optimised side. *)
 let test_work_counters () =
   let broken =
     let g = Gen.Arith.multiplier ~bits:6 in
@@ -187,13 +189,16 @@ let test_work_counters () =
             | Sat.Sweep.Undecided -> "undecided"
           in
           Alcotest.(check (pair string (list int)))
-            (name ^ ": outcome, SAT calls, merged, rounds")
+            (name ^ ": outcome, SAT calls, merged, rounds, conflicts, propagations")
             expected
-            (verdict, [ s.Sat.Sweep.sat_calls; s.merged; s.rounds ]))
+            ( verdict,
+              [ s.Sat.Sweep.sat_calls; s.merged; s.rounds; s.conflicts; s.propagations ] ))
         [
-          ("voter", suite "voter", ("equivalent", [ 252; 130; 2 ]));
-          ("log2", suite "log2", ("equivalent", [ 765; 363; 2 ]));
-          ("multiplier6~flip", broken, ("inequivalent@11", [ 339; 174; 2 ]));
+          ("voter", suite "voter", ("equivalent", [ 252; 130; 2; 295; 10609 ]));
+          ("log2", suite "log2", ("equivalent", [ 765; 363; 2; 1644; 494631 ]));
+          ( "multiplier6~flip",
+            broken,
+            ("inequivalent@11", [ 339; 174; 2; 450; 19521 ]) );
         ])
 
 let () =
